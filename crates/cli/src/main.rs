@@ -846,7 +846,9 @@ fn main() -> ExitCode {
             e.3 = e.3.max(k.stats.idle_lane_fraction());
         }
         let mut rows: Vec<_> = per.into_iter().collect();
-        rows.sort_by(|a, b| b.1 .0.total_cmp(&a.1 .0));
+        // Time descending, then name: equal-time rows must not fall
+        // back on hash order, or two identical runs print differently.
+        rows.sort_by(|a, b| b.1 .0.total_cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
         println!("  kernel profile:");
         for (name, (ms, count, imbalance, idle)) in rows {
             println!(
@@ -1136,7 +1138,7 @@ fn run_partitioned(
             }
         }
         let mut rows: Vec<_> = per.into_iter().collect();
-        rows.sort_by(|a, b| b.1 .0.total_cmp(&a.1 .0));
+        rows.sort_by(|a, b| b.1 .0.total_cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
         println!("    merged kernel profile (all devices):");
         for (name, (ms, count)) in rows {
             println!("      {name:<26} {ms:>9.3} ms  \u{d7}{count}");

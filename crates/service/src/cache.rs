@@ -37,7 +37,8 @@ pub struct CacheKey {
 /// Cached outcome of one job.
 #[derive(Debug, Clone)]
 pub struct CachedResult {
-    pub values: JobValues,
+    /// Shared with the job record that produced (or was served) it.
+    pub values: Arc<JobValues>,
     pub iterations: u32,
     /// Modelled device ms the original computation cost (reported on
     /// hits so callers can see what the cache saved).
@@ -192,7 +193,7 @@ mod tests {
 
     fn result(v: u32) -> CachedResult {
         CachedResult {
-            values: JobValues::U32(vec![v]),
+            values: Arc::new(JobValues::U32(vec![v])),
             iterations: 1,
             sim_ms: 0.5,
         }
@@ -248,7 +249,7 @@ mod tests {
         cache.put(key(2), result(2));
         assert!(cache.get(&key(1)).is_none(), "stale entry evicted first");
         let v = cache.get(&key(0)).unwrap();
-        assert_eq!(v.values, JobValues::U32(vec![7]));
+        assert_eq!(*v.values, JobValues::U32(vec![7]));
     }
 
     #[test]

@@ -279,10 +279,28 @@ pub struct DrainReport {
     pub records: Vec<JobRecord>,
 }
 
+/// A job as the table holds it: the public record with `values` left
+/// `None`, plus the finished values, which a cache entry for the same
+/// result shares instead of copying.
+struct StoredJob {
+    record: JobRecord,
+    values: Option<Arc<JobValues>>,
+}
+
+impl StoredJob {
+    /// The public record, with the shared values copied out.
+    fn to_record(&self) -> JobRecord {
+        JobRecord {
+            values: self.values.as_deref().cloned(),
+            ..self.record.clone()
+        }
+    }
+}
+
 struct Shared {
     registry: Arc<Registry>,
     cache: Arc<ResultCache>,
-    jobs: RwLock<HashMap<u64, JobRecord>>,
+    jobs: RwLock<HashMap<u64, StoredJob>>,
     state: StdMutex<SchedState>,
     /// Wakes workers: new work, pause/resume, shutdown.
     work_cv: Condvar,
@@ -425,7 +443,6 @@ impl Scheduler {
         if !no_cache {
             if let Some(hit) = self.shared.cache.get(&key) {
                 record.state = JobState::Done;
-                record.values = Some(hit.values.clone());
                 record.metrics = JobMetrics {
                     iterations: hit.iterations,
                     sim_ms: 0.0,
@@ -437,7 +454,7 @@ impl Scheduler {
                     .counters
                     .jobs_done
                     .fetch_add(1, Ordering::Relaxed);
-                self.finish(record);
+                self.finish(record, Some(hit.values.clone()));
                 return Ok(id);
             }
         }
@@ -466,7 +483,7 @@ impl Scheduler {
                 .counters
                 .jobs_rejected
                 .fetch_add(1, Ordering::Relaxed);
-            self.finish(record);
+            self.finish(record, None);
             return Ok(id);
         }
         record.metrics.modeled_peak_bytes = modeled;
@@ -502,7 +519,13 @@ impl Scheduler {
                 retry_after_ms: self.retry_after_ms(queued),
             });
         }
-        self.shared.jobs.write().insert(id, record);
+        self.shared.jobs.write().insert(
+            id,
+            StoredJob {
+                record,
+                values: None,
+            },
+        );
         st.pending.push_back(PendingJob {
             id,
             graph: reg.name.clone(),
@@ -534,8 +557,11 @@ impl Scheduler {
     }
 
     /// Records a job that completed without ever being queued.
-    fn finish(&self, record: JobRecord) {
-        self.shared.jobs.write().insert(record.id, record);
+    fn finish(&self, record: JobRecord, values: Option<Arc<JobValues>>) {
+        self.shared
+            .jobs
+            .write()
+            .insert(record.id, StoredJob { record, values });
         self.shared.done_cv.notify_all();
     }
 
@@ -548,7 +574,7 @@ impl Scheduler {
 
     /// Snapshot of a job record.
     pub fn job(&self, id: u64) -> Option<JobRecord> {
-        self.shared.jobs.read().get(&id).cloned()
+        self.shared.jobs.read().get(&id).map(StoredJob::to_record)
     }
 
     /// All job ids, ascending (listing endpoint).
@@ -561,17 +587,16 @@ impl Scheduler {
     /// Blocks until `id` reaches a terminal state; `None` for unknown ids.
     pub fn wait(&self, id: u64) -> Option<JobRecord> {
         loop {
-            match self.job(id) {
+            match self.shared.jobs.read().get(&id) {
                 None => return None,
-                Some(rec) if terminal(rec.state) => return Some(rec),
-                Some(_) => {
-                    let st = lock(&self.shared.state);
-                    let _ = self
-                        .shared
-                        .done_cv
-                        .wait_timeout(st, Duration::from_millis(20));
-                }
+                Some(job) if terminal(job.record.state) => return Some(job.to_record()),
+                Some(_) => {}
             }
+            let st = lock(&self.shared.state);
+            let _ = self
+                .shared
+                .done_cv
+                .wait_timeout(st, Duration::from_millis(20));
         }
     }
 
@@ -679,8 +704,8 @@ impl Scheduler {
         let jobs = self.shared.jobs.read();
         let mut records: Vec<JobRecord> = jobs
             .values()
-            .filter(|r| terminal(r.state))
-            .cloned()
+            .filter(|j| terminal(j.record.state))
+            .map(StoredJob::to_record)
             .collect();
         drop(jobs);
         records.sort_by_key(|r| r.id);
@@ -935,8 +960,8 @@ fn claim(shared: &Shared) -> Option<Vec<PendingJob>> {
 fn mark_running(shared: &Shared, batch: &[&PendingJob]) {
     let mut jobs = shared.jobs.write();
     for p in batch {
-        if let Some(rec) = jobs.get_mut(&p.id) {
-            rec.state = JobState::Running;
+        if let Some(job) = jobs.get_mut(&p.id) {
+            job.record.state = JobState::Running;
         }
     }
 }
@@ -957,7 +982,7 @@ fn fail_ids(shared: &Shared, ids: &[u64], err: &ServiceError) {
     };
     let mut jobs = shared.jobs.write();
     for id in ids {
-        if let Some(rec) = jobs.get_mut(id) {
+        if let Some(rec) = jobs.get_mut(id).map(|j| &mut j.record) {
             if !terminal(rec.state) {
                 rec.state = JobState::Failed;
                 rec.error = Some(msg.clone());
@@ -1129,10 +1154,11 @@ fn execute(
     // Store lanes in the cache, then complete the records.
     let mut jobs = shared.jobs.write();
     for (p, values) in live.iter().zip(outcome.per_job) {
-        let rec = match jobs.get_mut(&p.id) {
-            Some(rec) => rec,
-            None => continue,
+        let Some(job) = jobs.get_mut(&p.id) else {
+            continue;
         };
+        let values = Arc::new(values);
+        let rec = &mut job.record;
         if !rec.request.no_cache.unwrap_or(false) {
             shared.cache.put(
                 CacheKey {
@@ -1157,7 +1183,6 @@ fn execute(
             );
         }
         rec.state = JobState::Done;
-        rec.values = Some(values);
         rec.metrics = JobMetrics {
             iterations: outcome.iterations,
             sim_ms: outcome.sim_ms,
@@ -1169,6 +1194,7 @@ fn execute(
             batch_size: live.len() as u32,
             recovery_events,
         };
+        job.values = Some(values);
         shared.counters.jobs_done.fetch_add(1, Ordering::Relaxed);
     }
     drop(jobs);
@@ -1207,7 +1233,7 @@ fn run_single(
         .jobs
         .read()
         .get(&p.id)
-        .and_then(|r| r.request.delta)
+        .and_then(|j| j.record.request.delta)
         .unwrap_or(2.0);
     Ok(match p.algo {
         Algo::Bfs => unpack(bfs::run(q, &graph.csr, p.source, opts)?, JobValues::U32),

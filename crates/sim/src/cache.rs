@@ -34,6 +34,9 @@ pub struct CacheModel {
     clock: u64,
     hits: u64,
     misses: u64,
+    /// Set by the first insert after a flush; a clean cache has every tag
+    /// invalid and every stamp zero, so flushing it again is a no-op.
+    dirty: bool,
 }
 
 impl CacheModel {
@@ -62,6 +65,7 @@ impl CacheModel {
             clock: 0,
             hits: 0,
             misses: 0,
+            dirty: false,
         }
     }
 
@@ -113,14 +117,20 @@ impl CacheModel {
         self.tags[base + victim] = line;
         self.stamps[base + victim] = self.clock;
         self.misses += 1;
+        self.dirty = true;
         false
     }
 
     /// Invalidates all lines (kernel-boundary flush for L1, which GPUs do
-    /// not keep coherent across kernels).
+    /// not keep coherent across kernels). Idempotent, and free when nothing
+    /// was inserted since the last flush.
     pub fn flush(&mut self) {
+        if !self.dirty {
+            return;
+        }
         self.tags.fill(u64::MAX);
         self.stamps.fill(0);
+        self.dirty = false;
     }
 
     pub fn hits(&self) -> u64 {
@@ -169,6 +179,9 @@ impl CacheHierarchy {
     }
 
     /// Flush L1 only (per-kernel boundary); L2 persists across kernels.
+    /// The queue calls this when the CU next runs a workgroup, not after
+    /// every launch: nothing reads an L1 between the two points, so a CU
+    /// that sits launches out owes one flush, not one per launch.
     pub fn kernel_boundary(&mut self) {
         self.l1.flush();
     }

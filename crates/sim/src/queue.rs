@@ -87,7 +87,7 @@ pub struct Queue {
     device: Arc<Device>,
     accounting: Accounting,
     /// Per-CU cache hierarchies, persistent across kernels (L2 keeps its
-    /// contents; L1 is flushed at kernel boundaries).
+    /// contents; L1 is flushed when the CU starts its next kernel).
     caches: Vec<Mutex<CacheHierarchy>>,
     clock_ns: Mutex<f64>,
     seq: Mutex<u64>,
@@ -336,8 +336,10 @@ impl Queue {
 
     /// Executes every workgroup of a launch across the simulated CUs,
     /// optionally under a permuted workgroup order and/or with sanitizer
-    /// shadow logging. Returns the per-CU cost aggregates and the merged
-    /// shadow log (empty unless `san` is given).
+    /// shadow logging. Returns the cost aggregates of the CUs that got a
+    /// workgroup (`cost::finalize` skips idle CUs, so leaving them out
+    /// changes nothing) and the merged shadow log (empty unless `san` is
+    /// given).
     fn run_groups<F>(
         &self,
         cfg: &LaunchConfig,
@@ -352,8 +354,12 @@ impl Queue {
         let profile = &self.device.profile;
         let cus = profile.compute_units as usize;
         let line_bytes = profile.line_bytes;
+        // Slot `g` runs on CU `g % cus`: CUs from `workgroups` up stay idle
+        // and are neither locked nor visited. Their L1 is flushed by the
+        // `kernel_boundary` of the next launch that reaches them.
+        let active = cus.min(cfg.workgroups);
 
-        let per_cu: Vec<(CuAgg, Vec<AccessRec>)> = (0..cus)
+        let per_cu: Vec<(CuAgg, Vec<AccessRec>)> = (0..active)
             .into_par_iter()
             .map(|cu| {
                 let mut agg = CuAgg::default();
