@@ -87,12 +87,12 @@ fn run_many_impl<W: Word>(
             fin.insert_host(src);
         })?;
         // Manual superstep loop (the engine cannot own the rotate —
-        // Brandes retains each level), stepped through `try_step` so an
-        // injected fault fails the pass typed. The sigma accumulation is
+        // Brandes retains each level); `step` surfaces an injected fault,
+        // which fails the pass typed. The sigma accumulation is
         // a `fetch_add`, not a monotone min, so a partially-run
         // superstep is not safe to retry: barrier semantics, no retries.
         let mut engine = SuperstepEngine::new(q, g, *tuning, fin, fout).mark_prefix("bc_fwd");
-        while engine.try_step(
+        while engine.step(
             |l, d, u, v, _e, _w| {
                 let old = l.fetch_min(&depth, v as usize, d + 1);
                 if old > d {

@@ -10,12 +10,12 @@
 //! [`DeviceCsr`](sygraph_core::graph::DeviceCsr) every superstep pushes,
 //! exactly as before.
 
-use sygraph_core::engine::{CheckpointState, PullCandidates, SuperstepEngine};
+use sygraph_core::engine::{CheckpointState, PullCandidates, StepAdvance, SuperstepEngine};
 use sygraph_core::frontier::Word;
 use sygraph_core::graph::DeviceGraphView;
 use sygraph_core::inspector::{inspect, OptConfig, Tuning};
-use sygraph_core::types::{VertexId, INF_DIST};
-use sygraph_sim::{Queue, SimResult};
+use sygraph_core::types::{EdgeId, VertexId, Weight, INF_DIST};
+use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SimResult};
 
 use crate::common::{guarded_init, make_frontier, AlgoResult};
 
@@ -49,6 +49,28 @@ pub fn run_fused<G: DeviceGraphView + ?Sized>(
     }
 }
 
+/// BFS's advance functor over the level buffer `dist`: keep unvisited
+/// destinations (Listing 1 lines 9-13). A read-only membership test, so
+/// pull supersteps may adopt on the first parent and early-exit.
+///
+/// Access to `dist` is atomic here and in [`stamp_level`]: in the fused
+/// path the stamp runs in the same launch as this check, so lanes read
+/// cells other lanes are writing. Racing lanes all write the same
+/// `iter + 1` (a benign same-value race on real GPUs, made explicit).
+pub fn unvisited(dist: &DeviceBuffer<u32>) -> impl StepAdvance + '_ {
+    move |l: &mut ItemCtx<'_>, _iter: u32, _u: VertexId, v: VertexId, _e: EdgeId, _w: Weight| {
+        l.load_atomic(dist, v as usize) == INF_DIST
+    }
+}
+
+/// BFS's compute functor: stamp a newly reached vertex with its level
+/// (Listing 1 lines 14-17).
+pub fn stamp_level(
+    dist: &DeviceBuffer<u32>,
+) -> impl Fn(&mut ItemCtx<'_>, u32, VertexId) + Sync + '_ {
+    move |l: &mut ItemCtx<'_>, iter: u32, v: VertexId| l.store_atomic(dist, v as usize, iter + 1)
+}
+
 /// The engine cycle shared by [`run`], [`run_fused`] and the
 /// direction-optimizing preset ([`crate::dobfs`]): only the tuning (and
 /// the marker prefix) differ between them.
@@ -74,29 +96,20 @@ pub(crate) fn engine_run<W: Word, G: DeviceGraphView + ?Sized>(
         fin.insert_host(src);
     })?;
 
-    // Advance keeps unvisited destinations (Listing 1 lines 9-13);
-    // compute stamps their distances (lines 14-17). The engine owns the
-    // swap/clear cycle and the single convergence check per superstep.
-    // The distance buffer is BFS's whole recoverable state: registering
-    // it lets DeviceLost recovery resume from the engine's checkpoints.
+    // The engine owns the swap/clear cycle and the single convergence
+    // check per superstep. The distance buffer is BFS's whole recoverable
+    // state: registering it lets DeviceLost recovery resume from the
+    // engine's checkpoints.
     let ckpt: [&dyn CheckpointState; 1] = [&dist];
-    // BFS visits each vertex once and its advance functor is a read-only
-    // membership test, so pull supersteps may adopt-on-first-parent and
-    // early-exit (the Beamer bottom-up scan).
+    // BFS visits each vertex once, so pull supersteps may run the Beamer
+    // bottom-up scan over the unvisited set.
     let mut engine = SuperstepEngine::new(q, g, *tuning, fin, fout)
         .fused(fused)
         .mark_prefix(mark_prefix)
         .max_iters(n + 1, "BFS failed to converge")
         .pull_scope(PullCandidates::Unvisited)
         .checkpoint_state(&ckpt);
-    // Atomic access to dist[]: in the fused path the stamp runs in the
-    // same launch as the functor's unvisited check, so lanes read cells
-    // other lanes are writing. Racing lanes all write the same `iter+1`
-    // (a benign same-value race on real GPUs, made explicit here).
-    let iterations = engine.run(
-        |l, _iter, _u, v, _e, _w| l.load_atomic(&dist, v as usize) == INF_DIST,
-        Some(&|l, iter, v| l.store_atomic(&dist, v as usize, iter + 1)),
-    )?;
+    let iterations = engine.run(unvisited(&dist), Some(&stamp_level(&dist)), None)?;
 
     Ok(AlgoResult {
         values: dist.to_vec(),

@@ -4,11 +4,12 @@
 //! symmetric (undirected) for component semantics; use
 //! [`sygraph_core::graph::CsrHost::to_undirected`] first if needed.
 
-use sygraph_core::engine::{CheckpointState, SuperstepEngine, NO_COMPUTE};
+use sygraph_core::engine::{CheckpointState, PostStep, StepAdvance, SuperstepEngine, NO_COMPUTE};
 use sygraph_core::frontier::{BitmapLike, Word};
 use sygraph_core::graph::DeviceGraphView;
 use sygraph_core::inspector::{inspect, OptConfig, Tuning};
-use sygraph_sim::{Queue, SimResult};
+use sygraph_core::types::{EdgeId, VertexId, Weight};
+use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SimResult};
 
 use crate::common::{guarded_init, make_frontier, AlgoResult};
 
@@ -27,8 +28,8 @@ pub fn run<G: DeviceGraphView + ?Sized>(
 ) -> SimResult<AlgoResult<u32>> {
     let tuning = inspect(q.profile(), opts, g.vertex_count());
     match tuning.word_bits {
-        32 => run_impl::<u32, G>(q, g, opts, &tuning),
-        _ => run_impl::<u64, G>(q, g, opts, &tuning),
+        32 => run_impl::<u32, G>(q, g, opts, &tuning, false),
+        _ => run_impl::<u64, G>(q, g, opts, &tuning, false),
     }
 }
 
@@ -46,16 +47,33 @@ pub fn run_shortcutting<G: DeviceGraphView + ?Sized>(
 ) -> SimResult<AlgoResult<u32>> {
     let tuning = inspect(q.profile(), opts, g.vertex_count());
     match tuning.word_bits {
-        32 => run_shortcut_impl::<u32, G>(q, g, opts, &tuning),
-        _ => run_shortcut_impl::<u64, G>(q, g, opts, &tuning),
+        32 => run_impl::<u32, G>(q, g, opts, &tuning, true),
+        _ => run_impl::<u64, G>(q, g, opts, &tuning, true),
     }
 }
 
-fn run_shortcut_impl<W: Word, G: DeviceGraphView + ?Sized>(
+/// Label propagation over `labels`, as an advance functor: push the
+/// source's label along the edge and accept `v` when it lowered `v`'s.
+///
+/// `labels[u]` is read atomically: neighbours may be lowering it via
+/// fetch_min in this same launch; a stale value only costs an extra
+/// superstep of propagation.
+pub fn propagate_min(labels: &DeviceBuffer<u32>) -> impl StepAdvance + '_ {
+    move |l: &mut ItemCtx<'_>, _iter: u32, u: VertexId, v: VertexId, _e: EdgeId, _w: Weight| {
+        let lu = l.load_atomic(labels, u as usize);
+        let old = l.fetch_min(labels, v as usize, lu);
+        lu < old
+    }
+}
+
+/// The body of [`run`] and, with `shortcut`, of [`run_shortcutting`]: the
+/// two differ in the post-step hook and the marker prefix.
+fn run_impl<W: Word, G: DeviceGraphView + ?Sized>(
     q: &Queue,
     g: &G,
     opts: &OptConfig,
     tuning: &Tuning,
+    shortcut: bool,
 ) -> SimResult<AlgoResult<u32>> {
     let n = g.vertex_count();
     let t0 = q.now_ns();
@@ -63,6 +81,7 @@ fn run_shortcut_impl<W: Word, G: DeviceGraphView + ?Sized>(
     let labels = q.malloc_device::<u32>(n)?;
     let fin = make_frontier::<W>(q, n, opts)?;
     let fout = make_frontier::<W>(q, n, opts)?;
+    // Every vertex starts by distributing its label to its neighbors.
     guarded_init(q, &opts.recovery, || {
         q.parallel_for("cc_init", n, |l, v| {
             l.store(&labels, v, v as u32);
@@ -70,10 +89,15 @@ fn run_shortcut_impl<W: Word, G: DeviceGraphView + ?Sized>(
         fin.fill_all(q);
     })?;
 
+    let (mark_prefix, diverge_msg) = if shortcut {
+        ("ccs_iter", "shortcutting CC diverged")
+    } else {
+        ("cc_iter", "CC failed to converge")
+    };
     let ckpt: [&dyn CheckpointState; 1] = [&labels];
     let mut engine = SuperstepEngine::new(q, g, *tuning, fin, fout)
-        .mark_prefix("ccs_iter")
-        .max_iters(n + 1, "shortcutting CC diverged")
+        .mark_prefix(mark_prefix)
+        .max_iters(n + 1, diverge_msg)
         .checkpoint_state(&ckpt);
     // Shortcut pass (post-step hook): chase label chains to their root
     // (pointer jumping, as in union-find's find). A change re-activates
@@ -82,7 +106,7 @@ fn run_shortcut_impl<W: Word, G: DeviceGraphView + ?Sized>(
     // chains through cells other lanes are rewriting in the same launch.
     // A racing write only ever replaces a label with a smaller one from
     // the same chain, so any interleaving converges to the same roots.
-    let shortcut = |q: &Queue, _iter: u32, out: &dyn BitmapLike<W>| {
+    let shortcut_pass = |q: &Queue, _iter: u32, out: &dyn BitmapLike<W>| {
         q.parallel_for("cc_shortcut", n, |l, v| {
             let start = l.load_atomic(&labels, v);
             let mut root = start;
@@ -100,59 +124,8 @@ fn run_shortcut_impl<W: Word, G: DeviceGraphView + ?Sized>(
             }
         });
     };
-    let iterations = engine.run_with_post(
-        |l, _iter, u, v, _e, _w| {
-            let lu = l.load_atomic(&labels, u as usize);
-            let old = l.fetch_min(&labels, v as usize, lu);
-            lu < old
-        },
-        NO_COMPUTE,
-        Some(&shortcut),
-    )?;
-
-    Ok(AlgoResult {
-        values: labels.to_vec(),
-        iterations,
-        sim_ms: (q.now_ns() - t0) / 1e6,
-    })
-}
-
-fn run_impl<W: Word, G: DeviceGraphView + ?Sized>(
-    q: &Queue,
-    g: &G,
-    opts: &OptConfig,
-    tuning: &Tuning,
-) -> SimResult<AlgoResult<u32>> {
-    let n = g.vertex_count();
-    let t0 = q.now_ns();
-
-    let labels = q.malloc_device::<u32>(n)?;
-    let fin = make_frontier::<W>(q, n, opts)?;
-    let fout = make_frontier::<W>(q, n, opts)?;
-    // Every vertex starts by distributing its label to its neighbors.
-    guarded_init(q, &opts.recovery, || {
-        q.parallel_for("cc_init", n, |l, v| {
-            l.store(&labels, v, v as u32);
-        });
-        fin.fill_all(q);
-    })?;
-
-    let ckpt: [&dyn CheckpointState; 1] = [&labels];
-    let mut engine = SuperstepEngine::new(q, g, *tuning, fin, fout)
-        .mark_prefix("cc_iter")
-        .max_iters(n + 1, "CC failed to converge")
-        .checkpoint_state(&ckpt);
-    // labels[u] is read atomically: neighbours may be lowering it via
-    // fetch_min in this same launch; a stale value only costs an extra
-    // superstep of propagation.
-    let iterations = engine.run(
-        |l, _iter, u, v, _e, _w| {
-            let lu = l.load_atomic(&labels, u as usize);
-            let old = l.fetch_min(&labels, v as usize, lu);
-            lu < old
-        },
-        NO_COMPUTE,
-    )?;
+    let post: Option<PostStep<'_, W>> = shortcut.then_some(&shortcut_pass);
+    let iterations = engine.run(propagate_min(&labels), NO_COMPUTE, post)?;
 
     Ok(AlgoResult {
         values: labels.to_vec(),

@@ -286,10 +286,10 @@ fn bc_multi_impl<W: Word>(
         };
 
         // Sigma counting is additive, so a partially-run superstep is
-        // not safe to retry: step through `try_step_multi` and fail the
-        // batch typed on any injected fault.
+        // not safe to retry: `step_multi` surfaces any injected fault and
+        // the batch fails typed.
         let mut levels: Vec<Box<dyn BitmapLike<W>>> = Vec::new();
-        while engine.try_step_multi(&fwd, Some(&stamp))? {
+        while engine.step_multi(&fwd, Some(&stamp))? {
             // Merge the superstep's discoveries into `vis` before the
             // rotate — the *next* superstep's accept masks must see them,
             // this one's must not.

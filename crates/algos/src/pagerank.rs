@@ -7,7 +7,7 @@
 //! teleport term are folded in by a `compute` pass; iteration stops when
 //! the L1 delta drops below `tol` or after `max_iters` sweeps.
 
-use sygraph_core::engine::fixed_point_resilient;
+use sygraph_core::engine::fixed_point;
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView};
 use sygraph_core::inspector::{OptConfig, Tuning};
 use sygraph_core::operators::advance::Advance;
@@ -69,9 +69,9 @@ fn run_impl<W: sygraph_core::frontier::Word>(
     // Each sweep resets its accumulators (`next`, `dangling`,
     // `l1_delta`) up front and commits `rank` in the single trailing
     // `pr_apply` launch, so a faulted sweep leaves `rank` untouched and
-    // re-runs cleanly under the resilient fixed point's retry contract.
+    // re-runs cleanly under `fixed_point`'s retry contract.
     let d = params.damping;
-    let iterations = fixed_point_resilient(
+    let iterations = fixed_point(
         q,
         &tuning.recovery,
         params.max_iters,

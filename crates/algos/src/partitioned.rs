@@ -12,9 +12,10 @@
 //! never shows in the result — partitioned runs are bit-identical to the
 //! single-device reference path (see `tests/multi_device.rs`).
 //!
-//! The advance functors below are *verbatim* the single-device ones
-//! (`bfs.rs`, `sssp.rs`, `cc.rs`), just over local IDs — the partitioned
-//! path adds plumbing, never new arithmetic.
+//! The advance and compute functors are the single-device ones
+//! ([`bfs::unvisited`], [`bfs::stamp_level`], [`sssp::relax`],
+//! [`cc::propagate_min`]), built over each shard's local-ID state buffer —
+//! the partitioned path adds plumbing, never new arithmetic.
 
 use sygraph_core::engine::{
     CheckpointState, HaloLink, MultiDeviceEngine, StepAdvanceDyn, StepComputeDyn, SuperstepExchange,
@@ -25,6 +26,8 @@ use sygraph_core::graph::{DeviceCsr, PartitionedGraph};
 use sygraph_core::inspector::{inspect, OptConfig};
 use sygraph_core::types::{VertexId, INF_DIST, INF_WEIGHT};
 use sygraph_sim::{DeviceBuffer, Queue, SimResult};
+
+use crate::{bfs, cc, sssp};
 
 /// Result of a partitioned run: the gathered global values plus the
 /// exchange accounting the single-device [`crate::common::AlgoResult`]
@@ -151,21 +154,11 @@ fn bfs_impl<W: Word>(
 
     let advances: Vec<Box<StepAdvanceDyn<'_>>> = dist
         .iter()
-        .map(|d| {
-            Box::new(
-                move |l: &mut sygraph_sim::ItemCtx<'_>, _iter: u32, _u, v: u32, _e, _w| {
-                    l.load_atomic(d, v as usize) == INF_DIST
-                },
-            ) as Box<StepAdvanceDyn<'_>>
-        })
+        .map(|d| Box::new(bfs::unvisited(d)) as Box<StepAdvanceDyn<'_>>)
         .collect();
     let computes: Vec<Box<StepComputeDyn<'_>>> = dist
         .iter()
-        .map(|d| {
-            Box::new(move |l: &mut sygraph_sim::ItemCtx<'_>, iter: u32, v: u32| {
-                l.store_atomic(d, v as usize, iter + 1)
-            }) as Box<StepComputeDyn<'_>>
-        })
+        .map(|d| Box::new(bfs::stamp_level(d)) as Box<StepComputeDyn<'_>>)
         .collect();
     let adv_refs: Vec<&StepAdvanceDyn<'_>> = advances.iter().map(|b| b.as_ref()).collect();
     let comp_refs: Vec<Option<&StepComputeDyn<'_>>> =
@@ -223,16 +216,7 @@ fn sssp_impl<W: Word>(
 
     let advances: Vec<Box<StepAdvanceDyn<'_>>> = dist
         .iter()
-        .map(|d| {
-            Box::new(
-                move |l: &mut sygraph_sim::ItemCtx<'_>, _iter: u32, u: u32, v: u32, _e, w: f32| {
-                    let du = l.load_atomic(d, u as usize);
-                    let nd = du + w;
-                    let old = l.fetch_min_f32(d, v as usize, nd);
-                    nd < old
-                },
-            ) as Box<StepAdvanceDyn<'_>>
-        })
+        .map(|d| Box::new(sssp::relax(d)) as Box<StepAdvanceDyn<'_>>)
         .collect();
     let adv_refs: Vec<&StepAdvanceDyn<'_>> = advances.iter().map(|b| b.as_ref()).collect();
     let comp_refs: Vec<Option<&StepComputeDyn<'_>>> = vec![None; pg.part_count()];
@@ -289,15 +273,7 @@ fn cc_impl<W: Word>(
 
     let advances: Vec<Box<StepAdvanceDyn<'_>>> = labels
         .iter()
-        .map(|d| {
-            Box::new(
-                move |l: &mut sygraph_sim::ItemCtx<'_>, _iter: u32, u: u32, v: u32, _e, _w| {
-                    let lu = l.load_atomic(d, u as usize);
-                    let old = l.fetch_min(d, v as usize, lu);
-                    lu < old
-                },
-            ) as Box<StepAdvanceDyn<'_>>
-        })
+        .map(|d| Box::new(cc::propagate_min(d)) as Box<StepAdvanceDyn<'_>>)
         .collect();
     let adv_refs: Vec<&StepAdvanceDyn<'_>> = advances.iter().map(|b| b.as_ref()).collect();
     let comp_refs: Vec<Option<&StepComputeDyn<'_>>> = vec![None; pg.part_count()];

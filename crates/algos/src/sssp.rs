@@ -3,12 +3,12 @@
 //! distance improved re-enter the frontier. The paper's SSSP deliberately
 //! omits Δ-stepping — that optimization lives in [`crate::delta`].
 
-use sygraph_core::engine::{CheckpointState, SuperstepEngine, NO_COMPUTE};
+use sygraph_core::engine::{CheckpointState, StepAdvance, SuperstepEngine, NO_COMPUTE};
 use sygraph_core::frontier::Word;
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView};
 use sygraph_core::inspector::{OptConfig, Tuning};
-use sygraph_core::types::{VertexId, INF_WEIGHT};
-use sygraph_sim::{Queue, SimResult};
+use sygraph_core::types::{EdgeId, VertexId, Weight, INF_WEIGHT};
+use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SimResult};
 
 use crate::common::{guarded_init, make_frontier, AlgoResult};
 use crate::dispatch_by_word;
@@ -22,6 +22,21 @@ pub fn run(
     opts: &OptConfig,
 ) -> SimResult<AlgoResult<f32>> {
     dispatch_by_word!(q, opts, g.vertex_count(), run_impl(q, g, src, opts))
+}
+
+/// The Bellman-Ford relaxation over the distance buffer `dist`, as an
+/// advance functor: accept `v` when the edge improved its distance.
+///
+/// `dist[u]` is read atomically: other lanes may be relaxing u's own
+/// distance (fetch_min) in this same launch. A stale read only delays
+/// convergence by a superstep; it never corrupts a distance.
+pub fn relax(dist: &DeviceBuffer<f32>) -> impl StepAdvance + '_ {
+    move |l: &mut ItemCtx<'_>, _iter: u32, u: VertexId, v: VertexId, _e: EdgeId, w: Weight| {
+        let du = l.load_atomic(dist, u as usize);
+        let nd = du + w;
+        let old = l.fetch_min_f32(dist, v as usize, nd);
+        nd < old
+    }
 }
 
 fn run_impl<W: Word>(
@@ -54,18 +69,7 @@ fn run_impl<W: Word>(
             "Bellman-Ford exceeded |V| iterations (negative cycle?)",
         )
         .checkpoint_state(&ckpt);
-    // dist[u] is read atomically: other lanes may be relaxing u's own
-    // distance (fetch_min) in this same launch. A stale read only delays
-    // convergence by a superstep; it never corrupts a distance.
-    let iterations = engine.run(
-        |l, _iter, u, v, _e, w| {
-            let du = l.load_atomic(&dist, u as usize);
-            let nd = du + w;
-            let old = l.fetch_min_f32(&dist, v as usize, nd);
-            nd < old
-        },
-        NO_COMPUTE,
-    )?;
+    let iterations = engine.run(relax(&dist), NO_COMPUTE, None)?;
 
     Ok(AlgoResult {
         values: dist.to_vec(),

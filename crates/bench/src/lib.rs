@@ -1,19 +1,19 @@
 //! # sygraph-bench — the paper's evaluation, regenerated
 //!
-//! Shared machinery for the figure/table binaries (`src/bin/`) and the
-//! criterion benches (`benches/`): the comparison-grid runner, VRAM
-//! scaling, summary statistics and source sampling.
+//! Shared machinery for the figure/table binaries (`src/bin/`): the
+//! comparison-grid runner, VRAM scaling, summary statistics and source
+//! sampling.
 //!
-//! | artifact | binary | criterion bench |
-//! |---|---|---|
-//! | Table 3 (datasets) | `table3` | — |
-//! | Table 4 (machines) | `table4` | — |
-//! | Figure 7 (ablation) | `fig7` | `advance_ablation` |
-//! | Table 5 (L1/occupancy) | `table5` | `paper_figures::table5` |
-//! | Figure 8 (comparison) | `fig8` | `paper_figures::fig8_cell` |
-//! | Table 6 (speedups) | `table6` | — (derived from fig8) |
-//! | Figure 9 (memory) | `fig9` | `paper_figures::fig9` |
-//! | Figure 10 (devices) | `fig10` | `paper_figures::fig10` |
+//! | artifact | binary |
+//! |---|---|
+//! | Table 3 (datasets) | `table3` |
+//! | Table 4 (machines) | `table4` |
+//! | Figure 7 (ablation) | `fig7` |
+//! | Table 5 (L1/occupancy) | `table5` |
+//! | Figure 8 (comparison) | `fig8` |
+//! | Table 6 (speedups) | `table6` (derived from fig8) |
+//! | Figure 9 (memory) | `fig9` |
+//! | Figure 10 (devices) | `fig10` |
 
 use serde::{Deserialize, Serialize};
 use sygraph_baselines::{
@@ -293,7 +293,7 @@ pub fn run_comparison_grid(
 }
 
 /// Reads the experiment scale from `SYG_SCALE` (`test` or `bench`,
-/// default bench) — lets CI and criterion use the fast setting.
+/// default bench) — lets CI use the fast setting.
 pub fn scale_from_env() -> Scale {
     match std::env::var("SYG_SCALE").as_deref() {
         Ok("test") => Scale::Test,

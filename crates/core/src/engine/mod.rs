@@ -120,12 +120,13 @@ pub const NO_LANE_COMPUTE: Option<&LaneComputeDyn<'static>> = None;
 /// shortcutting pass re-activating vertices whose label chain collapsed).
 pub type PostStep<'a, W> = &'a dyn Fn(&Queue, u32, &dyn BitmapLike<W>);
 
-/// Recovery bookkeeping for callers driving supersteps one at a time via
-/// [`SuperstepEngine::step_resilient`] (the multi-device engine): the
-/// latest checkpoint plus the same counters
-/// [`run`](SuperstepEngine::run)'s internal loop keeps — transient
-/// retries reset per superstep, the OOM rung and resume count persist
-/// for the run.
+/// The recovery state of one run, and its only holder: the latest
+/// checkpoint, the transient retries spent on the current superstep
+/// (reset when it lands), and the OOM rung and resume count, which persist
+/// for the run. [`run`](SuperstepEngine::run) keeps one internally;
+/// callers driving supersteps one at a time through
+/// [`SuperstepEngine::step_resilient`] (the multi-device engine) own
+/// theirs.
 #[derive(Default)]
 pub struct RecoverySession {
     checkpoint: Option<EngineCheckpoint>,
@@ -135,10 +136,6 @@ pub struct RecoverySession {
 }
 
 impl RecoverySession {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Replaces the session's checkpoint with one taken at the engine's
     /// current superstep boundary.
     pub fn checkpoint_here<W: Word, G: DeviceGraphView + ?Sized>(
@@ -327,11 +324,6 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         self.multi.as_ref().map_or(0, |m| m.live)
     }
 
-    /// The batched lane width, when the engine runs multi-source.
-    pub fn lane_width(&self) -> Option<u32> {
-        self.multi.as_ref().map(|m| m.width)
-    }
-
     /// Lazily allocates the engine-owned bucket pool the first time a
     /// superstep could dispatch bucketed. Kept out of `new` so engines on
     /// `WorkgroupMapped` tuning (or on graphs with no hub vertices under
@@ -368,12 +360,6 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     /// Profiler-marker prefix: each superstep records `"{prefix}{iter}"`.
     pub fn mark_prefix(mut self, prefix: impl Into<String>) -> Self {
         self.mark_prefix = prefix.into();
-        self
-    }
-
-    /// Overrides the recovery policy carried on the tuning.
-    pub fn recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.tuning.recovery = policy;
         self
     }
 
@@ -419,31 +405,10 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         self.fout.as_ref()
     }
 
-    /// The queue the engine launches on.
-    pub fn queue(&self) -> &Queue {
-        self.q
-    }
-
-    /// The tuning every launch uses.
-    pub fn tuning(&self) -> &Tuning {
-        &self.tuning
-    }
-
-    /// The representation the input frontier ran under on the most recent
-    /// superstep (`Dense` before the first one).
-    pub fn representation(&self) -> RepKind {
-        self.rep
-    }
-
     /// Representation switches performed so far — transitions between
     /// consecutive supersteps; the initial adoption does not count.
     pub fn rep_switches(&self) -> u32 {
         self.rep_switches
-    }
-
-    /// Whether the most recent superstep ran in the pull direction.
-    pub fn pulling(&self) -> bool {
-        self.pulling
     }
 
     /// Direction switches performed so far — transitions between
@@ -516,13 +481,12 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         true
     }
 
-    /// Runs one superstep: advance (with compute fused in or following as
-    /// an [`compute::over_compacted`] pass) and the single convergence
-    /// check. Returns `false` if the input frontier was empty — the
-    /// algorithm has converged and nothing was launched — `true` after a
-    /// full superstep, in which case the caller advances the cycle with
-    /// [`rotate`](SuperstepEngine::rotate).
-    pub fn step(
+    /// The body of one superstep: advance (with compute fused in or
+    /// following as an [`compute::over_compacted`] pass) and the single
+    /// convergence check. Returns `false` if the input frontier was empty.
+    /// Blind to injected faults — [`step`](SuperstepEngine::step) surfaces
+    /// them.
+    fn superstep(
         &mut self,
         advance_f: impl StepAdvance,
         compute_f: Option<&StepComputeDyn<'_>>,
@@ -626,10 +590,8 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         // An injected fault mid-superstep leaves skipped kernels behind:
         // the compaction count is stale and must not drive convergence,
         // representation or estimate decisions. Report "not converged" and
-        // leave interpretation to the recovery layer ([`try_step`]); with
-        // no fault plan attached this check is free.
-        //
-        // [`try_step`]: SuperstepEngine::try_step
+        // leave interpretation to the recovery layer (`step` drains it);
+        // with no fault plan attached this check is free.
         if self.q.fault_pending() {
             self.lazy_ok = false;
             return true;
@@ -682,17 +644,9 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         true
     }
 
-    /// [`step`](SuperstepEngine::step) with injected-fault awareness: any
-    /// fault that fired during the superstep is drained from the queue and
-    /// surfaced as `Err` (the superstep's effects are a partial,
-    /// idempotent prefix — safe to retry from the unchanged input
-    /// frontier). Identical to `step` when no fault plan is attached.
-    pub fn try_step(
-        &mut self,
-        advance_f: impl StepAdvance,
-        compute_f: Option<&StepComputeDyn<'_>>,
-    ) -> SimResult<bool> {
-        let live = self.step(advance_f, compute_f);
+    /// Drains a fault latched during the superstep just run and surfaces
+    /// it as `Err`; `Ok(live)` when none fired.
+    fn landed(&mut self, live: bool) -> SimResult<bool> {
         match self.q.take_fault() {
             Some(e) => {
                 self.lazy_ok = false;
@@ -702,12 +656,62 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         }
     }
 
+    /// Runs one superstep: advance (with compute fused in or following as
+    /// an [`compute::over_compacted`] pass) and the single convergence
+    /// check. Returns `Ok(false)` if the input frontier was empty — the
+    /// algorithm has converged and nothing was launched — `Ok(true)` after
+    /// a full superstep, in which case the caller advances the cycle with
+    /// [`rotate`](SuperstepEngine::rotate).
+    ///
+    /// Any injected fault that fired during the superstep is drained from
+    /// the queue and surfaced as `Err` (the superstep's effects are a
+    /// partial, idempotent prefix — safe to retry from the unchanged input
+    /// frontier). Never `Err` when no fault plan is attached.
+    pub fn step(
+        &mut self,
+        advance_f: impl StepAdvance,
+        compute_f: Option<&StepComputeDyn<'_>>,
+    ) -> SimResult<bool> {
+        let live = self.superstep(advance_f, compute_f);
+        self.landed(live)
+    }
+
+    /// Attempts one superstep until it lands: a fault `attempt` surfaces
+    /// goes through [`recover`](SuperstepEngine::recover) — transient
+    /// retry with backoff, the OOM degradation ladder, `DeviceLost` resume
+    /// from the session's checkpoint — and the superstep is attempted
+    /// again, until it succeeds or the policy is exhausted. Cooperative
+    /// cancellation is checked before every attempt at a superstep that
+    /// is a multiple of `cancel_every`; `recover` never retries
+    /// `Cancelled`, so the abort is immediate and the run's buffers unwind
+    /// through the normal error path.
+    fn land(
+        &mut self,
+        session: &mut RecoverySession,
+        cancel_every: u32,
+        mut attempt: impl FnMut(&mut Self) -> SimResult<bool>,
+    ) -> SimResult<bool> {
+        loop {
+            if self.iter.is_multiple_of(cancel_every) {
+                self.q.check_cancelled()?;
+            }
+            match attempt(self) {
+                Ok(live) => {
+                    session.retries = 0;
+                    return Ok(live);
+                }
+                Err(e) => {
+                    self.recover(e, session)?;
+                }
+            }
+        }
+    }
+
     /// [`step`](SuperstepEngine::step) under the engine's recovery
     /// policy, for callers that drive the superstep loop themselves (the
-    /// multi-device engine): retries transient faults with backoff, walks
-    /// the OOM degradation ladder, and resumes a `DeviceLost` from the
-    /// session's checkpoint — looping until the superstep lands or the
-    /// policy is exhausted. The caller owns checkpoint cadence through
+    /// multi-device engine): loops until the superstep lands or the policy
+    /// is exhausted, checking cancellation before every attempt. The
+    /// caller owns checkpoint cadence through
     /// [`RecoverySession::checkpoint_here`]; a multi-device run must
     /// checkpoint at *every* exchange boundary, because resuming to an
     /// older superstep would replay local supersteps without the remote
@@ -718,28 +722,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         advance_f: impl StepAdvance,
         compute_f: Option<&StepComputeDyn<'_>>,
     ) -> SimResult<bool> {
-        let policy = self.tuning.recovery;
-        loop {
-            // Same cancellation boundary as `drive`: the caller owns the
-            // checkpoint cadence here, so check before every attempt.
-            self.q.check_cancelled()?;
-            match self.try_step(&advance_f, compute_f) {
-                Ok(live) => {
-                    session.retries = 0;
-                    return Ok(live);
-                }
-                Err(e) => {
-                    self.recover(
-                        e,
-                        &policy,
-                        session.checkpoint.as_ref(),
-                        &mut session.retries,
-                        &mut session.oom_rung,
-                        &mut session.resumes,
-                    )?;
-                }
-            }
-        }
+        self.land(session, 1, |e| e.step(&advance_f, compute_f))
     }
 
     /// One batched multi-source superstep: expands every live lane's
@@ -758,13 +741,14 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     /// the same mask arithmetic) — because the union frontier *is* a
     /// two-layer bitmap underneath.
     ///
-    /// Returns `false` when the union frontier was empty (every lane
-    /// converged; nothing launched).
+    /// Returns `Ok(false)` when the union frontier was empty (every lane
+    /// converged; nothing launched), and `Err` on an injected fault,
+    /// exactly as [`step`](SuperstepEngine::step) does.
     pub fn step_multi(
         &mut self,
         advance_f: impl LaneAdvance,
         compute_f: Option<&LaneComputeDyn<'_>>,
-    ) -> bool {
+    ) -> SimResult<bool> {
         let ms = self
             .multi
             .as_ref()
@@ -834,14 +818,11 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             }
             true
         };
-        let stepped = self.step(wrapped, NO_COMPUTE);
+        let stepped = self.superstep(wrapped, NO_COMPUTE);
         // A fault mid-superstep leaves the alive scratch a partial OR —
-        // hands off to the recovery layer without retiring anything (and
+        // hand off to the recovery layer without retiring anything (and
         // without resetting the scratch: retries accumulate into it).
-        if self.q.fault_pending() {
-            return stepped;
-        }
-        if stepped {
+        if stepped && !self.q.fault_pending() {
             let ms = self.multi.as_mut().expect("checked above");
             let alive_mask = ms.alive.load(0) & live;
             ms.alive.store(0, 0);
@@ -851,25 +832,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
                 .profiler()
                 .record_lane(self.q.now_ns(), iter, alive_mask.count_ones(), retired);
         }
-        stepped
-    }
-
-    /// [`step_multi`](SuperstepEngine::step_multi) with injected-fault
-    /// awareness — the batched counterpart of
-    /// [`try_step`](SuperstepEngine::try_step).
-    pub fn try_step_multi(
-        &mut self,
-        advance_f: impl LaneAdvance,
-        compute_f: Option<&LaneComputeDyn<'_>>,
-    ) -> SimResult<bool> {
-        let live = self.step_multi(advance_f, compute_f);
-        match self.q.take_fault() {
-            Some(e) => {
-                self.lazy_ok = false;
-                Err(e)
-            }
-            None => Ok(live),
-        }
+        self.landed(stepped)
     }
 
     /// Swaps the frontiers and clears the new output (the superstep's old
@@ -886,6 +849,22 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         self.iter += 1;
     }
 
+    /// [`rotate`](SuperstepEngine::rotate) under the recovery policy. A
+    /// fault during the rotate skipped the clear of the new output
+    /// frontier: recover, then clear it for real — it holds no legitimate
+    /// inserts yet, so a full clear is always safe. (A checkpoint resume
+    /// resets both frontiers itself.)
+    fn rotate_recovering(&mut self, session: &mut RecoverySession) -> SimResult<()> {
+        self.rotate();
+        while self.q.fault_pending() {
+            let e = self.q.take_fault().expect("fault_pending implies Some");
+            if !self.recover(e, session)? {
+                self.fout.clear(self.q);
+            }
+        }
+        Ok(())
+    }
+
     /// Like [`rotate`](SuperstepEngine::rotate), but *retains* the old
     /// input frontier (returning it) and installs `fresh` as the new
     /// output — Brandes-style algorithms keep each level's frontier for
@@ -897,22 +876,6 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         retained
     }
 
-    /// Marks `fin`'s compaction metadata stale, forcing the next
-    /// [`rotate`](SuperstepEngine::rotate) to a full clear. Call after
-    /// mutating the frontiers outside [`step`](SuperstepEngine::step)
-    /// (e.g. direction-optimizing BFS's manual pull iterations).
-    pub fn invalidate_compaction(&mut self) {
-        self.lazy_ok = false;
-    }
-
-    /// Mutable access to the frontier pair `(input, output)` for manual
-    /// supersteps (the engine cannot know what such a step does to the
-    /// compaction metadata — pair with
-    /// [`invalidate_compaction`](SuperstepEngine::invalidate_compaction)).
-    pub fn frontiers(&self) -> (&dyn BitmapLike<W>, &dyn BitmapLike<W>) {
-        (self.fin.as_ref(), self.fout.as_ref())
-    }
-
     /// Consumes the engine and returns its `(input, output)` frontier
     /// pair — callers recycling frontier allocations across rooted passes
     /// (Brandes BC) reclaim the boxes instead of dropping them.
@@ -922,18 +885,10 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
 
     /// Drives `step` + `rotate` to convergence, returning the superstep
     /// count. Errors with the configured divergence message if
-    /// [`max_iters`](SuperstepEngine::max_iters) is exceeded.
-    pub fn run(
-        &mut self,
-        advance_f: impl StepAdvance,
-        compute_f: Option<&StepComputeDyn<'_>>,
-    ) -> SimResult<u32> {
-        self.run_with_post(advance_f, compute_f, None)
-    }
-
-    /// [`run`](SuperstepEngine::run) with a host-side post-step hook,
-    /// executed after each superstep's advance+compute and before the
-    /// rotate (it may insert vertices into the output frontier).
+    /// [`max_iters`](SuperstepEngine::max_iters) is exceeded. `post`, when
+    /// given, runs host-side after each superstep's advance+compute and
+    /// before the rotate (it may insert vertices into the output
+    /// frontier).
     ///
     /// When the tuning's [`RecoveryPolicy`] enables it, faults injected by
     /// the queue's fault plan are handled here instead of propagating:
@@ -942,13 +897,22 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     /// sticky `DeviceLost` resumes from the latest checkpoint. Post-step
     /// hooks must be idempotent: a fault during or after the hook re-runs
     /// the whole superstep, hook included.
-    pub fn run_with_post(
+    pub fn run(
         &mut self,
         advance_f: impl StepAdvance,
         compute_f: Option<&StepComputeDyn<'_>>,
         post: Option<PostStep<'_, W>>,
     ) -> SimResult<u32> {
-        self.drive(|e| e.try_step(&advance_f, compute_f), post)
+        self.drive(|e| {
+            let live = e.step(&advance_f, compute_f)?;
+            match post {
+                Some(hook) if live => {
+                    hook(e.q, e.iter, e.fout.as_ref());
+                    e.landed(true)
+                }
+                _ => Ok(live),
+            }
+        })
     }
 
     /// Drives [`step_multi`](SuperstepEngine::step_multi) + `rotate` to
@@ -963,19 +927,13 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         compute_f: Option<&LaneComputeDyn<'_>>,
     ) -> SimResult<u32> {
         debug_assert!(self.multi.is_some(), "run_multi requires multi_source()");
-        self.drive(|e| e.try_step_multi(&advance_f, compute_f), None)
+        self.drive(|e| e.step_multi(&advance_f, compute_f))
     }
 
-    /// The shared step/recover/rotate loop behind
-    /// [`run_with_post`](SuperstepEngine::run_with_post) and
-    /// [`run_multi`](SuperstepEngine::run_multi): `attempt` runs one
+    /// The checkpoint/land/rotate loop behind [`run`](SuperstepEngine::run)
+    /// and [`run_multi`](SuperstepEngine::run_multi): `attempt` runs one
     /// superstep (`Ok(false)` = converged, `Err` = drained fault).
-    fn drive(
-        &mut self,
-        mut attempt: impl FnMut(&mut Self) -> SimResult<bool>,
-        post: Option<PostStep<'_, W>>,
-    ) -> SimResult<u32> {
-        let policy = self.tuning.recovery;
+    fn drive(&mut self, mut attempt: impl FnMut(&mut Self) -> SimResult<bool>) -> SimResult<u32> {
         // A fault latched *before* the first superstep means setup
         // kernels (distance fills, frontier seeds) were silently skipped
         // — state the superstep retry contract cannot repair, because a
@@ -988,78 +946,20 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         if let Some(e) = self.q.take_fault() {
             return Err(e);
         }
-        let mut checkpoint: Option<EngineCheckpoint> = None;
-        // Transient retries are per-superstep (reset on success); the OOM
-        // ladder and the resume guard are per-run (degradation persists).
-        let mut retries = 0u32;
-        let mut oom_rung = 0u32;
-        let mut resumes = 0u32;
+        let every = self.tuning.recovery.checkpoint_every;
+        let mut session = RecoverySession::default();
         loop {
-            // Cooperative cancellation rides the checkpoint cadence: a
-            // deadline or drain lands at the same superstep boundaries
-            // where the engine would checkpoint (every superstep when
-            // checkpointing is off). `recover` never retries `Cancelled`,
-            // so the abort is immediate and the run's buffers unwind
-            // cleanly through the normal error path.
-            if policy.checkpoint_every == 0 || self.iter.is_multiple_of(policy.checkpoint_every) {
-                self.q.check_cancelled()?;
+            if every > 0 && self.iter.is_multiple_of(every) {
+                session.checkpoint_here(self);
             }
-            if policy.checkpoint_every > 0
-                && self.iter.is_multiple_of(policy.checkpoint_every)
-                && checkpoint.as_ref().is_none_or(|c| c.iteration != self.iter)
-            {
-                checkpoint = Some(self.take_checkpoint());
+            // Cancellation rides the checkpoint cadence: a deadline or
+            // drain lands at the same superstep boundaries where the
+            // engine would checkpoint (every superstep when checkpointing
+            // is off).
+            if !self.land(&mut session, every.max(1), &mut attempt)? {
+                return Ok(self.iter);
             }
-            match attempt(self) {
-                Ok(false) => return Ok(self.iter),
-                Ok(true) => {}
-                Err(e) => {
-                    self.recover(
-                        e,
-                        &policy,
-                        checkpoint.as_ref(),
-                        &mut retries,
-                        &mut oom_rung,
-                        &mut resumes,
-                    )?;
-                    continue;
-                }
-            }
-            if let Some(hook) = post {
-                hook(self.q, self.iter, self.fout.as_ref());
-                if let Some(e) = self.q.take_fault() {
-                    self.lazy_ok = false;
-                    self.recover(
-                        e,
-                        &policy,
-                        checkpoint.as_ref(),
-                        &mut retries,
-                        &mut oom_rung,
-                        &mut resumes,
-                    )?;
-                    continue; // re-run the superstep, hook included
-                }
-            }
-            retries = 0;
-            self.rotate();
-            // A fault during the rotate skipped the clear of the new
-            // output frontier. Recover, then clear it for real — it holds
-            // no legitimate inserts yet, so a full clear is always safe.
-            // (A checkpoint resume resets both frontiers itself.)
-            while self.q.fault_pending() {
-                let e = self.q.take_fault().expect("fault_pending implies Some");
-                let resumed = self.recover(
-                    e,
-                    &policy,
-                    checkpoint.as_ref(),
-                    &mut retries,
-                    &mut oom_rung,
-                    &mut resumes,
-                )?;
-                if !resumed {
-                    self.fout.clear(self.q);
-                }
-            }
+            self.rotate_recovering(&mut session)?;
             if self.iter as usize > self.max_iters {
                 return Err(SimError::Algorithm(self.diverge_msg.clone()));
             }
@@ -1068,32 +968,27 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
 
     // ---- fault recovery ---------------------------------------------------
 
-    /// Handles one drained fault per the policy. Returns `Ok(true)` when
-    /// recovery restored a checkpoint (the frontiers were reset), and
-    /// `Ok(false)` when the caller should simply re-attempt. Propagates
-    /// the fault when the policy is exhausted or does not cover it.
-    fn recover(
-        &mut self,
-        e: SimError,
-        policy: &RecoveryPolicy,
-        checkpoint: Option<&EngineCheckpoint>,
-        retries: &mut u32,
-        oom_rung: &mut u32,
-        resumes: &mut u32,
-    ) -> SimResult<bool> {
+    /// Handles one drained fault per the tuning's [`RecoveryPolicy`],
+    /// against `session`'s counters and checkpoint. Returns `Ok(true)`
+    /// when recovery restored the checkpoint (the frontiers were reset),
+    /// and `Ok(false)` when the caller should simply re-attempt.
+    /// Propagates the fault when the policy is exhausted or does not
+    /// cover it.
+    fn recover(&mut self, e: SimError, session: &mut RecoverySession) -> SimResult<bool> {
         /// Resume attempts per run: `DeviceLost` fires once per planned
         /// ordinal, so this only guards against a pathological plan.
         const MAX_RESUMES: u32 = 8;
+        let policy = self.tuning.recovery;
         match e {
             SimError::Transient { .. } => {
-                if *retries >= policy.max_retries {
+                if session.retries >= policy.max_retries {
                     return Err(e);
                 }
-                *retries += 1;
+                session.retries += 1;
                 self.q
-                    .advance_clock_ns((policy.backoff_ns << (*retries - 1).min(16)) as f64);
+                    .advance_clock_ns((policy.backoff_ns << (session.retries - 1).min(16)) as f64);
                 self.repair_frontiers();
-                self.record_recovery("transient", "retry", *retries);
+                self.record_recovery("transient", "retry", session.retries);
                 Ok(false)
             }
             SimError::OutOfMemory { .. } => {
@@ -1115,7 +1010,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
                     self.record_recovery("oom", "force-push", 1);
                     return Ok(false);
                 }
-                let action = match *oom_rung {
+                let action = match session.oom_rung {
                     0 => {
                         // Rung 1: give back the bucket pool's buffers and
                         // stop dispatching bucketed.
@@ -1138,21 +1033,21 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
                     }
                     _ => return Err(e),
                 };
-                *oom_rung += 1;
+                session.oom_rung += 1;
                 self.repair_frontiers();
-                self.record_recovery("oom", action, *oom_rung);
+                self.record_recovery("oom", action, session.oom_rung);
                 Ok(false)
             }
             SimError::DeviceLost { .. } => {
-                let Some(ck) = checkpoint else {
+                let Some(ck) = &session.checkpoint else {
                     return Err(e);
                 };
-                if *resumes >= MAX_RESUMES {
+                if session.resumes >= MAX_RESUMES {
                     return Err(e);
                 }
-                *resumes += 1;
+                session.resumes += 1;
                 self.restore_checkpoint(ck);
-                self.record_recovery("device-lost", "resume", *resumes);
+                self.record_recovery("device-lost", "resume", session.resumes);
                 Ok(true)
             }
             other => Err(other),
@@ -1272,42 +1167,24 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     }
 }
 
-/// Generic fixed-point iteration driver for algorithms without a frontier
-/// convergence condition (e.g. PageRank's residual test): marks
+/// Fixed-point iteration driver for sweep-style algorithms without a
+/// frontier convergence condition (PageRank's residual test): marks
 /// `"{mark_prefix}{iter}"` and calls `body(q, iter)` until it returns
 /// `Ok(false)` or `max_iters` is reached. Returns the iteration count.
-pub fn fixed_point(
-    q: &Queue,
-    max_iters: u32,
-    mark_prefix: &str,
-    mut body: impl FnMut(&Queue, u32) -> SimResult<bool>,
-) -> SimResult<u32> {
-    let mut iter = 0u32;
-    while iter < max_iters {
-        q.mark(format!("{mark_prefix}{iter}"));
-        let proceed = body(q, iter)?;
-        iter += 1;
-        if !proceed {
-            break;
-        }
-    }
-    Ok(iter)
-}
-
-/// [`fixed_point`] with the engine's fault-recovery and cancellation
-/// contract, for sweep-style algorithms (PageRank) that do not run
-/// through [`SuperstepEngine`]. After each sweep any injected fault is
-/// drained: transient and synthetic-OOM faults re-run the *same* sweep
-/// (with the policy's backoff) up to `policy.max_retries`, everything
-/// else propagates. The body must therefore be restartable — reset its
-/// per-sweep accumulators at the top and commit its persistent state in
-/// a single launch at the end, so a skipped launch prefix leaves the
-/// persistent state untouched. An attached [`CancelToken`] is checked
-/// before every sweep, giving deadline aborts the same per-iteration
-/// granularity the engine's checkpoint cadence provides.
+///
+/// Sweeps run under the engine's fault-recovery and cancellation
+/// contract. After each sweep any injected fault is drained: transient and
+/// synthetic-OOM faults re-run the *same* sweep (with the policy's
+/// backoff) up to `policy.max_retries`, everything else propagates. The
+/// body must therefore be restartable — reset its per-sweep accumulators
+/// at the top and commit its persistent state in a single launch at the
+/// end, so a skipped launch prefix leaves the persistent state untouched.
+/// An attached [`CancelToken`] is checked before every sweep, giving
+/// deadline aborts the same per-iteration granularity the engine's
+/// checkpoint cadence provides.
 ///
 /// [`CancelToken`]: sygraph_sim::CancelToken
-pub fn fixed_point_resilient(
+pub fn fixed_point(
     q: &Queue,
     policy: &RecoveryPolicy,
     max_iters: u32,
@@ -1373,6 +1250,7 @@ mod tests {
             .run(
                 |l, _i, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
                 Some(&|l, i, v| l.store(&dist, v as usize, i + 1)),
+                None,
             )
             .unwrap();
         (dist.to_vec(), iters)
@@ -1474,6 +1352,7 @@ mod tests {
             .run(
                 |l, _i, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
                 Some(&|l, i, v| l.store(&dist, v as usize, i + 1)),
+                None,
             )
             .unwrap();
         assert_eq!(iters, 20);
@@ -1492,7 +1371,7 @@ mod tests {
         fin.insert_host(0);
         let mut engine = SuperstepEngine::new(&q, &g, tuning, fin, fout).max_iters(64, "diverged");
         let iters = engine
-            .run_with_post(
+            .run(
                 |_l, _i, _u, _v, _e, _w| false,
                 NO_COMPUTE,
                 Some(&|q: &Queue, iter: u32, out: &dyn BitmapLike<u32>| {
@@ -1519,10 +1398,13 @@ mod tests {
         let seen = q.malloc_device::<u32>(5).unwrap();
         let mut engine = SuperstepEngine::new(&q, &g, tuning, fin, fout);
         let mut levels: Vec<Box<dyn BitmapLike<u32>>> = Vec::new();
-        while engine.step(
-            |l, _i, _u, v, _e, _w| l.fetch_or(&seen, v as usize, 1) == 0,
-            NO_COMPUTE,
-        ) {
+        while engine
+            .step(
+                |l, _i, _u, v, _e, _w| l.fetch_or(&seen, v as usize, 1) == 0,
+                NO_COMPUTE,
+            )
+            .unwrap()
+        {
             let fresh = Box::new(TwoLayerFrontier::<u32>::new(&q, 5).unwrap());
             levels.push(engine.rotate_retaining(fresh));
         }
@@ -1558,6 +1440,7 @@ mod tests {
                 .run(
                     |l, _i, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
                     Some(&|l, i, v| l.store(&dist, v as usize, i + 1)),
+                    None,
                 )
                 .unwrap();
             let allocs = q.profiler().mem_events().len() - allocs_before;
@@ -1612,6 +1495,7 @@ mod tests {
             .run(
                 |l, _i, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
                 Some(&|l, i, v| l.store(&dist, v as usize, i + 1)),
+                None,
             )
             .unwrap();
         let switches = engine.rep_switches();
@@ -1709,7 +1593,7 @@ mod tests {
         let mut engine =
             SuperstepEngine::new(&q, &g, tuning, fin, fout).max_iters(5, "went forever");
         let err = engine
-            .run(|_l, _i, _u, _v, _e, _w| true, NO_COMPUTE)
+            .run(|_l, _i, _u, _v, _e, _w| true, NO_COMPUTE, None)
             .unwrap_err();
         assert!(matches!(err, SimError::Algorithm(m) if m == "went forever"));
     }
@@ -1718,7 +1602,7 @@ mod tests {
     fn fixed_point_runs_until_body_stops() {
         let q = queue();
         let mut sum = 0u32;
-        let iters = fixed_point(&q, 100, "fp_iter", |_q, i| {
+        let iters = fixed_point(&q, &RecoveryPolicy::default(), 100, "fp_iter", |_q, i| {
             sum += i;
             Ok(i < 4)
         })
@@ -1731,7 +1615,8 @@ mod tests {
     #[test]
     fn fixed_point_respects_max_iters() {
         let q = queue();
-        let iters = fixed_point(&q, 3, "fp", |_q, _i| Ok(true)).unwrap();
+        let iters =
+            fixed_point(&q, &RecoveryPolicy::default(), 3, "fp", |_q, _i| Ok(true)).unwrap();
         assert_eq!(iters, 3);
     }
 
@@ -1778,6 +1663,7 @@ mod tests {
             .run(
                 |l, _i, _u, v, _e, _w| l.load_atomic(&dist, v as usize) == INF_DIST,
                 Some(&|l, i, v| l.store_atomic(&dist, v as usize, i + 1)),
+                None,
             )
             .unwrap();
         (dist.to_vec(), iters, engine.direction_switches())
@@ -1886,10 +1772,13 @@ mod tests {
             .max_iters(101, "diverged")
             .pull_scope(PullCandidates::Unvisited);
         let mut steps = 0u32;
-        while engine.step(
-            |l, _i, _u, v, _e, _w| l.load_atomic(&dist, v as usize) == INF_DIST,
-            Some(&|l, i, v| l.store_atomic(&dist, v as usize, i + 1)),
-        ) {
+        while engine
+            .step(
+                |l, _i, _u, v, _e, _w| l.load_atomic(&dist, v as usize) == INF_DIST,
+                Some(&|l, i, v| l.store_atomic(&dist, v as usize, i + 1)),
+            )
+            .unwrap()
+        {
             steps += 1;
             // Superstep k discovers vertex k+1, so after the k-th step
             // (1-based `steps`) the unvisited set is exactly steps+1..n.
@@ -1928,6 +1817,7 @@ mod tests {
             .run(
                 |l, _i, _u, v, _e, _w| l.load_atomic(&dist, v as usize) == INF_DIST,
                 Some(&|l, i, v| l.store_atomic(&dist, v as usize, i + 1)),
+                None,
             )
             .unwrap();
         dist.to_vec()
@@ -2107,7 +1997,7 @@ mod tests {
             }
         };
         for _ in 0..2 {
-            assert!(engine.step_multi(&adv, Some(&cmp)));
+            assert!(engine.step_multi(&adv, Some(&cmp)).unwrap());
             engine.rotate();
         }
         let ck = engine.take_checkpoint();
@@ -2117,7 +2007,7 @@ mod tests {
         assert!(lanes.masks.iter().all(|&m| m != 0));
         let frontier_at_ck = ck.frontier.clone();
         let live_at_ck = lanes.live;
-        while engine.step_multi(&adv, Some(&cmp)) {
+        while engine.step_multi(&adv, Some(&cmp)).unwrap() {
             engine.rotate();
         }
         let baseline: Vec<u32> = mb.depth.to_vec();
@@ -2127,13 +2017,13 @@ mod tests {
         engine.restore_checkpoint(&ck);
         assert_eq!(engine.iteration(), 2);
         assert_eq!(engine.live_lanes(), live_at_ck);
-        let (fin_now, _) = engine.frontiers();
+        let fin_now = engine.input();
         assert_eq!(fin_now.to_sorted_vec(), frontier_at_ck);
         let view = fin_now.lane_view().unwrap();
         for (v, m) in frontier_at_ck.iter().zip(&lanes.masks) {
             assert_eq!(view.host_mask(*v), *m, "vertex {v} mask");
         }
-        while engine.step_multi(&adv, Some(&cmp)) {
+        while engine.step_multi(&adv, Some(&cmp)).unwrap() {
             engine.rotate();
         }
         assert_eq!(mb.depth.to_vec(), baseline);

@@ -129,7 +129,7 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
             pg,
             queues,
             engines,
-            sessions: (0..parts).map(|_| RecoverySession::new()).collect(),
+            sessions: (0..parts).map(|_| RecoverySession::default()).collect(),
             exchange: FrontierExchange::new(parts, cfg),
             per_superstep: Vec::new(),
             supersteps: 0,
@@ -277,23 +277,7 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
             // `iter` stays aligned across devices (distance stamps read
             // it) — then deliver the mail.
             for p in 0..parts {
-                self.engines[p].rotate();
-                while self.queues[p].fault_pending() {
-                    let e = self.queues[p].take_fault().expect("pending implies Some");
-                    let policy = self.engines[p].tuning().recovery;
-                    let s = &mut self.sessions[p];
-                    let resumed = self.engines[p].recover(
-                        e,
-                        &policy,
-                        s.checkpoint.as_ref(),
-                        &mut s.retries,
-                        &mut s.oom_rung,
-                        &mut s.resumes,
-                    )?;
-                    if !resumed {
-                        self.engines[p].output().clear(&self.queues[p]);
-                    }
-                }
+                self.engines[p].rotate_recovering(&mut self.sessions[p])?;
             }
             for p in 0..parts {
                 for m in self.exchange.drain(p) {

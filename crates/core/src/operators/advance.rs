@@ -1,11 +1,32 @@
 //! The `advance` primitive (§3.1, §4.2): expands a frontier by visiting
-//! every out-edge of every active vertex, applying a user functor per edge
+//! every edge of every active vertex, applying a user functor per edge
 //! and inserting accepted destinations into the output frontier.
 //!
-//! ## Load balancing (workgroup-mapped, §4.2)
+//! One advance is a *side* under a *schedule shell*:
 //!
-//! Each workgroup owns `subgroups_per_wg × coarsening` bitmap words. Every
-//! subgroup processes its words in two stages (Figure 4b):
+//! * The [`Side`] is the direction, statically dispatched. [`Push`] walks
+//!   the out-edges of frontier vertices; [`Pull`] has candidate vertices
+//!   scan their in-edges against the frontier bitmap (§3.4). A side
+//!   supplies the degree lookup, the lane-serial row scan and the
+//!   subgroup-cooperative row scan — nothing else differs by direction.
+//! * The four shells are the load-balancing schedules (§4.2), each one
+//!   `q.launch`: the **word walk** ([`walk_words`]) maps subgroups onto
+//!   bitmap words, the **slab** gives every lane one listed vertex, the
+//!   **list** gives every subgroup one, and **chunks** gives every
+//!   workgroup one neighbor range of a hub.
+//!
+//! The degree-bucketed dispatch ([`Launch::bucketed`]) bins the active
+//! vertices by the side's degree and runs slab / list / chunks over the
+//! three bands. Every (shell, side) pair reaches an edge through the same
+//! per-edge tail, which is what keeps the schedules bit-identical: they
+//! only differ in *which lane* reaches an edge, never in what happens to
+//! it.
+//!
+//! ## The word walk (workgroup-mapped, §4.2)
+//!
+//! Each workgroup owns `subgroups_per_wg × coarsening` bitmap words. On
+//! the push side every subgroup processes its words in two stages
+//! (Figure 4b):
 //!
 //! 1. **Compaction** — subgroup collectives (ballot + exclusive scan)
 //!    compact the word's set bits (active vertices) into local memory;
@@ -26,7 +47,7 @@ use crate::frontier::bucket::{self, BucketPool, BucketSpec};
 use crate::frontier::word::{locate, Word};
 use crate::frontier::BitmapLike;
 use crate::graph::traits::DeviceGraphView;
-use crate::inspector::{inspect, Balancing, OptConfig, Tuning};
+use crate::inspector::{inspect, Balancing, DegreeProfile, OptConfig, Tuning};
 use crate::types::{EdgeId, VertexId, Weight};
 
 /// The advance functor: `(lane, src, dst, edge, weight) -> bool`,
@@ -65,9 +86,7 @@ pub enum PullScope<'a, W: Word> {
     AllVertices,
 }
 
-/// Unified builder over every vertex-frontier advance variant — the one
-/// entry point that replaces the old `frontier` / `frontier_discard` /
-/// `frontier_counted` / `frontier_discard_counted` quartet.
+/// Unified builder over every vertex-frontier advance variant.
 ///
 /// ```ignore
 /// let (ev, words) = Advance::new(&q, &g, &input)
@@ -84,7 +103,7 @@ pub enum PullScope<'a, W: Word> {
 pub struct Advance<'a, W: Word, G: DeviceGraphView + ?Sized> {
     q: &'a Queue,
     graph: &'a G,
-    /// `None` means "treat every vertex as active" (the old `vertices`).
+    /// `None` means "treat every vertex as active".
     input: Option<&'a dyn BitmapLike<W>>,
     output: Option<&'a dyn BitmapLike<W>>,
     tuning: Option<&'a Tuning>,
@@ -97,14 +116,8 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
     /// An advance expanding `input` over the out-edges of `graph`.
     pub fn new(q: &'a Queue, graph: &'a G, input: &'a dyn BitmapLike<W>) -> Self {
         Advance {
-            q,
-            graph,
             input: Some(input),
-            output: None,
-            tuning: None,
-            fused: None,
-            pool: None,
-            pull: None,
+            ..Self::all_vertices(q, graph)
         }
     }
 
@@ -192,44 +205,21 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
                 &derived
             }
         };
-        if let Some(scope) = self.pull {
-            let input = self
-                .input
-                .expect("a pull advance needs an input frontier to probe");
-            return pull_impl(
-                self.q,
-                self.graph,
-                input,
-                scope,
-                self.output,
-                tuning,
-                self.pool,
-                self.fused,
-                &functor,
-            );
-        }
-        match self.input {
-            Some(input) => frontier_impl(
-                self.q,
-                self.graph,
-                input,
-                self.output,
-                tuning,
-                self.pool,
-                self.fused,
-                &functor,
-            ),
-            None => (
-                vertices_impl(
-                    self.q,
-                    self.graph,
-                    self.output,
-                    tuning,
-                    self.fused,
-                    &functor,
-                ),
-                None,
-            ),
+        let cx = Launch {
+            q: self.q,
+            graph: self.graph,
+            tuning,
+            output: self.output,
+            fused: self.fused,
+            functor: &functor,
+        };
+        match (self.pull, self.input) {
+            (Some(scope), input) => {
+                let input = input.expect("a pull advance needs an input frontier to probe");
+                cx.pull(input, scope, self.pool)
+            }
+            (None, Some(input)) => cx.frontier(input, self.pool),
+            (None, None) => (cx.walk(&Push, &Items::all_vertices(self.graph)), None),
         }
     }
 }
@@ -245,852 +235,606 @@ fn no_launch(q: &Queue) -> Event {
     }
 }
 
-/// The per-edge tail every expansion path shares: load the edge, run the
-/// functor, insert accepted destinations, fire the fused compute on the
-/// first-setter lane. Keeping this in one place is what guarantees the
-/// balancing strategies are bit-identical — they only differ in *which
-/// lane* reaches an edge, never in what happens to it.
-#[inline]
-fn visit_edge<W: Word, G: DeviceGraphView + ?Sized>(
-    item: &mut ItemCtx<'_>,
-    graph: &G,
-    src: VertexId,
-    eid: EdgeId,
-    output: Option<&dyn BitmapLike<W>>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-) {
-    let dst = graph.edge_dest(item, eid);
-    let w = graph.edge_weight(item, eid);
-    item.compute(2);
-    if functor(item, src, dst, eid, w) {
-        if let Some(out) = output {
-            // The fused compute runs only on the lane whose atomic OR
-            // first set the destination bit, giving the same
-            // exactly-once-per-vertex semantics as a separate compute
-            // pass over the output frontier.
-            if out.insert_lane_checked(item, dst) {
-                if let Some(fc) = fused {
-                    fc(item, dst);
-                }
-            }
-        }
-    }
-}
-
-/// Stage ① + ② for the bit range `[bit_lo, bit_hi)` of one bitmap word.
-/// `local_base` is this range's region of local memory (one u32 slot per
-/// bit). Under MSI the range is the whole word (one subgroup per word);
-/// without MSI a workgroup owns the word and its subgroups each take a
-/// slice of the bits — wasting lanes whenever the slice is narrower than
-/// the subgroup (the inefficiency MSI removes).
-#[allow(clippy::too_many_arguments)]
-fn process_word<W: Word, G: DeviceGraphView + ?Sized>(
-    sg: &mut SubgroupCtx<'_, '_>,
-    graph: &G,
-    word_idx: usize,
-    word: W,
-    bit_lo: u32,
-    bit_hi: u32,
-    local_base: usize,
-    output: Option<&dyn BitmapLike<W>>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-) {
-    let sgw = sg.width();
-    let first_vertex = word_idx as u32 * W::BITS;
-    let n = graph.vertex_count() as u32;
-
-    // Stage ①: compact active bits into local memory; multiple passes
-    // when the bit range is wider than the subgroup.
-    let passes = (bit_hi - bit_lo).div_ceil(sgw);
-    let mut count = 0u32;
-    let mut positions = [0u32; MAX_SUBGROUP];
-    for p in 0..passes {
-        let bit_base = bit_lo + p * sgw;
-        let active = sg.ballot(|lane| {
-            let bit = bit_base + lane;
-            bit < bit_hi && word.test_bit(bit) && first_vertex + bit < n
-        });
-        if active == 0 {
-            continue;
-        }
-        let pass_count = sg.exclusive_scan_add(
-            full_mask(sgw),
-            |lane| (active >> lane & 1) as u32,
-            &mut positions,
-        );
-        let base = local_base as u32 + count;
-        sg.local_scatter(active, |lane| {
-            (
-                (base + positions[lane as usize]) as usize,
-                first_vertex + bit_base + lane,
-            )
-        });
-        count += pass_count;
-    }
-
-    // Stage ②: all lanes cooperatively expand each compacted vertex.
-    for k in 0..count {
-        let v = sg.local_read(local_base + k as usize);
-        let (lo, hi) = graph.row_bounds_uniform(sg, v);
-        let mut e = lo;
-        while e < hi {
-            let lanes = (hi - e).min(sgw);
-            let mask = full_mask(lanes);
-            sg.lanes(mask, |lane, item| {
-                visit_edge(item, graph, v, e + lane, output, fused, functor);
-            });
-            e += lanes;
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn launch_advance<W: Word, G: DeviceGraphView + ?Sized>(
-    q: &Queue,
-    graph: &G,
-    tuning: &Tuning,
-    n_words: usize,
-    resolve: impl Fn(&mut SubgroupCtx<'_, '_>, usize) -> (usize, W) + Sync,
-    output: Option<&dyn BitmapLike<W>>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-) -> Event {
-    debug_assert_eq!(tuning.sg_size.min(64), tuning.sg_size);
-    // MSI on (word fits a subgroup): every subgroup owns whole words.
-    // MSI off: a workgroup owns each word and its subgroups split the
-    // bits (§4.2's base mapping, Figure 5b's inefficiency).
-    let subgroup_mapped = tuning.word_bits <= tuning.sg_size;
-    let sgs = tuning.subgroups_per_wg as usize;
-    let coarsening = tuning.coarsening as usize;
-    let wpg = if subgroup_mapped {
-        sgs * coarsening
-    } else {
-        coarsening
-    };
-    let groups = n_words.div_ceil(wpg.max(1));
-    if groups == 0 {
-        // Zero-vertex graph or empty word list: nothing to schedule.
-        return no_launch(q);
-    }
-    let word_slots = W::BITS as usize;
-    let cfg = LaunchConfig::new("advance", groups, tuning.wg_size(), tuning.sg_size)
-        .with_local_mem((wpg * word_slots * 4) as u32);
-    q.launch(cfg, |ctx| {
-        let base = ctx.group_id * wpg;
-        ctx.for_each_subgroup(|sg| {
-            if subgroup_mapped {
-                for c in 0..coarsening {
-                    let slot = sg.sg_id() as usize * coarsening + c;
-                    let word_pos = base + slot;
-                    if word_pos >= n_words {
-                        break;
-                    }
-                    let (word_idx, word) = resolve(sg, word_pos);
-                    if word.is_zero() {
-                        // Figure 5a: a scheduled subgroup with no work.
-                        sg.compute(1);
-                        continue;
-                    }
-                    process_word(
-                        sg,
-                        graph,
-                        word_idx,
-                        word,
-                        0,
-                        W::BITS,
-                        slot * word_slots,
-                        output,
-                        fused,
-                        functor,
-                    );
-                }
-            } else {
-                // Workgroup-per-word: subgroup `i` covers bit slice `i`.
-                let bits_per_sg = W::BITS.div_ceil(sgs as u32);
-                for c in 0..coarsening {
-                    let word_pos = base + c;
-                    if word_pos >= n_words {
-                        break;
-                    }
-                    let (word_idx, word) = resolve(sg, word_pos);
-                    if word.is_zero() {
-                        sg.compute(1);
-                        continue;
-                    }
-                    let bit_lo = sg.sg_id() * bits_per_sg;
-                    let bit_hi = (bit_lo + bits_per_sg).min(W::BITS);
-                    if bit_lo >= W::BITS {
-                        continue;
-                    }
-                    process_word(
-                        sg,
-                        graph,
-                        word_idx,
-                        word,
-                        bit_lo,
-                        bit_hi,
-                        c * word_slots + bit_lo as usize,
-                        output,
-                        fused,
-                        functor,
-                    );
-                }
-            }
-        });
-    })
-}
-
 // ---------------------------------------------------------------------------
-// Degree-bucketed dispatch (§4.2 hybrid load balancing)
+// Work lists
 // ---------------------------------------------------------------------------
 
-/// What the binning kernel reads: the compacted non-zero words of a dense
-/// frontier, or a sparse frontier's duplicate-free item list. Either way
-/// the pool ends up holding the same three degree buckets, so the
+/// What a schedule shell runs over. The binning kernel reads the first two
+/// forms and leaves the same three degree buckets either way, so the
 /// expansion kernels downstream cannot tell the representations apart —
 /// the load-balancing and representation axes compose freely.
-enum BinInput<'a, W: Word> {
+enum Items<'a, W: Word> {
+    /// A sparse frontier's duplicate-free vertex list.
+    List {
+        items: &'a DeviceBuffer<u32>,
+        len: usize,
+    },
+    /// The `nz` non-zero words of a two-layer bitmap, by offset.
     Compacted {
         words: &'a DeviceBuffer<W>,
         offsets: &'a DeviceBuffer<u32>,
         nz: usize,
     },
-    List {
-        items: &'a DeviceBuffer<u32>,
-        len: usize,
+    /// Every word of a single-layer bitmap, zeros included.
+    Flat {
+        words: &'a DeviceBuffer<W>,
+        n_words: usize,
     },
+    /// Every vertex active: `n_words` all-ones words, nothing loaded.
+    All { n_words: usize },
 }
 
-/// The bucketed advance: bin the active vertices by degree, then run
-/// up to three kernels, each shaped for its degree band. Returns `None`
-/// when no bucket buffers could be obtained (caller falls back to the
-/// workgroup-mapped path).
-#[allow(clippy::too_many_arguments)]
-fn bucketed_impl<W: Word, G: DeviceGraphView + ?Sized>(
-    q: &Queue,
-    graph: &G,
-    bin: BinInput<'_, W>,
-    output: Option<&dyn BitmapLike<W>>,
-    tuning: &Tuning,
-    pool: Option<&BucketPool>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-) -> Option<Event> {
-    let spec = BucketSpec::from_tuning(tuning);
-    let n = graph.vertex_count();
-    let m = graph.edge_count();
-    // Caller-provided pool when it fits, else a transient allocation for
-    // this advance only; allocation failure degrades, never errors.
-    let transient;
-    let pool = match pool {
-        Some(p) if p.fits(n, m, &spec) => p,
-        _ => {
-            transient = BucketPool::new(q, n, m, &spec).ok()?;
-            &transient
-        }
-    };
-    let nv = n as u32;
-    let degree_of = |lane: &mut ItemCtx<'_>, v: VertexId| -> u32 {
-        if v >= nv {
-            return 0; // tail bits past the last vertex
-        }
-        let (lo, hi) = graph.row_bounds(lane, v);
-        hi - lo
-    };
-    let counts = match bin {
-        BinInput::Compacted { words, offsets, nz } => {
-            bucket::bin_compacted(q, words, offsets, nz, pool, &degree_of, &spec)
-        }
-        BinInput::List { items, len } => bucket::bin_list(q, items, len, pool, &degree_of, &spec),
-    };
-    let mut last = no_launch(q);
-    if counts.small > 0 {
-        last = launch_small(q, graph, tuning, pool, counts.small, output, fused, functor);
-    }
-    if counts.medium > 0 {
-        last = launch_list(
-            q,
-            graph,
-            tuning,
-            "advance_medium",
-            &pool.medium,
-            counts.medium,
-            output,
-            fused,
-            functor,
-        );
-    }
-    if counts.large > 0 {
-        last = launch_large(
-            q,
-            graph,
-            tuning,
-            pool,
-            counts.large,
-            &spec,
-            output,
-            fused,
-            functor,
-        );
-    }
-    Some(last)
-}
-
-/// Small bucket: one lane per vertex, walking its whole (≤ `small_max`)
-/// adjacency serially — cooperative expansion would idle `sg_size − 1`
-/// lanes per leaf vertex.
-#[allow(clippy::too_many_arguments)]
-fn launch_small<W: Word, G: DeviceGraphView + ?Sized>(
-    q: &Queue,
-    graph: &G,
-    tuning: &Tuning,
-    pool: &BucketPool,
-    count: u32,
-    output: Option<&dyn BitmapLike<W>>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-) -> Event {
-    let sgw = tuning.sg_size as usize;
-    let sgs = tuning.subgroups_per_wg as usize;
-    let coarsening = tuning.coarsening as usize;
-    // Each subgroup covers `coarsening` lane-wide slabs of vertices.
-    let per_sg = sgw * coarsening;
-    let vpg = per_sg * sgs;
-    let n_items = count as usize;
-    let groups = n_items.div_ceil(vpg.max(1));
-    let small = &pool.small;
-    let cfg = LaunchConfig::new("advance_small", groups, tuning.wg_size(), tuning.sg_size);
-    q.launch(cfg, |ctx| {
-        let base = ctx.group_id * vpg;
-        ctx.for_each_subgroup(|sg| {
-            for c in 0..coarsening {
-                let slab = base + sg.sg_id() as usize * per_sg + c * sgw;
-                if slab >= n_items {
-                    break;
-                }
-                let lanes = (n_items - slab).min(sgw) as u32;
-                sg.lanes(full_mask(lanes), |lane, item| {
-                    let v = item.load(small, slab + lane as usize);
-                    let (lo, hi) = graph.row_bounds(item, v);
-                    for e in lo..hi {
-                        visit_edge(item, graph, v, e, output, fused, functor);
-                    }
-                });
+impl<'a, W: Word> Items<'a, W> {
+    /// `f`'s bitmap words plus its counted compaction (`None` on
+    /// single-layer bitmaps, which have none).
+    fn words_of(q: &Queue, f: &'a dyn BitmapLike<W>) -> (Self, Option<usize>) {
+        match f.compact(q) {
+            Some((nz, offsets)) => {
+                let words = f.words();
+                (Items::Compacted { words, offsets, nz }, Some(nz))
             }
-        });
-    })
-}
-
-/// Subgroup-per-vertex expansion over an explicit vertex list: all lanes
-/// stride the adjacency together — the same cooperative expansion as the
-/// workgroup-mapped path, minus the bitmap walk. Serves two callers that
-/// differ only in where the list came from: the medium degree bucket
-/// ("advance_medium") and a sparse frontier's item list ("advance_sparse").
-#[allow(clippy::too_many_arguments)]
-fn launch_list<W: Word, G: DeviceGraphView + ?Sized>(
-    q: &Queue,
-    graph: &G,
-    tuning: &Tuning,
-    name: &'static str,
-    items: &DeviceBuffer<u32>,
-    count: u32,
-    output: Option<&dyn BitmapLike<W>>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-) -> Event {
-    let sgw = tuning.sg_size;
-    let sgs = tuning.subgroups_per_wg as usize;
-    let coarsening = tuning.coarsening as usize;
-    let vpg = sgs * coarsening;
-    let n_items = count as usize;
-    let groups = n_items.div_ceil(vpg.max(1));
-    let cfg = LaunchConfig::new(name, groups, tuning.wg_size(), tuning.sg_size);
-    q.launch(cfg, |ctx| {
-        let base = ctx.group_id * vpg;
-        ctx.for_each_subgroup(|sg| {
-            for c in 0..coarsening {
-                let pos = base + sg.sg_id() as usize * coarsening + c;
-                if pos >= n_items {
-                    break;
-                }
-                let v = sg.load_uniform(items, pos);
-                let (lo, hi) = graph.row_bounds_uniform(sg, v);
-                let mut e = lo;
-                while e < hi {
-                    let lanes = (hi - e).min(sgw);
-                    sg.lanes(full_mask(lanes), |lane, item| {
-                        visit_edge(item, graph, v, e + lane, output, fused, functor);
-                    });
-                    e += lanes;
-                }
+            None => {
+                let (words, n_words) = (f.words(), f.num_words());
+                (Items::Flat { words, n_words }, None)
             }
-        });
-    })
+        }
+    }
+
+    /// `f` as a work list plus its population measure: when `f` presents
+    /// a valid item list the bitmap scan is skipped entirely and the list
+    /// length *is* the population, read back with no kernel at all;
+    /// otherwise its words and their counted compaction.
+    fn of(q: &Queue, f: &'a dyn BitmapLike<W>) -> (Self, Option<usize>) {
+        match f.sparse_view(q) {
+            Some(view) => {
+                let (items, len) = (view.items, view.len);
+                (Items::List { items, len }, Some(len))
+            }
+            None => Self::words_of(q, f),
+        }
+    }
+
+    fn all_vertices<G: DeviceGraphView + ?Sized>(graph: &G) -> Self {
+        let n_words = graph.vertex_count().div_ceil(W::BITS as usize);
+        Items::All { n_words }
+    }
+
+    /// Schedule positions of a word walk over these items.
+    fn n_words(&self) -> usize {
+        match *self {
+            Items::Compacted { nz, .. } => nz,
+            Items::Flat { n_words, .. } | Items::All { n_words } => n_words,
+            Items::List { .. } => unreachable!("vertex lists run through the list shell"),
+        }
+    }
+
+    /// Maps schedule position `pos` to its `(word_idx, word)` pair.
+    #[inline]
+    fn resolve(&self, sg: &mut SubgroupCtx<'_, '_>, pos: usize) -> (usize, W) {
+        match *self {
+            Items::Compacted { words, offsets, .. } => {
+                let word_idx = sg.load_uniform(offsets, pos) as usize;
+                (word_idx, sg.load_uniform(words, word_idx))
+            }
+            Items::Flat { words, .. } => (pos, sg.load_uniform(words, pos)),
+            Items::All { .. } => (pos, W::ZERO.not()),
+            Items::List { .. } => unreachable!("vertex lists run through the list shell"),
+        }
+    }
 }
 
-/// Large bucket: one *workgroup* per neighbor chunk. A hub's edge mass
-/// was pre-split into `chunk`-sized ranges by the binning kernel, so its
-/// chunks land on different workgroups — and, under the cyclic
-/// workgroup→CU striping, on different compute units — instead of
-/// serializing one subgroup (the Figure 4c pathology on power-law
-/// graphs). All subgroups of the group stride the chunk together.
-#[allow(clippy::too_many_arguments)]
-fn launch_large<W: Word, G: DeviceGraphView + ?Sized>(
-    q: &Queue,
-    graph: &G,
-    tuning: &Tuning,
-    pool: &BucketPool,
-    count: u32,
-    spec: &BucketSpec,
-    output: Option<&dyn BitmapLike<W>>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-) -> Event {
-    let sgw = tuning.sg_size;
-    let wg_stride = tuning.wg_size();
-    let chunk = spec.chunk;
-    let large_v = &pool.large_v;
-    let large_c = &pool.large_c;
-    let cfg = LaunchConfig::new(
-        "advance_large",
-        count as usize,
-        tuning.wg_size(),
-        tuning.sg_size,
+// ---------------------------------------------------------------------------
+// The launch context and the two sides
+// ---------------------------------------------------------------------------
+
+/// Everything the kernels of one advance share.
+struct Launch<'a, W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> {
+    q: &'a Queue,
+    graph: &'a G,
+    tuning: &'a Tuning,
+    output: Option<&'a dyn BitmapLike<W>>,
+    fused: Option<FusedCompute<'a>>,
+    functor: &'a F,
+}
+
+/// The direction of an advance: where a vertex's row lives and how a lane
+/// or a subgroup scans it.
+trait Side<W: Word>: Sync {
+    /// Kernel name of the word walk.
+    const WALK: &'static str;
+    /// Kernel names of the small / medium / large bucket shells.
+    const BUCKETS: [&'static str; 3];
+    /// Local-memory slots the word walk reserves per bitmap word.
+    const WORD_SLOTS: usize;
+
+    /// The degree histogram `Balancing::Auto` consults on this side.
+    fn profile<G: DeviceGraphView + ?Sized>(graph: &G) -> Option<&DegreeProfile>;
+
+    /// `v`'s edge-index range, loaded by one lane.
+    fn row<G: DeviceGraphView + ?Sized>(
+        graph: &G,
+        lane: &mut ItemCtx<'_>,
+        v: VertexId,
+    ) -> (u32, u32);
+
+    /// `v`'s edge-index range, loaded uniformly across the subgroup.
+    fn row_uniform<G: DeviceGraphView + ?Sized>(
+        graph: &G,
+        sg: &mut SubgroupCtx<'_, '_>,
+        v: VertexId,
+    ) -> (u32, u32);
+
+    /// One lane walks `v`'s edges `[lo, hi)` serially.
+    fn scan_serial<G: DeviceGraphView + ?Sized, F: AdvanceFunctor>(
+        &self,
+        cx: &Launch<'_, W, G, F>,
+        item: &mut ItemCtx<'_>,
+        v: VertexId,
+        lo: u32,
+        hi: u32,
     );
-    q.launch(cfg, |ctx| {
-        let entry = ctx.group_id;
-        ctx.for_each_subgroup(|sg| {
-            let v = sg.load_uniform(large_v, entry);
-            let ci = sg.load_uniform(large_c, entry);
-            let (lo, hi) = graph.row_bounds_uniform(sg, v);
-            let clo = lo + ci * chunk;
-            let chi = (clo + chunk).min(hi);
-            // Subgroup `i` starts at lane-slab `i`; the whole workgroup
-            // advances `wg_size` edges per round.
-            let mut e = clo + sg.sg_id() * sgw;
-            while e < chi {
-                let lanes = (chi - e).min(sgw);
-                sg.lanes(full_mask(lanes), |lane, item| {
-                    visit_edge(item, graph, v, e + lane, output, fused, functor);
-                });
-                e += wg_stride;
-            }
-        });
-    })
+
+    /// All lanes of `sg` walk `v`'s edges `[lo, hi)` together, a subgroup
+    /// width per round, moving `stride` edges between rounds.
+    fn scan_cooperative<G: DeviceGraphView + ?Sized, F: AdvanceFunctor>(
+        &self,
+        cx: &Launch<'_, W, G, F>,
+        sg: &mut SubgroupCtx<'_, '_>,
+        v: VertexId,
+        lo: u32,
+        hi: u32,
+        stride: u32,
+    );
+
+    /// Expands the set bits `bits` of one bitmap `word` whose bit 0 is
+    /// vertex `first`. `local_base` is this bit range's region of local
+    /// memory (one u32 slot per bit, when `WORD_SLOTS` reserves any).
+    fn expand_word<G: DeviceGraphView + ?Sized, F: AdvanceFunctor>(
+        &self,
+        cx: &Launch<'_, W, G, F>,
+        sg: &mut SubgroupCtx<'_, '_>,
+        first: VertexId,
+        word: W,
+        bits: (u32, u32),
+        local_base: usize,
+    );
 }
 
-#[allow(clippy::too_many_arguments)]
-fn frontier_impl<W: Word, G: DeviceGraphView + ?Sized>(
-    q: &Queue,
-    graph: &G,
-    input: &dyn BitmapLike<W>,
-    output: Option<&dyn BitmapLike<W>>,
-    tuning: &Tuning,
-    pool: Option<&BucketPool>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-) -> (Event, Option<usize>) {
-    // Sparse (item-list) dispatch: when the input presents a valid list,
-    // skip the bitmap scan entirely — the list length *is* the frontier
-    // population, read back with no kernel at all. The counted result
-    // reports entries instead of non-zero words; `Some(0)` still means
-    // "converged" to superstep loops.
-    if let Some(view) = input.sparse_view(q) {
-        let entries = view.len;
-        if entries == 0 {
-            return (no_launch(q), Some(0));
-        }
-        // The balancing bar is keyed on non-zero words; entries compress
-        // into at least ⌈entries/word_bits⌉ of them.
-        let est_words = entries.div_ceil(tuning.word_bits.max(1) as usize);
-        let strategy = tuning.effective_balancing(est_words, graph.degree_profile());
-        if strategy == Balancing::Bucketed {
-            let bin = BinInput::List {
-                items: view.items,
-                len: entries,
-            };
-            if let Some(ev) = bucketed_impl(q, graph, bin, output, tuning, pool, fused, functor) {
-                return (ev, Some(entries));
-            }
-        }
-        let ev = launch_list(
-            q,
-            graph,
-            tuning,
-            "advance_sparse",
-            view.items,
-            entries as u32,
-            output,
-            fused,
-            functor,
-        );
-        return (ev, Some(entries));
-    }
-    match input.compact(q) {
-        Some((n_nonzero, offsets)) => {
-            if n_nonzero == 0 {
-                // The host reads the compaction count to size the launch
-                // (§4.3); an empty frontier needs no advance kernel at all.
-                return (no_launch(q), Some(0));
-            }
-            // Bucketed dispatch only exists on the counted-compaction
-            // path: the binning kernel runs over the offsets buffer.
-            let strategy = tuning.effective_balancing(n_nonzero, graph.degree_profile());
-            if strategy == Balancing::Bucketed {
-                let bin = BinInput::Compacted {
-                    words: input.words(),
-                    offsets,
-                    nz: n_nonzero,
-                };
-                if let Some(ev) = bucketed_impl(q, graph, bin, output, tuning, pool, fused, functor)
-                {
-                    return (ev, Some(n_nonzero));
-                }
-                // Bucket buffers unavailable (allocation failed): fall
-                // through to the workgroup-mapped path, which computes
-                // the identical result with no extra memory.
-            }
-            // Two-layer path: workgroups iterate the offsets buffer.
-            let words = input.words();
-            let ev = launch_advance(
-                q,
-                graph,
-                tuning,
-                n_nonzero,
-                |sg, pos| {
-                    let word_idx = sg.load_uniform(offsets, pos) as usize;
-                    (word_idx, sg.load_uniform(words, word_idx))
-                },
-                output,
-                fused,
-                functor,
-            );
-            (ev, Some(n_nonzero))
-        }
-        None => {
-            // Single-layer path: visit every word, including zeros.
-            let words = input.words();
-            let ev = launch_advance(
-                q,
-                graph,
-                tuning,
-                input.num_words(),
-                |sg, pos| (pos, sg.load_uniform(words, pos)),
-                output,
-                fused,
-                functor,
-            );
-            (ev, None)
-        }
-    }
-}
-
-fn vertices_impl<W: Word, G: DeviceGraphView + ?Sized>(
-    q: &Queue,
-    graph: &G,
-    output: Option<&dyn BitmapLike<W>>,
-    tuning: &Tuning,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-) -> Event {
-    let n = graph.vertex_count();
-    let n_words = n.div_ceil(W::BITS as usize);
-    launch_advance(
-        q,
-        graph,
-        tuning,
-        n_words,
-        |_sg, pos| (pos, W::ZERO.not()),
-        output,
-        fused,
-        functor,
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Pull-direction advance (§3.4 direction optimization, Beamer bottom-up)
-// ---------------------------------------------------------------------------
-
-/// The per-candidate tail every pull path shares (the pull-side analog of
-/// [`visit_edge`]): one lane serially scans `v`'s in-edges, probes each
-/// source against the input frontier bitmap (one word load + bit test
-/// under 2LB), and on an accepted frontier edge inserts `v` into the
-/// output — early-exiting and retiring the candidate under adopt-once
-/// semantics. Keeping this in one place guarantees the pull balancing
-/// strategies stay bit-identical, exactly like the push side.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn pull_vertex<W: Word, G: DeviceGraphView + ?Sized>(
-    item: &mut ItemCtx<'_>,
-    graph: &G,
-    v: VertexId,
-    e_lo: u32,
-    e_hi: u32,
-    fin_words: &DeviceBuffer<W>,
-    output: Option<&dyn BitmapLike<W>>,
-    unvisited: Option<&dyn BitmapLike<W>>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-    adopt_once: bool,
-) {
-    for e in e_lo..e_hi {
-        let u = graph.in_edge_src(item, e);
-        let (wi, b) = locate::<W>(u);
-        item.compute(2);
-        if !item.load(fin_words, wi).test_bit(b) {
-            continue;
-        }
-        let w = graph.in_edge_weight(item, e);
-        if functor(item, u, v, e, w) {
-            pull_adopt(item, v, output, unvisited, fused);
-            if adopt_once {
-                break;
-            }
-        }
-    }
-}
-
-/// Insert an adopting candidate into the output (first-setter fires the
-/// fused compute, as in push) and retire it from the unvisited set.
-#[inline]
-fn pull_adopt<W: Word>(
-    item: &mut ItemCtx<'_>,
-    v: VertexId,
-    output: Option<&dyn BitmapLike<W>>,
-    unvisited: Option<&dyn BitmapLike<W>>,
-    fused: Option<FusedCompute<'_>>,
-) {
-    if let Some(out) = output {
-        if out.insert_lane_checked(item, v) {
-            if let Some(fc) = fused {
-                fc(item, v);
-            }
-        }
-    }
-    if let Some(unv) = unvisited {
-        unv.remove_lane(item, v);
-    }
-}
-
-/// Subgroup-cooperative in-edge scan for one candidate: all lanes stride
-/// the range `[clo, chi)` together in `stride`-wide rounds. Under
-/// adopt-once, each round's frontier hits are balloted and the lowest
-/// hitting lane adopts — the subgroup then abandons the rest of the range
-/// (the cooperative form of Beamer's early exit).
-#[allow(clippy::too_many_arguments)]
-fn pull_scan_cooperative<W: Word, G: DeviceGraphView + ?Sized>(
+/// Ballots the bits `[bits.0, bits.1)` of `word` one subgroup-wide pass at
+/// a time — several passes when the range is wider than the subgroup — and
+/// hands each non-empty pass to `each(sg, id_of_lane_0, active_mask)`. Bit
+/// `b` stands for id `first + b`; ids at or past `limit` (the tail bits of
+/// the last word) never vote.
+fn for_each_pass<W: Word>(
     sg: &mut SubgroupCtx<'_, '_>,
-    graph: &G,
-    v: VertexId,
-    clo: u32,
-    chi: u32,
-    stride: u32,
-    fin_words: &DeviceBuffer<W>,
-    output: Option<&dyn BitmapLike<W>>,
-    unvisited: Option<&dyn BitmapLike<W>>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-    adopt_once: bool,
+    word: W,
+    first: u32,
+    limit: u32,
+    bits: (u32, u32),
+    mut each: impl FnMut(&mut SubgroupCtx<'_, '_>, u32, u64),
 ) {
     let sgw = sg.width();
-    let mut e = clo;
-    while e < chi {
-        let lanes = (chi - e).min(sgw);
-        let mut hits = [false; MAX_SUBGROUP];
-        sg.lanes(full_mask(lanes), |lane, item| {
-            let eid = e + lane;
-            let u = graph.in_edge_src(item, eid);
-            let (wi, b) = locate::<W>(u);
-            item.compute(2);
-            if !item.load(fin_words, wi).test_bit(b) {
-                return;
-            }
-            let w = graph.in_edge_weight(item, eid);
-            if adopt_once {
-                // Accepted edges only vote here; the winning lane adopts
-                // after the ballot so exactly one adoption happens.
-                hits[lane as usize] = functor(item, u, v, eid, w);
-            } else if functor(item, u, v, eid, w) {
-                pull_adopt(item, v, output, unvisited, fused);
-            }
+    let (bit_lo, bit_hi) = bits;
+    for p in 0..(bit_hi - bit_lo).div_ceil(sgw) {
+        let bit_base = bit_lo + p * sgw;
+        let active = sg.ballot(|lane| {
+            let bit = bit_base + lane;
+            bit < bit_hi && word.test_bit(bit) && first + bit < limit
         });
-        if adopt_once {
-            let mask = sg.ballot(|lane| hits[lane as usize]);
-            if mask != 0 {
-                sg.lanes(1u64 << mask.trailing_zeros(), |_lane, item| {
-                    pull_adopt(item, v, output, unvisited, fused);
-                });
-                return;
-            }
+        if active != 0 {
+            each(sg, first + bit_base, active);
         }
-        e += stride.max(1);
     }
 }
 
-/// Lane-per-candidate pull over bitmap words: the workgroup/subgroup→word
-/// mapping of [`launch_advance`], but each set bit is scanned serially by
-/// its own lane (Beamer's standard bottom-up shape — the early exit keeps
-/// the expected scan short on scale-free graphs).
-#[allow(clippy::too_many_arguments)]
-fn launch_pull<W: Word, G: DeviceGraphView + ?Sized>(
+/// Push: frontier vertices expand their out-edges.
+struct Push;
+
+impl<W: Word> Side<W> for Push {
+    const WALK: &'static str = "advance";
+    const BUCKETS: [&'static str; 3] = ["advance_small", "advance_medium", "advance_large"];
+    const WORD_SLOTS: usize = W::BITS as usize;
+
+    fn profile<G: DeviceGraphView + ?Sized>(graph: &G) -> Option<&DegreeProfile> {
+        graph.degree_profile()
+    }
+
+    #[inline]
+    fn row<G: DeviceGraphView + ?Sized>(
+        graph: &G,
+        lane: &mut ItemCtx<'_>,
+        v: VertexId,
+    ) -> (u32, u32) {
+        graph.row_bounds(lane, v)
+    }
+
+    #[inline]
+    fn row_uniform<G: DeviceGraphView + ?Sized>(
+        graph: &G,
+        sg: &mut SubgroupCtx<'_, '_>,
+        v: VertexId,
+    ) -> (u32, u32) {
+        graph.row_bounds_uniform(sg, v)
+    }
+
+    #[inline]
+    fn scan_serial<G: DeviceGraphView + ?Sized, F: AdvanceFunctor>(
+        &self,
+        cx: &Launch<'_, W, G, F>,
+        item: &mut ItemCtx<'_>,
+        v: VertexId,
+        lo: u32,
+        hi: u32,
+    ) {
+        for e in lo..hi {
+            cx.visit_edge(item, v, e);
+        }
+    }
+
+    #[inline]
+    fn scan_cooperative<G: DeviceGraphView + ?Sized, F: AdvanceFunctor>(
+        &self,
+        cx: &Launch<'_, W, G, F>,
+        sg: &mut SubgroupCtx<'_, '_>,
+        v: VertexId,
+        lo: u32,
+        hi: u32,
+        stride: u32,
+    ) {
+        let sgw = sg.width();
+        let mut e = lo;
+        while e < hi {
+            let lanes = (hi - e).min(sgw);
+            sg.lanes(full_mask(lanes), |lane, item| {
+                cx.visit_edge(item, v, e + lane)
+            });
+            e += stride;
+        }
+    }
+
+    /// Stage ① compacts the active bits into local memory; stage ② has
+    /// all lanes cooperatively expand each compacted vertex. Under MSI the
+    /// range is the whole word; without it the subgroup's slice is
+    /// narrower than the subgroup and lanes idle (the inefficiency MSI
+    /// removes).
+    fn expand_word<G: DeviceGraphView + ?Sized, F: AdvanceFunctor>(
+        &self,
+        cx: &Launch<'_, W, G, F>,
+        sg: &mut SubgroupCtx<'_, '_>,
+        first: VertexId,
+        word: W,
+        bits: (u32, u32),
+        local_base: usize,
+    ) {
+        let sgw = sg.width();
+        let n = cx.graph.vertex_count() as u32;
+        let mut count = 0u32;
+        let mut positions = [0u32; MAX_SUBGROUP];
+        for_each_pass(sg, word, first, n, bits, |sg, pass_first, active| {
+            let pass_count = sg.exclusive_scan_add(
+                full_mask(sgw),
+                |lane| (active >> lane & 1) as u32,
+                &mut positions,
+            );
+            let base = local_base as u32 + count;
+            sg.local_scatter(active, |lane| {
+                (
+                    (base + positions[lane as usize]) as usize,
+                    pass_first + lane,
+                )
+            });
+            count += pass_count;
+        });
+        for k in 0..count {
+            let v = sg.local_read(local_base + k as usize);
+            let (lo, hi) = cx.graph.row_bounds_uniform(sg, v);
+            self.scan_cooperative(cx, sg, v, lo, hi, sgw);
+        }
+    }
+}
+
+/// Pull (§3.4 direction optimization, Beamer bottom-up): candidate
+/// vertices scan their in-edges, probing each source against the input
+/// frontier bitmap (one word load + bit test under 2LB).
+struct Pull<'a, W: Word> {
+    /// The input frontier's bitmap words.
+    fin_words: &'a DeviceBuffer<W>,
+    /// The candidate set under adopt-once semantics: a candidate adopts on
+    /// its first accepted frontier in-edge, abandons the rest of its scan
+    /// and is retired from this set in-kernel. `None` scans every in-edge
+    /// of every vertex with no early exit.
+    unvisited: Option<&'a dyn BitmapLike<W>>,
+}
+
+impl<W: Word> Pull<'_, W> {
+    /// Whether in-edge `e` of `v` leaves a frontier vertex *and* the
+    /// functor accepts it.
+    #[inline]
+    fn probe<G: DeviceGraphView + ?Sized, F: AdvanceFunctor>(
+        &self,
+        cx: &Launch<'_, W, G, F>,
+        item: &mut ItemCtx<'_>,
+        v: VertexId,
+        e: EdgeId,
+    ) -> bool {
+        let u = cx.graph.in_edge_src(item, e);
+        let (wi, b) = locate::<W>(u);
+        item.compute(2);
+        if !item.load(self.fin_words, wi).test_bit(b) {
+            return false;
+        }
+        let w = cx.graph.in_edge_weight(item, e);
+        (cx.functor)(item, u, v, e, w)
+    }
+
+    /// Inserts an adopting candidate into the output and retires it from
+    /// the unvisited set.
+    #[inline]
+    fn adopt<G: DeviceGraphView + ?Sized, F: AdvanceFunctor>(
+        &self,
+        cx: &Launch<'_, W, G, F>,
+        item: &mut ItemCtx<'_>,
+        v: VertexId,
+    ) {
+        cx.accept(item, v);
+        if let Some(unv) = self.unvisited {
+            unv.remove_lane(item, v);
+        }
+    }
+}
+
+impl<W: Word> Side<W> for Pull<'_, W> {
+    const WALK: &'static str = "advance_pull";
+    const BUCKETS: [&'static str; 3] = [
+        "advance_pull_small",
+        "advance_pull_medium",
+        "advance_pull_large",
+    ];
+    const WORD_SLOTS: usize = 0;
+
+    fn profile<G: DeviceGraphView + ?Sized>(graph: &G) -> Option<&DegreeProfile> {
+        graph.in_degree_profile()
+    }
+
+    #[inline]
+    fn row<G: DeviceGraphView + ?Sized>(
+        graph: &G,
+        lane: &mut ItemCtx<'_>,
+        v: VertexId,
+    ) -> (u32, u32) {
+        graph.in_row_bounds(lane, v)
+    }
+
+    #[inline]
+    fn row_uniform<G: DeviceGraphView + ?Sized>(
+        graph: &G,
+        sg: &mut SubgroupCtx<'_, '_>,
+        v: VertexId,
+    ) -> (u32, u32) {
+        graph.in_row_bounds_uniform(sg, v)
+    }
+
+    /// Beamer's standard bottom-up shape: the early exit keeps the
+    /// expected scan short on scale-free graphs.
+    #[inline]
+    fn scan_serial<G: DeviceGraphView + ?Sized, F: AdvanceFunctor>(
+        &self,
+        cx: &Launch<'_, W, G, F>,
+        item: &mut ItemCtx<'_>,
+        v: VertexId,
+        lo: u32,
+        hi: u32,
+    ) {
+        for e in lo..hi {
+            if self.probe(cx, item, v, e) {
+                self.adopt(cx, item, v);
+                if self.unvisited.is_some() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Under adopt-once, each round's frontier hits are balloted and the
+    /// lowest hitting lane adopts — the subgroup then abandons the rest of
+    /// the range (the cooperative form of Beamer's early exit). Chunks of
+    /// one in-hub cannot coordinate that exit across workgroups; each
+    /// adopts independently and the checked insert keeps it exactly-once.
+    fn scan_cooperative<G: DeviceGraphView + ?Sized, F: AdvanceFunctor>(
+        &self,
+        cx: &Launch<'_, W, G, F>,
+        sg: &mut SubgroupCtx<'_, '_>,
+        v: VertexId,
+        lo: u32,
+        hi: u32,
+        stride: u32,
+    ) {
+        let sgw = sg.width();
+        let adopt_once = self.unvisited.is_some();
+        let mut e = lo;
+        while e < hi {
+            let lanes = (hi - e).min(sgw);
+            let mut hits = [false; MAX_SUBGROUP];
+            sg.lanes(full_mask(lanes), |lane, item| {
+                let hit = self.probe(cx, item, v, e + lane);
+                if adopt_once {
+                    // Accepted edges only vote here; the winning lane adopts
+                    // after the ballot so exactly one adoption happens.
+                    hits[lane as usize] = hit;
+                } else if hit {
+                    self.adopt(cx, item, v);
+                }
+            });
+            if adopt_once {
+                let mask = sg.ballot(|lane| hits[lane as usize]);
+                if mask != 0 {
+                    sg.lanes(1u64 << mask.trailing_zeros(), |_lane, item| {
+                        self.adopt(cx, item, v);
+                    });
+                    return;
+                }
+            }
+            e += stride;
+        }
+    }
+
+    /// Each set bit is scanned serially by its own lane.
+    fn expand_word<G: DeviceGraphView + ?Sized, F: AdvanceFunctor>(
+        &self,
+        cx: &Launch<'_, W, G, F>,
+        sg: &mut SubgroupCtx<'_, '_>,
+        first: VertexId,
+        word: W,
+        bits: (u32, u32),
+        _local_base: usize,
+    ) {
+        let n = cx.graph.vertex_count() as u32;
+        for_each_pass(sg, word, first, n, bits, |sg, pass_first, active| {
+            sg.lanes(active, |lane, item| {
+                let v = pass_first + lane;
+                let (lo, hi) = cx.graph.in_row_bounds(item, v);
+                self.scan_serial(cx, item, v, lo, hi);
+            });
+        });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The four schedule shells
+// ---------------------------------------------------------------------------
+
+/// Shell 1, the word walk: subgroups map onto bitmap words. `items`
+/// resolves a schedule position to a `(word_idx, word)` pair and `expand`
+/// processes one non-zero word's bit range
+/// (`expand(sg, word_idx, word, bits, local_base)`), with `slots` u32s of
+/// local memory reserved per word.
+///
+/// Unsplit (MSI on — the word fits a subgroup), every subgroup owns
+/// `coarsening` whole words. `split` (MSI off) is §4.2's base mapping: a
+/// workgroup owns each word and subgroup `i` takes bit slice `i` — wasting
+/// lanes whenever the slice is narrower than the subgroup (Figure 5b).
+fn walk_words<W: Word>(
     q: &Queue,
-    graph: &G,
     tuning: &Tuning,
-    n_words: usize,
-    resolve: impl Fn(&mut SubgroupCtx<'_, '_>, usize) -> (usize, W) + Sync,
-    fin_words: &DeviceBuffer<W>,
-    output: Option<&dyn BitmapLike<W>>,
-    unvisited: Option<&dyn BitmapLike<W>>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-    adopt_once: bool,
+    name: &'static str,
+    slots: usize,
+    split: bool,
+    items: &Items<'_, W>,
+    expand: impl Fn(&mut SubgroupCtx<'_, '_>, usize, W, (u32, u32), usize) + Sync,
 ) -> Event {
-    let subgroup_mapped = tuning.word_bits <= tuning.sg_size;
+    debug_assert_eq!(tuning.sg_size.min(64), tuning.sg_size);
     let sgs = tuning.subgroups_per_wg as usize;
     let coarsening = tuning.coarsening as usize;
-    let wpg = if subgroup_mapped {
-        sgs * coarsening
-    } else {
-        coarsening
-    };
+    let wpg = if split { coarsening } else { sgs * coarsening };
+    let n_words = items.n_words();
     let groups = n_words.div_ceil(wpg.max(1));
     if groups == 0 {
+        // Zero-vertex graph or empty word list: nothing to schedule.
         return no_launch(q);
     }
-    let n = graph.vertex_count() as u32;
-    let cfg = LaunchConfig::new("advance_pull", groups, tuning.wg_size(), tuning.sg_size);
-    let process =
-        |sg: &mut SubgroupCtx<'_, '_>, word_idx: usize, word: W, bit_lo: u32, bit_hi: u32| {
-            let sgw = sg.width();
-            let first_vertex = word_idx as u32 * W::BITS;
-            let passes = (bit_hi - bit_lo).div_ceil(sgw);
-            for p in 0..passes {
-                let bit_base = bit_lo + p * sgw;
-                let active = sg.ballot(|lane| {
-                    let bit = bit_base + lane;
-                    bit < bit_hi && word.test_bit(bit) && first_vertex + bit < n
-                });
-                if active == 0 {
-                    continue;
-                }
-                sg.lanes(active, |lane, item| {
-                    let v = first_vertex + bit_base + lane;
-                    let (lo, hi) = graph.in_row_bounds(item, v);
-                    pull_vertex(
-                        item, graph, v, lo, hi, fin_words, output, unvisited, fused, functor,
-                        adopt_once,
-                    );
-                });
-            }
-        };
+    let bits_per_sg = if split {
+        W::BITS.div_ceil(sgs as u32)
+    } else {
+        W::BITS
+    };
+    let cfg = LaunchConfig::new(name, groups, tuning.wg_size(), tuning.sg_size)
+        .with_local_mem((wpg * slots * 4) as u32);
     q.launch(cfg, |ctx| {
         let base = ctx.group_id * wpg;
         ctx.for_each_subgroup(|sg| {
-            if subgroup_mapped {
-                for c in 0..coarsening {
-                    let slot = sg.sg_id() as usize * coarsening + c;
-                    let word_pos = base + slot;
-                    if word_pos >= n_words {
-                        break;
-                    }
-                    let (word_idx, word) = resolve(sg, word_pos);
-                    if word.is_zero() {
-                        sg.compute(1);
-                        continue;
-                    }
-                    process(sg, word_idx, word, 0, W::BITS);
-                }
+            let (first_slot, bit_lo) = if split {
+                (0, sg.sg_id() * bits_per_sg)
             } else {
-                let bits_per_sg = W::BITS.div_ceil(sgs as u32);
-                for c in 0..coarsening {
-                    let word_pos = base + c;
-                    if word_pos >= n_words {
-                        break;
-                    }
-                    let (word_idx, word) = resolve(sg, word_pos);
-                    if word.is_zero() {
-                        sg.compute(1);
-                        continue;
-                    }
-                    let bit_lo = sg.sg_id() * bits_per_sg;
-                    let bit_hi = (bit_lo + bits_per_sg).min(W::BITS);
-                    if bit_lo >= W::BITS {
-                        continue;
-                    }
-                    process(sg, word_idx, word, bit_lo, bit_hi);
+                (sg.sg_id() as usize * coarsening, 0)
+            };
+            let bit_hi = (bit_lo + bits_per_sg).min(W::BITS);
+            for c in 0..coarsening {
+                let slot = first_slot + c;
+                if base + slot >= n_words {
+                    break;
                 }
+                let (word_idx, word) = items.resolve(sg, base + slot);
+                if word.is_zero() {
+                    // Figure 5a: a scheduled subgroup with no work (flat
+                    // bitmaps only — compacted positions are non-zero).
+                    sg.compute(1);
+                    continue;
+                }
+                if bit_lo >= W::BITS {
+                    continue;
+                }
+                let local_base = slot * slots + bit_lo as usize;
+                expand(sg, word_idx, word, (bit_lo, bit_hi), local_base);
             }
         });
     })
 }
 
-/// In-degree-bucketed pull (the pull side of §4.2's hybrid balancing):
-/// candidates are binned by *in*-degree into the same three-bucket pool
-/// the push side uses, then expanded by three pull-shaped kernels —
-/// lane-serial for leaves, subgroup-cooperative with balloted early exit
-/// for the middle band, and workgroup-chunked for in-hubs (chunks of one
-/// hub adopt independently; `insert_lane_checked` dedups the insertions).
-/// Returns `None` when no bucket buffers could be obtained.
-#[allow(clippy::too_many_arguments)]
-fn pull_bucketed<W: Word, G: DeviceGraphView + ?Sized>(
-    q: &Queue,
-    graph: &G,
-    bin: BinInput<'_, W>,
-    fin_words: &DeviceBuffer<W>,
-    output: Option<&dyn BitmapLike<W>>,
-    unvisited: Option<&dyn BitmapLike<W>>,
-    tuning: &Tuning,
-    pool: Option<&BucketPool>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-    adopt_once: bool,
-) -> Option<Event> {
-    let spec = BucketSpec::from_tuning(tuning);
-    let n = graph.vertex_count();
-    let m = graph.edge_count();
-    let transient;
-    let pool = match pool {
-        Some(p) if p.fits(n, m, &spec) => p,
-        _ => {
-            transient = BucketPool::new(q, n, m, &spec).ok()?;
-            &transient
+impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F> {
+    /// Inserts an accepted vertex into the output. The fused compute runs
+    /// only on the lane whose atomic OR first set the bit, giving the
+    /// same exactly-once-per-vertex semantics as a separate compute pass
+    /// over the output frontier.
+    #[inline]
+    fn accept(&self, item: &mut ItemCtx<'_>, v: VertexId) {
+        if let Some(out) = self.output {
+            if out.insert_lane_checked(item, v) {
+                if let Some(fc) = self.fused {
+                    fc(item, v);
+                }
+            }
         }
-    };
-    let nv = n as u32;
-    let degree_of = |lane: &mut ItemCtx<'_>, v: VertexId| -> u32 {
-        if v >= nv {
-            return 0;
+    }
+
+    /// The per-edge tail every push schedule shares: load the edge, run
+    /// the functor, accept the destination.
+    #[inline]
+    fn visit_edge(&self, item: &mut ItemCtx<'_>, src: VertexId, eid: EdgeId) {
+        let dst = self.graph.edge_dest(item, eid);
+        let w = self.graph.edge_weight(item, eid);
+        item.compute(2);
+        if (self.functor)(item, src, dst, eid, w) {
+            self.accept(item, dst);
         }
-        let (lo, hi) = graph.in_row_bounds(lane, v);
-        hi - lo
-    };
-    let counts = match bin {
-        BinInput::Compacted { words, offsets, nz } => {
-            bucket::bin_compacted(q, words, offsets, nz, pool, &degree_of, &spec)
-        }
-        BinInput::List { items, len } => bucket::bin_list(q, items, len, pool, &degree_of, &spec),
-    };
-    let mut last = no_launch(q);
-    if counts.small > 0 {
-        // Small in-degree: lane-per-candidate serial scan, same shape as
-        // the workgroup-mapped pull but over the compacted list.
-        let sgw = tuning.sg_size as usize;
-        let sgs = tuning.subgroups_per_wg as usize;
-        let coarsening = tuning.coarsening as usize;
+    }
+
+    /// The word walk over a vertex bitmap, expanded by `side`.
+    fn walk<S: Side<W>>(&self, side: &S, items: &Items<'_, W>) -> Event {
+        let t = self.tuning;
+        let split = t.word_bits > t.sg_size;
+        walk_words(
+            self.q,
+            t,
+            S::WALK,
+            S::WORD_SLOTS,
+            split,
+            items,
+            |sg, word_idx, word, bits, local_base| {
+                let first = word_idx as u32 * W::BITS;
+                side.expand_word(self, sg, first, word, bits, local_base)
+            },
+        )
+    }
+
+    /// Shell 2, the slab: one lane per listed vertex, walking its whole
+    /// (short) row serially — cooperative expansion would idle
+    /// `sg_size − 1` lanes per leaf vertex.
+    fn slab<S: Side<W>>(
+        &self,
+        side: &S,
+        name: &'static str,
+        items: &DeviceBuffer<u32>,
+        n_items: usize,
+    ) -> Event {
+        let t = self.tuning;
+        let sgw = t.sg_size as usize;
+        let coarsening = t.coarsening as usize;
+        // Each subgroup covers `coarsening` lane-wide slabs of vertices.
         let per_sg = sgw * coarsening;
-        let vpg = per_sg * sgs;
-        let n_items = counts.small as usize;
+        let vpg = per_sg * t.subgroups_per_wg as usize;
         let groups = n_items.div_ceil(vpg.max(1));
-        let small = &pool.small;
-        let cfg = LaunchConfig::new(
-            "advance_pull_small",
-            groups,
-            tuning.wg_size(),
-            tuning.sg_size,
-        );
-        last = q.launch(cfg, |ctx| {
+        let cfg = LaunchConfig::new(name, groups, t.wg_size(), t.sg_size);
+        self.q.launch(cfg, |ctx| {
             let base = ctx.group_id * vpg;
             ctx.for_each_subgroup(|sg| {
                 for c in 0..coarsening {
@@ -1100,33 +844,32 @@ fn pull_bucketed<W: Word, G: DeviceGraphView + ?Sized>(
                     }
                     let lanes = (n_items - slab).min(sgw) as u32;
                     sg.lanes(full_mask(lanes), |lane, item| {
-                        let v = item.load(small, slab + lane as usize);
-                        let (lo, hi) = graph.in_row_bounds(item, v);
-                        pull_vertex(
-                            item, graph, v, lo, hi, fin_words, output, unvisited, fused, functor,
-                            adopt_once,
-                        );
+                        let v = item.load(items, slab + lane as usize);
+                        let (lo, hi) = S::row(self.graph, item, v);
+                        side.scan_serial(self, item, v, lo, hi);
                     });
                 }
             });
-        });
+        })
     }
-    if counts.medium > 0 {
-        // Medium band: subgroup per candidate, cooperative rounds with a
-        // balloted early exit.
-        let sgs = tuning.subgroups_per_wg as usize;
-        let coarsening = tuning.coarsening as usize;
-        let vpg = sgs * coarsening;
-        let n_items = counts.medium as usize;
+
+    /// Shell 3, the list: one subgroup per listed vertex, all lanes
+    /// striding its row together — the word walk's cooperative expansion
+    /// minus the bitmap walk. Serves the medium degree bucket and a sparse
+    /// frontier's item list alike.
+    fn list<S: Side<W>>(
+        &self,
+        side: &S,
+        name: &'static str,
+        items: &DeviceBuffer<u32>,
+        n_items: usize,
+    ) -> Event {
+        let t = self.tuning;
+        let coarsening = t.coarsening as usize;
+        let vpg = t.subgroups_per_wg as usize * coarsening;
         let groups = n_items.div_ceil(vpg.max(1));
-        let medium = &pool.medium;
-        let cfg = LaunchConfig::new(
-            "advance_pull_medium",
-            groups,
-            tuning.wg_size(),
-            tuning.sg_size,
-        );
-        last = q.launch(cfg, |ctx| {
+        let cfg = LaunchConfig::new(name, groups, t.wg_size(), t.sg_size);
+        self.q.launch(cfg, |ctx| {
             let base = ctx.group_id * vpg;
             ctx.for_each_subgroup(|sg| {
                 for c in 0..coarsening {
@@ -1134,175 +877,171 @@ fn pull_bucketed<W: Word, G: DeviceGraphView + ?Sized>(
                     if pos >= n_items {
                         break;
                     }
-                    let v = sg.load_uniform(medium, pos);
-                    let (lo, hi) = graph.in_row_bounds_uniform(sg, v);
-                    pull_scan_cooperative(
-                        sg,
-                        graph,
-                        v,
-                        lo,
-                        hi,
-                        sg.width(),
-                        fin_words,
-                        output,
-                        unvisited,
-                        fused,
-                        functor,
-                        adopt_once,
-                    );
+                    let v = sg.load_uniform(items, pos);
+                    let (lo, hi) = S::row_uniform(self.graph, sg, v);
+                    side.scan_cooperative(self, sg, v, lo, hi, sg.width());
                 }
             });
-        });
+        })
     }
-    if counts.large > 0 {
-        // In-hubs: one workgroup per neighbor chunk. Chunks of one hub
-        // cannot coordinate an early exit across workgroups; each adopts
-        // independently and the checked insert keeps it exactly-once.
-        let sgw = tuning.sg_size;
-        let wg_stride = tuning.wg_size();
-        let chunk = spec.chunk;
-        let large_v = &pool.large_v;
-        let large_c = &pool.large_c;
-        let cfg = LaunchConfig::new(
-            "advance_pull_large",
-            counts.large as usize,
-            tuning.wg_size(),
-            tuning.sg_size,
-        );
-        last = q.launch(cfg, |ctx| {
+
+    /// Shell 4, chunks: one *workgroup* per neighbor chunk. A hub's edge
+    /// mass was pre-split into `chunk`-sized ranges by the binning kernel,
+    /// so its chunks land on different workgroups — and, under the cyclic
+    /// workgroup→CU striping, on different compute units — instead of
+    /// serializing one subgroup (the Figure 4c pathology on power-law
+    /// graphs). All subgroups of the group stride the chunk together.
+    fn chunks<S: Side<W>>(
+        &self,
+        side: &S,
+        name: &'static str,
+        pool: &BucketPool,
+        n_entries: usize,
+        chunk: u32,
+    ) -> Event {
+        let t = self.tuning;
+        let cfg = LaunchConfig::new(name, n_entries, t.wg_size(), t.sg_size);
+        self.q.launch(cfg, |ctx| {
             let entry = ctx.group_id;
             ctx.for_each_subgroup(|sg| {
-                let v = sg.load_uniform(large_v, entry);
-                let ci = sg.load_uniform(large_c, entry);
-                let (lo, hi) = graph.in_row_bounds_uniform(sg, v);
+                let v = sg.load_uniform(&pool.large_v, entry);
+                let ci = sg.load_uniform(&pool.large_c, entry);
+                let (lo, hi) = S::row_uniform(self.graph, sg, v);
                 let clo = lo + ci * chunk;
                 let chi = (clo + chunk).min(hi);
-                let start = clo + sg.sg_id() * sgw;
-                if start < chi {
-                    pull_scan_cooperative(
-                        sg, graph, v, start, chi, wg_stride, fin_words, output, unvisited, fused,
-                        functor, adopt_once,
-                    );
-                }
+                // Subgroup `i` starts at lane-slab `i`; the whole workgroup
+                // advances `wg_size` edges per round.
+                let start = clo + sg.sg_id() * t.sg_size;
+                side.scan_cooperative(self, sg, v, start, chi, t.wg_size());
             });
-        });
+        })
     }
-    Some(last)
-}
 
-/// The pull dispatch: count the input frontier (the same single host
-/// readback the push path's counted compaction does — this also refreshes
-/// the metadata its lazy clear will use), enumerate candidates, and
-/// launch the pull kernel family over them.
-#[allow(clippy::too_many_arguments)]
-fn pull_impl<W: Word, G: DeviceGraphView + ?Sized>(
-    q: &Queue,
-    graph: &G,
-    input: &dyn BitmapLike<W>,
-    scope: PullScope<'_, W>,
-    output: Option<&dyn BitmapLike<W>>,
-    tuning: &Tuning,
-    pool: Option<&BucketPool>,
-    fused: Option<FusedCompute<'_>>,
-    functor: &impl AdvanceFunctor,
-) -> (Event, Option<usize>) {
-    // The counted result keeps the push path's contract: the *input*
-    // frontier's population measure (list entries when sparse, non-zero
-    // words when dense, `None` on single-layer bitmaps).
-    let counted = if let Some(view) = input.sparse_view(q) {
-        Some(view.len)
-    } else {
-        input.compact(q).map(|(nz, _)| nz)
-    };
-    if counted == Some(0) {
-        return (no_launch(q), Some(0));
-    }
-    let fin_words = input.words();
-    match scope {
-        PullScope::Unvisited(cand) => match cand.compact(q) {
-            Some((nz, offsets)) => {
-                if nz == 0 {
-                    // No candidate can adopt: the pull kernel is free.
-                    return (no_launch(q), counted);
-                }
-                let strategy = tuning.effective_balancing(nz, graph.in_degree_profile());
-                if strategy == Balancing::Bucketed {
-                    let bin = BinInput::Compacted {
-                        words: cand.words(),
-                        offsets,
-                        nz,
-                    };
-                    if let Some(ev) = pull_bucketed(
-                        q,
-                        graph,
-                        bin,
-                        fin_words,
-                        output,
-                        Some(cand),
-                        tuning,
-                        pool,
-                        fused,
-                        functor,
-                        true,
-                    ) {
-                        return (ev, counted);
-                    }
-                }
-                let cand_words = cand.words();
-                let ev = launch_pull(
-                    q,
-                    graph,
-                    tuning,
-                    nz,
-                    |sg, pos| {
-                        let word_idx = sg.load_uniform(offsets, pos) as usize;
-                        (word_idx, sg.load_uniform(cand_words, word_idx))
-                    },
-                    fin_words,
-                    output,
-                    Some(cand),
-                    fused,
-                    functor,
-                    true,
-                );
-                (ev, counted)
-            }
-            None => {
-                // Single-layer candidate bitmap: sweep every word.
-                let cand_words = cand.words();
-                let ev = launch_pull(
-                    q,
-                    graph,
-                    tuning,
-                    cand.num_words(),
-                    |sg, pos| (pos, sg.load_uniform(cand_words, pos)),
-                    fin_words,
-                    output,
-                    Some(cand),
-                    fused,
-                    functor,
-                    true,
-                );
-                (ev, counted)
-            }
-        },
-        PullScope::AllVertices => {
-            let n_words = graph.vertex_count().div_ceil(W::BITS as usize);
-            let ev = launch_pull(
-                q,
-                graph,
-                tuning,
-                n_words,
-                |_sg, pos| (pos, W::ZERO.not()),
-                fin_words,
-                output,
-                None,
-                fused,
-                functor,
-                false,
-            );
-            (ev, counted)
+    /// The degree-bucketed dispatch (§4.2 hybrid load balancing): when
+    /// the balancing policy picks it for `items`, bin the active vertices
+    /// by the side's degree and run up to three kernels, each shaped for
+    /// its band — slab for leaves, list for the middle, chunks for hubs.
+    /// `None` when the policy stays workgroup-mapped, when `items` has
+    /// nothing the binning kernel can read (it runs over the compaction
+    /// offsets or a vertex list), or when no bucket buffers could be
+    /// obtained: the caller then takes the unbucketed shell, which needs
+    /// no extra memory and computes the identical result.
+    fn bucketed<S: Side<W>>(
+        &self,
+        side: &S,
+        items: &Items<'_, W>,
+        pool: Option<&BucketPool>,
+    ) -> Option<Event> {
+        let (q, t) = (self.q, self.tuning);
+        // The balancing bar is keyed on non-zero words; list entries
+        // compress into at least ⌈entries/word_bits⌉ of them.
+        let est_words = match *items {
+            Items::List { len, .. } => len.div_ceil(t.word_bits.max(1) as usize),
+            Items::Compacted { nz, .. } => nz,
+            Items::Flat { .. } | Items::All { .. } => return None,
+        };
+        if t.effective_balancing(est_words, S::profile(self.graph)) != Balancing::Bucketed {
+            return None;
         }
+        let spec = BucketSpec::from_tuning(t);
+        let n = self.graph.vertex_count();
+        let m = self.graph.edge_count();
+        // Caller-provided pool when it fits, else a transient allocation for
+        // this advance only; allocation failure degrades, never errors.
+        let transient;
+        let pool = match pool {
+            Some(p) if p.fits(n, m, &spec) => p,
+            _ => {
+                transient = BucketPool::new(q, n, m, &spec).ok()?;
+                &transient
+            }
+        };
+        let nv = n as u32;
+        let degree_of = |lane: &mut ItemCtx<'_>, v: VertexId| -> u32 {
+            if v >= nv {
+                return 0; // tail bits past the last vertex
+            }
+            let (lo, hi) = S::row(self.graph, lane, v);
+            hi - lo
+        };
+        let counts = match *items {
+            Items::Compacted { words, offsets, nz } => {
+                bucket::bin_compacted(q, words, offsets, nz, pool, &degree_of, &spec)
+            }
+            Items::List { items, len } => bucket::bin_list(q, items, len, pool, &degree_of, &spec),
+            Items::Flat { .. } | Items::All { .. } => return None,
+        };
+        let [small, medium, large] = S::BUCKETS;
+        let mut last = no_launch(q);
+        if counts.small > 0 {
+            last = self.slab(side, small, &pool.small, counts.small as usize);
+        }
+        if counts.medium > 0 {
+            last = self.list(side, medium, &pool.medium, counts.medium as usize);
+        }
+        if counts.large > 0 {
+            last = self.chunks(side, large, pool, counts.large as usize, spec.chunk);
+        }
+        Some(last)
+    }
+
+    /// Push dispatch: measure the input (the one host readback of the
+    /// superstep), then pick the shell. The counted result reports list
+    /// entries when sparse, non-zero words when dense; `Some(0)` means
+    /// "converged" to superstep loops either way and launches nothing.
+    fn frontier(
+        &self,
+        input: &dyn BitmapLike<W>,
+        pool: Option<&BucketPool>,
+    ) -> (Event, Option<usize>) {
+        let (items, counted) = Items::of(self.q, input);
+        if counted == Some(0) {
+            return (no_launch(self.q), counted);
+        }
+        let ev = match self.bucketed(&Push, &items, pool) {
+            Some(ev) => ev,
+            None => match items {
+                Items::List { items, len } => self.list(&Push, "advance_sparse", items, len),
+                words => self.walk(&Push, &words),
+            },
+        };
+        (ev, counted)
+    }
+
+    /// Pull dispatch: count the input frontier (the same single host
+    /// readback the push path does — this also refreshes the metadata its
+    /// lazy clear will use, and keeps the push path's counted contract),
+    /// enumerate candidates, and pick the shell over them.
+    fn pull(
+        &self,
+        input: &dyn BitmapLike<W>,
+        scope: PullScope<'_, W>,
+        pool: Option<&BucketPool>,
+    ) -> (Event, Option<usize>) {
+        let (_, counted) = Items::of(self.q, input);
+        if counted == Some(0) {
+            return (no_launch(self.q), counted);
+        }
+        let (items, unvisited) = match scope {
+            PullScope::Unvisited(cand) => {
+                let (items, n_cand) = Items::words_of(self.q, cand);
+                if n_cand == Some(0) {
+                    // No candidate can adopt: the pull kernel is free.
+                    return (no_launch(self.q), counted);
+                }
+                (items, Some(cand))
+            }
+            PullScope::AllVertices => (Items::all_vertices(self.graph), None),
+        };
+        let side = Pull {
+            fin_words: input.words(),
+            unvisited,
+        };
+        let ev = match self.bucketed(&side, &items, pool) {
+            Some(ev) => ev,
+            None => self.walk(&side, &items),
+        };
+        (ev, counted)
     }
 }
 
@@ -1330,21 +1069,17 @@ pub fn edges<W: Word, G: DeviceGraphView + ?Sized>(
     functor: impl AdvanceFunctor,
 ) -> (Event, Option<usize>) {
     let m = graph.edge_count() as u32;
-    let process = |sg: &mut SubgroupCtx<'_, '_>, word_idx: usize, word: W| {
-        // One lane per set bit: edge frontiers are uniform by design.
+    let (items, counted) = Items::words_of(q, input);
+    if counted == Some(0) {
+        return (no_launch(q), counted);
+    }
+    // One lane per set bit: edge frontiers are uniform by design, so the
+    // walk is never split and needs no local memory.
+    let expand = |sg: &mut SubgroupCtx<'_, '_>, word_idx: usize, word: W, bits, _| {
         let first_edge = word_idx as u32 * W::BITS;
-        let passes = W::BITS.div_ceil(sg.width());
-        for p in 0..passes {
-            let bit_base = p * sg.width();
-            let mask = sg.ballot(|lane| {
-                let bit = bit_base + lane;
-                bit < W::BITS && word.test_bit(bit) && first_edge + bit < m
-            });
-            if mask == 0 {
-                continue;
-            }
+        for_each_pass(sg, word, first_edge, m, bits, |sg, pass_first, mask| {
             sg.lanes(mask, |lane, item| {
-                let e = first_edge + bit_base + lane;
+                let e = pass_first + lane;
                 let src = src_of(item, e);
                 let dst = graph.edge_dest(item, e);
                 let w = graph.edge_weight(item, e);
@@ -1353,78 +1088,10 @@ pub fn edges<W: Word, G: DeviceGraphView + ?Sized>(
                     output.insert_lane(item, dst);
                 }
             });
-        }
-    };
-    match input.compact(q) {
-        Some((nz, offsets)) => {
-            if nz == 0 {
-                return (no_launch(q), Some(0));
-            }
-            let words = input.words();
-            let ev = launch_edges(
-                q,
-                tuning,
-                nz,
-                |sg, pos| {
-                    let word_idx = sg.load_uniform(offsets, pos) as usize;
-                    (word_idx, sg.load_uniform(words, word_idx))
-                },
-                &process,
-            );
-            (ev, Some(nz))
-        }
-        None => {
-            let words = input.words();
-            let ev = launch_edges(
-                q,
-                tuning,
-                input.num_words(),
-                |sg, pos| (pos, sg.load_uniform(words, pos)),
-                &process,
-            );
-            (ev, None)
-        }
-    }
-}
-
-/// Shared launch shell for [`edges`]: `resolve` maps a schedule position to
-/// a `(word_idx, word)` pair — from the compaction offsets buffer under the
-/// two-layer layout, or the position itself for flat bitmaps — and
-/// `process` expands one non-zero word.
-fn launch_edges<W: Word>(
-    q: &Queue,
-    tuning: &Tuning,
-    n_positions: usize,
-    resolve: impl Fn(&mut SubgroupCtx<'_, '_>, usize) -> (usize, W) + Sync,
-    process: &(impl Fn(&mut SubgroupCtx<'_, '_>, usize, W) + Sync),
-) -> Event {
-    let sgs = tuning.subgroups_per_wg as usize;
-    let coarsening = tuning.coarsening as usize;
-    let wpg = sgs * coarsening;
-    let groups = n_positions.div_ceil(wpg.max(1));
-    if groups == 0 {
-        return no_launch(q);
-    }
-    let cfg = LaunchConfig::new("advance_edges", groups, tuning.wg_size(), tuning.sg_size);
-    q.launch(cfg, |ctx| {
-        let base = ctx.group_id * wpg;
-        ctx.for_each_subgroup(|sg| {
-            for c in 0..coarsening {
-                let pos = base + sg.sg_id() as usize * coarsening + c;
-                if pos >= n_positions {
-                    break;
-                }
-                let (word_idx, word) = resolve(sg, pos);
-                if word.is_zero() {
-                    // Only reachable on the flat path: compacted positions
-                    // always resolve to non-zero words.
-                    sg.compute(1);
-                    continue;
-                }
-                process(sg, word_idx, word);
-            }
         });
-    })
+    };
+    let ev = walk_words(q, tuning, "advance_edges", 0, false, &items, expand);
+    (ev, counted)
 }
 
 #[cfg(test)]
@@ -2177,26 +1844,31 @@ mod tests {
         // Frontier {0}; candidates {1, 2, 3, 6}. Only 1 and 2 have a
         // frontier parent: they adopt (into the output) and leave the
         // candidate set in-kernel; 3 (no in-edges) and 6 (parent 5 not in
-        // the frontier) stay candidates.
+        // the frontier) stay candidates. The candidate set is walked by
+        // its compaction when two-layer, word by word when single-layer.
         let q = queue();
         let g = pull_graph(&q, 8, &[(0, 1), (0, 2), (5, 6)]);
         let t = tuning(&q, 8);
-        let input = TwoLayerFrontier::<u32>::new(&q, 8).unwrap();
-        input.insert_host(0);
-        let unvisited = TwoLayerFrontier::<u32>::new(&q, 8).unwrap();
-        for v in [1, 2, 3, 6] {
-            unvisited.insert_host(v);
+        let two_layer = TwoLayerFrontier::<u32>::new(&q, 8).unwrap();
+        let single_layer = BitmapFrontier::<u32>::new(&q, 8).unwrap();
+        let candidate_sets: [&dyn BitmapLike<u32>; 2] = [&two_layer, &single_layer];
+        for unvisited in candidate_sets {
+            let input = TwoLayerFrontier::<u32>::new(&q, 8).unwrap();
+            input.insert_host(0);
+            for v in [1, 2, 3, 6] {
+                unvisited.insert_host(v);
+            }
+            let output = TwoLayerFrontier::<u32>::new(&q, 8).unwrap();
+            Advance::new(&q, &g, &input)
+                .output(&output)
+                .tuning(&t)
+                .pull(PullScope::Unvisited(unvisited))
+                .run(|_l, _s, _d, _e, _w| true);
+            output.check_invariant().unwrap();
+            assert_eq!(output.to_sorted_vec(), vec![1, 2]);
+            assert_eq!(unvisited.to_sorted_vec(), vec![3, 6]);
         }
-        let output = TwoLayerFrontier::<u32>::new(&q, 8).unwrap();
-        Advance::new(&q, &g, &input)
-            .output(&output)
-            .tuning(&t)
-            .pull(PullScope::Unvisited(&unvisited))
-            .run(|_l, _s, _d, _e, _w| true);
-        output.check_invariant().unwrap();
-        unvisited.check_invariant().unwrap();
-        assert_eq!(output.to_sorted_vec(), vec![1, 2]);
-        assert_eq!(unvisited.to_sorted_vec(), vec![3, 6]);
+        two_layer.check_invariant().unwrap();
     }
 
     #[test]

@@ -42,17 +42,36 @@ fn queue() -> Queue {
 
 #[test]
 fn bfs_is_bit_identical_under_every_direction_and_representation() {
+    let mut configs: Vec<(String, OptConfig)> = REPS
+        .iter()
+        .flat_map(|&rep| {
+            DIRECTIONS
+                .iter()
+                .map(move |&dir| (format!("{dir:?}/{rep:?}"), opts(rep, dir)))
+        })
+        .collect();
+    // MSI off: the bitmap word is wider than the subgroup, so the pull
+    // word walk splits each candidate word across a workgroup's subgroups.
+    let no_msi_pull = OptConfig {
+        direction: Direction::Pull,
+        ..OptConfig::baseline()
+    };
+    configs.push(("Pull/baseline".into(), no_msi_pull));
     for ds in four_datasets() {
         let src = sample_useful_sources(&ds.host, 1, 42)[0];
         let want = reference::bfs(&ds.host, src);
-        for rep in REPS {
-            for dir in DIRECTIONS {
-                let q = queue();
-                let g = Graph::with_pull(&q, &ds.host).unwrap();
-                let got = bfs::run(&q, &g, src, &opts(rep, dir)).unwrap();
-                assert_eq!(
-                    got.values, want,
-                    "BFS diverged on {} under {dir:?}/{rep:?}",
+        for (label, o) in &configs {
+            let q = queue();
+            let g = Graph::with_pull(&q, &ds.host).unwrap();
+            let got = bfs::run(&q, &g, src, o).unwrap();
+            assert_eq!(got.values, want, "BFS diverged on {} under {label}", ds.key);
+            if !o.msi {
+                assert!(
+                    q.profiler()
+                        .kernels()
+                        .iter()
+                        .any(|k| k.name == "advance_pull"),
+                    "{}: the MSI-off configuration must run pull supersteps",
                     ds.key
                 );
             }

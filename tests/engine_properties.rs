@@ -41,10 +41,13 @@ fn run_fused<W: Word>(
     fin.insert_host(src);
     let mut engine = SuperstepEngine::new(q, g, tuning, fin, fout).fused(true);
     let mut snaps = Vec::new();
-    while engine.step(
-        |l, _iter, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
-        Some(&|l, iter, v| l.store(&dist, v as usize, iter + 1)),
-    ) {
+    while engine
+        .step(
+            |l, _iter, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
+            Some(&|l, iter, v| l.store(&dist, v as usize, iter + 1)),
+        )
+        .unwrap()
+    {
         snaps.push(engine.output().to_sorted_vec());
         engine.rotate();
     }
