@@ -22,10 +22,10 @@ use sygraph_core::engine::{
 };
 use sygraph_core::frontier::exchange::{ExchangeConfig, ExchangeTally};
 use sygraph_core::frontier::Word;
-use sygraph_core::graph::{DeviceCsr, PartitionedGraph};
-use sygraph_core::inspector::{inspect, OptConfig};
+use sygraph_core::graph::{DeviceCsr, DevicePartition, PartitionedGraph};
+use sygraph_core::inspector::{inspect, OptConfig, Tuning};
 use sygraph_core::types::{VertexId, INF_DIST, INF_WEIGHT};
-use sygraph_sim::{DeviceBuffer, Queue, SimResult};
+use sygraph_sim::{DeviceBuffer, DeviceScalar, Queue, SimResult};
 
 use crate::{bfs, cc, sssp};
 
@@ -49,61 +49,58 @@ pub struct PartitionedResult<T> {
     pub resumes: u32,
 }
 
-fn upload_shards(queues: &[Queue], pg: &PartitionedGraph) -> SimResult<Vec<DeviceCsr>> {
-    pg.parts
-        .iter()
-        .zip(queues)
-        .map(|(part, q)| DeviceCsr::upload(q, &part.local_graph))
-        .collect()
+/// A state value's trip through the exchange: to the 64 bits a halo
+/// message carries, and back.
+type Wire<T> = (fn(T) -> u64, fn(u64) -> T);
+
+trait HaloValue: DeviceScalar + PartialOrd {
+    const WIRE: Wire<Self>;
 }
 
-fn slowest_ns(queues: &[Queue]) -> f64 {
-    queues.iter().map(|q| q.now_ns()).fold(0.0, f64::max)
+/// BFS levels and CC labels travel as themselves.
+impl HaloValue for u32 {
+    const WIRE: Wire<u32> = (u64::from, |bits| bits as u32);
 }
 
-/// Min-merge link over per-partition `u32` state (BFS levels, CC labels).
-struct MinLinkU32<'a> {
-    state: &'a [DeviceBuffer<u32>],
+/// SSSP distances travel as IEEE bits.
+impl HaloValue for f32 {
+    const WIRE: Wire<f32> = (|d| d.to_bits() as u64, |bits| f32::from_bits(bits as u32));
 }
 
-impl HaloLink for MinLinkU32<'_> {
+/// Min-merge link over per-partition state.
+struct MinLink<'a, T: HaloValue> {
+    state: &'a [DeviceBuffer<T>],
+}
+
+impl<T: HaloValue> HaloLink for MinLink<'_, T> {
     fn replica(&self, part: usize, lid: u32) -> u64 {
-        self.state[part].load(lid as usize) as u64
+        (T::WIRE.0)(self.state[part].load(lid as usize))
     }
 
     fn merge(&self, part: usize, lid: u32, value: u64) -> bool {
-        let cur = self.state[part].load(lid as usize);
-        let v = value as u32;
-        if v < cur {
+        let v = (T::WIRE.1)(value);
+        let lower = v < self.state[part].load(lid as usize);
+        if lower {
             self.state[part].store(lid as usize, v);
-            true
-        } else {
-            false
         }
+        lower
     }
 }
 
-/// Min-merge link over per-partition `f32` state (SSSP distances);
-/// values travel as IEEE bits.
-struct MinLinkF32<'a> {
-    state: &'a [DeviceBuffer<f32>],
-}
+type MakeAdvance<T> = for<'d> fn(&'d DeviceBuffer<T>) -> Box<StepAdvanceDyn<'d>>;
+type MakeCompute<T> = for<'d> fn(&'d DeviceBuffer<T>) -> Box<StepComputeDyn<'d>>;
 
-impl HaloLink for MinLinkF32<'_> {
-    fn replica(&self, part: usize, lid: u32) -> u64 {
-        self.state[part].load(lid as usize).to_bits() as u64
-    }
-
-    fn merge(&self, part: usize, lid: u32, value: u64) -> bool {
-        let cur = self.state[part].load(lid as usize);
-        let v = f32::from_bits(value as u32);
-        if v < cur {
-            self.state[part].store(lid as usize, v);
-            true
-        } else {
-            false
-        }
-    }
+/// What tells the three algorithms apart; [`run`] is the rest.
+struct Program<T: HaloValue> {
+    /// Marker prefix of the engines' kernels.
+    mark: &'static str,
+    /// Initial state of one shard, over its local ID space.
+    init: fn(&Queue, &DevicePartition, &DeviceBuffer<T>),
+    /// Rooted run: the source and its initial value. `None` starts every
+    /// owned vertex active.
+    root: Option<(VertexId, T)>,
+    advance: MakeAdvance<T>,
+    compute: Option<MakeCompute<T>>,
 }
 
 /// Partitioned BFS from `src`: hop distances, `INF_DIST` when unreached.
@@ -115,58 +112,14 @@ pub fn bfs(
     opts: &OptConfig,
     excfg: ExchangeConfig,
 ) -> SimResult<PartitionedResult<u32>> {
-    let tuning = inspect(queues[0].profile(), opts, pg.n);
-    match tuning.word_bits {
-        32 => bfs_impl::<u32>(queues, pg, src, opts, excfg),
-        _ => bfs_impl::<u64>(queues, pg, src, opts, excfg),
-    }
-}
-
-fn bfs_impl<W: Word>(
-    queues: &[Queue],
-    pg: &PartitionedGraph,
-    src: VertexId,
-    opts: &OptConfig,
-    excfg: ExchangeConfig,
-) -> SimResult<PartitionedResult<u32>> {
-    assert!((src as usize) < pg.n, "source out of range");
-    let graphs = upload_shards(queues, pg)?;
-    // Clock the traversal only: single-device `sim_ms` starts after the
-    // caller's graph upload, so the partitioned number must too.
-    let t0 = slowest_ns(queues);
-
-    let mut dist = Vec::with_capacity(pg.part_count());
-    for (part, q) in pg.parts.iter().zip(queues) {
-        let d = q.malloc_device::<u32>(part.local_len().max(1))?;
-        q.fill(&d, INF_DIST);
-        dist.push(d);
-    }
-    dist[pg.owner_of(src) as usize].store(pg.owner_local_of(src) as usize, 0);
-
-    let ckpt: Vec<Vec<&dyn CheckpointState>> = dist
-        .iter()
-        .map(|d| vec![d as &dyn CheckpointState])
-        .collect();
-    let tuning = inspect(queues[0].profile(), opts, pg.n);
-    let mut mde = MultiDeviceEngine::<W>::new(pg, queues, &graphs, tuning, excfg, &ckpt, "mbfs")?
-        .max_iters(pg.n + 2);
-    mde.seed(src);
-
-    let advances: Vec<Box<StepAdvanceDyn<'_>>> = dist
-        .iter()
-        .map(|d| Box::new(bfs::unvisited(d)) as Box<StepAdvanceDyn<'_>>)
-        .collect();
-    let computes: Vec<Box<StepComputeDyn<'_>>> = dist
-        .iter()
-        .map(|d| Box::new(bfs::stamp_level(d)) as Box<StepComputeDyn<'_>>)
-        .collect();
-    let adv_refs: Vec<&StepAdvanceDyn<'_>> = advances.iter().map(|b| b.as_ref()).collect();
-    let comp_refs: Vec<Option<&StepComputeDyn<'_>>> =
-        computes.iter().map(|b| Some(b.as_ref())).collect();
-    let link = MinLinkU32 { state: &dist };
-
-    let supersteps = mde.run(&adv_refs, &comp_refs, &link)?;
-    finish(pg, queues, mde, supersteps, t0, &dist)
+    let program = Program {
+        mark: "mbfs",
+        init: |q, _, dist| _ = q.fill(dist, INF_DIST),
+        root: Some((src, 0)),
+        advance: |dist| Box::new(bfs::unvisited(dist)),
+        compute: Some(|dist| Box::new(bfs::stamp_level(dist))),
+    };
+    run(queues, pg, opts, excfg, program)
 }
 
 /// Partitioned Bellman-Ford SSSP from `src`: weighted distances,
@@ -178,52 +131,14 @@ pub fn sssp(
     opts: &OptConfig,
     excfg: ExchangeConfig,
 ) -> SimResult<PartitionedResult<f32>> {
-    let tuning = inspect(queues[0].profile(), opts, pg.n);
-    match tuning.word_bits {
-        32 => sssp_impl::<u32>(queues, pg, src, opts, excfg),
-        _ => sssp_impl::<u64>(queues, pg, src, opts, excfg),
-    }
-}
-
-fn sssp_impl<W: Word>(
-    queues: &[Queue],
-    pg: &PartitionedGraph,
-    src: VertexId,
-    opts: &OptConfig,
-    excfg: ExchangeConfig,
-) -> SimResult<PartitionedResult<f32>> {
-    assert!((src as usize) < pg.n, "source out of range");
-    let graphs = upload_shards(queues, pg)?;
-    // Clock the traversal only: single-device `sim_ms` starts after the
-    // caller's graph upload, so the partitioned number must too.
-    let t0 = slowest_ns(queues);
-
-    let mut dist = Vec::with_capacity(pg.part_count());
-    for (part, q) in pg.parts.iter().zip(queues) {
-        let d = q.malloc_device::<f32>(part.local_len().max(1))?;
-        q.fill(&d, INF_WEIGHT);
-        dist.push(d);
-    }
-    dist[pg.owner_of(src) as usize].store(pg.owner_local_of(src) as usize, 0.0);
-
-    let ckpt: Vec<Vec<&dyn CheckpointState>> = dist
-        .iter()
-        .map(|d| vec![d as &dyn CheckpointState])
-        .collect();
-    let tuning = inspect(queues[0].profile(), opts, pg.n);
-    let mut mde = MultiDeviceEngine::<W>::new(pg, queues, &graphs, tuning, excfg, &ckpt, "msssp")?;
-    mde.seed(src);
-
-    let advances: Vec<Box<StepAdvanceDyn<'_>>> = dist
-        .iter()
-        .map(|d| Box::new(sssp::relax(d)) as Box<StepAdvanceDyn<'_>>)
-        .collect();
-    let adv_refs: Vec<&StepAdvanceDyn<'_>> = advances.iter().map(|b| b.as_ref()).collect();
-    let comp_refs: Vec<Option<&StepComputeDyn<'_>>> = vec![None; pg.part_count()];
-    let link = MinLinkF32 { state: &dist };
-
-    let supersteps = mde.run(&adv_refs, &comp_refs, &link)?;
-    finish(pg, queues, mde, supersteps, t0, &dist)
+    let program = Program {
+        mark: "msssp",
+        init: |q, _, dist| _ = q.fill(dist, INF_WEIGHT),
+        root: Some((src, 0.0)),
+        advance: |dist| Box::new(sssp::relax(dist)),
+        compute: None,
+    };
+    run(queues, pg, opts, excfg, program)
 }
 
 /// Partitioned label-propagation CC over a symmetric graph: per-vertex
@@ -236,67 +151,87 @@ pub fn cc(
     opts: &OptConfig,
     excfg: ExchangeConfig,
 ) -> SimResult<PartitionedResult<u32>> {
-    let tuning = inspect(queues[0].profile(), opts, pg.n);
-    match tuning.word_bits {
-        32 => cc_impl::<u32>(queues, pg, opts, excfg),
-        _ => cc_impl::<u64>(queues, pg, opts, excfg),
-    }
+    let program = Program {
+        mark: "mcc",
+        // Every local slot (owned and halo alike) starts as its *global*
+        // ID: exactly the single-device `labels[v] = v` seeding,
+        // shard-local.
+        init: |_, part, labels| labels.copy_from_slice(&part.local_to_global),
+        root: None,
+        advance: |labels| Box::new(cc::propagate_min(labels)),
+        compute: None,
+    };
+    run(queues, pg, opts, excfg, program)
 }
 
-fn cc_impl<W: Word>(
+fn run<T: HaloValue>(
     queues: &[Queue],
     pg: &PartitionedGraph,
     opts: &OptConfig,
     excfg: ExchangeConfig,
-) -> SimResult<PartitionedResult<u32>> {
-    let graphs = upload_shards(queues, pg)?;
+    program: Program<T>,
+) -> SimResult<PartitionedResult<T>> {
+    let tuning = inspect(queues[0].profile(), opts, pg.n);
+    match tuning.word_bits {
+        32 => run_impl::<u32, T>(queues, pg, tuning, excfg, program),
+        _ => run_impl::<u64, T>(queues, pg, tuning, excfg, program),
+    }
+}
+
+/// The one driver: shard upload, per-shard state, engines, BSP loop,
+/// gather.
+fn run_impl<W: Word, T: HaloValue>(
+    queues: &[Queue],
+    pg: &PartitionedGraph,
+    tuning: Tuning,
+    excfg: ExchangeConfig,
+    program: Program<T>,
+) -> SimResult<PartitionedResult<T>> {
+    let slowest_ns = || queues.iter().map(Queue::now_ns).fold(0.0, f64::max);
+    let graphs = (pg.parts.iter().zip(queues))
+        .map(|(part, q)| DeviceCsr::upload(q, &part.local_graph))
+        .collect::<SimResult<Vec<DeviceCsr>>>()?;
     // Clock the traversal only: single-device `sim_ms` starts after the
     // caller's graph upload, so the partitioned number must too.
-    let t0 = slowest_ns(queues);
+    let t0 = slowest_ns();
 
-    // Every local slot (owned and halo alike) starts as its *global* ID:
-    // exactly the single-device `labels[v] = v` seeding, shard-local.
-    let mut labels = Vec::with_capacity(pg.part_count());
+    let mut state = Vec::with_capacity(pg.part_count());
     for (part, q) in pg.parts.iter().zip(queues) {
-        let lb = q.malloc_device::<u32>(part.local_len().max(1))?;
-        lb.copy_from_slice(&part.local_to_global);
-        labels.push(lb);
+        let buf = q.malloc_device::<T>(part.local_len().max(1))?;
+        (program.init)(q, part, &buf);
+        state.push(buf);
     }
 
-    let ckpt: Vec<Vec<&dyn CheckpointState>> = labels
+    let ckpt: Vec<Vec<&dyn CheckpointState>> = state
         .iter()
         .map(|d| vec![d as &dyn CheckpointState])
         .collect();
-    let tuning = inspect(queues[0].profile(), opts, pg.n);
-    let mut mde = MultiDeviceEngine::<W>::new(pg, queues, &graphs, tuning, excfg, &ckpt, "mcc")?;
-    mde.seed_all_owned();
+    let mut mde =
+        MultiDeviceEngine::<W>::new(pg, queues, &graphs, tuning, excfg, &ckpt, program.mark)?;
+    match program.root {
+        Some((src, value)) => {
+            assert!((src as usize) < pg.n, "source out of range");
+            state[pg.owner_of(src) as usize].store(pg.owner_local_of(src) as usize, value);
+            mde.seed(src);
+        }
+        None => mde.seed_all_owned(),
+    }
 
-    let advances: Vec<Box<StepAdvanceDyn<'_>>> = labels
+    let advances: Vec<_> = state.iter().map(program.advance).collect();
+    let computes: Vec<_> = state
         .iter()
-        .map(|d| Box::new(cc::propagate_min(d)) as Box<StepAdvanceDyn<'_>>)
+        .map(|d| program.compute.map(|f| f(d)))
         .collect();
     let adv_refs: Vec<&StepAdvanceDyn<'_>> = advances.iter().map(|b| b.as_ref()).collect();
-    let comp_refs: Vec<Option<&StepComputeDyn<'_>>> = vec![None; pg.part_count()];
-    let link = MinLinkU32 { state: &labels };
+    let comp_refs: Vec<Option<&StepComputeDyn<'_>>> =
+        computes.iter().map(|b| b.as_deref()).collect();
 
-    let supersteps = mde.run(&adv_refs, &comp_refs, &link)?;
-    finish(pg, queues, mde, supersteps, t0, &labels)
-}
-
-/// Gathers owner entries into global order and packages the run stats.
-fn finish<W: Word, T: sygraph_sim::DeviceScalar>(
-    pg: &PartitionedGraph,
-    queues: &[Queue],
-    mde: MultiDeviceEngine<'_, W>,
-    supersteps: u32,
-    t0: f64,
-    state: &[DeviceBuffer<T>],
-) -> SimResult<PartitionedResult<T>> {
+    let supersteps = mde.run(&adv_refs, &comp_refs, &MinLink { state: &state })?;
     let locals: Vec<Vec<T>> = state.iter().map(|d| d.to_vec()).collect();
     Ok(PartitionedResult {
         values: pg.gather(&locals),
         supersteps,
-        sim_ms: (slowest_ns(queues) - t0) / 1e6,
+        sim_ms: (slowest_ns() - t0) / 1e6,
         exchange: mde.exchange_total(),
         per_superstep: mde.exchange_per_superstep().to_vec(),
         resumes: mde.resumes(),

@@ -95,39 +95,6 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load_graph(spec: &str) -> Result<CsrHost, String> {
-    if let Some(name) = spec.strip_prefix("gen:") {
-        // Same convention as the bench binaries' scale_from_env.
-        let scale = match std::env::var("SYG_SCALE").as_deref() {
-            Ok("test") => sygraph_gen::Scale::Test,
-            _ => sygraph_gen::Scale::Bench,
-        };
-        let ds = match name {
-            "ca" => sygraph_gen::datasets::road_ca(scale),
-            "usa" => sygraph_gen::datasets::road_usa(scale),
-            "hollyw" => sygraph_gen::datasets::hollywood(scale),
-            "indo" => sygraph_gen::datasets::indochina(scale),
-            "journal" => sygraph_gen::datasets::livejournal(scale),
-            "kron" => sygraph_gen::datasets::kron(scale),
-            "twitter" => sygraph_gen::datasets::twitter(scale),
-            other => return Err(format!("unknown generated dataset '{other}'")),
-        };
-        return Ok(ds.host);
-    }
-    let file = std::fs::File::open(spec).map_err(|e| format!("{spec}: {e}"))?;
-    let reader = std::io::BufReader::new(file);
-    let result = if spec.ends_with(".mtx") {
-        sygraph_io::mtx::read(reader)
-    } else if spec.ends_with(".gr") {
-        sygraph_io::dimacs::read(reader)
-    } else if spec.ends_with(".sygb") {
-        sygraph_io::binary::read(reader)
-    } else {
-        sygraph_io::edgelist::read(reader, 0)
-    };
-    result.map_err(|e| format!("{spec}: {e}"))
-}
-
 fn serve_usage() -> ExitCode {
     eprintln!(
         "usage: sygraph-cli serve [--addr HOST:PORT] [--device v100s|max1100|mi100|host] \
@@ -334,7 +301,7 @@ fn serve_main(args: &[String]) -> ExitCode {
                 }
             }
         }
-        let host = match load_graph(spec) {
+        let host = match sygraph_service::load_graph_spec(spec) {
             Ok(h) => h,
             Err(e) => {
                 eprintln!("error loading graph {name}: {e}");
@@ -519,7 +486,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut host = match load_graph(graph_spec) {
+    let mut host = match sygraph_service::load_graph_spec(graph_spec) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("error loading graph: {e}");

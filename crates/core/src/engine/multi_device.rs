@@ -80,7 +80,6 @@ pub struct MultiDeviceEngine<'a, W: Word> {
     exchange: FrontierExchange,
     per_superstep: Vec<SuperstepExchange>,
     supersteps: u32,
-    max_iters: usize,
     checkpointing: bool,
 }
 
@@ -133,15 +132,8 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
             exchange: FrontierExchange::new(parts, cfg),
             per_superstep: Vec::new(),
             supersteps: 0,
-            max_iters: 2 * pg.n + 16,
             checkpointing,
         })
-    }
-
-    /// Overrides the global superstep cap (default `2n + 16`).
-    pub fn max_iters(mut self, n: usize) -> Self {
-        self.max_iters = n;
-        self
     }
 
     /// Seeds global vertex `v` into its owner's input frontier.
@@ -292,7 +284,9 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
             }
 
             self.supersteps += 1;
-            if self.supersteps as usize > self.max_iters {
+            // Every algorithm run here is a fixpoint that settles in O(n)
+            // supersteps; more means it never will.
+            if self.supersteps as usize > 2 * self.pg.n + 16 {
                 return Err(SimError::Algorithm(
                     "partitioned superstep loop failed to converge".into(),
                 ));

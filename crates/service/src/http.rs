@@ -18,7 +18,7 @@
 //! | POST   | /jobs        | submit a job (`?wait=1` blocks for the result) |
 //! | GET    | /jobs        | list job ids                                   |
 //! | GET    | /jobs/<id>   | job record (`?wait=1`, `?values=0`)            |
-//! | GET    | /stats       | scheduler + cache counters                     |
+//! | GET    | /stats       | job-ledger + cache counters                    |
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

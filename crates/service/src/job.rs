@@ -23,6 +23,18 @@ pub enum Algo {
     Pagerank,
 }
 
+/// How far two runs of the same job may differ. Declared once per
+/// algorithm ([`Algo::determinism`]); the coalescer and the cache tests
+/// read it from there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Determinism {
+    /// Every run produces the same bits.
+    BitExact,
+    /// Runs agree to within this fraction of the result's largest finite
+    /// magnitude (see [`JobValues::agrees`]).
+    Tolerance(f32),
+}
+
 impl Algo {
     /// Parses the wire name; rejects unknown algorithms with a typed
     /// error instead of panicking deep in dispatch.
@@ -57,13 +69,23 @@ impl Algo {
         !matches!(self, Algo::Cc | Algo::Pagerank)
     }
 
+    /// The algorithm's determinism class. BC and PageRank accumulate
+    /// with `fetch_add_f32`, whose summation order follows the host
+    /// thread schedule; the others are min-combine or level-stamp
+    /// fixpoints, which no order can change.
+    pub fn determinism(&self) -> Determinism {
+        match self {
+            Algo::Bfs | Algo::Sssp | Algo::DeltaSssp | Algo::Cc => Determinism::BitExact,
+            Algo::Bc | Algo::Pagerank => Determinism::Tolerance(1e-4),
+        }
+    }
+
     /// Whether single-source requests of this algorithm may be folded
-    /// into one multi-source lane pass with bit-identical per-lane
-    /// output. BFS only: `bc_multi` matches the rooted pass to float
-    /// tolerance, not bit-for-bit, so coalescing it would break the
-    /// cache's bit-identity contract.
+    /// into one multi-source lane pass. The class must be bit-exact, or
+    /// batching would show in the values (which rules out `bc_multi`),
+    /// and the service runs one lane kernel, `bfs_multi`.
     pub fn coalescible(&self) -> bool {
-        matches!(self, Algo::Bfs)
+        matches!(self, Algo::Bfs) && self.determinism() == Determinism::BitExact
     }
 }
 
@@ -133,6 +155,13 @@ pub enum JobState {
     Rejected,
 }
 
+impl JobState {
+    /// `Done`, `Failed` and `Rejected` are final.
+    pub fn is_terminal(self) -> bool {
+        !matches!(self, JobState::Queued | JobState::Running)
+    }
+}
+
 /// A finished job's per-vertex values. `PartialEq` here is the
 /// bit-identity check the cache tests rely on (no NaNs escape the
 /// algorithms, so float equality is exact equality of bits in practice;
@@ -166,6 +195,23 @@ impl JobValues {
             _ => false,
         }
     }
+
+    /// Whether `other` is an acceptable re-run of `self` under `class`:
+    /// the same bits, or every value within `eps` times the largest
+    /// finite magnitude in `self` (non-finite values must match exactly).
+    pub fn agrees(&self, other: &JobValues, class: Determinism) -> bool {
+        match (class, self, other) {
+            (Determinism::Tolerance(eps), JobValues::F32(a), JobValues::F32(b)) => {
+                let finite = a.iter().filter(|x| x.is_finite());
+                let bound = eps * finite.fold(0.0f32, |m, x| m.max(x.abs()));
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(b)
+                        .all(|(x, y)| x.to_bits() == y.to_bits() || (x - y).abs() <= bound)
+            }
+            _ => self.bits_eq(other),
+        }
+    }
 }
 
 // Hand-written so the wire shape is a flat array (matching the CLI's
@@ -186,8 +232,9 @@ pub struct JobMetrics {
     pub iterations: u32,
     /// Modelled device milliseconds.
     pub sim_ms: f64,
-    /// Kernel launches attributed to this job (profiler-epoch scoped,
-    /// so a worker's reused queue never bleeds counts across jobs).
+    /// Kernel launches attributed to this job (the worker's profiler is
+    /// reset per batch, so a reused queue never bleeds counts across
+    /// jobs).
     pub kernel_launches: u64,
     /// Measured device-memory peak while the job ran, from the
     /// allocation ledger.
@@ -200,7 +247,8 @@ pub struct JobMetrics {
     pub coalesced: bool,
     /// Lanes in the batch this job rode in (1 when serial).
     pub batch_size: u32,
-    /// Fault-recovery events during the job (profiler-epoch scoped).
+    /// Fault-recovery events during the job (scoped like
+    /// `kernel_launches`).
     pub recovery_events: u64,
 }
 
@@ -232,6 +280,15 @@ impl JobRecord {
             http_status: None,
             metrics: JobMetrics::default(),
         }
+    }
+
+    /// Ends the job at `state` (`Failed` or `Rejected`) with `err`'s
+    /// typed fields.
+    pub(crate) fn fail(&mut self, state: JobState, err: &ServiceError) {
+        self.state = state;
+        self.error = Some(err.to_string());
+        self.error_kind = Some(err.kind().to_string());
+        self.http_status = Some(err.http_status());
     }
 
     /// JSON document for the HTTP layer. `include_values` lets the
@@ -316,6 +373,20 @@ mod tests {
     fn values_serialize_flat() {
         let v = JobValues::U32(vec![1, 2, 3]);
         assert_eq!(serde_json::to_string(&v).unwrap(), "[1,2,3]");
+    }
+
+    #[test]
+    fn tolerance_is_relative_to_the_largest_finite_value() {
+        let class = Determinism::Tolerance(1e-4);
+        let a = JobValues::F32(vec![1000.0, 1.0, f32::INFINITY]);
+        let near = JobValues::F32(vec![1000.05, 1.05, f32::INFINITY]);
+        let far = JobValues::F32(vec![1000.2, 1.0, f32::INFINITY]);
+        let finite = JobValues::F32(vec![1000.0, 1.0, f32::MAX]);
+        assert!(a.agrees(&near, class), "0.05 is within 1e-4 of 1000");
+        assert!(!a.agrees(&far, class));
+        assert!(!a.agrees(&finite, class), "an infinity matches only itself");
+        assert!(!a.agrees(&near, Determinism::BitExact));
+        assert!(a.agrees(&a.clone(), Determinism::BitExact));
     }
 
     #[test]

@@ -1,72 +1,60 @@
-//! Concurrent job scheduler: a shared submission queue drained by worker
-//! threads, each owning one simulated device queue.
+//! The service and its job ledger: a submission front end, a pool of
+//! worker threads that each own one simulated device queue, and one
+//! state machine between them.
 //!
-//! The pieces the ISSUE names live here:
+//! Every job is `Queued → Running → Done | Failed`, or ends at admission
+//! as `Done` (cache hit) or `Rejected`. All of that state — the job
+//! table, the pending queue, the pause/drain/shutdown flags, the
+//! in-flight count, the per-worker cancel tokens, the service-time EWMA
+//! and the counters — lives in one `Ledger` behind one mutex, which
+//! both condvars wait on. A job changes state only in one of four
+//! places, and each of them wakes whoever waits on the change:
 //!
-//! - **Admission control** — at submit time the job's peak scratch
-//!   memory is modelled ([`modeled_peak_bytes`]) and checked against the
-//!   per-job budget and the device's free capacity; oversized jobs stop
-//!   at `Rejected` instead of OOMing a worker mid-run.
-//! - **Request coalescing** — when a worker claims a coalescible head
-//!   job (single-source BFS), it folds every compatible pending request
-//!   (same graph, same version, coalescing not opted out) into one
-//!   W-lane multi-source pass, waiting up to the batching window for
-//!   stragglers, then demuxes the per-lane vectors back to the
-//!   individual jobs. Per-lane output is bit-identical to a serial
-//!   rooted run (the PR-7 lane property), so callers cannot observe
-//!   whether their job was batched — except in the metrics.
-//! - **Result caching** — before queueing, the scheduler consults the
-//!   [`ResultCache`]; a hit completes the job immediately with zero
-//!   device time. Workers store what they compute (including every lane
-//!   of a coalesced batch, under single-source keys).
+//! - `Ledger::admit` — a cache hit completes at once with zero device
+//!   time; a job whose modelled peak ([`modeled_peak_bytes`]) exceeds
+//!   the per-job budget or the device's free capacity stops at
+//!   `Rejected`; a full queue refuses with [`ServiceError::Overloaded`]
+//!   (`Retry-After` from the EWMA); anything else is `Queued` under the
+//!   [`CacheKey`] it was admitted with and, if it has one, its deadline.
+//! - `claim` — a worker takes the head job; a coalescible head
+//!   (single-source BFS) also takes every pending job with the same
+//!   graph, version and algorithm up to the lane width, waiting out the
+//!   batching window for stragglers. The batch turns `Running` under one
+//!   [`CancelToken`] carrying its earliest deadline. Per-lane output is
+//!   bit-identical to a serial rooted run, so batching shows only in the
+//!   metrics.
+//! - `Ledger::settle` — the batch's outcome lands: values, metrics and
+//!   cache entries (one per lane) for `Done`; a typed error for
+//!   `Failed`, where a cancelled pass is attributed per job to its own
+//!   deadline or to the drain that cut it off.
+//! - `Ledger::shed` — a queued job fails without running: its deadline
+//!   passed, or a drain reached its own.
 //!
-//! The resilience layer (DESIGN.md §16) adds:
-//!
-//! - **Deadlines** — every job may carry one (client `timeout_ms` capped
-//!   by `max_timeout_ms`, else `default_timeout_ms`). Expired queued
-//!   jobs are shed at claim time; running jobs are aborted by a
-//!   [`CancelToken`] the engine polls at superstep-checkpoint
-//!   boundaries. Both produce a typed `deadline-exceeded` record.
-//! - **Backpressure** — the submission queue is bounded by `max_queue`;
-//!   overflow is refused with [`ServiceError::Overloaded`] carrying a
-//!   `Retry-After` hint from the measured per-job service-time EWMA, and
-//!   [`Scheduler::ready`] flips unready above the high-water mark.
-//! - **Fault-wired workers** — an optional [`FaultPlan`] attaches to
-//!   every worker queue, so injected transient/OOM/device-lost faults
-//!   exercise the engine's recovery ladder *in service*. A worker whose
-//!   device dies (or whose job panics) rebuilds its device state;
-//!   repeated consecutive rebuilds trip a per-worker circuit breaker
-//!   (quarantine for `breaker_open_ms`, then a half-open probe batch).
-//! - **Graceful drain** — [`Scheduler::drain`] stops admissions (typed
-//!   `Draining` 503), lets queued and in-flight work finish up to a
-//!   deadline, cancels whatever is still running, and returns a snapshot
-//!   of every terminal job record.
-//!
-//! Workers survive algorithm panics: a panicking job is recorded as
-//! `Failed` and the worker rebuilds its device state, so one poisoned
-//! request cannot take the service down.
+//! Workers survive their jobs (DESIGN.md §16): a panic or a device lost
+//! beyond the recovery policy's reach fails the batch typed and rebuilds
+//! the worker's device state; consecutive rebuilds trip a per-worker
+//! circuit breaker (quarantine for `breaker_open_ms`, then one half-open
+//! probe batch).
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::RwLock;
 use sygraph_algos::common::AlgoResult;
 use sygraph_algos::{bc, bfs, cc, delta, multi, pagerank, sssp};
 use sygraph_core::engine::RecoveryPolicy;
-use sygraph_core::graph::{validate_sources, Graph};
+use sygraph_core::graph::{validate_sources, CsrHost, Graph};
 use sygraph_core::inspector::OptConfig;
 use sygraph_sim::{CancelToken, Device, DeviceProfile, FaultPlan, Queue, SimError};
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::error::{ServiceError, ServiceResult};
 use crate::job::{Algo, JobMetrics, JobRecord, JobRequest, JobState, JobValues};
-use crate::registry::{DeviceMirror, Registry};
+use crate::registry::{DeviceMirror, RegisterOptions, RegisteredGraph, Registry};
 
-/// Scheduler / service configuration.
+/// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Simulated device profile each worker instantiates.
@@ -85,7 +73,7 @@ pub struct ServiceConfig {
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_entries: usize,
     /// Start with the queue paused: jobs accumulate until
-    /// [`Scheduler::resume`], letting tests and benches stage a burst
+    /// [`Service::resume`], letting tests and benches stage a burst
     /// deterministically.
     pub start_paused: bool,
     /// Submission-queue bound (0 = unbounded). Overflow is refused with
@@ -103,7 +91,7 @@ pub struct ServiceConfig {
     /// degradation ladder, checkpoint cadence — which is also the
     /// deadline-check cadence).
     pub recovery: RecoveryPolicy,
-    /// Default drain deadline for [`Scheduler::drain`] callers that use
+    /// Default drain deadline for [`Service::drain`] callers that use
     /// the configured value (the CLI's SIGTERM path).
     pub drain_deadline_ms: u64,
     /// Consecutive worker rebuilds that trip the per-worker circuit
@@ -183,60 +171,6 @@ pub fn modeled_peak_bytes(algo: Algo, n: u64, _m: u64, lanes: u32) -> u64 {
     state + frontier
 }
 
-/// One queued unit of work. Carries the match fields for coalescing so
-/// workers never need the job table while holding the queue lock.
-struct PendingJob {
-    id: u64,
-    graph: String,
-    version: u64,
-    algo: Algo,
-    source: u32,
-    coalesce: bool,
-    enqueued_at: Instant,
-    /// Wall-clock deadline (admission time + effective timeout).
-    deadline: Option<Instant>,
-    /// Effective timeout in ms (for the typed error), 0 when none.
-    timeout_ms: u64,
-}
-
-impl PendingJob {
-    fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| now >= d)
-    }
-}
-
-struct SchedState {
-    pending: VecDeque<PendingJob>,
-    paused: bool,
-    draining: bool,
-    shutdown: bool,
-    in_flight: usize,
-}
-
-/// Monotone counters exposed to `/stats` and the bench.
-#[derive(Debug, Default)]
-pub struct Counters {
-    pub jobs_done: AtomicU64,
-    pub jobs_failed: AtomicU64,
-    pub jobs_rejected: AtomicU64,
-    /// Jobs that blew their deadline (shed from the queue or aborted
-    /// mid-run).
-    pub jobs_timeout: AtomicU64,
-    /// Submissions refused at the door with 429 (queue full).
-    pub jobs_shed: AtomicU64,
-    pub coalesced_batches: AtomicU64,
-    pub coalesced_jobs: AtomicU64,
-    /// Total modelled device nanoseconds spent executing (each
-    /// coalesced batch counted once).
-    pub device_ns: AtomicU64,
-    /// Worker device rebuilds (panic or sticky device-lost).
-    pub worker_rebuilds: AtomicU64,
-    /// Circuit-breaker trips (a worker entering quarantine).
-    pub breaker_trips: AtomicU64,
-    /// Half-open probe batches after quarantine.
-    pub breaker_probes: AtomicU64,
-}
-
 /// Point-in-time statistics snapshot.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct StatsSnapshot {
@@ -279,80 +213,500 @@ pub struct DrainReport {
     pub records: Vec<JobRecord>,
 }
 
+// ---------------------------------------------------------------------------
+// The ledger
+// ---------------------------------------------------------------------------
+
 /// A job as the table holds it: the public record with `values` left
 /// `None`, plus the finished values, which a cache entry for the same
 /// result shares instead of copying.
+#[derive(Clone)]
 struct StoredJob {
     record: JobRecord,
     values: Option<Arc<JobValues>>,
 }
 
 impl StoredJob {
-    /// The public record, with the shared values copied out.
-    fn to_record(&self) -> JobRecord {
+    /// The public record. This is where the value vector is copied, so
+    /// callers clone the `StoredJob` under the lock and convert outside.
+    fn into_record(self) -> JobRecord {
         JobRecord {
             values: self.values.as_deref().cloned(),
-            ..self.record.clone()
+            ..self.record
         }
     }
 }
 
-struct Shared {
-    registry: Arc<Registry>,
-    cache: Arc<ResultCache>,
-    jobs: RwLock<HashMap<u64, StoredJob>>,
-    state: StdMutex<SchedState>,
-    /// Wakes workers: new work, pause/resume, shutdown.
-    work_cv: Condvar,
-    /// Wakes completion waiters (`wait`, `wait_idle`).
-    done_cv: Condvar,
-    next_id: AtomicU64,
-    counters: Counters,
-    /// Workers currently quarantined by their circuit breaker (gauge).
-    quarantined: AtomicU64,
+/// One job between admission and its terminal state.
+struct PendingJob {
+    id: u64,
+    /// What the job computes: the cache entry a hit would have come from
+    /// and the result will be stored under, and — graph, version, algo —
+    /// what a batch-mate has to share.
+    key: CacheKey,
+    coalesce: bool,
+    enqueued_at: Instant,
+    /// Wall-clock deadline (admission time + effective timeout).
+    deadline: Option<Instant>,
+    /// Effective timeout in ms (for the typed error), 0 when none.
+    timeout_ms: u64,
+}
+
+impl PendingJob {
+    fn expired(&self, now: Instant) -> bool {
+        self.deadline.is_some_and(|d| now >= d)
+    }
+
+    fn deadline_exceeded(&self) -> ServiceError {
+        ServiceError::DeadlineExceeded {
+            timeout_ms: self.timeout_ms,
+        }
+    }
+}
+
+/// What [`claim`] hands a worker: jobs that are now `Running`.
+struct Batch {
+    jobs: Vec<PendingJob>,
+    /// Lane width of the multi-source pass (used when `jobs.len() > 1`).
+    width: u32,
+    /// Cancels the pass at the earliest deadline in `jobs`, or when a
+    /// drain fires it.
+    token: CancelToken,
+}
+
+/// What a batch produced on the device, before it is attributed to jobs.
+struct Ran {
+    /// One value vector per job, in `Batch::jobs` order.
+    per_job: Vec<JobValues>,
+    iterations: u32,
+    sim_ms: f64,
+    kernel_launches: u64,
+    mem_peak_bytes: u64,
+    recovery_events: u64,
+    wall_ns: u64,
+}
+
+/// The `/stats` counters that the ledger owns.
+#[derive(Clone, Copy, Default)]
+struct Counters {
+    jobs_done: u64,
+    jobs_failed: u64,
+    jobs_rejected: u64,
+    /// Jobs that blew their deadline (shed from the queue or aborted
+    /// mid-run).
+    jobs_timeout: u64,
+    /// Submissions refused at the door with 429 (queue full).
+    jobs_shed: u64,
+    coalesced_batches: u64,
+    coalesced_jobs: u64,
+    /// Modelled device nanoseconds spent executing (each coalesced batch
+    /// counted once).
+    device_ns: u64,
+    /// Worker device rebuilds (panic or sticky device-lost).
+    worker_rebuilds: u64,
+    /// Circuit-breaker trips (a worker entering quarantine).
+    breaker_trips: u64,
+    /// Half-open probe batches after quarantine.
+    breaker_probes: u64,
+    /// Workers quarantined right now (a gauge).
+    workers_quarantined: u64,
+}
+
+/// All job state of the service; see the module docs for the four
+/// transitions that change it.
+struct Ledger {
+    jobs: HashMap<u64, StoredJob>,
+    pending: VecDeque<PendingJob>,
+    paused: bool,
+    draining: bool,
+    shutdown: bool,
+    /// Jobs a worker has taken off the queue and not yet settled.
+    in_flight: usize,
+    next_id: u64,
     /// EWMA of wall-clock service time per job, in ns (drives the
     /// `Retry-After` hint). 0 until the first batch lands.
-    service_ns_ewma: AtomicU64,
-    /// Per-worker slot holding the cancel token of the batch the worker
-    /// is currently running; drain fires them at its deadline.
-    active_cancels: Vec<StdMutex<Option<CancelToken>>>,
+    service_ns_ewma: u64,
+    /// Per worker, the token of the batch it is running; a drain fires
+    /// them at its deadline.
+    cancels: Vec<Option<CancelToken>>,
+    counters: Counters,
+}
+
+/// What the front end and the workers share.
+struct Shared {
     cfg: ServiceConfig,
+    /// Per-job modelled peak budget in bytes.
+    job_budget: u64,
+    registry: Registry,
+    cache: ResultCache,
+    ledger: Mutex<Ledger>,
+    /// Wakes workers: new work, pause/resume, drain, shutdown.
+    work_cv: Condvar,
+    /// Wakes `wait`, `wait_idle` and `drain`: a job turned terminal.
+    done_cv: Condvar,
 }
 
-/// The scheduler: submission front end plus the worker pool.
-pub struct Scheduler {
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Ledger> {
+        // Nothing panics with the ledger locked (workers run jobs
+        // outside it, under `catch_unwind`); if it ever happens, every
+        // transition still leaves the ledger structurally sound.
+        self.ledger.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+/// A well-formed request, priced: everything `admit` needs that can be
+/// worked out without the ledger.
+struct Priced {
+    key: CacheKey,
+    modeled_bytes: u64,
+    /// `min(per-job budget, device capacity − resident graphs)`.
+    budget_bytes: u64,
+}
+
+impl Ledger {
+    fn idle(&self) -> bool {
+        self.pending.is_empty() && self.in_flight == 0
+    }
+
+    fn record_mut(&mut self, id: u64) -> &mut StoredJob {
+        self.jobs
+            .get_mut(&id)
+            .expect("records are never removed from the table")
+    }
+
+    /// Admission: the new job is `Done` (cache hit), `Rejected` (over
+    /// budget) or `Queued`; a full queue refuses it without a record.
+    /// Nobody can be waiting on an id that has not been returned yet, so
+    /// only the workers are woken, and only for a queued job.
+    fn admit(&mut self, sh: &Shared, request: JobRequest, priced: Priced) -> ServiceResult<u64> {
+        let cfg = &sh.cfg;
+        let Priced {
+            key,
+            modeled_bytes,
+            budget_bytes,
+        } = priced;
+        let id = self.next_id;
+        let mut record = JobRecord::queued(id, request, key.version);
+        record.metrics.modeled_peak_bytes = modeled_bytes;
+        let mut values = None;
+        // A hit does no device work, so it cannot be admission-rejected,
+        // never waits for a worker, and needs no deadline.
+        let hit = match record.request.no_cache {
+            Some(true) => None,
+            _ => sh.cache.get(&key),
+        };
+        if let Some(hit) = hit {
+            record.state = JobState::Done;
+            record.metrics = JobMetrics {
+                iterations: hit.iterations,
+                cache_hit: true,
+                batch_size: 1,
+                ..JobMetrics::default()
+            };
+            values = Some(hit.values.clone());
+            self.counters.jobs_done += 1;
+        } else if modeled_bytes > budget_bytes {
+            record.fail(
+                JobState::Rejected,
+                &ServiceError::AdmissionRejected {
+                    modeled_bytes,
+                    budget_bytes,
+                },
+            );
+            self.counters.jobs_rejected += 1;
+        } else if cfg.max_queue > 0 && self.pending.len() >= cfg.max_queue {
+            self.counters.jobs_shed += 1;
+            let queued = self.pending.len();
+            return Err(ServiceError::Overloaded {
+                queued,
+                limit: cfg.max_queue,
+                retry_after_ms: self.retry_after_ms(cfg.workers, queued),
+            });
+        } else {
+            // Effective deadline: client timeout capped by the server
+            // max, else the server default.
+            let timeout_ms = record
+                .request
+                .timeout_ms
+                .or(cfg.default_timeout_ms)
+                .map(|t| t.min(cfg.max_timeout_ms));
+            let now = Instant::now();
+            self.pending.push_back(PendingJob {
+                id,
+                coalesce: key.algo.coalescible() && !record.request.no_coalesce.unwrap_or(false),
+                key,
+                enqueued_at: now,
+                deadline: timeout_ms.map(|t| now + Duration::from_millis(t)),
+                timeout_ms: timeout_ms.unwrap_or(0),
+            });
+            sh.work_cv.notify_all();
+        }
+        self.next_id += 1;
+        self.jobs.insert(id, StoredJob { record, values });
+        Ok(id)
+    }
+
+    /// `Retry-After` hint from the service-time EWMA: time for the
+    /// current backlog to drain across the worker pool, clamped to
+    /// [100 ms, 60 s]. Before any job has landed the EWMA is unknown and
+    /// the hint defaults to 1 s.
+    fn retry_after_ms(&self, workers: usize, queued: usize) -> u64 {
+        if self.service_ns_ewma == 0 {
+            return 1_000;
+        }
+        let rounds = queued as u64 / workers.max(1) as u64 + 1;
+        (rounds.saturating_mul(self.service_ns_ewma) / 1_000_000).clamp(100, 60_000)
+    }
+
+    /// `Queued → Failed` for jobs already taken off the queue: `why`
+    /// gives each its typed error (its own deadline, or the drain).
+    fn shed<'a>(
+        &mut self,
+        sh: &Shared,
+        jobs: impl IntoIterator<Item = &'a PendingJob>,
+        why: impl Fn(&PendingJob) -> ServiceError,
+    ) {
+        for p in jobs {
+            self.fail(p.id, &why(p));
+        }
+        sh.done_cv.notify_all();
+    }
+
+    /// [`Ledger::shed`] for every pending job whose deadline has passed.
+    fn shed_expired(&mut self, sh: &Shared) {
+        let now = Instant::now();
+        if !self.pending.iter().any(|p| p.expired(now)) {
+            return;
+        }
+        let (late, live): (VecDeque<_>, VecDeque<_>) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|p| p.expired(now));
+        self.pending = live;
+        self.shed(sh, &late, PendingJob::deadline_exceeded);
+    }
+
+    /// Marks a live record `Failed` with `err`'s typed fields, counted
+    /// under the class the error belongs to.
+    fn fail(&mut self, id: u64, err: &ServiceError) {
+        let record = &mut self.record_mut(id).record;
+        debug_assert!(!record.state.is_terminal(), "job {id} settled twice");
+        record.fail(JobState::Failed, err);
+        match err {
+            ServiceError::DeadlineExceeded { .. } => self.counters.jobs_timeout += 1,
+            _ => self.counters.jobs_failed += 1,
+        }
+    }
+
+    /// `Running → Done | Failed` for a whole batch, and the worker's
+    /// hand-back of everything [`claim`] gave it: the in-flight count,
+    /// its cancel slot, and whether it had to rebuild its device.
+    fn settle(
+        &mut self,
+        sh: &Shared,
+        widx: usize,
+        batch: Batch,
+        outcome: ServiceResult<Ran>,
+        rebuilt: bool,
+    ) {
+        let lanes = batch.jobs.len();
+        self.cancels[widx] = None;
+        self.in_flight -= lanes;
+        self.counters.worker_rebuilds += rebuilt as u64;
+        match outcome {
+            Ok(ran) => {
+                let per_job_ns = ran.wall_ns / lanes as u64;
+                self.service_ns_ewma = match self.service_ns_ewma {
+                    0 => per_job_ns,
+                    old => (old * 4 + per_job_ns) / 5,
+                };
+                self.counters.device_ns += (ran.sim_ms * 1e6) as u64;
+                if lanes > 1 {
+                    self.counters.coalesced_batches += 1;
+                    self.counters.coalesced_jobs += lanes as u64;
+                }
+                self.counters.jobs_done += lanes as u64;
+                for (p, values) in batch.jobs.into_iter().zip(ran.per_job) {
+                    let values = Arc::new(values);
+                    let job = self.record_mut(p.id);
+                    if !job.record.request.no_cache.unwrap_or(false) {
+                        let result = CachedResult {
+                            values: values.clone(),
+                            iterations: ran.iterations,
+                            sim_ms: ran.sim_ms,
+                        };
+                        sh.cache.put(p.key, result);
+                    }
+                    job.record.state = JobState::Done;
+                    job.record.metrics = JobMetrics {
+                        iterations: ran.iterations,
+                        sim_ms: ran.sim_ms,
+                        kernel_launches: ran.kernel_launches,
+                        mem_peak_bytes: ran.mem_peak_bytes,
+                        modeled_peak_bytes: job.record.metrics.modeled_peak_bytes,
+                        cache_hit: false,
+                        coalesced: lanes > 1,
+                        batch_size: lanes as u32,
+                        recovery_events: ran.recovery_events,
+                    };
+                    job.values = Some(values);
+                }
+            }
+            // The engine aborted at a checkpoint boundary. Per job,
+            // decide what the cancellation was: its own deadline, or the
+            // drain deadline cutting the batch off.
+            Err(ServiceError::Device(SimError::Cancelled { .. })) => {
+                let now = Instant::now();
+                for p in &batch.jobs {
+                    let err = if p.expired(now) {
+                        p.deadline_exceeded()
+                    } else {
+                        ServiceError::Draining
+                    };
+                    self.fail(p.id, &err);
+                }
+            }
+            Err(e) => {
+                for p in &batch.jobs {
+                    self.fail(p.id, &e);
+                }
+            }
+        }
+        sh.done_cv.notify_all();
+    }
+}
+
+/// `Queued → Running`: blocks until there is work, then takes the head
+/// job — or, from a coalescible head, a batch — off the queue. Jobs whose
+/// deadline passed are shed, not handed out. `None` on shutdown.
+fn claim(sh: &Shared, widx: usize) -> Option<Batch> {
+    let mut led = sh.lock();
+    loop {
+        loop {
+            if led.shutdown {
+                return None;
+            }
+            led.shed_expired(sh);
+            if !led.paused && !led.pending.is_empty() {
+                break;
+            }
+            led = sh.work_cv.wait(led).unwrap_or_else(|e| e.into_inner());
+        }
+        // Off the queue is in flight, window included: `idle` must not
+        // hold while a batch is still forming.
+        let head = led.pending.pop_front().expect("pending checked non-empty");
+        led.in_flight += 1;
+        let mut jobs = vec![head];
+        let mut width = 1;
+        if jobs[0].coalesce {
+            width = sh.registry.get(&jobs[0].key.graph).map_or(1, |reg| {
+                lane_width(
+                    reg.vertex_count() as u64,
+                    reg.edge_count() as u64,
+                    sh.cfg.batch_width,
+                    sh.job_budget,
+                )
+            });
+            let window_ends = jobs[0].enqueued_at + Duration::from_millis(sh.cfg.batch_window_ms);
+            loop {
+                // Move currently-pending mates into the batch.
+                let mut i = 0;
+                while i < led.pending.len() && jobs.len() < width as usize {
+                    let (p, head) = (&led.pending[i].key, &jobs[0].key);
+                    if led.pending[i].coalesce
+                        && (&p.graph, p.version, p.algo) == (&head.graph, head.version, head.algo)
+                    {
+                        jobs.push(led.pending.remove(i).expect("index in bounds"));
+                        led.in_flight += 1;
+                    } else {
+                        i += 1;
+                    }
+                }
+                // A draining service stops waiting for stragglers: nothing
+                // new is being admitted, so the window can only add latency.
+                if jobs.len() >= width as usize || led.paused || led.shutdown || led.draining {
+                    break;
+                }
+                let now = Instant::now();
+                if now >= window_ends {
+                    break;
+                }
+                led = sh
+                    .work_cv
+                    .wait_timeout(led, window_ends - now)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+            }
+        }
+        // A mate that aged out during the window is shed alone; left in,
+        // its deadline would cancel the whole pass.
+        let now = Instant::now();
+        let (late, jobs): (Vec<_>, Vec<_>) = jobs.into_iter().partition(|p| p.expired(now));
+        if !late.is_empty() {
+            led.in_flight -= late.len();
+            led.shed(sh, &late, PendingJob::deadline_exceeded);
+        }
+        if jobs.is_empty() {
+            continue;
+        }
+        for p in &jobs {
+            led.record_mut(p.id).record.state = JobState::Running;
+        }
+        let token = match jobs.iter().filter_map(|p| p.deadline).min() {
+            Some(deadline) => CancelToken::with_deadline(deadline),
+            None => CancelToken::new(),
+        };
+        led.cancels[widx] = Some(token.clone());
+        return Some(Batch { jobs, width, token });
+    }
+}
+
+/// Largest supported lane width (8|16|32|64) that is ≤ `cap` and whose
+/// modelled batch peak fits `budget`; 1 when even 8 lanes do not fit.
+fn lane_width(n: u64, m: u64, cap: u32, budget: u64) -> u32 {
+    [8u32, 16, 32, 64]
+        .into_iter()
+        .filter(|&w| w <= cap && modeled_peak_bytes(Algo::Bfs, n, m, w) <= budget)
+        .max()
+        .unwrap_or(1)
+}
+
+// ---------------------------------------------------------------------------
+// The service
+// ---------------------------------------------------------------------------
+
+/// The assembled service: graph registry, result cache, job ledger and
+/// worker pool. Shared via `Arc`; the HTTP layer holds one.
+pub struct Service {
     shared: Arc<Shared>,
-    workers: StdMutex<Vec<JoinHandle<()>>>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl Scheduler {
-    pub fn new(
-        cfg: ServiceConfig,
-        registry: Arc<Registry>,
-        cache: Arc<ResultCache>,
-    ) -> ServiceResult<Scheduler> {
-        cfg.validate()?;
+impl Service {
+    /// Builds the registry and cache and spins up the worker pool.
+    pub fn start(config: ServiceConfig) -> ServiceResult<Service> {
+        config.validate()?;
         let shared = Arc::new(Shared {
-            registry,
-            cache,
-            jobs: RwLock::new(HashMap::new()),
-            state: StdMutex::new(SchedState {
+            job_budget: config.job_mem_budget.unwrap_or(config.profile.vram_bytes),
+            registry: Registry::new(),
+            cache: ResultCache::new(config.cache_entries),
+            ledger: Mutex::new(Ledger {
+                jobs: HashMap::new(),
                 pending: VecDeque::new(),
-                paused: cfg.start_paused,
+                paused: config.start_paused,
                 draining: false,
                 shutdown: false,
                 in_flight: 0,
+                next_id: 1,
+                service_ns_ewma: 0,
+                cancels: vec![None; config.workers],
+                counters: Counters::default(),
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            next_id: AtomicU64::new(1),
-            counters: Counters::default(),
-            quarantined: AtomicU64::new(0),
-            service_ns_ewma: AtomicU64::new(0),
-            active_cancels: (0..cfg.workers).map(|_| StdMutex::new(None)).collect(),
-            cfg: cfg.clone(),
+            cfg: config,
         });
-        let workers = (0..cfg.workers)
+        let workers = (0..shared.cfg.workers)
             .map(|i| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
@@ -361,9 +715,9 @@ impl Scheduler {
                     .expect("spawn worker")
             })
             .collect();
-        Ok(Scheduler {
+        Ok(Service {
             shared,
-            workers: StdMutex::new(workers),
+            workers: Mutex::new(workers),
         })
     }
 
@@ -371,15 +725,38 @@ impl Scheduler {
         &self.shared.cfg
     }
 
+    pub fn cache(&self) -> &ResultCache {
+        &self.shared.cache
+    }
+
+    pub fn registry(&self) -> &Registry {
+        &self.shared.registry
+    }
+
+    /// Registers (or re-registers) a graph; see [`Registry::register`].
+    pub fn register_graph(
+        &self,
+        name: &str,
+        host: CsrHost,
+        options: RegisterOptions,
+    ) -> ServiceResult<Arc<RegisteredGraph>> {
+        self.shared.registry.register(name, host, options)
+    }
+
+    /// All registered graphs, name-sorted.
+    pub fn graphs(&self) -> Vec<Arc<RegisteredGraph>> {
+        self.shared.registry.list()
+    }
+
     /// True while the service can take more work: not shut down, not
     /// draining, and the queue below the high-water mark. An external
     /// balancer polls this to steer load away before the 429s start.
     pub fn ready(&self) -> bool {
-        let st = lock(&self.shared.state);
-        if st.shutdown || st.draining {
-            return false;
-        }
-        self.shared.cfg.max_queue == 0 || st.pending.len() < self.shared.cfg.high_water()
+        let cfg = &self.shared.cfg;
+        let led = self.shared.lock();
+        !led.shutdown
+            && !led.draining
+            && (cfg.max_queue == 0 || led.pending.len() < cfg.high_water())
     }
 
     /// Validates and submits a job. Well-formed requests always get an
@@ -391,266 +768,141 @@ impl Scheduler {
     /// refuses with [`ServiceError::Overloaded`] (429 + Retry-After); a
     /// draining service with [`ServiceError::Draining`] (503).
     pub fn submit(&self, request: JobRequest) -> ServiceResult<u64> {
-        {
-            let st = lock(&self.shared.state);
-            if st.shutdown {
-                return Err(ServiceError::ShuttingDown);
-            }
-            if st.draining {
-                return Err(ServiceError::Draining);
-            }
+        let sh = &*self.shared;
+        // Pricing needs no lock; its verdict is read after the stop
+        // flags, so a stopping service answers 503 to anything.
+        let priced = self.price(&request);
+        let mut led = sh.lock();
+        if led.shutdown {
+            return Err(ServiceError::ShuttingDown);
         }
-        let algo = Algo::parse(&request.algo)?;
-        let reg = self.shared.registry.get(&request.graph)?;
-        let n = reg.vertex_count();
+        if led.draining {
+            return Err(ServiceError::Draining);
+        }
+        led.admit(sh, request, priced?)
+    }
 
-        let source = if algo.needs_source() {
-            let src = request.source.ok_or_else(|| {
-                ServiceError::BadRequest(format!("{} requires a source", algo.label()))
-            })?;
-            validate_sources(n, &[src]).map_err(|e| ServiceError::BadRequest(e.to_string()))?;
-            Some(src)
-        } else {
-            None
+    /// Checks a request against the registry and models its peak memory.
+    fn price(&self, request: &JobRequest) -> ServiceResult<Priced> {
+        let sh = &*self.shared;
+        let algo = Algo::parse(&request.algo)?;
+        let reg = sh.registry.get(&request.graph)?;
+        let n = reg.vertex_count();
+        let source = match (algo.needs_source(), request.source) {
+            (false, _) => None,
+            (true, None) => {
+                let msg = format!("{} requires a source", algo.label());
+                return Err(ServiceError::BadRequest(msg));
+            }
+            (true, Some(src)) => {
+                validate_sources(n, &[src]).map_err(|e| ServiceError::BadRequest(e.to_string()))?;
+                Some(src)
+            }
         };
         let delta_bits = match algo {
             Algo::DeltaSssp => {
                 let d = request.delta.unwrap_or(2.0);
                 if d <= 0.0 || d.is_nan() {
-                    return Err(ServiceError::BadRequest(format!(
-                        "delta must be positive, got {d}"
-                    )));
+                    let msg = format!("delta must be positive, got {d}");
+                    return Err(ServiceError::BadRequest(msg));
                 }
                 Some(d.to_bits())
             }
             _ => None,
         };
-
-        let id = self.shared.next_id.fetch_add(1, Ordering::SeqCst);
-        let mut record = JobRecord::queued(id, request.clone(), reg.version);
-
-        // Cache lookup first: a hit does no device work, so it cannot
-        // be admission-rejected, never waits for a worker, and needs no
-        // deadline.
-        let no_cache = request.no_cache.unwrap_or(false);
-        let key = CacheKey {
-            graph: reg.name.clone(),
-            version: reg.version,
-            algo,
-            source,
-            delta_bits,
-        };
-        if !no_cache {
-            if let Some(hit) = self.shared.cache.get(&key) {
-                record.state = JobState::Done;
-                record.metrics = JobMetrics {
-                    iterations: hit.iterations,
-                    sim_ms: 0.0,
-                    cache_hit: true,
-                    batch_size: 1,
-                    ..JobMetrics::default()
-                };
-                self.shared
-                    .counters
-                    .jobs_done
-                    .fetch_add(1, Ordering::Relaxed);
-                self.finish(record, Some(hit.values.clone()));
-                return Ok(id);
-            }
-        }
-
-        // Admission control against the modelled single-job peak.
-        let modeled = modeled_peak_bytes(algo, n as u64, reg.edge_count() as u64, 1);
-        let budget = self.job_budget();
-        let free = self
-            .shared
-            .cfg
-            .profile
-            .vram_bytes
-            .saturating_sub(self.shared.registry.resident_bytes());
-        if modeled > budget || modeled > free {
-            let limit = budget.min(free);
-            let err = ServiceError::AdmissionRejected {
-                modeled_bytes: modeled,
-                budget_bytes: limit,
-            };
-            record.state = JobState::Rejected;
-            record.error = Some(err.to_string());
-            record.error_kind = Some(err.kind().to_string());
-            record.http_status = Some(err.http_status());
-            record.metrics.modeled_peak_bytes = modeled;
-            self.shared
-                .counters
-                .jobs_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            self.finish(record, None);
-            return Ok(id);
-        }
-        record.metrics.modeled_peak_bytes = modeled;
-
-        // Effective deadline: client timeout capped by the server max,
-        // else the server default.
-        let cfg = &self.shared.cfg;
-        let timeout_ms = match request.timeout_ms {
-            Some(t) => Some(t.min(cfg.max_timeout_ms)),
-            None => cfg.default_timeout_ms.map(|t| t.min(cfg.max_timeout_ms)),
-        };
-        let deadline = timeout_ms.map(|t| Instant::now() + Duration::from_millis(t));
-
-        let mut st = lock(&self.shared.state);
-        // Re-check under the lock: drain/shutdown may have started while
-        // we validated.
-        if st.shutdown {
-            return Err(ServiceError::ShuttingDown);
-        }
-        if st.draining {
-            return Err(ServiceError::Draining);
-        }
-        if cfg.max_queue > 0 && st.pending.len() >= cfg.max_queue {
-            let queued = st.pending.len();
-            drop(st);
-            self.shared
-                .counters
-                .jobs_shed
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(ServiceError::Overloaded {
-                queued,
-                limit: cfg.max_queue,
-                retry_after_ms: self.retry_after_ms(queued),
-            });
-        }
-        self.shared.jobs.write().insert(
-            id,
-            StoredJob {
-                record,
-                values: None,
+        let resident = sh.registry.resident_bytes();
+        let free = sh.cfg.profile.vram_bytes.saturating_sub(resident);
+        Ok(Priced {
+            modeled_bytes: modeled_peak_bytes(algo, n as u64, reg.edge_count() as u64, 1),
+            budget_bytes: sh.job_budget.min(free),
+            key: CacheKey {
+                graph: reg.name.clone(),
+                version: reg.version,
+                algo,
+                source,
+                delta_bits,
             },
-        );
-        st.pending.push_back(PendingJob {
-            id,
-            graph: reg.name.clone(),
-            version: reg.version,
-            algo,
-            source: source.unwrap_or(0),
-            coalesce: algo.coalescible() && !request.no_coalesce.unwrap_or(false),
-            enqueued_at: Instant::now(),
-            deadline,
-            timeout_ms: timeout_ms.unwrap_or(0),
-        });
-        drop(st);
-        self.shared.work_cv.notify_all();
-        Ok(id)
-    }
-
-    /// `Retry-After` hint from the service-time EWMA: time for the
-    /// current backlog to drain across the worker pool, clamped to
-    /// [100 ms, 60 s]. Before any job has landed the EWMA is unknown and
-    /// the hint defaults to 1 s.
-    fn retry_after_ms(&self, queued: usize) -> u64 {
-        let ewma_ns = self.shared.service_ns_ewma.load(Ordering::Relaxed);
-        if ewma_ns == 0 {
-            return 1_000;
-        }
-        let workers = self.shared.cfg.workers.max(1) as u64;
-        let drain_ns = (queued as u64 / workers + 1).saturating_mul(ewma_ns);
-        (drain_ns / 1_000_000).clamp(100, 60_000)
-    }
-
-    /// Records a job that completed without ever being queued.
-    fn finish(&self, record: JobRecord, values: Option<Arc<JobValues>>) {
-        self.shared
-            .jobs
-            .write()
-            .insert(record.id, StoredJob { record, values });
-        self.shared.done_cv.notify_all();
-    }
-
-    fn job_budget(&self) -> u64 {
-        self.shared
-            .cfg
-            .job_mem_budget
-            .unwrap_or(self.shared.cfg.profile.vram_bytes)
+        })
     }
 
     /// Snapshot of a job record.
     pub fn job(&self, id: u64) -> Option<JobRecord> {
-        self.shared.jobs.read().get(&id).map(StoredJob::to_record)
+        let job = self.shared.lock().jobs.get(&id).cloned();
+        job.map(StoredJob::into_record)
     }
 
     /// All job ids, ascending (listing endpoint).
     pub fn job_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.shared.jobs.read().keys().copied().collect();
+        let mut ids: Vec<u64> = self.shared.lock().jobs.keys().copied().collect();
         ids.sort_unstable();
         ids
     }
 
     /// Blocks until `id` reaches a terminal state; `None` for unknown ids.
     pub fn wait(&self, id: u64) -> Option<JobRecord> {
+        let sh = &*self.shared;
+        let mut led = sh.lock();
         loop {
-            match self.shared.jobs.read().get(&id) {
-                None => return None,
-                Some(job) if terminal(job.record.state) => return Some(job.to_record()),
-                Some(_) => {}
+            let job = led.jobs.get(&id)?;
+            if job.record.state.is_terminal() {
+                let job = job.clone();
+                drop(led);
+                return Some(job.into_record());
             }
-            let st = lock(&self.shared.state);
-            let _ = self
-                .shared
-                .done_cv
-                .wait_timeout(st, Duration::from_millis(20));
+            led = sh.done_cv.wait(led).unwrap_or_else(|e| e.into_inner());
         }
     }
 
     /// Blocks until the queue is empty and no job is executing.
     pub fn wait_idle(&self) {
-        loop {
-            let st = lock(&self.shared.state);
-            if st.pending.is_empty() && st.in_flight == 0 {
-                return;
-            }
-            let _ = self
-                .shared
-                .done_cv
-                .wait_timeout(st, Duration::from_millis(20));
+        let sh = &*self.shared;
+        let mut led = sh.lock();
+        while !led.idle() {
+            led = sh.done_cv.wait(led).unwrap_or_else(|e| e.into_inner());
         }
     }
 
-    /// Pauses claiming (already-running batches finish).
+    /// Pauses job claiming (submissions still queue; already-running
+    /// batches finish).
     pub fn pause(&self) {
-        lock(&self.shared.state).paused = true;
-        self.shared.work_cv.notify_all();
+        self.set_paused(true);
     }
 
-    /// Resumes claiming.
+    /// Resumes job claiming.
     pub fn resume(&self) {
-        lock(&self.shared.state).paused = false;
+        self.set_paused(false);
+    }
+
+    fn set_paused(&self, paused: bool) {
+        self.shared.lock().paused = paused;
         self.shared.work_cv.notify_all();
     }
 
     pub fn stats(&self) -> StatsSnapshot {
-        let c = &self.shared.counters;
-        let (queue_depth, draining) = {
-            let st = lock(&self.shared.state);
-            (st.pending.len() as u64, st.draining)
+        let (c, queue_depth, draining) = {
+            let led = self.shared.lock();
+            (led.counters, led.pending.len() as u64, led.draining)
         };
+        let cache = &self.shared.cache;
         StatsSnapshot {
-            jobs_done: c.jobs_done.load(Ordering::Relaxed),
-            jobs_failed: c.jobs_failed.load(Ordering::Relaxed),
-            jobs_rejected: c.jobs_rejected.load(Ordering::Relaxed),
-            jobs_timeout: c.jobs_timeout.load(Ordering::Relaxed),
-            jobs_shed: c.jobs_shed.load(Ordering::Relaxed),
-            coalesced_batches: c.coalesced_batches.load(Ordering::Relaxed),
-            coalesced_jobs: c.coalesced_jobs.load(Ordering::Relaxed),
-            device_ms: c.device_ns.load(Ordering::Relaxed) as f64 / 1e6,
-            cache_hits: self.shared.cache.hits(),
-            cache_misses: self.shared.cache.misses(),
-            cache_hit_ratio: self.shared.cache.hit_ratio(),
-            cache_entries: self.shared.cache.len() as u64,
-            cache_evictions: self.shared.cache.evictions(),
+            jobs_done: c.jobs_done,
+            jobs_failed: c.jobs_failed,
+            jobs_rejected: c.jobs_rejected,
+            jobs_timeout: c.jobs_timeout,
+            jobs_shed: c.jobs_shed,
+            coalesced_batches: c.coalesced_batches,
+            coalesced_jobs: c.coalesced_jobs,
+            device_ms: c.device_ns as f64 / 1e6,
+            cache_hits: cache.hits(),
+            cache_misses: cache.misses(),
+            cache_hit_ratio: cache.hit_ratio(),
+            cache_entries: cache.len() as u64,
+            cache_evictions: cache.evictions(),
             queue_depth,
-            worker_rebuilds: c.worker_rebuilds.load(Ordering::Relaxed),
-            breaker_trips: c.breaker_trips.load(Ordering::Relaxed),
-            breaker_probes: c.breaker_probes.load(Ordering::Relaxed),
-            workers_quarantined: self.shared.quarantined.load(Ordering::Relaxed),
+            worker_rebuilds: c.worker_rebuilds,
+            breaker_trips: c.breaker_trips,
+            breaker_probes: c.breaker_probes,
+            workers_quarantined: c.workers_quarantined,
             draining,
         }
     }
@@ -662,181 +914,118 @@ impl Scheduler {
     /// (the engine aborts at its next checkpoint boundary). Afterwards
     /// the workers are joined and every terminal record is snapshotted.
     pub fn drain(&self, deadline: Duration) -> DrainReport {
+        let sh = &*self.shared;
         let deadline_at = Instant::now() + deadline;
-        {
-            let mut st = lock(&self.shared.state);
-            st.draining = true;
-            // Drain means "finish everything": a paused queue would
-            // never empty.
-            st.paused = false;
-        }
-        self.shared.work_cv.notify_all();
+        let mut led = sh.lock();
+        led.draining = true;
+        // Drain means "finish everything": a paused queue would never
+        // empty.
+        led.paused = false;
+        sh.work_cv.notify_all();
 
-        let mut shed_queued = 0usize;
-        let mut cancelled_in_flight = 0usize;
+        let mut shed_queued = 0;
+        let mut cancelled_in_flight = 0;
         let mut cut_off = false;
-        loop {
-            let mut st = lock(&self.shared.state);
-            if st.pending.is_empty() && st.in_flight == 0 {
-                break;
-            }
-            if !cut_off && Instant::now() >= deadline_at {
+        while !led.idle() {
+            let now = Instant::now();
+            led = if cut_off {
+                sh.done_cv.wait(led).unwrap_or_else(|e| e.into_inner())
+            } else if now >= deadline_at {
                 cut_off = true;
-                let leftovers: Vec<PendingJob> = st.pending.drain(..).collect();
+                let leftovers: Vec<PendingJob> = led.pending.drain(..).collect();
                 shed_queued = leftovers.len();
-                let ids: Vec<u64> = leftovers.iter().map(|p| p.id).collect();
-                fail_ids(&self.shared, &ids, &ServiceError::Draining);
-                for slot in &self.shared.active_cancels {
-                    if let Some(tok) = &*lock(slot) {
-                        tok.cancel();
-                        cancelled_in_flight += 1;
-                    }
+                led.shed(sh, &leftovers, |_| ServiceError::Draining);
+                for token in led.cancels.iter().flatten() {
+                    token.cancel();
+                    cancelled_in_flight += 1;
                 }
-            }
-            let _ = self
-                .shared
-                .done_cv
-                .wait_timeout(st, Duration::from_millis(10));
+                led
+            } else {
+                let waited = sh.done_cv.wait_timeout(led, deadline_at - now);
+                waited.unwrap_or_else(|e| e.into_inner()).0
+            };
         }
+        drop(led);
 
         self.shutdown();
 
-        let jobs = self.shared.jobs.read();
-        let mut records: Vec<JobRecord> = jobs
-            .values()
-            .filter(|j| terminal(j.record.state))
-            .map(StoredJob::to_record)
-            .collect();
-        drop(jobs);
+        let led = sh.lock();
+        let terminal = |j: &&StoredJob| j.record.state.is_terminal();
+        let jobs: Vec<StoredJob> = led.jobs.values().filter(terminal).cloned().collect();
+        let (jobs_done, jobs_failed) = (led.counters.jobs_done, led.counters.jobs_failed);
+        drop(led);
+        let mut records: Vec<JobRecord> = jobs.into_iter().map(StoredJob::into_record).collect();
         records.sort_by_key(|r| r.id);
-        let c = &self.shared.counters;
         DrainReport {
             clean: !cut_off,
             shed_queued,
             cancelled_in_flight,
-            jobs_done: c.jobs_done.load(Ordering::Relaxed),
-            jobs_failed: c.jobs_failed.load(Ordering::Relaxed),
+            jobs_done,
+            jobs_failed,
             records,
         }
     }
 
-    /// Stops accepting work, wakes and joins every worker. Pending jobs
-    /// stay `Queued` in the table — use [`Scheduler::drain`] for the
-    /// graceful variant that completes or terminally fails them.
+    /// Hard stop: refuses new work, wakes and joins every worker. Pending
+    /// jobs stay `Queued` in the table — prefer [`Service::drain`] in
+    /// servers, which completes or terminally fails them.
     pub fn shutdown(&self) {
-        lock(&self.shared.state).shutdown = true;
+        self.shared.lock().shutdown = true;
         self.shared.work_cv.notify_all();
-        self.shared.done_cv.notify_all();
-        let mut workers = lock(&self.workers);
+        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
         for h in workers.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-impl Drop for Scheduler {
+impl Drop for Service {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-fn terminal(state: JobState) -> bool {
-    matches!(
-        state,
-        JobState::Done | JobState::Failed | JobState::Rejected
-    )
-}
-
-fn lock<T>(m: &StdMutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // Workers catch panics, so poisoning is all but impossible; if it
-    // ever happens the protected state is still structurally sound.
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 // ---------------------------------------------------------------------------
 // Worker side
 // ---------------------------------------------------------------------------
 
-/// Largest supported lane width (8|16|32|64) that is ≤ `cap` and whose
-/// modelled batch peak fits `budget`; 1 when even 8 lanes do not fit.
-fn admissible_width(n: u64, m: u64, cap: u32, budget: u64) -> u32 {
-    let mut width = 0;
-    for w in [8u32, 16, 32, 64] {
-        if w <= cap && modeled_peak_bytes(Algo::Bfs, n, m, w) <= budget {
-            width = w;
-        }
-    }
-    width.max(1)
-}
-
 /// Builds a worker's device queue, attaching the configured fault plan.
-fn build_worker_queue(shared: &Shared) -> Queue {
-    let device = Device::new(shared.cfg.profile.clone());
-    match &shared.cfg.fault_plan {
+fn build_worker_queue(cfg: &ServiceConfig) -> Queue {
+    let device = Device::new(cfg.profile.clone());
+    match &cfg.fault_plan {
         Some(plan) => Queue::with_faults(device, plan.clone()),
         None => Queue::new(device),
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, widx: usize) {
-    let mut q = build_worker_queue(&shared);
+fn worker_loop(sh: Arc<Shared>, widx: usize) {
+    let mut q = build_worker_queue(&sh.cfg);
     let mut mirror = DeviceMirror::new();
     // Consecutive rebuilds since the last healthy batch; reaching the
     // breaker threshold quarantines this worker.
     let mut consecutive_rebuilds = 0u32;
     loop {
-        let threshold = shared.cfg.breaker_threshold;
+        let threshold = sh.cfg.breaker_threshold;
         if threshold > 0 && consecutive_rebuilds >= threshold {
-            // Circuit open: quarantine, then come back half-open with
-            // exactly one probe batch. A failed probe lands back here.
-            shared
-                .counters
-                .breaker_trips
-                .fetch_add(1, Ordering::Relaxed);
-            shared.quarantined.fetch_add(1, Ordering::Relaxed);
-            let opened = Instant::now();
-            let open_for = Duration::from_millis(shared.cfg.breaker_open_ms);
-            let mut st = lock(&shared.state);
-            while !st.shutdown {
-                let elapsed = opened.elapsed();
-                if elapsed >= open_for {
-                    break;
-                }
-                let (guard, _) = shared
-                    .work_cv
-                    .wait_timeout(st, open_for - elapsed)
-                    .unwrap_or_else(|e| e.into_inner());
-                st = guard;
-            }
-            let stop = st.shutdown;
-            drop(st);
-            shared.quarantined.fetch_sub(1, Ordering::Relaxed);
-            if stop {
+            if !quarantine(&sh) {
                 return;
             }
-            shared
-                .counters
-                .breaker_probes
-                .fetch_add(1, Ordering::Relaxed);
             // Half-open: one rebuild away from re-tripping, one healthy
             // batch away from closing.
             consecutive_rebuilds = threshold - 1;
         }
 
-        let batch = match claim(&shared) {
-            Some(batch) => batch,
-            None => return, // shutdown
+        let Some(batch) = claim(&sh, widx) else {
+            return; // shutdown
         };
-        let panicked = {
-            let run = AssertUnwindSafe(|| execute(&shared, &q, &mut mirror, &batch, widx));
-            catch_unwind(run).is_err()
+        let run = AssertUnwindSafe(|| execute(&sh, &q, &mut mirror, &batch));
+        let (outcome, panicked) = match catch_unwind(run) {
+            Ok(outcome) => (outcome, false),
+            Err(_) => {
+                let msg = "worker panicked while executing the job".to_string();
+                (Err(ServiceError::Device(SimError::Algorithm(msg))), true)
+            }
         };
-        if panicked {
-            fail_batch(&shared, &batch, "worker panicked while executing the job");
-        }
-        // Clear the drain-cancellation slot and any leftover token on
-        // the queue (harmless when execute already did).
-        *lock(&shared.active_cancels[widx]) = None;
         q.set_cancel_token(None);
 
         // A panic leaves the device state mid-kernel garbage; a sticky
@@ -844,372 +1033,83 @@ fn worker_loop(shared: Arc<Shared>, widx: usize) {
         // leaves the queue refusing every launch. Both need a rebuild.
         let rebuild = panicked || q.fault_pending();
         if rebuild {
-            q = build_worker_queue(&shared);
+            q = build_worker_queue(&sh.cfg);
             mirror = DeviceMirror::new();
-            shared
-                .counters
-                .worker_rebuilds
-                .fetch_add(1, Ordering::Relaxed);
             consecutive_rebuilds += 1;
         } else {
             consecutive_rebuilds = 0;
         }
-
-        let mut st = lock(&shared.state);
-        st.in_flight -= batch.len();
-        drop(st);
-        shared.done_cv.notify_all();
+        sh.lock().settle(&sh, widx, batch, outcome, rebuild);
     }
 }
 
-/// Fails every expired job currently in `pending`, removing it from the
-/// queue. Called with the scheduler state locked.
-fn shed_expired(shared: &Shared, st: &mut SchedState) {
-    let now = Instant::now();
-    if !st.pending.iter().any(|p| p.expired(now)) {
-        return;
-    }
-    let mut kept = VecDeque::with_capacity(st.pending.len());
-    for p in st.pending.drain(..) {
-        if p.expired(now) {
-            fail_ids(
-                shared,
-                &[p.id],
-                &ServiceError::DeadlineExceeded {
-                    timeout_ms: p.timeout_ms,
-                },
-            );
-        } else {
-            kept.push_back(p);
-        }
-    }
-    st.pending = kept;
-}
-
-/// Claims the next unit of work: one job, or a coalesced batch grown
-/// from a coalescible head. Expired queued jobs are shed (typed
-/// `deadline-exceeded`) before anything is handed out. Returns `None`
-/// on shutdown.
-fn claim(shared: &Shared) -> Option<Vec<PendingJob>> {
-    let mut st = lock(&shared.state);
-    loop {
-        if st.shutdown {
-            return None;
-        }
-        shed_expired(shared, &mut st);
-        if !st.paused && !st.pending.is_empty() {
+/// Circuit open: sits out `breaker_open_ms`, then returns `true` for
+/// exactly one half-open probe batch (a failed probe lands back here).
+/// `false` when the service shut down meanwhile.
+fn quarantine(sh: &Shared) -> bool {
+    let until = Instant::now() + Duration::from_millis(sh.cfg.breaker_open_ms);
+    let mut led = sh.lock();
+    led.counters.breaker_trips += 1;
+    led.counters.workers_quarantined += 1;
+    while !led.shutdown {
+        let now = Instant::now();
+        if now >= until {
             break;
         }
-        st = shared.work_cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        let waited = sh.work_cv.wait_timeout(led, until - now);
+        led = waited.unwrap_or_else(|e| e.into_inner()).0;
     }
-    let head = st.pending.pop_front().expect("pending checked non-empty");
-    let mut batch = vec![head];
-    if batch[0].coalesce {
-        let budget = shared
-            .cfg
-            .job_mem_budget
-            .unwrap_or(shared.cfg.profile.vram_bytes);
-        let reg = shared.registry.get(&batch[0].graph).ok();
-        let width = reg
-            .map(|r| {
-                admissible_width(
-                    r.vertex_count() as u64,
-                    r.edge_count() as u64,
-                    shared.cfg.batch_width,
-                    budget,
-                )
-            })
-            .unwrap_or(1) as usize;
-        let window = Duration::from_millis(shared.cfg.batch_window_ms);
-        let deadline = batch[0].enqueued_at + window;
-        loop {
-            // Drain currently-pending mates into the batch.
-            let mut i = 0;
-            while i < st.pending.len() && batch.len() < width {
-                let p = &st.pending[i];
-                if p.coalesce
-                    && p.graph == batch[0].graph
-                    && p.version == batch[0].version
-                    && p.algo == batch[0].algo
-                {
-                    batch.push(st.pending.remove(i).expect("index in bounds"));
-                } else {
-                    i += 1;
-                }
-            }
-            // A draining service stops waiting for stragglers: nothing
-            // new is being admitted, so the window can only add latency.
-            if batch.len() >= width || st.paused || st.shutdown || st.draining {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _) = shared
-                .work_cv
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
-        }
-    }
-    st.in_flight += batch.len();
-    Some(batch)
+    let probe = !led.shutdown;
+    led.counters.workers_quarantined -= 1;
+    led.counters.breaker_probes += probe as u64;
+    probe
 }
 
-fn mark_running(shared: &Shared, batch: &[&PendingJob]) {
-    let mut jobs = shared.jobs.write();
-    for p in batch {
-        if let Some(job) = jobs.get_mut(&p.id) {
-            job.record.state = JobState::Running;
-        }
+/// Runs a claimed batch on this worker's queue. Touches no job state:
+/// the outcome goes back to the ledger through [`Ledger::settle`].
+fn execute(sh: &Shared, q: &Queue, mirror: &mut DeviceMirror, batch: &Batch) -> ServiceResult<Ran> {
+    let head = &batch.jobs[0].key;
+    // Re-resolve the graph; it may have been superseded since admission.
+    let reg = sh.registry.get(&head.graph)?;
+    if reg.version != head.version {
+        return Err(ServiceError::NotFound(format!(
+            "graph {:?} version {} superseded by {} before the job ran",
+            head.graph, head.version, reg.version
+        )));
     }
-}
+    let graph = mirror.resolve(q, &reg)?;
+    q.set_cancel_token(Some(batch.token.clone()));
 
-fn fail_batch(shared: &Shared, batch: &[PendingJob], msg: &str) {
-    let err = ServiceError::Device(SimError::Algorithm(msg.to_string()));
-    let ids: Vec<u64> = batch.iter().map(|p| p.id).collect();
-    fail_ids(shared, &ids, &err);
-}
-
-/// Marks the given (non-terminal) records `Failed` with `err`'s typed
-/// fields, bumping the counter the error class belongs to.
-fn fail_ids(shared: &Shared, ids: &[u64], err: &ServiceError) {
-    let msg = err.to_string();
-    let counter = match err {
-        ServiceError::DeadlineExceeded { .. } => &shared.counters.jobs_timeout,
-        _ => &shared.counters.jobs_failed,
-    };
-    let mut jobs = shared.jobs.write();
-    for id in ids {
-        if let Some(rec) = jobs.get_mut(id).map(|j| &mut j.record) {
-            if !terminal(rec.state) {
-                rec.state = JobState::Failed;
-                rec.error = Some(msg.clone());
-                rec.error_kind = Some(err.kind().to_string());
-                rec.http_status = Some(err.http_status());
-                counter.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    drop(jobs);
-    shared.done_cv.notify_all();
-}
-
-/// Executes a claimed batch on this worker's queue.
-fn execute(
-    shared: &Shared,
-    q: &Queue,
-    mirror: &mut DeviceMirror,
-    batch: &[PendingJob],
-    widx: usize,
-) {
-    // Shed batch members whose deadline passed between claim and here
-    // (e.g. mates that expired during the coalescing window).
-    let now = Instant::now();
-    let mut live: Vec<&PendingJob> = Vec::with_capacity(batch.len());
-    for p in batch {
-        if p.expired(now) {
-            fail_ids(
-                shared,
-                &[p.id],
-                &ServiceError::DeadlineExceeded {
-                    timeout_ms: p.timeout_ms,
-                },
-            );
-        } else {
-            live.push(p);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-    mark_running(shared, &live);
-
-    // Re-resolve the graph; it may have been superseded since submit.
-    let reg = match shared.registry.get(&live[0].graph) {
-        Ok(reg) if reg.version == live[0].version => reg,
-        Ok(reg) => {
-            let msg = format!(
-                "graph {:?} version {} superseded by {} before the job ran",
-                live[0].graph, live[0].version, reg.version
-            );
-            return fail_live(shared, &live, ServiceError::NotFound(msg));
-        }
-        Err(e) => return fail_live(shared, &live, e),
-    };
-    let graph = match mirror.resolve(q, &reg) {
-        Ok(g) => g,
-        Err(e) => return fail_live(shared, &live, e),
-    };
-
-    // Cancellation: the batch runs under one token whose deadline is the
-    // earliest live deadline (coalesced mates share a pass, so the
-    // tightest deadline governs). The token is also published to the
-    // drain path, which fires it when the drain deadline passes.
-    let batch_deadline = live.iter().filter_map(|p| p.deadline).min();
-    let token = match batch_deadline {
-        Some(d) => CancelToken::with_deadline(d),
-        None => CancelToken::new(),
-    };
-    q.set_cancel_token(Some(token.clone()));
-    *lock(&shared.active_cancels[widx]) = Some(token);
-
-    // Per-job metric scoping on this worker's reused queue: a profiler
-    // epoch (kernel/recovery counts) plus a peak-watermark reset (the
-    // worker runs one batch at a time, so the device ledger is ours).
-    let epoch = q.profiler().begin_epoch();
+    // Per-job metric scoping on this worker's reused queue: the worker
+    // runs one batch at a time, so the profiler and the device ledger
+    // are ours to reset, and what they hold at the end is this batch's.
+    q.profiler().reset();
     q.device().reset_mem_peak();
     let used_before = q.device().mem_used();
     let opts = OptConfig {
-        recovery: shared.cfg.recovery,
+        recovery: sh.cfg.recovery,
         ..OptConfig::all()
     };
 
     let wall_start = Instant::now();
-    let coalesced = live.len() > 1;
-    let outcome: Result<BatchOutcome, ServiceError> = if coalesced {
-        let sources: Vec<u32> = live.iter().map(|p| p.source).collect();
-        let width = admissible_width(
-            reg.vertex_count() as u64,
-            reg.edge_count() as u64,
-            shared.cfg.batch_width,
-            shared
-                .cfg
-                .job_mem_budget
-                .unwrap_or(shared.cfg.profile.vram_bytes),
-        );
-        multi::bfs_multi(q, &graph.csr, &sources, width, &opts)
-            .map(|r| BatchOutcome {
-                per_job: r.per_source.into_iter().map(JobValues::U32).collect(),
-                iterations: r.iterations,
-                sim_ms: r.sim_ms,
-            })
-            .map_err(ServiceError::from)
+    let (per_job, iterations, sim_ms) = if batch.jobs.len() > 1 {
+        let sources: Vec<u32> = batch.jobs.iter().filter_map(|p| p.key.source).collect();
+        let r = multi::bfs_multi(q, &graph.csr, &sources, batch.width, &opts)?;
+        let per_job = r.per_source.into_iter().map(JobValues::U32).collect();
+        (per_job, r.iterations, r.sim_ms)
     } else {
-        run_single(shared, q, &graph, live[0], &opts).map(|(values, iterations, sim_ms)| {
-            BatchOutcome {
-                per_job: vec![values],
-                iterations,
-                sim_ms,
-            }
-        })
+        let (values, iterations, sim_ms) = run_single(q, &graph, head, &opts)?;
+        (vec![values], iterations, sim_ms)
     };
-
-    // Detach the token before result handling: the batch is no longer
-    // cancellable, and drain must not fire a token for finished work.
-    q.set_cancel_token(None);
-    *lock(&shared.active_cancels[widx]) = None;
-
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(ServiceError::Device(SimError::Cancelled { .. })) => {
-            // The engine aborted at a checkpoint boundary. Per job,
-            // decide what the cancellation was: its own deadline, or the
-            // drain deadline cutting the batch off.
-            let now = Instant::now();
-            for p in &live {
-                let err = if p.expired(now) {
-                    ServiceError::DeadlineExceeded {
-                        timeout_ms: p.timeout_ms,
-                    }
-                } else {
-                    ServiceError::Draining
-                };
-                fail_ids(shared, &[p.id], &err);
-            }
-            return;
-        }
-        Err(e) => return fail_live(shared, &live, e),
-    };
-
-    // Service-time EWMA (wall clock per job) for the Retry-After hint.
-    let per_job_ns = (wall_start.elapsed().as_nanos() as u64) / live.len().max(1) as u64;
-    let old = shared.service_ns_ewma.load(Ordering::Relaxed);
-    let next = if old == 0 {
-        per_job_ns
-    } else {
-        (old * 4 + per_job_ns) / 5
-    };
-    shared.service_ns_ewma.store(next, Ordering::Relaxed);
-
-    let mem_peak = q.device().mem_peak().saturating_sub(used_before);
-    let kernel_launches = q.profiler().kernel_count_since(&epoch) as u64;
-    let recovery_events = q.profiler().recovery_count_since(&epoch) as u64;
-    shared
-        .counters
-        .device_ns
-        .fetch_add((outcome.sim_ms * 1e6) as u64, Ordering::Relaxed);
-    if coalesced {
-        shared
-            .counters
-            .coalesced_batches
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .counters
-            .coalesced_jobs
-            .fetch_add(live.len() as u64, Ordering::Relaxed);
-    }
-
-    // Store lanes in the cache, then complete the records.
-    let mut jobs = shared.jobs.write();
-    for (p, values) in live.iter().zip(outcome.per_job) {
-        let Some(job) = jobs.get_mut(&p.id) else {
-            continue;
-        };
-        let values = Arc::new(values);
-        let rec = &mut job.record;
-        if !rec.request.no_cache.unwrap_or(false) {
-            shared.cache.put(
-                CacheKey {
-                    graph: p.graph.clone(),
-                    version: p.version,
-                    algo: p.algo,
-                    source: if p.algo.needs_source() {
-                        Some(p.source)
-                    } else {
-                        None
-                    },
-                    delta_bits: match p.algo {
-                        Algo::DeltaSssp => Some(rec.request.delta.unwrap_or(2.0).to_bits()),
-                        _ => None,
-                    },
-                },
-                CachedResult {
-                    values: values.clone(),
-                    iterations: outcome.iterations,
-                    sim_ms: outcome.sim_ms,
-                },
-            );
-        }
-        rec.state = JobState::Done;
-        rec.metrics = JobMetrics {
-            iterations: outcome.iterations,
-            sim_ms: outcome.sim_ms,
-            kernel_launches,
-            mem_peak_bytes: mem_peak,
-            modeled_peak_bytes: rec.metrics.modeled_peak_bytes,
-            cache_hit: false,
-            coalesced,
-            batch_size: live.len() as u32,
-            recovery_events,
-        };
-        job.values = Some(values);
-        shared.counters.jobs_done.fetch_add(1, Ordering::Relaxed);
-    }
-    drop(jobs);
-    shared.done_cv.notify_all();
-}
-
-struct BatchOutcome {
-    per_job: Vec<JobValues>,
-    iterations: u32,
-    sim_ms: f64,
-}
-
-fn fail_live(shared: &Shared, live: &[&PendingJob], err: ServiceError) {
-    let ids: Vec<u64> = live.iter().map(|p| p.id).collect();
-    fail_ids(shared, &ids, &err);
+    Ok(Ran {
+        per_job,
+        iterations,
+        sim_ms,
+        kernel_launches: q.profiler().kernel_count() as u64,
+        mem_peak_bytes: q.device().mem_peak().saturating_sub(used_before),
+        recovery_events: q.profiler().recovery_count() as u64,
+        wall_ns: wall_start.elapsed().as_nanos() as u64,
+    })
 }
 
 /// Runs one non-coalesced job. BFS runs on the push (CSR) view even
@@ -1217,10 +1117,9 @@ fn fail_live(shared: &Shared, live: &[&PendingJob], err: ServiceError) {
 /// baseline that `bfs_multi` lanes are bit-identical to — coalescing
 /// must be unobservable in the values.
 fn run_single(
-    shared: &Shared,
     q: &Queue,
     graph: &Graph,
-    p: &PendingJob,
+    key: &CacheKey,
     opts: &OptConfig,
 ) -> ServiceResult<(JobValues, u32, f64)> {
     fn unpack<T>(
@@ -1229,24 +1128,63 @@ fn run_single(
     ) -> (JobValues, u32, f64) {
         (wrap(r.values), r.iterations, r.sim_ms)
     }
-    let rec_delta = shared
-        .jobs
-        .read()
-        .get(&p.id)
-        .and_then(|j| j.record.request.delta)
-        .unwrap_or(2.0);
-    Ok(match p.algo {
-        Algo::Bfs => unpack(bfs::run(q, &graph.csr, p.source, opts)?, JobValues::U32),
-        Algo::Sssp => unpack(sssp::run(q, &graph.csr, p.source, opts)?, JobValues::F32),
-        Algo::DeltaSssp => unpack(
-            delta::run(q, &graph.csr, p.source, opts, rec_delta)?,
-            JobValues::F32,
-        ),
+    let src = key.source.unwrap_or(0);
+    Ok(match key.algo {
+        Algo::Bfs => unpack(bfs::run(q, &graph.csr, src, opts)?, JobValues::U32),
+        Algo::Sssp => unpack(sssp::run(q, &graph.csr, src, opts)?, JobValues::F32),
+        Algo::DeltaSssp => {
+            let d = f32::from_bits(key.delta_bits.expect("delta jobs are admitted with a Δ"));
+            unpack(delta::run(q, &graph.csr, src, opts, d)?, JobValues::F32)
+        }
         Algo::Cc => unpack(cc::run(q, graph, opts)?, JobValues::U32),
-        Algo::Bc => unpack(bc::run(q, &graph.csr, p.source, opts)?, JobValues::F32),
+        Algo::Bc => unpack(bc::run(q, &graph.csr, src, opts)?, JobValues::F32),
         Algo::Pagerank => unpack(
             pagerank::run(q, &graph.csr, opts, Default::default())?,
             JobValues::F32,
         ),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A worker reuses one queue for its lifetime; after each batch its
+    /// profiler must hold that batch's launches and nothing older, or
+    /// the process grows by one record per launch forever.
+    #[test]
+    fn worker_profiler_holds_the_last_batch_only() {
+        let service = Service::start(ServiceConfig::default()).unwrap();
+        let edges: Vec<(u32, u32)> = (0..63).map(|v| (v, v + 1)).collect();
+        let host = CsrHost::from_edges(64, &edges);
+        let reg = service
+            .register_graph("line", host, RegisterOptions::default())
+            .unwrap();
+        let sh = &*service.shared;
+        let q = build_worker_queue(&sh.cfg);
+        let mut mirror = DeviceMirror::new();
+        let batch_from = |source: u32| Batch {
+            jobs: vec![PendingJob {
+                id: 0,
+                key: CacheKey {
+                    graph: reg.name.clone(),
+                    version: reg.version,
+                    algo: Algo::Bfs,
+                    source: Some(source),
+                    delta_bits: None,
+                },
+                coalesce: false,
+                enqueued_at: Instant::now(),
+                deadline: None,
+                timeout_ms: 0,
+            }],
+            width: 1,
+            token: CancelToken::new(),
+        };
+        let long = execute(sh, &q, &mut mirror, &batch_from(0)).unwrap();
+        let short = execute(sh, &q, &mut mirror, &batch_from(60)).unwrap();
+        assert!(short.kernel_launches > 0);
+        assert!(long.kernel_launches > short.kernel_launches);
+        assert_eq!(q.profiler().kernel_count() as u64, short.kernel_launches);
+    }
 }

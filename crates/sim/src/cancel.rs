@@ -74,7 +74,7 @@ impl CancelToken {
                 return Err(SimError::Cancelled {
                     reason: format!(
                         "deadline exceeded by {:.1} ms",
-                        now.duration_since(d).as_secs_f64() * 1e3
+                        (now - d).as_secs_f64() * 1e3
                     ),
                 });
             }

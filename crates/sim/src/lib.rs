@@ -58,7 +58,7 @@ pub use fault::FaultPlan;
 pub use memory::{AllocKind, AtomicInt, DeviceBuffer, DeviceScalar};
 pub use profiler::{
     DirectionEvent, ExchangeEvent, KernelRecord, LaneEvent, Marker, MemEvent, Profiler,
-    ProfilerEpoch, RecoveryEvent, RepEvent,
+    RecoveryEvent, RepEvent,
 };
 pub use queue::{Device, Event, Queue};
 pub use sanitize::{Finding, FindingKind, Sanitizer};

@@ -136,28 +136,6 @@ struct Inner {
     exchange_events: Vec<ExchangeEvent>,
 }
 
-/// Watermark into every profiler stream, taken at a job boundary.
-///
-/// A long-running service reuses one [`crate::Queue`] (and therefore one
-/// profiler) across many jobs; without a boundary, job B's "profile" is
-/// the concatenation of everything since the queue was created — job B
-/// inherits job A's kernel tables, rep/lane traces and recovery counters.
-/// [`Profiler::begin_epoch`] captures the current stream lengths and the
-/// `*_since` accessors slice everything recorded after it, so per-job
-/// metrics are exact without destroying the queue-lifetime history
-/// (`reset()` remains available for callers that do want a clean slate).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProfilerEpoch {
-    kernels: usize,
-    mem_events: usize,
-    markers: usize,
-    rep_events: usize,
-    direction_events: usize,
-    recovery_events: usize,
-    lane_events: usize,
-    exchange_events: usize,
-}
-
 /// Thread-safe profiler attached to a queue.
 #[derive(Debug, Default)]
 pub struct Profiler {
@@ -315,29 +293,9 @@ impl Profiler {
             .sum()
     }
 
-    /// Total halo activations delivered across all recorded exchanges.
-    pub fn exchange_msg_total(&self) -> u64 {
-        self.inner
-            .lock()
-            .exchange_events
-            .iter()
-            .map(|e| e.msgs)
-            .sum()
-    }
-
     /// Number of kernels recorded so far.
     pub fn kernel_count(&self) -> usize {
         self.inner.lock().kernels.len()
-    }
-
-    /// Sum of modelled kernel time (ns), including launch overhead.
-    pub fn total_kernel_ns(&self) -> f64 {
-        self.inner
-            .lock()
-            .kernels
-            .iter()
-            .map(|k| k.stats.total_ns())
-            .sum()
     }
 
     /// Total DRAM bytes moved by all recorded kernels.
@@ -416,72 +374,9 @@ impl Profiler {
         out
     }
 
-    /// Starts a job epoch: captures the current length of every stream.
-    /// Pass the returned watermark to the `*_since` accessors to read
-    /// only what this job recorded.
-    pub fn begin_epoch(&self) -> ProfilerEpoch {
-        let inner = self.inner.lock();
-        ProfilerEpoch {
-            kernels: inner.kernels.len(),
-            mem_events: inner.mem_events.len(),
-            markers: inner.markers.len(),
-            rep_events: inner.rep_events.len(),
-            direction_events: inner.direction_events.len(),
-            recovery_events: inner.recovery_events.len(),
-            lane_events: inner.lane_events.len(),
-            exchange_events: inner.exchange_events.len(),
-        }
-    }
-
-    /// Kernel records since `epoch`.
-    pub fn kernels_since(&self, epoch: &ProfilerEpoch) -> Vec<KernelRecord> {
-        let inner = self.inner.lock();
-        inner.kernels[epoch.kernels.min(inner.kernels.len())..].to_vec()
-    }
-
-    /// Number of kernel launches since `epoch`.
-    pub fn kernel_count_since(&self, epoch: &ProfilerEpoch) -> usize {
-        let inner = self.inner.lock();
-        inner.kernels.len().saturating_sub(epoch.kernels)
-    }
-
-    /// Modelled kernel time (ns) since `epoch`.
-    pub fn total_kernel_ns_since(&self, epoch: &ProfilerEpoch) -> f64 {
-        let inner = self.inner.lock();
-        inner.kernels[epoch.kernels.min(inner.kernels.len())..]
-            .iter()
-            .map(|k| k.stats.total_ns())
-            .sum()
-    }
-
-    /// Representation events since `epoch`.
-    pub fn rep_events_since(&self, epoch: &ProfilerEpoch) -> Vec<RepEvent> {
-        let inner = self.inner.lock();
-        inner.rep_events[epoch.rep_events.min(inner.rep_events.len())..].to_vec()
-    }
-
-    /// Lane events since `epoch`.
-    pub fn lane_events_since(&self, epoch: &ProfilerEpoch) -> Vec<LaneEvent> {
-        let inner = self.inner.lock();
-        inner.lane_events[epoch.lane_events.min(inner.lane_events.len())..].to_vec()
-    }
-
-    /// Recovery events since `epoch`.
-    pub fn recovery_events_since(&self, epoch: &ProfilerEpoch) -> Vec<RecoveryEvent> {
-        let inner = self.inner.lock();
-        inner.recovery_events[epoch.recovery_events.min(inner.recovery_events.len())..].to_vec()
-    }
-
-    /// Recovery-event count since `epoch`.
-    pub fn recovery_count_since(&self, epoch: &ProfilerEpoch) -> usize {
-        let inner = self.inner.lock();
-        inner
-            .recovery_events
-            .len()
-            .saturating_sub(epoch.recovery_events)
-    }
-
-    /// Clears all records.
+    /// Clears all records. A long-running caller that reuses one queue (a
+    /// service worker) calls this at each job boundary: what the profiler
+    /// holds afterwards is that job's alone, and the streams stay bounded.
     pub fn reset(&self) {
         let mut inner = self.inner.lock();
         inner.kernels.clear();
@@ -575,46 +470,6 @@ mod tests {
         assert_eq!(p.kernel_count(), 0);
         assert_eq!(p.total_dram_bytes(), 0);
         assert!(p.rep_events().is_empty());
-    }
-
-    #[test]
-    fn epoch_scopes_per_job_metrics() {
-        // Regression: on a reused queue, job B's profile must not inherit
-        // job A's kernel tables, lane/rep traces or recovery counters.
-        let p = Profiler::new();
-        p.record_kernel(krec("advance", 0, 0, 10, 0.5));
-        p.record_rep(0.0, 0, "dense", false);
-        p.record_lane(0.0, 0, 4, 0);
-        p.record_recovery(RecoveryEvent {
-            t_ns: 0.0,
-            superstep: 0,
-            fault: "transient".into(),
-            action: "retry".into(),
-            attempt: 1,
-        });
-
-        let job_b = p.begin_epoch();
-        assert_eq!(p.kernel_count_since(&job_b), 0);
-        assert_eq!(p.recovery_count_since(&job_b), 0);
-        assert!(p.lane_events_since(&job_b).is_empty());
-        assert!(p.rep_events_since(&job_b).is_empty());
-
-        p.record_kernel(krec("advance", 1, 0, 20, 0.5));
-        p.record_kernel(krec("compute", 2, 0, 5, 0.5));
-        p.record_lane(1.0, 0, 8, 2);
-        assert_eq!(p.kernel_count_since(&job_b), 2);
-        assert_eq!(p.kernels_since(&job_b)[0].seq, 1);
-        assert_eq!(p.lane_events_since(&job_b).len(), 1);
-        assert_eq!(p.recovery_count_since(&job_b), 0);
-        // Queue-lifetime history is untouched.
-        assert_eq!(p.kernel_count(), 3);
-        assert_eq!(p.recovery_count(), 1);
-
-        // An epoch taken on a then-reset profiler stays safe (indices
-        // clamp instead of slicing out of range).
-        p.reset();
-        assert_eq!(p.kernel_count_since(&job_b), 0);
-        assert!(p.kernels_since(&job_b).is_empty());
     }
 
     #[test]
