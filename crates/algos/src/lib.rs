@@ -12,6 +12,7 @@ pub mod bfs;
 pub mod cc;
 pub mod common;
 pub mod delta;
+pub mod determinism;
 pub mod dobfs;
 pub mod kcore;
 pub mod multi;
@@ -22,3 +23,4 @@ pub mod sssp;
 pub mod triangles;
 
 pub use common::AlgoResult;
+pub use determinism::Determinism;

@@ -1,27 +1,121 @@
 //! # sygraph-bench — the paper's evaluation, regenerated
 //!
-//! Shared machinery for the figure/table binaries (`src/bin/`): the
-//! comparison-grid runner, VRAM scaling, summary statistics and source
-//! sampling.
+//! One binary, `bench`, over this library: `bench list`, `bench run
+//! <name>…|--all [--out <dir>]`, `bench diff <fresh-dir> [<committed-dir>]`.
+//! Every experiment is a function from a [`Context`] to a
+//! [`report::Report`], registered in [`EXPERIMENTS`].
 //!
-//! | artifact | binary |
+//! | module | holds |
 //! |---|---|
-//! | Table 3 (datasets) | `table3` |
-//! | Table 4 (machines) | `table4` |
-//! | Figure 7 (ablation) | `fig7` |
-//! | Table 5 (L1/occupancy) | `table5` |
-//! | Figure 8 (comparison) | `fig8` |
-//! | Table 6 (speedups) | `table6` (derived from fig8) |
-//! | Figure 9 (memory) | `fig9` |
-//! | Figure 10 (devices) | `fig10` |
+//! | [`report`] | `Report`, its renderer, its `BENCH_<name>.json` writer, `diff` |
+//! | [`paper`] | Tables 3–5, Figures 7–10 (`fig8` carries Table 6) |
+//! | [`ablation`] | `advance_balancing`, `direction_opt`, `frontier_rep`: one generic policy ablation, three specs |
+//! | [`scaling`] | `multi_source`, `multi_device` |
+//! | [`service`] | `service_throughput`, `service_resilience` |
+//!
+//! The rest of this file is what they share: the context, the scaled
+//! device, source sampling, summary statistics and the comparison cell.
+
+pub mod ablation;
+pub mod paper;
+pub mod report;
+pub mod scaling;
+pub mod service;
 
 use serde::{Deserialize, Serialize};
 use sygraph_baselines::{
     AlgoKind, Framework, GunrockLike, SepGraphLike, SygraphFramework, TigrLike,
 };
+use sygraph_core::graph::CsrHost;
 use sygraph_core::inspector::OptConfig;
 use sygraph_gen::{Dataset, Scale};
 use sygraph_sim::{Device, DeviceProfile, Queue, SimError};
+
+use report::{Report, Table};
+
+/// What every experiment runs under: generator scale (`SYG_SCALE`,
+/// `test` or `bench`, default bench), sources per comparison cell
+/// (`SYG_SOURCES`, default 10; the paper uses 200) and the device.
+pub struct Context {
+    pub scale: Scale,
+    pub sources: usize,
+    /// Report key of `profile`.
+    pub device: &'static str,
+    pub profile: DeviceProfile,
+}
+
+impl Context {
+    pub fn from_env() -> Self {
+        let scale = match std::env::var("SYG_SCALE").as_deref() {
+            Ok("test") => Scale::Test,
+            _ => Scale::Bench,
+        };
+        let sources = std::env::var("SYG_SOURCES")
+            .ok()
+            .and_then(|s| s.parse().ok());
+        Context {
+            scale,
+            sources: sources.unwrap_or(10),
+            device: "v100s",
+            profile: DeviceProfile::v100s(),
+        }
+    }
+
+    /// A report of `tables` carrying this context's scale and device.
+    pub fn report(&self, bench: &str, tables: Vec<Table>) -> Report {
+        let scale = match self.scale {
+            Scale::Test => "test",
+            Scale::Bench => "bench",
+        };
+        Report {
+            bench: bench.into(),
+            scale: scale.into(),
+            device: self.device.into(),
+            params: Vec::new(),
+            tables,
+            verdicts: Vec::new(),
+        }
+    }
+
+    /// A queue on a fresh device of this context's profile, scaled to
+    /// `ds` (see [`scaled_profile`]).
+    pub fn queue(&self, ds: &Dataset) -> Queue {
+        Queue::new(Device::new(scaled_profile(&self.profile, ds)))
+    }
+}
+
+/// An experiment: `Err` for a correctness defect (an equivalence check
+/// failed) or a run that could not complete; a missed performance bar is
+/// a `holds: false` verdict inside the report.
+pub type Experiment = fn(&Context) -> Result<Report, String>;
+
+/// Every experiment under the name its report is written as
+/// (`BENCH_<name>.json`); each function's doc comment says what it
+/// measures.
+pub const EXPERIMENTS: [(&str, Experiment); 14] = [
+    ("table3", paper::table3),
+    ("table4", paper::table4),
+    ("fig7", paper::fig7),
+    ("table5", paper::table5),
+    ("fig8", paper::fig8),
+    ("fig9", paper::fig9),
+    ("fig10", paper::fig10),
+    ("advance_balancing", ablation::advance_balancing),
+    ("direction_opt", ablation::direction_opt),
+    ("frontier_rep", ablation::frontier_rep),
+    ("multi_source", scaling::multi_source),
+    ("multi_device", scaling::multi_device),
+    ("service_throughput", service::throughput),
+    ("service_resilience", service::resilience),
+];
+
+/// The highest-out-degree vertex: the worst-case-imbalance source the
+/// ablations share, and Figure 7's "common source" (a directory hub, so
+/// the traversal covers the whole crawl).
+pub fn hub_source(host: &CsrHost) -> u32 {
+    let hub = (0..host.vertex_count() as u32).max_by_key(|&v| host.degree(v));
+    hub.expect("non-empty graph")
+}
 
 /// Summary statistics over repeated runs.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -225,16 +319,14 @@ pub fn run_cell(
         };
     }
     let mut runs = Vec::with_capacity(sources.len());
+    // CC ignores the source but still runs once per entry (the paper
+    // repeats CC 200 times).
     for &src in sources {
         match fw.run(&q, algo, src) {
             Ok(rec) => runs.push(rec.algo_ms),
             Err(SimError::OutOfMemory { .. }) => return CellOutcome::Oom,
             Err(SimError::Unsupported(_)) => return CellOutcome::Unsupported,
             Err(e) => panic!("{} {} on {}: {e}", fw.name(), algo.name(), ds.key),
-        }
-        if algo.needs_undirected() {
-            // CC has no source; one run per repetition is still wanted
-            // (the paper repeats CC 200 times), so keep looping.
         }
     }
     let st = stats(&runs);
@@ -245,98 +337,6 @@ pub fn run_cell(
         std_ms: st.std,
         runs_ms: runs,
     })
-}
-
-/// The full Figure 8 grid: algorithms × datasets × frameworks.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ComparisonGrid {
-    pub dataset_keys: Vec<String>,
-    pub sources: usize,
-    /// `cells[algo][dataset][framework]`.
-    pub cells: Vec<Vec<Vec<CellOutcome>>>,
-}
-
-impl ComparisonGrid {
-    pub fn cell(&self, algo: usize, ds: usize, fw: usize) -> &CellOutcome {
-        &self.cells[algo][ds][fw]
-    }
-}
-
-/// Runs the whole comparison grid on the given device profile.
-pub fn run_comparison_grid(
-    profile: &DeviceProfile,
-    datasets: &[Dataset],
-    sources_per_cell: usize,
-    progress: bool,
-) -> ComparisonGrid {
-    let mut cells = Vec::new();
-    for algo in AlgoKind::all() {
-        let mut per_ds = Vec::new();
-        for ds in datasets {
-            let sources = sample_useful_sources(&ds.host, sources_per_cell, 0xF18 + algo as u64);
-            let mut per_fw = Vec::new();
-            for fw in FrameworkKind::all() {
-                if progress {
-                    eprintln!("  running {} / {} / {}", algo.name(), ds.key, fw.name());
-                }
-                per_fw.push(run_cell(profile, ds, fw, algo, &sources));
-            }
-            per_ds.push(per_fw);
-        }
-        cells.push(per_ds);
-    }
-    ComparisonGrid {
-        dataset_keys: datasets.iter().map(|d| d.key.to_string()).collect(),
-        sources: sources_per_cell,
-        cells,
-    }
-}
-
-/// Reads the experiment scale from `SYG_SCALE` (`test` or `bench`,
-/// default bench) — lets CI use the fast setting.
-pub fn scale_from_env() -> Scale {
-    match std::env::var("SYG_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        _ => Scale::Bench,
-    }
-}
-
-/// Reads the per-cell source count from `SYG_SOURCES` (default 10; the
-/// paper uses 200).
-pub fn sources_from_env() -> usize {
-    std::env::var("SYG_SOURCES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10)
-}
-
-/// Cache location for grid results shared between `fig8` and `table6`.
-pub fn grid_cache_path(scale: Scale, sources: usize) -> std::path::PathBuf {
-    let tag = match scale {
-        Scale::Test => "test",
-        Scale::Bench => "bench",
-    };
-    std::path::PathBuf::from(format!("target/sygraph-bench/fig8-{tag}-{sources}.json"))
-}
-
-/// Loads a cached grid or runs it fresh (set `SYG_REFRESH=1` to force).
-pub fn load_or_run_grid(scale: Scale, sources: usize) -> ComparisonGrid {
-    let path = grid_cache_path(scale, sources);
-    if std::env::var("SYG_REFRESH").is_err() {
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(grid) = serde_json::from_str(&text) {
-                eprintln!("(using cached grid {})", path.display());
-                return grid;
-            }
-        }
-    }
-    let datasets = sygraph_gen::comparison_suite(scale);
-    let grid = run_comparison_grid(&DeviceProfile::v100s(), &datasets, sources, true);
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let _ = std::fs::write(&path, serde_json::to_string(&grid).unwrap());
-    grid
 }
 
 #[cfg(test)]
@@ -403,6 +403,29 @@ mod tests {
             &[0],
         );
         assert!(matches!(out, CellOutcome::Unsupported));
+    }
+
+    #[test]
+    fn committed_reports_are_exactly_the_registered_experiments() {
+        let mut names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+        names.sort_unstable();
+        let registered = names.len();
+        names.dedup();
+        assert_eq!(names.len(), registered, "duplicate experiment name");
+
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut committed: Vec<String> = std::fs::read_dir(&root)
+            .unwrap()
+            .filter_map(|entry| entry.unwrap().file_name().into_string().ok())
+            .filter_map(|f| Some(f.strip_prefix("BENCH_")?.strip_suffix(".json")?.to_string()))
+            .collect();
+        committed.sort_unstable();
+        assert_eq!(committed, names);
+        for name in names {
+            let report = Report::read(&Report::path_in(&root, name)).unwrap();
+            assert_eq!(report.bench, name);
+            assert_eq!(report.scale, "bench", "{name} was committed at test scale");
+        }
     }
 
     #[test]

@@ -77,6 +77,7 @@ use std::process::ExitCode;
 
 use sygraph_core::engine::RecoveryPolicy;
 use sygraph_core::frontier::exchange::ExchangeConfig;
+use sygraph_core::frontier::maintenance_payer;
 use sygraph_core::graph::{validate_sources, CsrHost, Graph, PartitionSpec, PartitionedGraph};
 use sygraph_core::inspector::{Balancing, Direction, OptConfig, Representation};
 use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue};
@@ -829,74 +830,42 @@ fn main() -> ExitCode {
         // kernel cost split by representation.
         let reps = q.profiler().rep_events();
         if !reps.is_empty() {
-            let mut rle: Vec<(String, usize)> = Vec::new();
-            for e in &reps {
-                match rle.last_mut() {
-                    Some((r, c)) if *r == e.rep => *c += 1,
-                    _ => rle.push((e.rep.clone(), 1)),
-                }
-            }
-            let trace: Vec<String> = rle.iter().map(|(r, c)| format!("{r}\u{d7}{c}")).collect();
-            println!("  frontier representation: {}", trace.join(" -> "));
-            let s2d = reps
-                .iter()
-                .filter(|e| e.switched && e.rep == "dense")
-                .count();
-            let d2s = reps
-                .iter()
-                .filter(|e| e.switched && e.rep == "sparse")
-                .count();
-            println!("  sparse->dense switches: {s2d}");
-            println!("  dense->sparse switches: {d2s}");
-            let cost_of = |names: &[&str]| -> f64 {
+            println!(
+                "  frontier representation: {}",
+                rle(reps.iter().map(|e| &e.rep))
+            );
+            let switches_to =
+                |rep: &str| reps.iter().filter(|e| e.switched && e.rep == rep).count();
+            println!("  sparse->dense switches: {}", switches_to("dense"));
+            println!("  dense->sparse switches: {}", switches_to("sparse"));
+            let cost_of = |payer: &str| -> f64 {
                 q.profiler()
                     .kernels()
                     .iter()
-                    .filter(|k| names.contains(&k.name.as_str()))
+                    .filter(|k| maintenance_payer(&k.name) == Some(payer))
                     .map(|k| k.stats.total_ns() / 1e6)
                     .sum()
             };
             println!(
                 "  frontier maintenance: dense compaction {:.3} ms, sparse upkeep {:.3} ms",
-                cost_of(&["frontier_compact", "frontier_lazy_clear"]),
-                cost_of(&[
-                    "frontier_sparsify",
-                    "frontier_densify",
-                    "frontier_sparse_lazy_clear"
-                ]),
+                cost_of("dense"),
+                cost_of("sparse"),
             );
         }
-        // Per-superstep traversal-direction trace (push/pull), run-length
-        // encoded like the representation trace above.
         let dirs = q.profiler().direction_events();
         if !dirs.is_empty() {
-            let mut rle: Vec<(String, usize)> = Vec::new();
-            for e in &dirs {
-                match rle.last_mut() {
-                    Some((d, c)) if *d == e.direction => *c += 1,
-                    _ => rle.push((e.direction.clone(), 1)),
-                }
-            }
-            let trace: Vec<String> = rle.iter().map(|(d, c)| format!("{d}\u{d7}{c}")).collect();
-            println!("  traversal direction: {}", trace.join(" -> "));
+            println!(
+                "  traversal direction: {}",
+                rle(dirs.iter().map(|e| &e.direction))
+            );
             println!(
                 "  direction switches: {}",
                 q.profiler().direction_switch_count()
             );
         }
-        // Per-superstep active-lane trace for multi-source runs,
-        // run-length encoded like the representation/direction traces.
         let lanes = q.profiler().lane_events();
         if !lanes.is_empty() {
-            let mut rle: Vec<(u32, usize)> = Vec::new();
-            for e in &lanes {
-                match rle.last_mut() {
-                    Some((a, c)) if *a == e.active => *c += 1,
-                    _ => rle.push((e.active, 1)),
-                }
-            }
-            let trace: Vec<String> = rle.iter().map(|(a, c)| format!("{a}\u{d7}{c}")).collect();
-            println!("  active lanes: {}", trace.join(" -> "));
+            println!("  active lanes: {}", rle(lanes.iter().map(|e| e.active)));
             println!("  lanes retired: {}", q.profiler().lane_retired_count());
         }
         for e in q.profiler().recovery_events() {
@@ -919,6 +888,19 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+/// Run-length encodes a per-superstep trace as `a×3 -> b×2`.
+fn rle<T: PartialEq + std::fmt::Display>(trace: impl Iterator<Item = T>) -> String {
+    let mut runs: Vec<(T, usize)> = Vec::new();
+    for item in trace {
+        match runs.last_mut() {
+            Some((last, count)) if *last == item => *count += 1,
+            _ => runs.push((item, 1)),
+        }
+    }
+    let parts: Vec<String> = runs.iter().map(|(v, c)| format!("{v}\u{d7}{c}")).collect();
+    parts.join(" -> ")
 }
 
 /// The `--devices N` path: partition, run the multi-device BSP loop, and

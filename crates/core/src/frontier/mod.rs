@@ -50,6 +50,30 @@ use sygraph_sim::{DeviceBuffer, ItemCtx, Queue};
 
 use crate::types::VertexId;
 
+/// Profiler names of the frontier-maintenance kernels (everything a
+/// superstep launches besides `advance*` and the algorithm's own
+/// compute), each with who pays for it: the dense bitmap
+/// (`two_layer`), the sparse item list (`sparse`, `hybrid`, `convert`)
+/// or the pull direction's unvisited set (`engine`).
+const MAINTENANCE_KERNELS: [(&str, &str); 6] = [
+    ("frontier_compact", "dense"),
+    ("frontier_lazy_clear", "dense"),
+    ("frontier_sparsify", "sparse"),
+    ("frontier_densify", "sparse"),
+    ("frontier_sparse_lazy_clear", "sparse"),
+    ("unvisited_subtract", "pull"),
+];
+
+/// Who pays for the maintenance kernel `name` (`dense|sparse|pull`);
+/// `None` for every other kernel. The CLI's `--profile` split and the
+/// bench's pipeline-cycle sums both read the table through this.
+pub fn maintenance_payer(name: &str) -> Option<&'static str> {
+    MAINTENANCE_KERNELS
+        .iter()
+        .find(|(kernel, _)| *kernel == name)
+        .map(|(_, payer)| *payer)
+}
+
 /// Operations common to every frontier layout.
 pub trait Frontier: Sync {
     /// Number of representable vertices.

@@ -7,6 +7,7 @@
 //! admission control refuses them.
 
 use serde::{Deserialize, Serialize};
+pub use sygraph_algos::Determinism;
 
 use crate::error::{ServiceError, ServiceResult};
 
@@ -21,18 +22,6 @@ pub enum Algo {
     Cc,
     Bc,
     Pagerank,
-}
-
-/// How far two runs of the same job may differ. Declared once per
-/// algorithm ([`Algo::determinism`]); the coalescer and the cache tests
-/// read it from there.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Determinism {
-    /// Every run produces the same bits.
-    BitExact,
-    /// Runs agree to within this fraction of the result's largest finite
-    /// magnitude (see [`JobValues::agrees`]).
-    Tolerance(f32),
 }
 
 impl Algo {
@@ -69,15 +58,9 @@ impl Algo {
         !matches!(self, Algo::Cc | Algo::Pagerank)
     }
 
-    /// The algorithm's determinism class. BC and PageRank accumulate
-    /// with `fetch_add_f32`, whose summation order follows the host
-    /// thread schedule; the others are min-combine or level-stamp
-    /// fixpoints, which no order can change.
+    /// The algorithm's determinism class, as `sygraph_algos` declares it.
     pub fn determinism(&self) -> Determinism {
-        match self {
-            Algo::Bfs | Algo::Sssp | Algo::DeltaSssp | Algo::Cc => Determinism::BitExact,
-            Algo::Bc | Algo::Pagerank => Determinism::Tolerance(1e-4),
-        }
+        sygraph_algos::determinism::of(self.label())
     }
 
     /// Whether single-source requests of this algorithm may be folded
@@ -187,29 +170,16 @@ impl JobValues {
     /// Exact bit-level equality (distinguishes NaN payloads and signed
     /// zeros, unlike `PartialEq` on floats).
     pub fn bits_eq(&self, other: &JobValues) -> bool {
-        match (self, other) {
-            (JobValues::U32(a), JobValues::U32(b)) => a == b,
-            (JobValues::F32(a), JobValues::F32(b)) => {
-                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-            }
-            _ => false,
-        }
+        self.agrees(other, Determinism::BitExact)
     }
 
-    /// Whether `other` is an acceptable re-run of `self` under `class`:
-    /// the same bits, or every value within `eps` times the largest
-    /// finite magnitude in `self` (non-finite values must match exactly).
+    /// Whether `other` is an acceptable re-run of `self` under `class`
+    /// (see [`Determinism::agrees_f32`]).
     pub fn agrees(&self, other: &JobValues, class: Determinism) -> bool {
-        match (class, self, other) {
-            (Determinism::Tolerance(eps), JobValues::F32(a), JobValues::F32(b)) => {
-                let finite = a.iter().filter(|x| x.is_finite());
-                let bound = eps * finite.fold(0.0f32, |m, x| m.max(x.abs()));
-                a.len() == b.len()
-                    && a.iter()
-                        .zip(b)
-                        .all(|(x, y)| x.to_bits() == y.to_bits() || (x - y).abs() <= bound)
-            }
-            _ => self.bits_eq(other),
+        match (self, other) {
+            (JobValues::U32(a), JobValues::U32(b)) => class.agrees_u32(a, b),
+            (JobValues::F32(a), JobValues::F32(b)) => class.agrees_f32(a, b),
+            _ => false,
         }
     }
 }

@@ -5,8 +5,9 @@
 //!
 //! Three layers of evidence:
 //! 1. generator suite (R-MAT, road, web, social stand-ins): BFS, SSSP and
-//!    CC results bit-identical across representations, BC equal to float
-//!    tolerance (its atomic float accumulation order legitimately changes);
+//!    CC results bit-identical across representations, BC within its
+//!    declared class (`sygraph_algos::determinism`; its atomic float
+//!    accumulation order legitimately changes);
 //! 2. proptest on random vertex sets: the dense→sparse→dense conversion
 //!    kernel round-trip reproduces the bitmap exactly, on both word
 //!    widths, and the sparse list is duplicate-free;
@@ -26,13 +27,6 @@ const REPRESENTATIONS: [Representation; 3] = [
     Representation::Sparse,
     Representation::Auto,
 ];
-
-fn rel_close(a: f32, b: f32, tol: f32) -> bool {
-    if a == b || (!a.is_finite() && !b.is_finite()) {
-        return true;
-    }
-    (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
-}
 
 /// (bfs, sssp, cc, bc) result vectors of one run, compared across policies.
 type AlgoResults = (Vec<u32>, Vec<f32>, Vec<u32>, Vec<f32>);
@@ -60,13 +54,11 @@ fn check_dataset(ds: &sygraph_gen::Dataset) {
                 assert_eq!(b0, &bfs, "BFS diverged on {} under {r:?}", ds.key);
                 assert_eq!(s0, &sssp, "SSSP diverged on {} under {r:?}", ds.key);
                 assert_eq!(l0, &cc, "CC diverged on {} under {r:?}", ds.key);
-                for (i, (&a, &b)) in c0.iter().zip(&bc).enumerate() {
-                    assert!(
-                        rel_close(a, b, 1e-3),
-                        "BC diverged on {} under {r:?} at {i}: {a} vs {b}",
-                        ds.key
-                    );
-                }
+                assert!(
+                    sygraph_algos::determinism::of("bc").agrees_f32(c0, &bc),
+                    "BC diverged on {} under {r:?}",
+                    ds.key
+                );
             }
         }
     }
