@@ -134,7 +134,9 @@ fn bfs_once(
 /// Kernels that constitute each framework's "advance" work.
 fn advance_filter(fw: FrameworkKind) -> fn(&str) -> bool {
     match fw {
-        FrameworkKind::Sygraph => |n| n == "advance",
+        // The whole advance family (word walk, sparse list, pull, the
+        // three degree buckets) minus the binning pass that feeds them.
+        FrameworkKind::Sygraph => |n| n.starts_with("advance") && n != "advance_bucket_bin",
         FrameworkKind::Gunrock => |n| n == "gq_advance" || n == "gq_filter",
         FrameworkKind::Tigr => |n| n.starts_with("tigr_bfs"),
         FrameworkKind::SepGraph => |n| n.starts_with("sep_push") || n.starts_with("sep_pull"),
@@ -270,8 +272,11 @@ pub fn fig9(ctx: &Context) -> Result<Report, String> {
         .count("peak alloc KB");
     for dataset in [datasets::road_ca, datasets::hollywood, datasets::indochina] {
         let ds = dataset(ctx.scale);
+        // Figure 7's common source: from vertex 0 an Indochina BFS is
+        // over in two supersteps, from the hub it covers the crawl.
+        let src = hub_source(&ds.host);
         for fw in FrameworkKind::all() {
-            let (q, graph_mem) = bfs_once(ctx, &ds, fw, 0)?;
+            let (q, graph_mem) = bfs_once(ctx, &ds, fw, src)?;
             let phases = q.profiler().dram_bytes_by_phase();
             let series: Vec<f64> = phases.iter().map(|(_, b)| *b as f64 / 1024.0).collect();
             let mut head: Vec<String> = series.iter().take(12).map(|x| format!("{x:.0}")).collect();

@@ -1,8 +1,8 @@
 //! Degree buckets for the hybrid advance (§4.2 load balancing).
 //!
 //! After the counted compaction produces the non-zero word offsets, a
-//! binning kernel walks the set bits and sorts each active vertex into one
-//! of three buckets by out-degree:
+//! binning kernel ballots the set bits and sorts each active vertex into
+//! one of three buckets by out-degree:
 //!
 //! * **small** (`d ≤ small_max`): one lane walks the whole adjacency —
 //!   cooperative expansion would waste `sg_size − 1` lanes on it.
@@ -16,9 +16,9 @@
 //! The buffers live in a [`BucketPool`] so the superstep engine can reuse
 //! them across supersteps instead of reallocating per `advance`.
 
-use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SimResult};
+use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SimResult, SubgroupCtx, MAX_SUBGROUP};
 
-use crate::frontier::word::Word;
+use crate::frontier::word::{for_each_pass, slab_mask, Word};
 use crate::inspector::Tuning;
 use crate::types::VertexId;
 
@@ -130,10 +130,74 @@ impl BucketPool {
     }
 }
 
-/// The binning kernel: one lane per compacted (non-zero) first-layer
-/// word; each lane walks its word's set bits and appends every active
-/// vertex to the bucket its out-degree selects, reserving large-bucket
-/// slots one whole adjacency at a time (`⌈d / chunk⌉` entries).
+/// Zeroes the three append counters ahead of a binning pass.
+fn reset_counts(pool: &BucketPool) {
+    for k in 0..3 {
+        pool.counts.store(k, 0);
+    }
+}
+
+/// The append protocol both binning passes share. Each `active` lane of
+/// the subgroup holds one vertex (`vertex_of(lane)`), looks its degree up
+/// and votes in the three band ballots; every non-empty band then takes
+/// its slots with one [`SubgroupCtx::reserve`] — large-bucket lanes ask
+/// for a whole adjacency's `⌈d / chunk⌉` entries — and scatters.
+/// Degree-0 vertices (and tail bits past the last vertex) join no band.
+fn bin_lanes(
+    sg: &mut SubgroupCtx<'_, '_>,
+    active: u64,
+    pool: &BucketPool,
+    spec: &BucketSpec,
+    degree_of: DegreeOf<'_>,
+    vertex_of: impl Fn(&mut ItemCtx<'_>, u32) -> VertexId,
+) {
+    let mut verts = [0u32; MAX_SUBGROUP];
+    let mut degs = [0u32; MAX_SUBGROUP];
+    sg.lanes(active, |lane, item| {
+        let v = vertex_of(item, lane);
+        verts[lane as usize] = v;
+        degs[lane as usize] = degree_of(item, v);
+        item.compute(2);
+    });
+    let mut band = |lo: u32, hi: u32| {
+        sg.ballot(|lane| active >> lane & 1 != 0 && (lo..hi).contains(&degs[lane as usize]))
+    };
+    let small = band(1, spec.small_max + 1);
+    let medium = band(spec.small_max + 1, spec.large_min);
+    let large = band(spec.large_min, u32::MAX);
+    let mut slot = [0u32; MAX_SUBGROUP];
+    for (k, mask, bucket) in [(0, small, &pool.small), (1, medium, &pool.medium)] {
+        if mask != 0 {
+            let base = sg.reserve(&pool.counts, k, mask, |_| 1, &mut slot);
+            sg.store(bucket, mask, |lane| {
+                let l = lane as usize;
+                ((base + slot[l]) as usize, verts[l])
+            });
+        }
+    }
+    if large != 0 {
+        let chunks = |lane: u32| degs[lane as usize].div_ceil(spec.chunk);
+        let base = sg.reserve(&pool.counts, 2, large, chunks, &mut slot);
+        // Each lane writes its own run of chunk entries; the subgroup
+        // loops until its longest run is out.
+        for c in 0.. {
+            let writing = large & sg.ballot(|lane| c < chunks(lane));
+            if writing == 0 {
+                break;
+            }
+            let at = |lane: u32| (base + slot[lane as usize] + c) as usize;
+            sg.store(&pool.large_v, writing, |lane| {
+                (at(lane), verts[lane as usize])
+            });
+            sg.store(&pool.large_c, writing, |lane| (at(lane), c));
+        }
+    }
+}
+
+/// The binning kernel over a two-layer bitmap: one subgroup per compacted
+/// (non-zero) first-layer word, lanes on its bits (`W::BITS / sg` ballot
+/// passes); every pass appends its active vertices to the bucket their
+/// out-degree selects through [`bin_lanes`].
 ///
 /// Runs over the `nz` offsets the counted compaction just produced — the
 /// same scheduling domain the advance itself uses, so an empty frontier
@@ -147,53 +211,36 @@ pub fn bin_compacted<W: Word>(
     degree_of: DegreeOf<'_>,
     spec: &BucketSpec,
 ) -> BucketCounts {
-    pool.counts.store(0, 0);
-    pool.counts.store(1, 0);
-    pool.counts.store(2, 0);
+    reset_counts(pool);
     if nz == 0 {
         return BucketCounts::default();
     }
-    let spec = *spec;
-    let counts = &pool.counts;
-    let small = &pool.small;
-    let medium = &pool.medium;
-    let large_v = &pool.large_v;
-    let large_c = &pool.large_c;
-    q.parallel_for("advance_bucket_bin", nz, |lane, i| {
-        let word_idx = lane.load(offsets, i);
-        let mut w = lane.load(words, word_idx as usize);
-        while !w.is_zero() {
-            let b = w.trailing_zeros();
-            w = w.and(W::one_bit(b).not());
-            let v = word_idx * W::BITS + b;
-            let d = degree_of(lane, v);
-            lane.compute(2);
-            if d == 0 {
-                continue;
-            }
-            if d <= spec.small_max {
-                let idx = lane.fetch_add(counts, 0, 1);
-                lane.store(small, idx as usize, v);
-            } else if d < spec.large_min {
-                let idx = lane.fetch_add(counts, 1, 1);
-                lane.store(medium, idx as usize, v);
-            } else {
-                let chunks = d.div_ceil(spec.chunk);
-                let base = lane.fetch_add(counts, 2, chunks);
-                for c in 0..chunks {
-                    lane.store(large_v, (base + c) as usize, v);
-                    lane.store(large_c, (base + c) as usize, c);
-                }
-            }
-        }
+    q.parallel_for_subgroups("advance_bucket_bin", nz, |sg, pos| {
+        let word_idx = sg.load_uniform(offsets, pos);
+        let word = sg.load_uniform(words, word_idx as usize);
+        let first = word_idx * W::BITS;
+        let whole = (0, W::BITS);
+        for_each_pass(
+            sg,
+            word,
+            first,
+            u32::MAX,
+            whole,
+            |sg, pass_first, active| {
+                bin_lanes(sg, active, pool, spec, degree_of, |_, lane| {
+                    pass_first + lane
+                });
+            },
+        );
     });
     pool.read_counts()
 }
 
-/// Binning over a sparse item list: one lane per list entry (entries are
-/// duplicate-free vertex ids, so no bit-walk is needed). Shares the
-/// bucket layout and append protocol with [`bin_compacted`] — the three
-/// expansion kernels cannot tell which binning pass filled the pool.
+/// Binning over a sparse item list: one subgroup per `sg` list entries
+/// (entries are duplicate-free vertex ids, so no bit-walk is needed).
+/// Shares the bucket layout and append protocol with [`bin_compacted`] —
+/// the three expansion kernels cannot tell which binning pass filled the
+/// pool.
 pub fn bin_list(
     q: &Queue,
     items: &DeviceBuffer<u32>,
@@ -202,39 +249,17 @@ pub fn bin_list(
     degree_of: DegreeOf<'_>,
     spec: &BucketSpec,
 ) -> BucketCounts {
-    pool.counts.store(0, 0);
-    pool.counts.store(1, 0);
-    pool.counts.store(2, 0);
+    reset_counts(pool);
     if len == 0 {
         return BucketCounts::default();
     }
-    let spec = *spec;
-    let counts = &pool.counts;
-    let small = &pool.small;
-    let medium = &pool.medium;
-    let large_v = &pool.large_v;
-    let large_c = &pool.large_c;
-    q.parallel_for("advance_bucket_bin", len, |lane, i| {
-        let v = lane.load(items, i);
-        let d = degree_of(lane, v);
-        lane.compute(2);
-        if d == 0 {
-            return;
-        }
-        if d <= spec.small_max {
-            let idx = lane.fetch_add(counts, 0, 1);
-            lane.store(small, idx as usize, v);
-        } else if d < spec.large_min {
-            let idx = lane.fetch_add(counts, 1, 1);
-            lane.store(medium, idx as usize, v);
-        } else {
-            let chunks = d.div_ceil(spec.chunk);
-            let base = lane.fetch_add(counts, 2, chunks);
-            for c in 0..chunks {
-                lane.store(large_v, (base + c) as usize, v);
-                lane.store(large_c, (base + c) as usize, c);
-            }
-        }
+    let sgw = q.profile().preferred_subgroup as usize;
+    q.parallel_for_subgroups("advance_bucket_bin", len.div_ceil(sgw), |sg, unit| {
+        let first = unit * sgw;
+        let active = slab_mask(sgw, first, len);
+        bin_lanes(sg, active, pool, spec, degree_of, |item, lane| {
+            item.load(items, first + lane as usize)
+        });
     });
     pool.read_counts()
 }

@@ -2,22 +2,83 @@
 //! (item-list) frontier representations.
 //!
 //! Both directions mirror the §4.3 compaction idiom: one thread per
-//! source element, atomic-reservation appends, no host round-trips beyond
-//! the counter reads the callers already do. The sparse→dense direction
-//! is an atomic-OR scatter; the dense→sparse direction walks set bits the
-//! way `frontier_compact` walks second-layer words.
+//! source element, no host round-trips beyond the counter reads the
+//! callers already do. The sparse→dense direction is an atomic-OR
+//! scatter; the dense→sparse direction is the kernel `frontier_compact`
+//! runs over the second layer ([`append_set_bits`]), here over the first.
 
-use sygraph_sim::{DeviceBuffer, Queue};
+use sygraph_sim::{DeviceBuffer, Queue, MAX_SUBGROUP};
 
-use crate::frontier::word::{locate, Word};
+use crate::frontier::word::{locate, slab_mask, Word};
+
+/// Appends the id `i * W::BITS + b` of every set bit `b` of every
+/// `src[i]` to `out`, one lane per source word — the kernel under both the
+/// §4.3 compaction (`src` = second layer, ids = non-zero first-layer
+/// words) and the dense → sparse conversion (`src` = first layer, ids =
+/// vertices). A subgroup takes its slots with one
+/// [`SubgroupCtx::reserve`](sygraph_sim::SubgroupCtx::reserve) on `len`,
+/// each lane asking for its word's population count, then the lanes walk
+/// their bits together. Appends past `out`'s capacity are dropped, and
+/// one lane of a subgroup that dropped any raises `overflow` (when given).
+pub(crate) fn append_set_bits<W: Word>(
+    q: &Queue,
+    name: &'static str,
+    src: &DeviceBuffer<W>,
+    out: &DeviceBuffer<u32>,
+    len: &DeviceBuffer<u32>,
+    overflow: Option<&DeviceBuffer<u32>>,
+) {
+    let n = src.len();
+    let cap = out.len();
+    let sgw = q.profile().preferred_subgroup as usize;
+    q.parallel_for_subgroups(name, n.div_ceil(sgw), |sg, unit| {
+        let first = unit * sgw;
+        let mask = slab_mask(sgw, first, n);
+        let mut rest = [W::ZERO; MAX_SUBGROUP];
+        sg.load(
+            src,
+            mask,
+            |lane| first + lane as usize,
+            |lane, w| rest[lane as usize] = w,
+        );
+        let mut slot = [0u32; MAX_SUBGROUP];
+        let count = |lane: u32| rest[lane as usize].count_ones();
+        let base = sg.reserve(len, 0, mask, count, &mut slot);
+        if let Some(flag) = overflow {
+            let spills =
+                mask & sg.ballot(|lane| (base + slot[lane as usize] + count(lane)) as usize > cap);
+            if spills != 0 {
+                let leader = 1u64 << spills.trailing_zeros();
+                sg.atomic_or(flag, leader, |_| (0, 1), |_, _| {});
+            }
+        }
+        for k in 0.. {
+            let walking = mask & sg.ballot(|lane| !rest[lane as usize].is_zero());
+            if walking == 0 {
+                break;
+            }
+            let at = |lane: u32| (base + slot[lane as usize] + k) as usize;
+            let fits = walking & sg.ballot(|lane| at(lane) < cap);
+            sg.store(out, fits, |lane| {
+                let id = (first as u32 + lane) * W::BITS + rest[lane as usize].trailing_zeros();
+                (at(lane), id)
+            });
+            for w in &mut rest[..sgw] {
+                if !w.is_zero() {
+                    *w = w.and(W::one_bit(w.trailing_zeros()).not());
+                }
+            }
+            sg.compute(2);
+        }
+    });
+}
 
 /// Dense → sparse ("frontier_sparsify"): appends the vertex id of every
-/// set bit in `words` to `items`, reserving slots through the atomic
-/// `len` counter (reset here first). Appends past `items`' capacity are
-/// dropped and `overflow` is set to 1 instead — the caller must treat the
-/// list as absent when the flag comes back set. Tail bits beyond the
-/// vertex range never appear because the bitmap invariant keeps them
-/// clear.
+/// set bit in `words` to `items` through [`append_set_bits`] on the `len`
+/// counter (reset here first). Appends past `items`' capacity are dropped
+/// and `overflow` is set to 1 instead — the caller must treat the list as
+/// absent when the flag comes back set. Tail bits beyond the vertex range
+/// never appear because the bitmap invariant keeps them clear.
 pub fn sparsify<W: Word>(
     q: &Queue,
     words: &DeviceBuffer<W>,
@@ -26,29 +87,7 @@ pub fn sparsify<W: Word>(
     overflow: &DeviceBuffer<u32>,
 ) {
     len.store(0, 0);
-    let cap = items.len();
-    q.parallel_for("frontier_sparsify", words.len(), |lane, wi| {
-        let w = lane.load(words, wi);
-        if w.is_zero() {
-            return;
-        }
-        let base = lane.fetch_add(len, 0, w.count_ones());
-        let mut w = w;
-        let mut k = 0;
-        while !w.is_zero() {
-            let b = w.trailing_zeros();
-            let idx = (base + k) as usize;
-            if idx < cap {
-                lane.store(items, idx, wi as u32 * W::BITS + b);
-            } else {
-                // fetch_or: every overflowing lane raises the same flag.
-                lane.fetch_or(overflow, 0, 1);
-            }
-            k += 1;
-            w = w.and(W::one_bit(b).not());
-            lane.compute(2);
-        }
-    });
+    append_set_bits(q, "frontier_sparsify", words, items, len, Some(overflow));
 }
 
 /// Sparse → dense ("frontier_densify"): scatters `items[..len]` into the
@@ -74,6 +113,32 @@ pub fn densify<W: Word>(
                 let (l2i, l2b) = locate::<W>(wi as u32);
                 lane.fetch_or(l2, l2i, W::one_bit(l2b));
             }
+        }
+    });
+}
+
+/// Sparse lazy clear ("frontier_sparse_lazy_clear"): empties a frontier
+/// whose item list is exact in O(population). Lane `i < len` zeroes entry
+/// `i`'s first-layer word — `fetch_and`, because entries sharing a word
+/// zero it from several lanes, and what conflicts that leaves are genuine
+/// same-word pairs. The second layer, when there is one, is zeroed whole by
+/// the `layer2.len()` lanes past the entries with plain stores: every
+/// non-zero first-layer word has an entry here, so all of them are being
+/// zeroed in this same kernel.
+pub(crate) fn clear_listed<W: Word>(
+    q: &Queue,
+    items: &DeviceBuffer<u32>,
+    len: usize,
+    words: &DeviceBuffer<W>,
+    layer2: Option<&DeviceBuffer<W>>,
+) {
+    let l2_len = layer2.map_or(0, |l2| l2.len());
+    q.parallel_for("frontier_sparse_lazy_clear", len + l2_len, |lane, i| {
+        if i < len {
+            let v = lane.load(items, i);
+            lane.fetch_and(words, locate::<W>(v).0, W::ZERO);
+        } else if let Some(layer2) = layer2 {
+            lane.store(layer2, i - len, W::ZERO);
         }
     });
 }

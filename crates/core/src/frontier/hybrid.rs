@@ -19,7 +19,7 @@ use crate::frontier::convert;
 use crate::frontier::rep::{RepKind, SparseView};
 use crate::frontier::two_layer::TwoLayerFrontier;
 use crate::frontier::vector::VectorFrontier;
-use crate::frontier::word::{locate, Word};
+use crate::frontier::word::Word;
 use crate::frontier::{BitmapLike, Frontier};
 use crate::types::VertexId;
 
@@ -191,8 +191,9 @@ impl<W: Word> BitmapLike<W> for HybridFrontier<W> {
     }
 
     /// Lazy clear, representation-aware: with a valid list this is
-    /// O(population) — zero the exact words (and second-layer words) the
-    /// entries touch, the scan-free clear that motivates the sparse rep.
+    /// O(population) — zero the exact words the entries touch (and the
+    /// small second layer wholesale), the scan-free clear that motivates
+    /// the sparse rep ([`convert::clear_listed`]).
     /// Without one, fall back to the dense lazy clear when the last
     /// superstep ran dense (its compaction offsets are fresh), or a full
     /// clear otherwise.
@@ -200,21 +201,8 @@ impl<W: Word> BitmapLike<W> for HybridFrontier<W> {
         if self.list_valid() {
             let len = self.list.len();
             if len > 0 {
-                let words = self.inner.words();
-                let layer2 = self.inner.layer2();
-                let items = self.list.items();
-                q.parallel_for("frontier_sparse_lazy_clear", len, |lane, i| {
-                    let v = lane.load(items, i);
-                    let (wi, _) = locate::<W>(v);
-                    // fetch_and: entries sharing a word (or second-layer
-                    // word) zero it from several lanes concurrently.
-                    lane.fetch_and(words, wi, W::ZERO);
-                    // Zeroing the whole second-layer word is safe: every
-                    // non-zero first-layer word has an entry here, so all
-                    // of them are being zeroed in this same kernel.
-                    let (l2i, _) = locate::<W>(wi as u32);
-                    lane.fetch_and(layer2, l2i, W::ZERO);
-                });
+                let (words, layer2) = (self.inner.words(), self.inner.layer2());
+                convert::clear_listed(q, self.list.items(), len, words, Some(layer2));
             }
             self.reset_list_flags();
         } else if self.mode.load(Ordering::Relaxed) == 0 {

@@ -25,7 +25,7 @@
 use sygraph_sim::{DeviceBuffer, ItemCtx, Queue};
 
 use crate::frontier::two_layer::TwoLayerFrontier;
-use crate::frontier::word::Word;
+use crate::frontier::word::{zero_run, Word};
 use crate::frontier::{BitmapLike, Frontier};
 use crate::types::VertexId;
 
@@ -232,31 +232,31 @@ impl<W: Word> BitmapLike<W> for LaneFrontier<W> {
         self.base.compact(q)
     }
 
-    /// Lazy clear extended to the lane overlay: zero exactly the lane
-    /// words covering the union words the last [`BitmapLike::compact`]
-    /// found non-zero (the overlay invariant guarantees no lane bits live
-    /// outside them), then run the union layer's own lazy clear. Alignment
-    /// holds because `W::BITS × width` is always a multiple of 64.
+    /// Lazy clear extended to the lane overlay, one launch for all three
+    /// layers: a subgroup takes one union word the last
+    /// [`BitmapLike::compact`] found non-zero, zeroes it, and its lanes
+    /// store zeros over the *consecutive* lane words shadowing it (the
+    /// overlay invariant guarantees no lane bits live outside them); the
+    /// subgroups past the offsets zero the second layer. Alignment holds
+    /// because `W::BITS × width` is always a multiple of 64.
     fn lazy_clear(&self, q: &Queue) {
         let (offsets, count) = self.base.compaction_buffers();
         let nz = count.load(0) as usize;
         // Lane words per union word: W::BITS vertices × width bits / 64.
         let lwpu = (W::BITS * self.width / 64) as usize;
-        let lanes = &self.lanes;
-        let lane_len = lanes.len();
-        if nz > 0 {
-            q.parallel_for("lane_lazy_clear", nz, |lane, i| {
-                let wi = lane.load(offsets, i) as usize;
-                for k in 0..lwpu {
-                    let lw = wi * lwpu + k;
-                    if lw < lane_len {
-                        lane.store(lanes, lw, 0u64);
-                    }
-                }
-                lane.compute(lwpu as u64);
-            });
-        }
-        self.base.lazy_clear(q);
+        let (words, layer2, lanes) = (self.base.words(), self.base.layer2(), &self.lanes);
+        let sgw = q.profile().preferred_subgroup as usize;
+        let units = nz + layer2.len().div_ceil(sgw);
+        q.parallel_for_subgroups("lane_lazy_clear", units, |sg, unit| {
+            if unit < nz {
+                let wi = sg.load_uniform(offsets, unit) as usize;
+                sg.store_uniform(words, wi, W::ZERO);
+                zero_run(sg, lanes, wi * lwpu, lanes.len().min((wi + 1) * lwpu));
+            } else {
+                let first = (unit - nz) * sgw;
+                zero_run(sg, layer2, first, layer2.len().min(first + sgw));
+            }
+        });
     }
 
     fn rebuild_from_words(&self, q: &Queue) {

@@ -4,9 +4,9 @@
 //! kernels: intersection is AND, union is OR, symmetric difference is XOR
 //! and subtraction is AND-NOT, one GPU thread per bitmap word.
 
-use sygraph_sim::Queue;
+use sygraph_sim::{Queue, MAX_SUBGROUP};
 
-use crate::frontier::word::Word;
+use crate::frontier::word::{slab_mask, Word};
 use crate::frontier::{BitmapLike, TwoLayerFrontier};
 
 /// The bitwise combiner applied word-by-word.
@@ -113,17 +113,40 @@ pub fn subtraction<W: Word, A: BitmapLike<W>, B: BitmapLike<W>, O: BitmapLike<W>
 }
 
 /// Rebuilds a two-layer frontier's second layer from its first layer
-/// (needed after word-wise writes bypass the insert path).
+/// (needed after word-wise writes bypass the insert path). A subgroup's
+/// ballot of "word non-zero" over `W::BITS` consecutive first-layer words
+/// *is* their second-layer word, so every second-layer word is written
+/// once with a plain store: no clearing pass and no atomic.
 pub fn rebuild_layer2<W: Word>(q: &Queue, f: &TwoLayerFrontier<W>) {
-    q.fill(f.layer2(), W::ZERO);
-    let words = f.words();
-    let layer2 = f.layer2();
-    q.parallel_for("layer2_rebuild", f.num_words(), |lane, i| {
-        let w = lane.load(words, i);
-        if !w.is_zero() {
-            let (l2i, l2b) = crate::frontier::word::locate::<W>(i as u32);
-            lane.fetch_or(layer2, l2i, W::one_bit(l2b));
+    let (words, layer2) = (f.words(), f.layer2());
+    let n = f.num_words();
+    let sgw = q.profile().preferred_subgroup as usize;
+    // Second-layer words per subgroup: one, balloted in `W::BITS / sg`
+    // passes — or several when the subgroup is wider than a word.
+    let per = (sgw / W::BITS as usize).max(1);
+    let span = per * W::BITS as usize;
+    q.parallel_for_subgroups("layer2_rebuild", layer2.len().div_ceil(per), |sg, unit| {
+        let mut marks = 0u64;
+        for (pass, base) in (unit * span..n.min((unit + 1) * span))
+            .step_by(sgw)
+            .enumerate()
+        {
+            let mask = slab_mask(sgw, base, n);
+            let mut nonzero = [false; MAX_SUBGROUP];
+            sg.load(
+                words,
+                mask,
+                |lane| base + lane as usize,
+                |lane, w| nonzero[lane as usize] = !w.is_zero(),
+            );
+            marks |= sg.ballot(|lane| nonzero[lane as usize]) << (pass * sgw);
         }
+        let l2_first = unit * per;
+        let out = slab_mask(per, l2_first, layer2.len());
+        sg.store(layer2, out, |lane| {
+            let mark = W::from_u64(marks >> (lane * W::BITS));
+            (l2_first + lane as usize, mark)
+        });
     });
 }
 

@@ -169,15 +169,7 @@ impl<W: Word> BitmapLike<W> for SparseFrontier<W> {
         }
         let len = self.list.len();
         if len > 0 {
-            let words = &self.storage.words;
-            let items = self.list.items();
-            q.parallel_for("frontier_sparse_lazy_clear", len, |lane, i| {
-                let v = lane.load(items, i);
-                let (wi, _) = locate::<W>(v);
-                // fetch_and: list entries sharing a word zero it from
-                // several lanes; a plain store would be a write/write race.
-                lane.fetch_and(words, wi, W::ZERO);
-            });
+            convert::clear_listed(q, self.list.items(), len, &self.storage.words, None);
         }
         self.list.set_len(0);
     }

@@ -11,6 +11,7 @@ use sygraph_sim::{DeviceBuffer, ItemCtx, Queue};
 
 use crate::frontier::bitmap::BitmapStorage;
 use crate::frontier::bucket::{self, BucketCounts, BucketPool, BucketSpec, DegreeOf};
+use crate::frontier::convert;
 use crate::frontier::word::{locate, words_for, Word};
 use crate::frontier::{BitmapLike, Frontier};
 use crate::types::VertexId;
@@ -213,36 +214,20 @@ impl<W: Word> BitmapLike<W> for TwoLayerFrontier<W> {
         }
     }
 
-    /// The pre-advance compaction kernel: one thread per second-layer
-    /// word; each thread appends the offsets of its set bits (= non-zero
-    /// first-layer words) to the offsets buffer with a single atomic
-    /// reservation.
+    /// The pre-advance compaction kernel: one lane per second-layer
+    /// word, appending the offsets of its set bits (= non-zero first-layer
+    /// words) to the offsets buffer, one reservation per subgroup
+    /// ([`convert::append_set_bits`]).
     fn compact(&self, q: &Queue) -> Option<(usize, &DeviceBuffer<u32>)> {
         self.offsets_count.store(0, 0);
-        let layer2 = &self.layer2;
-        let offsets = &self.offsets;
-        let counter = &self.offsets_count;
-        let num_words = self.storage.num_words() as u32;
-        q.parallel_for("frontier_compact", layer2.len(), |lane, i| {
-            let l2 = lane.load(layer2, i);
-            if l2.is_zero() {
-                return;
-            }
-            let cnt = l2.count_ones();
-            let base = lane.fetch_add(counter, 0, cnt);
-            let mut w = l2;
-            let mut k = 0;
-            while !w.is_zero() {
-                let b = w.trailing_zeros();
-                let word_idx = i as u32 * W::BITS + b;
-                if word_idx < num_words {
-                    lane.store(offsets, (base + k) as usize, word_idx);
-                    k += 1;
-                }
-                w = w.and(W::one_bit(b).not());
-                lane.compute(2);
-            }
-        });
+        convert::append_set_bits(
+            q,
+            "frontier_compact",
+            &self.layer2,
+            &self.offsets,
+            &self.offsets_count,
+            None,
+        );
         Some((self.offsets_count.load(0) as usize, &self.offsets))
     }
 

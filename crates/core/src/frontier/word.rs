@@ -3,9 +3,11 @@
 //! The paper's MSI optimization matches the bitmap integer width to the
 //! device's subgroup width (32-bit on NVIDIA/Intel warps, 64-bit on AMD
 //! wavefronts). Frontiers are therefore generic over a [`Word`] type; the
-//! device inspector picks the instantiation at runtime.
+//! device inspector picks the instantiation at runtime. The helpers that
+//! map a subgroup's lanes onto the bits of a word or onto a run of words
+//! live here too.
 
-use sygraph_sim::AtomicInt;
+use sygraph_sim::{full_mask, AtomicInt, DeviceBuffer, DeviceScalar, SubgroupCtx};
 
 /// An unsigned integer usable as a bitmap word.
 pub trait Word: AtomicInt + PartialEq + std::fmt::Debug {
@@ -33,6 +35,9 @@ pub trait Word: AtomicInt + PartialEq + std::fmt::Debug {
     fn to_u64(self) -> u64;
     /// Index of the lowest set bit, or `BITS` if zero.
     fn trailing_zeros(self) -> u32;
+    /// The word holding the lowest `BITS` bits of `bits` (the inverse of
+    /// [`Word::to_u64`]; a u32 word truncates).
+    fn from_u64(bits: u64) -> Self;
 }
 
 macro_rules! impl_word {
@@ -81,6 +86,10 @@ macro_rules! impl_word {
             fn trailing_zeros(self) -> u32 {
                 <$t>::trailing_zeros(self)
             }
+            #[inline]
+            fn from_u64(bits: u64) -> Self {
+                bits as $t
+            }
         }
     };
 }
@@ -99,6 +108,55 @@ pub fn words_for<W: Word>(n: usize) -> usize {
 #[inline]
 pub fn locate<W: Word>(v: u32) -> (usize, u32) {
     ((v / W::BITS) as usize, v % W::BITS)
+}
+
+/// Ballots the bits `[bits.0, bits.1)` of `word` one subgroup-wide pass at
+/// a time — several passes when the range is wider than the subgroup — and
+/// hands each non-empty pass to `each(sg, id_of_lane_0, active_mask)`. Bit
+/// `b` stands for id `first + b`; ids at or past `limit` (the tail bits of
+/// the last word) never vote.
+pub(crate) fn for_each_pass<W: Word>(
+    sg: &mut SubgroupCtx<'_, '_>,
+    word: W,
+    first: u32,
+    limit: u32,
+    bits: (u32, u32),
+    mut each: impl FnMut(&mut SubgroupCtx<'_, '_>, u32, u64),
+) {
+    let sgw = sg.width();
+    let (bit_lo, bit_hi) = bits;
+    for p in 0..(bit_hi - bit_lo).div_ceil(sgw) {
+        let bit_base = bit_lo + p * sgw;
+        let active = sg.ballot(|lane| {
+            let bit = bit_base + lane;
+            bit < bit_hi && word.test_bit(bit) && first + bit < limit
+        });
+        if active != 0 {
+            each(sg, first + bit_base, active);
+        }
+    }
+}
+
+/// Mask of the lanes that hold an item when items `first..end` are dealt
+/// to a subgroup `sgw` wide, one per lane: all of them, or the `end -
+/// first` a last, partial slab has.
+pub(crate) fn slab_mask(sgw: usize, first: usize, end: usize) -> u64 {
+    full_mask((end - first).min(sgw) as u32)
+}
+
+/// Zeroes `buf[lo..hi]` with the subgroup's lanes on consecutive
+/// elements, a subgroup width per pass.
+pub(crate) fn zero_run<T: DeviceScalar>(
+    sg: &mut SubgroupCtx<'_, '_>,
+    buf: &DeviceBuffer<T>,
+    lo: usize,
+    hi: usize,
+) {
+    let sgw = sg.width() as usize;
+    for base in (lo..hi).step_by(sgw) {
+        let mask = slab_mask(sgw, base, hi);
+        sg.store(buf, mask, |lane| (base + lane as usize, T::default()));
+    }
 }
 
 #[cfg(test)]

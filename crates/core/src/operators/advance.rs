@@ -44,10 +44,11 @@ use sygraph_sim::{
 };
 
 use crate::frontier::bucket::{self, BucketPool, BucketSpec};
-use crate::frontier::word::{locate, Word};
+use crate::frontier::word::{for_each_pass, locate, Word};
 use crate::frontier::BitmapLike;
 use crate::graph::traits::DeviceGraphView;
 use crate::inspector::{inspect, Balancing, DegreeProfile, OptConfig, Tuning};
+use crate::operators::no_launch;
 use crate::types::{EdgeId, VertexId, Weight};
 
 /// The advance functor: `(lane, src, dst, edge, weight) -> bool`,
@@ -224,17 +225,6 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
     }
 }
 
-/// A zero-duration event for advances that need no kernel at all (empty
-/// frontier, empty bucket, zero-vertex graph): the host learns this from
-/// the compaction count, so no empty grid is ever launched.
-fn no_launch(q: &Queue) -> Event {
-    let now = q.now_ns();
-    Event {
-        start_ns: now,
-        end_ns: now,
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Work lists
 // ---------------------------------------------------------------------------
@@ -398,33 +388,6 @@ trait Side<W: Word>: Sync {
         bits: (u32, u32),
         local_base: usize,
     );
-}
-
-/// Ballots the bits `[bits.0, bits.1)` of `word` one subgroup-wide pass at
-/// a time — several passes when the range is wider than the subgroup — and
-/// hands each non-empty pass to `each(sg, id_of_lane_0, active_mask)`. Bit
-/// `b` stands for id `first + b`; ids at or past `limit` (the tail bits of
-/// the last word) never vote.
-fn for_each_pass<W: Word>(
-    sg: &mut SubgroupCtx<'_, '_>,
-    word: W,
-    first: u32,
-    limit: u32,
-    bits: (u32, u32),
-    mut each: impl FnMut(&mut SubgroupCtx<'_, '_>, u32, u64),
-) {
-    let sgw = sg.width();
-    let (bit_lo, bit_hi) = bits;
-    for p in 0..(bit_hi - bit_lo).div_ceil(sgw) {
-        let bit_base = bit_lo + p * sgw;
-        let active = sg.ballot(|lane| {
-            let bit = bit_base + lane;
-            bit < bit_hi && word.test_bit(bit) && first + bit < limit
-        });
-        if active != 0 {
-            each(sg, first + bit_base, active);
-        }
-    }
 }
 
 /// Push: frontier vertices expand their out-edges.

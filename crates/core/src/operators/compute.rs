@@ -7,6 +7,7 @@ use sygraph_sim::{Event, ItemCtx, Queue};
 
 use crate::frontier::word::{locate, Word};
 use crate::frontier::BitmapLike;
+use crate::operators::no_launch;
 use crate::types::VertexId;
 
 /// The compute functor: `(lane, vertex)`, matching `Functor(id)`.
@@ -36,25 +37,32 @@ pub fn execute_all(q: &Queue, n: usize, functor: impl ComputeFunctor) -> Event {
     q.parallel_for("compute_all", n, |lane, v| functor(lane, v as u32))
 }
 
-/// Like [`execute`], but sized by the frontier's compaction: instead of
-/// scanning all `capacity()` bit slots, only the non-zero words reported
-/// by [`BitmapLike::compact`] are visited (the superstep engine's unfused
-/// compute path). Falls back to [`execute`] for layouts without a
-/// compaction step.
+/// Like [`execute`], but sized by the frontier's population instead of
+/// its `capacity()` bit slots (the superstep engine's unfused compute
+/// path). A frontier that presents an exact item list has the functor run
+/// over the list, one lane per entry and no scan at all; otherwise only
+/// the non-zero words reported by [`BitmapLike::compact`] are visited.
+/// Falls back to [`execute`] for layouts with neither.
 pub fn over_compacted<W: Word>(
     q: &Queue,
     frontier: &dyn BitmapLike<W>,
     functor: impl ComputeFunctor,
 ) -> Event {
+    if let Some(view) = frontier.sparse_view(q) {
+        if view.len == 0 {
+            return no_launch(q);
+        }
+        let items = view.items;
+        return q.parallel_for("compute", view.len, |lane, i| {
+            let v = lane.load(items, i);
+            functor(lane, v);
+        });
+    }
     let Some((nz, offsets)) = frontier.compact(q) else {
         return execute(q, frontier, functor);
     };
     if nz == 0 {
-        let now = q.now_ns();
-        return Event {
-            start_ns: now,
-            end_ns: now,
-        };
+        return no_launch(q);
     }
     let words = frontier.words();
     let n = frontier.capacity() as u32;

@@ -7,22 +7,13 @@ use sygraph_sim::{Event, ItemCtx, Queue};
 
 use crate::frontier::word::{locate, Word};
 use crate::frontier::BitmapLike;
+use crate::operators::no_launch;
 use crate::types::VertexId;
 
 /// The filter functor: `(lane, vertex) -> bool` — `true` keeps the vertex,
 /// matching the paper's `Functor(id) -> Bool`.
 pub trait FilterFunctor: Fn(&mut ItemCtx<'_>, VertexId) -> bool + Sync {}
 impl<F> FilterFunctor for F where F: Fn(&mut ItemCtx<'_>, VertexId) -> bool + Sync {}
-
-/// A zero-duration event for filters with nothing to scan (an empty
-/// sparse list needs no kernel at all).
-fn no_launch(q: &Queue) -> Event {
-    let now = q.now_ns();
-    Event {
-        start_ns: now,
-        end_ns: now,
-    }
-}
 
 /// `filter::inplace(G, Frontier, Functor)`: removes elements failing
 /// `functor` from `frontier`.

@@ -7,3 +7,17 @@
 pub mod advance;
 pub mod compute;
 pub mod filter;
+
+use sygraph_sim::{Event, Queue};
+
+/// A zero-duration event for a primitive with nothing to visit (empty
+/// frontier, empty bucket, empty list, zero-vertex graph): the host learns
+/// this from a count it already read back, so no empty grid is ever
+/// launched.
+fn no_launch(q: &Queue) -> Event {
+    let now = q.now_ns();
+    Event {
+        start_ns: now,
+        end_ns: now,
+    }
+}

@@ -530,6 +530,35 @@ impl<'g, 'a> SubgroupCtx<'g, 'a> {
         self.rmw_impl(buf, mask, src, |b, i, v| b.fetch_add(i, v), sink);
     }
 
+    /// Subgroup-aggregated reservation on the counter `buf[idx]`: lane
+    /// `l` of `mask` asks for `amount(l)` slots, `offsets[l]` receives the
+    /// exclusive prefix of the amounts below it, and the lowest active
+    /// lane adds the subgroup's total to the counter with *one* atomic,
+    /// whose old value (the subgroup's base) is broadcast and returned.
+    /// Lane `l` owns `base + offsets[l] .. + amount(l)`. The cost is what
+    /// [`exclusive_scan_add`](Self::exclusive_scan_add), a one-lane
+    /// [`atomic_add`](Self::atomic_add) and one broadcast slot already
+    /// cost. A subgroup asking for nothing issues no atomic (the scan
+    /// total is subgroup-uniform) and gets base 0.
+    pub fn reserve(
+        &mut self,
+        buf: &DeviceBuffer<u32>,
+        idx: usize,
+        mask: u64,
+        amount: impl FnMut(u32) -> u32,
+        offsets: &mut [u32],
+    ) -> u32 {
+        let total = self.exclusive_scan_add(mask, amount, offsets);
+        if total == 0 {
+            return 0;
+        }
+        let leader = 1u64 << mask.trailing_zeros();
+        let mut base = 0;
+        self.atomic_add(buf, leader, |_| (idx, total), |_, old| base = old);
+        self.compute(1);
+        base
+    }
+
     /// SIMD `atomic_min`; `sink` receives previous values.
     pub fn atomic_min<T: AtomicInt>(
         &mut self,
@@ -997,6 +1026,86 @@ mod tests {
         let s = g.take_stats();
         assert_eq!(s.atomics, 8);
         assert!(s.atomic_conflict_cycles >= 7 * super::ATOMIC_CONFLICT_CYCLES);
+    }
+
+    #[test]
+    fn reserve_offsets_are_the_exclusive_prefix() {
+        let c = cfg(1, 8, 8);
+        let counter = buf_u32(2);
+        counter.store(1, 100);
+        let mut g = ctx_off(&c);
+        g.for_each_subgroup(|sg| {
+            let mut offs = [0u32; MAX_SUBGROUP];
+            // lanes 1, 2, 5, 7 ask for lane + 1 slots each
+            let mask = 0b1010_0110;
+            let base = sg.reserve(&counter, 1, mask, |lane| lane + 1, &mut offs);
+            assert_eq!(base, 100);
+            assert_eq!((offs[1], offs[2], offs[5], offs[7]), (0, 2, 5, 11));
+        });
+        assert_eq!(counter.load(1), 100 + 2 + 3 + 6 + 8);
+        assert_eq!(counter.load(0), 0, "only the addressed counter moves");
+    }
+
+    #[test]
+    fn reserve_ranges_of_concurrent_subgroups_tile_the_counter() {
+        let c = cfg(4, 32, 8);
+        let counter = buf_u32(1);
+        let mut ranges = Vec::new();
+        for group in 0..4 {
+            let mut g = GroupCtx::new(group, &c, Accounting::Off, None, 128, None);
+            g.for_each_subgroup(|sg| {
+                let mut offs = [0u32; MAX_SUBGROUP];
+                let salt = sg.global_sg_index() as u32 * 3;
+                let want = |lane: u32| (salt + lane) % 5;
+                let mask = 0b1101_1011;
+                let base = sg.reserve(&counter, 0, mask, want, &mut offs);
+                for lane in (0..8).filter(|l| mask >> l & 1 != 0) {
+                    ranges.push((base + offs[lane as usize], want(lane)));
+                }
+            });
+        }
+        ranges.retain(|&(_, len)| len > 0);
+        ranges.sort_unstable();
+        let mut next = 0;
+        for (lo, len) in ranges {
+            assert_eq!(lo, next, "ranges are disjoint and leave no gap");
+            next = lo + len;
+        }
+        assert_eq!(next, counter.load(0), "ranges cover the counter");
+    }
+
+    #[test]
+    fn reserve_costs_one_atomic_and_no_conflict() {
+        let c = cfg(1, 8, 8);
+        let counter = buf_u32(1);
+        let mut g = ctx_acct(&c);
+        let mut calls = 0;
+        g.for_each_subgroup(|sg| {
+            let mut offs = [0u32; MAX_SUBGROUP];
+            sg.reserve(&counter, 0, sg.full_mask(), |_| 2, &mut offs);
+            calls += 1;
+        });
+        let with = g.take_stats();
+        assert_eq!(with.atomics, calls, "one atomic per call, not per lane");
+        assert_eq!(with.atomic_conflict_cycles, 0);
+
+        // No new constant: scan + one-lane atomic + one broadcast slot.
+        let mut g = ctx_acct(&c);
+        g.for_each_subgroup(|sg| {
+            let mut offs = [0u32; MAX_SUBGROUP];
+            let total = sg.exclusive_scan_add(sg.full_mask(), |_| 2, &mut offs);
+            sg.atomic_add(&counter, 1, |_| (0, total), |_, _| {});
+            sg.compute(1);
+        });
+        assert_eq!(with, g.take_stats());
+
+        // A subgroup that asks for nothing issues no atomic at all.
+        let mut g = ctx_acct(&c);
+        g.for_each_subgroup(|sg| {
+            let mut offs = [0u32; MAX_SUBGROUP];
+            assert_eq!(sg.reserve(&counter, 0, 0b1010, |_| 0, &mut offs), 0);
+        });
+        assert_eq!(g.take_stats().atomics, 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::cancel::CancelToken;
 use crate::cost::{self, CuAgg};
 use crate::device::DeviceProfile;
 use crate::error::{SimError, SimResult};
-use crate::exec::{run_range_group, Accounting, GroupCtx, ItemCtx, LaunchConfig};
+use crate::exec::{run_range_group, Accounting, GroupCtx, ItemCtx, LaunchConfig, SubgroupCtx};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::memory::{AllocKind, DeviceBuffer, DeviceScalar, MemTracker};
 use crate::profiler::{KernelRecord, MemEvent, Profiler};
@@ -450,9 +450,7 @@ impl Queue {
     where
         F: Fn(&mut ItemCtx<'_>, usize) + Sync,
     {
-        let profile = &self.device.profile;
-        let wg_size = 256.min(profile.max_workgroup_size);
-        let sg = profile.preferred_subgroup;
+        let (wg_size, sg) = self.range_shape();
         let groups = n.div_ceil(wg_size as usize);
         let cfg = LaunchConfig::new(name, groups, wg_size, sg);
         let per_group = wg_size as usize;
@@ -460,6 +458,39 @@ impl Queue {
             let start = ctx.group_id * per_group;
             let end = (start + per_group).min(n);
             run_range_group(ctx, start, end, &f);
+        })
+    }
+
+    /// `(workgroup size, subgroup width)` the runtime picks for range
+    /// kernels.
+    fn range_shape(&self) -> (u32, u32) {
+        let profile = &self.device.profile;
+        (
+            256.min(profile.max_workgroup_size),
+            profile.preferred_subgroup,
+        )
+    }
+
+    /// Submits a range kernel at subgroup granularity: `f(sg, u)` runs
+    /// once per unit `u` in `[0, units)`, one subgroup each, in
+    /// [`Queue::parallel_for`]'s workgroup shape. For kernels that need
+    /// the collectives (ballot, scan, [`SubgroupCtx::reserve`]) across the
+    /// lanes of a unit — `f` maps its lanes onto the unit's items.
+    pub fn parallel_for_subgroups<F>(&self, name: impl Into<String>, units: usize, f: F) -> Event
+    where
+        F: Fn(&mut SubgroupCtx<'_, '_>, usize) + Sync,
+    {
+        let (wg_size, sg) = self.range_shape();
+        let per_group = (wg_size / sg) as usize;
+        let cfg = LaunchConfig::new(name, units.div_ceil(per_group), wg_size, sg);
+        self.launch(cfg, |ctx| {
+            let base = ctx.group_id * per_group;
+            ctx.for_each_subgroup(|sg| {
+                let unit = base + sg.sg_id() as usize;
+                if unit < units {
+                    f(sg, unit);
+                }
+            });
         })
     }
 
