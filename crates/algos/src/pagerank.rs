@@ -3,15 +3,17 @@
 //! motivates frontier operators with graph machine-learning uses).
 //!
 //! Push-style power iteration: an all-vertices `advance` scatters each
-//! vertex's damped rank share to its successors; dangling mass and the
-//! teleport term are folded in by a `compute` pass; iteration stops when
-//! the L1 delta drops below `tol` or after `max_iters` sweeps.
+//! vertex's damped rank share to its successors, through the same
+//! degree-balanced dispatch as a traversal's supersteps; dangling mass and
+//! the teleport term are folded in by a `compute` pass; iteration stops
+//! when the L1 delta drops below `tol` or after `max_iters` sweeps.
 
 use sygraph_core::engine::fixed_point;
+use sygraph_core::frontier::BucketPool;
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView};
 use sygraph_core::inspector::{OptConfig, Tuning};
 use sygraph_core::operators::advance::Advance;
-use sygraph_sim::{Queue, SimResult};
+use sygraph_sim::{full_mask, Queue, SimResult, MAX_SUBGROUP};
 
 use crate::common::{guarded_init, AlgoResult};
 use crate::dispatch_by_word;
@@ -62,6 +64,8 @@ fn run_impl<W: sygraph_core::frontier::Word>(
     let share = q.malloc_device::<f32>(n)?;
     let dangling = q.malloc_device::<f32>(1)?;
     let l1_delta = q.malloc_device::<f32>(1)?;
+    // One set of bucket buffers for every sweep's advance.
+    let pool = BucketPool::for_graph(q, g, tuning);
     guarded_init(q, &tuning.recovery, || {
         q.fill(&rank, 1.0 / nf);
     })?;
@@ -69,8 +73,12 @@ fn run_impl<W: sygraph_core::frontier::Word>(
     // Each sweep resets its accumulators (`next`, `dangling`,
     // `l1_delta`) up front and commits `rank` in the single trailing
     // `pr_apply` launch, so a faulted sweep leaves `rank` untouched and
-    // re-runs cleanly under `fixed_point`'s retry contract.
+    // re-runs cleanly under `fixed_point`'s retry contract. Both scalar
+    // accumulators take one add per subgroup, never one per vertex.
     let d = params.damping;
+    let sgw = q.profile().preferred_subgroup as usize;
+    let slabs = n.div_ceil(sgw);
+    let slab_mask = |first: usize| full_mask((n - first).min(sgw) as u32);
     let iterations = fixed_point(
         q,
         &tuning.recovery,
@@ -80,35 +88,48 @@ fn run_impl<W: sygraph_core::frontier::Word>(
             q.fill(&next, 0.0);
             dangling.store(0, 0.0);
             l1_delta.store(0, 0.0);
-            q.parallel_for("pr_share", n, |l, v| {
-                let (lo, hi) = g.row_bounds(l, v as u32);
-                let r = l.load(&rank, v);
-                let deg = hi - lo;
-                if deg == 0 {
-                    l.fetch_add_f32(&dangling, 0, r);
-                    l.store(&share, v, 0.0);
-                } else {
-                    l.store(&share, v, d * r / deg as f32);
-                }
-                l.compute(4);
+            q.parallel_for_subgroups("pr_share", slabs, |sg, slab| {
+                let first = slab * sgw;
+                let mask = slab_mask(first);
+                let mut ranks = [0.0f32; MAX_SUBGROUP];
+                let mut degs = [0u32; MAX_SUBGROUP];
+                sg.lanes(mask, |lane, l| {
+                    let v = first + lane as usize;
+                    let (lo, hi) = g.row_bounds(l, v as u32);
+                    let r = l.load(&rank, v);
+                    let deg = hi - lo;
+                    let s = if deg == 0 { 0.0 } else { d * r / deg as f32 };
+                    l.store(&share, v, s);
+                    l.compute(4);
+                    (ranks[lane as usize], degs[lane as usize]) = (r, deg);
+                });
+                let dead_ends = mask & sg.ballot(|lane| degs[lane as usize] == 0);
+                sg.accumulate_f32(&dangling, 0, dead_ends, |lane| ranks[lane as usize]);
             });
-            let (ev, _) =
-                Advance::<W, _>::all_vertices(q, g)
-                    .tuning(tuning)
-                    .run(|l, u, v, _e, _w| {
-                        let s = l.load(&share, u as usize);
-                        l.fetch_add_f32(&next, v as usize, s);
-                        false
-                    });
+            let (ev, _) = Advance::<W, _>::all_vertices(q, g)
+                .tuning(tuning)
+                .pool(pool.as_ref())
+                .run(|l, u, v, _e, _w| {
+                    let s = l.load(&share, u as usize);
+                    l.fetch_add_f32(&next, v as usize, s);
+                    false
+                });
             ev.wait();
             let dang = dangling.load(0);
-            q.parallel_for("pr_apply", n, |l, v| {
-                let base = (1.0 - d) / nf + d * dang / nf;
-                let newv = l.load(&next, v) + base;
-                let old = l.load(&rank, v);
-                l.store(&rank, v, newv);
-                l.fetch_add_f32(&l1_delta, 0, (newv - old).abs());
-                l.compute(6);
+            q.parallel_for_subgroups("pr_apply", slabs, |sg, slab| {
+                let first = slab * sgw;
+                let mask = slab_mask(first);
+                let mut moved = [0.0f32; MAX_SUBGROUP];
+                sg.lanes(mask, |lane, l| {
+                    let v = first + lane as usize;
+                    let base = (1.0 - d) / nf + d * dang / nf;
+                    let newv = l.load(&next, v) + base;
+                    let old = l.load(&rank, v);
+                    l.store(&rank, v, newv);
+                    moved[lane as usize] = (newv - old).abs();
+                    l.compute(6);
+                });
+                sg.accumulate_f32(&l1_delta, 0, mask, |lane| moved[lane as usize]);
             });
             Ok(l1_delta.load(0) >= params.tol)
         },

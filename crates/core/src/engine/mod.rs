@@ -30,7 +30,7 @@ pub mod recovery;
 
 use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, RecoveryEvent, SimError, SimResult};
 
-use crate::frontier::bucket::{BucketPool, BucketSpec};
+use crate::frontier::bucket::BucketPool;
 use crate::frontier::lanes::{lane_locate, LaneView};
 use crate::frontier::word::Word;
 use crate::frontier::{swap, BitmapLike, Frontier, RepKind, TwoLayerFrontier};
@@ -51,7 +51,9 @@ pub use recovery::{CheckpointState, EngineCheckpoint, LaneCheckpoint, RecoveryPo
 pub enum PullCandidates {
     /// Every vertex scans its in-edges: the functor sees exactly the edge
     /// set a push superstep would offer, so any functor is safe
-    /// (label-propagation algorithms like CC).
+    /// (label-propagation algorithms like CC). With no early exit it never
+    /// scans fewer edges than push, so only a forced
+    /// [`Direction::Pull`] runs it; `Auto` stays push under this scope.
     #[default]
     AllVertices,
     /// Only the engine-maintained unvisited set scans, each candidate
@@ -174,9 +176,8 @@ pub struct SuperstepEngine<'a, W: Word, G: DeviceGraphView + ?Sized> {
     lazy_ok: bool,
     /// Bucket buffers shared by every superstep's degree-bucketed advance
     /// (satellite of the §4.2 hybrid dispatch: allocate once per engine,
-    /// not once per `advance`). Allocated lazily on the first superstep
-    /// that can actually go bucketed; `pool_attempted` stops us retrying
-    /// a failed allocation every step.
+    /// not once per `advance`). Allocated on the first superstep;
+    /// `pool_attempted` stops us retrying a failed allocation every step.
     bucket_pool: Option<BucketPool>,
     pool_attempted: bool,
     /// Representation the input frontier ran under last superstep. The
@@ -299,7 +300,8 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     /// Pins the pull scope to [`PullCandidates::AllVertices`]: the
     /// adopt-once [`PullCandidates::Unvisited`] scan stops offering a
     /// vertex's in-edges after its *first* accepted lane, which would
-    /// starve the other lanes.
+    /// starve the other lanes. Batched supersteps therefore pull only
+    /// under a forced [`Direction::Pull`].
     ///
     /// [`LaneFrontier`]: crate::frontier::LaneFrontier
     pub fn multi_source(mut self, width: u32, live: u64) -> SimResult<Self> {
@@ -324,29 +326,17 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         self.multi.as_ref().map_or(0, |m| m.live)
     }
 
-    /// Lazily allocates the engine-owned bucket pool the first time a
-    /// superstep could dispatch bucketed. Kept out of `new` so engines on
-    /// `WorkgroupMapped` tuning (or on graphs with no hub vertices under
+    /// Allocates the engine-owned bucket pool on the first superstep,
+    /// when the balancing policy bins on this graph at all
+    /// ([`BucketPool::for_graph`]). Kept out of `new` so engines on
+    /// `WorkgroupMapped` tuning (or on graphs with no clustered hubs under
     /// `Auto`) never pay the allocation — which also keeps OOM behaviour
     /// identical to the pre-bucketing engine for those runs.
     fn ensure_bucket_pool(&mut self) {
-        if self.pool_attempted || self.tuning.balancing == Balancing::WorkgroupMapped {
-            return;
+        if !self.pool_attempted {
+            self.pool_attempted = true;
+            self.bucket_pool = BucketPool::for_graph(self.q, self.graph, &self.tuning);
         }
-        if self.tuning.balancing == Balancing::Auto
-            && !self.tuning.graph_is_skewed(self.graph.degree_profile())
-        {
-            return; // Auto can never pick Bucketed on this graph
-        }
-        self.pool_attempted = true;
-        let spec = BucketSpec::from_tuning(&self.tuning);
-        self.bucket_pool = BucketPool::new(
-            self.q,
-            self.graph.vertex_count(),
-            self.graph.edge_count(),
-            &spec,
-        )
-        .ok();
     }
 
     /// Fuses the compute functor into the advance kernel (see the module
@@ -510,8 +500,16 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         // superstep, which is exactly classic Beamer timing, and costs no
         // extra host sync. The first superstep that wants pull makes the
         // graph's CSC view resident; any failure pins the engine to push
-        // for the rest of the run.
-        let pull = self.tuning.direction != Direction::Push
+        // for the rest of the run. `Auto` pulls only under the adopt-once
+        // scope: an all-vertices pull cannot exit a scan early, so it
+        // never offers the functor fewer edges than the push it replaces
+        // and only a forced `Direction::Pull` takes it.
+        let may_pull = match self.tuning.direction {
+            Direction::Push => false,
+            Direction::Pull => true,
+            Direction::Auto => self.pull_scope == PullCandidates::Unvisited,
+        };
+        let pull = may_pull
             && self.tuning.choose_direction(
                 self.last_estimate,
                 self.graph.vertex_count(),

@@ -1,8 +1,8 @@
 //! Degree buckets for the hybrid advance (§4.2 load balancing).
 //!
-//! After the counted compaction produces the non-zero word offsets, a
-//! binning kernel ballots the set bits and sorts each active vertex into
-//! one of three buckets by out-degree:
+//! A binning kernel walks the advance's work list — the non-zero word
+//! offsets of a counted compaction, a sparse item list, or every vertex —
+//! and sorts each active vertex into one of three buckets by degree:
 //!
 //! * **small** (`d ≤ small_max`): one lane walks the whole adjacency —
 //!   cooperative expansion would waste `sg_size − 1` lanes on it.
@@ -19,7 +19,8 @@
 use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SimResult, SubgroupCtx, MAX_SUBGROUP};
 
 use crate::frontier::word::{for_each_pass, slab_mask, Word};
-use crate::inspector::Tuning;
+use crate::graph::traits::DeviceGraphView;
+use crate::inspector::{Balancing, Tuning};
 use crate::types::VertexId;
 
 /// Per-lane degree lookup the binning kernel uses (the `Advance` builder
@@ -102,6 +103,23 @@ impl BucketPool {
             vertex_capacity: vcap,
             large_capacity: lcap,
         })
+    }
+
+    /// The pool a run of advances over `graph` shares (the superstep
+    /// engine's supersteps, PageRank's sweeps), or `None` when the
+    /// balancing policy never bins on this graph — such runs pay no
+    /// allocation — or the allocation fails: every advance then degrades
+    /// to the workgroup-mapped path on its own.
+    pub fn for_graph<G: DeviceGraphView + ?Sized>(
+        q: &Queue,
+        graph: &G,
+        t: &Tuning,
+    ) -> Option<Self> {
+        if t.effective_balancing(graph.degree_profile()) != Balancing::Bucketed {
+            return None;
+        }
+        let spec = BucketSpec::from_tuning(t);
+        BucketPool::new(q, graph.vertex_count(), graph.edge_count(), &spec).ok()
     }
 
     /// Whether this pool can serve a graph of `n` vertices / `m` edges
@@ -194,31 +212,30 @@ fn bin_lanes(
     }
 }
 
-/// The binning kernel over a two-layer bitmap: one subgroup per compacted
-/// (non-zero) first-layer word, lanes on its bits (`W::BITS / sg` ballot
-/// passes); every pass appends its active vertices to the bucket their
-/// out-degree selects through [`bin_lanes`].
-///
-/// Runs over the `nz` offsets the counted compaction just produced — the
-/// same scheduling domain the advance itself uses, so an empty frontier
-/// costs nothing extra.
-pub fn bin_compacted<W: Word>(
+/// The binning kernel over bitmap words: one subgroup per schedule
+/// position, lanes on the bits of the `(word_idx, word)` pair `word_at`
+/// resolves it to (`W::BITS / sg` ballot passes); every pass appends its
+/// active vertices to the bucket their degree selects through
+/// [`bin_lanes`]. `word_at` is the resolution the word walk itself uses,
+/// so the binning pass and the unbucketed advance schedule over the same
+/// positions: the compacted non-zero words of a two-layer bitmap, or one
+/// all-ones word per position when every vertex is active. An empty
+/// domain costs nothing extra.
+pub fn bin_words<W: Word>(
     q: &Queue,
-    words: &DeviceBuffer<W>,
-    offsets: &DeviceBuffer<u32>,
-    nz: usize,
+    positions: usize,
+    word_at: impl Fn(&mut SubgroupCtx<'_, '_>, usize) -> (usize, W) + Sync,
     pool: &BucketPool,
     degree_of: DegreeOf<'_>,
     spec: &BucketSpec,
 ) -> BucketCounts {
     reset_counts(pool);
-    if nz == 0 {
+    if positions == 0 {
         return BucketCounts::default();
     }
-    q.parallel_for_subgroups("advance_bucket_bin", nz, |sg, pos| {
-        let word_idx = sg.load_uniform(offsets, pos);
-        let word = sg.load_uniform(words, word_idx as usize);
-        let first = word_idx * W::BITS;
+    q.parallel_for_subgroups("advance_bucket_bin", positions, |sg, pos| {
+        let (word_idx, word) = word_at(sg, pos);
+        let first = word_idx as u32 * W::BITS;
         let whole = (0, W::BITS);
         for_each_pass(
             sg,
@@ -234,6 +251,23 @@ pub fn bin_compacted<W: Word>(
         );
     });
     pool.read_counts()
+}
+
+/// [`bin_words`] over the `nz` offsets a counted compaction just produced.
+pub fn bin_compacted<W: Word>(
+    q: &Queue,
+    words: &DeviceBuffer<W>,
+    offsets: &DeviceBuffer<u32>,
+    nz: usize,
+    pool: &BucketPool,
+    degree_of: DegreeOf<'_>,
+    spec: &BucketSpec,
+) -> BucketCounts {
+    let word_at = |sg: &mut SubgroupCtx<'_, '_>, pos: usize| {
+        let word_idx = sg.load_uniform(offsets, pos) as usize;
+        (word_idx, sg.load_uniform(words, word_idx))
+    };
+    bin_words(q, nz, word_at, pool, degree_of, spec)
 }
 
 /// Binning over a sparse item list: one subgroup per `sg` list entries

@@ -272,42 +272,17 @@ impl Tuning {
         self.large_min_degree.max(1)
     }
 
-    /// Resolve `Auto` against the superstep's compacted word count and
-    /// the graph's degree profile (None = unknown, stay conservative).
-    ///
-    /// Bucketed dispatch pays an extra binning kernel plus a host
-    /// round-trip for three counters, so it must clear two bars:
-    ///
-    /// * the frontier spans at least [`AUTO_MIN_WORDS`] non-zero words —
-    ///   tiny frontiers (BFS warm-up, road-network wavefronts) can't
-    ///   amortize the binning launch;
-    /// * the graph actually has hub vertices: its maximum out-degree
-    ///   reaches `large_min_degree`. Uniform-degree graphs (meshes, road
-    ///   grids, chains) would bin everything into one bucket and gain
-    ///   nothing;
-    /// * the hubs are *clustered*: the edge mass of the heaviest 32-vertex
-    ///   ID window dwarfs the average window
-    ///   ([`DegreeProfile::word_skew`] ≥ [`AUTO_MIN_WORD_SKEW`]). The
-    ///   workgroup-mapped path's unit of work is a bitmap word, so it only
-    ///   suffers when one word concentrates far more edges than its peers
-    ///   — a graph whose hubs are spread evenly across words (e.g. the
-    ///   indochina stand-in) keeps every workgroup equally fed and pays
-    ///   the binning pass for nothing.
-    pub fn effective_balancing(
-        &self,
-        nz_words: usize,
-        profile: Option<&DegreeProfile>,
-    ) -> Balancing {
+    /// Resolve `Auto` against the graph's degree profile (None = unknown,
+    /// stay conservative). The choice is per graph, not per superstep:
+    /// bucketed dispatch pays a binning kernel plus a host round-trip for
+    /// three counters, which only a skewed graph earns back
+    /// ([`Tuning::graph_is_skewed`]) — and on one it earns it back even
+    /// for a one-word frontier, because that word may hold the hub.
+    pub fn effective_balancing(&self, profile: Option<&DegreeProfile>) -> Balancing {
         match self.balancing {
-            Balancing::WorkgroupMapped => Balancing::WorkgroupMapped,
-            Balancing::Bucketed => Balancing::Bucketed,
-            Balancing::Auto => {
-                if self.graph_is_skewed(profile) && nz_words >= AUTO_MIN_WORDS {
-                    Balancing::Bucketed
-                } else {
-                    Balancing::WorkgroupMapped
-                }
-            }
+            Balancing::Auto if self.graph_is_skewed(profile) => Balancing::Bucketed,
+            Balancing::Auto => Balancing::WorkgroupMapped,
+            forced => forced,
         }
     }
 
@@ -370,19 +345,24 @@ impl Tuning {
         }
     }
 
-    /// The graph-shape half of the `Auto` decision: hubs exist (max degree
-    /// reaches the large bucket) *and* they cluster into hot bitmap words.
-    /// `None` (no profile available) stays conservative.
+    /// The `Auto` balancing bar. The graph has hub vertices: its maximum
+    /// degree reaches `large_min_degree` — uniform-degree graphs (meshes,
+    /// road grids, chains) would bin everything into one bucket and gain
+    /// nothing. And the hubs are *clustered*: the edge mass of the heaviest
+    /// 32-vertex ID window dwarfs the average window
+    /// ([`DegreeProfile::word_skew`] ≥ [`AUTO_MIN_WORD_SKEW`]). The
+    /// workgroup-mapped path's unit of work is a bitmap word, so it only
+    /// suffers when one word concentrates far more edges than its peers —
+    /// a graph whose hubs are spread evenly across words (e.g. the
+    /// indochina stand-in) keeps every workgroup equally fed and pays the
+    /// binning pass for nothing. `None` (no profile available) stays
+    /// conservative.
     pub fn graph_is_skewed(&self, profile: Option<&DegreeProfile>) -> bool {
         profile.is_some_and(|p| {
             p.max_degree >= self.large_min_degree && p.word_skew >= AUTO_MIN_WORD_SKEW
         })
     }
 }
-
-/// Minimum compacted (non-zero) word count before `Auto` switches to
-/// bucketed dispatch.
-pub const AUTO_MIN_WORDS: usize = 4;
 
 /// Minimum [`DegreeProfile::word_skew`] before `Auto` considers the
 /// graph's hubs clustered enough for bucketed dispatch to pay off. The
@@ -767,7 +747,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolution_needs_skew_and_volume() {
+    fn auto_resolution_is_the_graph_skew_alone() {
         let t = inspect(&DeviceProfile::v100s(), &OptConfig::all(), 1 << 20);
         // A hub clustered into one hot window among many quiet ones.
         let mut hub_degrees = vec![1u32; 1024];
@@ -782,28 +762,29 @@ mod tests {
             spread_degrees[i] = t.large_min_degree + 1;
         }
         let spread = DegreeProfile::from_degrees(&spread_degrees);
-        // Auto: needs a skewed graph AND hub clustering AND a big-enough
-        // frontier.
-        assert_eq!(t.effective_balancing(64, Some(&hubby)), Balancing::Bucketed);
-        assert_eq!(
-            t.effective_balancing(1, Some(&hubby)),
-            Balancing::WorkgroupMapped
-        );
-        assert_eq!(
-            t.effective_balancing(64, Some(&flat)),
-            Balancing::WorkgroupMapped
-        );
-        assert_eq!(
-            t.effective_balancing(64, Some(&spread)),
-            Balancing::WorkgroupMapped,
-            "unclustered hubs keep the workgroup-mapped path"
-        );
-        assert_eq!(t.effective_balancing(64, None), Balancing::WorkgroupMapped);
-        // Explicit strategies ignore the inputs.
-        let forced = Tuning {
-            balancing: Balancing::Bucketed,
-            ..t
-        };
-        assert_eq!(forced.effective_balancing(0, None), Balancing::Bucketed);
+        // Auto bins exactly where the engine allocates a pool: on a graph
+        // with clustered hubs, whatever the frontier's size.
+        for (profile, want) in [
+            (Some(&hubby), Balancing::Bucketed),
+            (Some(&flat), Balancing::WorkgroupMapped),
+            (Some(&spread), Balancing::WorkgroupMapped),
+            (None, Balancing::WorkgroupMapped),
+        ] {
+            assert_eq!(t.effective_balancing(profile), want);
+            assert_eq!(
+                t.graph_is_skewed(profile),
+                want == Balancing::Bucketed,
+                "one question, asked by the pool and by the dispatch"
+            );
+        }
+        // Explicit strategies ignore the profile.
+        for forced in [Balancing::Bucketed, Balancing::WorkgroupMapped] {
+            let t = Tuning {
+                balancing: forced,
+                ..t
+            };
+            assert_eq!(t.effective_balancing(None), forced);
+            assert_eq!(t.effective_balancing(Some(&hubby)), forced);
+        }
     }
 }

@@ -220,7 +220,11 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
                 cx.pull(input, scope, self.pool)
             }
             (None, Some(input)) => cx.frontier(input, self.pool),
-            (None, None) => (cx.walk(&Push, &Items::all_vertices(self.graph)), None),
+            (None, None) => {
+                let items = Items::all_vertices(self.graph);
+                let ev = cx.bucketed(&Push, &items, self.pool);
+                (ev.unwrap_or_else(|| cx.walk(&Push, &items)), None)
+            }
         }
     }
 }
@@ -229,10 +233,12 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
 // Work lists
 // ---------------------------------------------------------------------------
 
-/// What a schedule shell runs over. The binning kernel reads the first two
-/// forms and leaves the same three degree buckets either way, so the
-/// expansion kernels downstream cannot tell the representations apart —
-/// the load-balancing and representation axes compose freely.
+/// What a schedule shell runs over. The binning kernel reads every form
+/// but the single-layer `Flat` (which has no counted compaction to
+/// schedule it over) and leaves the same three degree buckets whichever it
+/// read, so the expansion kernels downstream cannot tell the
+/// representations apart — the load-balancing and representation axes
+/// compose freely.
 enum Items<'a, W: Word> {
     /// A sparse frontier's duplicate-free vertex list.
     List {
@@ -881,14 +887,15 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
     }
 
     /// The degree-bucketed dispatch (§4.2 hybrid load balancing): when
-    /// the balancing policy picks it for `items`, bin the active vertices
-    /// by the side's degree and run up to three kernels, each shaped for
-    /// its band — slab for leaves, list for the middle, chunks for hubs.
-    /// `None` when the policy stays workgroup-mapped, when `items` has
-    /// nothing the binning kernel can read (it runs over the compaction
-    /// offsets or a vertex list), or when no bucket buffers could be
-    /// obtained: the caller then takes the unbucketed shell, which needs
-    /// no extra memory and computes the identical result.
+    /// the balancing policy picks it for this graph, bin the active
+    /// vertices by the side's degree and run up to three kernels, each
+    /// shaped for its band — slab for leaves, list for the middle, chunks
+    /// for hubs. The binning pass schedules over the positions the word
+    /// walk would ([`Items::resolve`]) or over the vertex list. `None`
+    /// when the policy stays workgroup-mapped, when `items` is a
+    /// single-layer bitmap, or when no bucket buffers could be obtained:
+    /// the caller then takes the unbucketed shell, which needs no extra
+    /// memory and computes the identical result.
     fn bucketed<S: Side<W>>(
         &self,
         side: &S,
@@ -896,14 +903,9 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
         pool: Option<&BucketPool>,
     ) -> Option<Event> {
         let (q, t) = (self.q, self.tuning);
-        // The balancing bar is keyed on non-zero words; list entries
-        // compress into at least ⌈entries/word_bits⌉ of them.
-        let est_words = match *items {
-            Items::List { len, .. } => len.div_ceil(t.word_bits.max(1) as usize),
-            Items::Compacted { nz, .. } => nz,
-            Items::Flat { .. } | Items::All { .. } => return None,
-        };
-        if t.effective_balancing(est_words, S::profile(self.graph)) != Balancing::Bucketed {
+        if matches!(items, Items::Flat { .. })
+            || t.effective_balancing(S::profile(self.graph)) != Balancing::Bucketed
+        {
             return None;
         }
         let spec = BucketSpec::from_tuning(t);
@@ -928,11 +930,11 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
             hi - lo
         };
         let counts = match *items {
-            Items::Compacted { words, offsets, nz } => {
-                bucket::bin_compacted(q, words, offsets, nz, pool, &degree_of, &spec)
-            }
             Items::List { items, len } => bucket::bin_list(q, items, len, pool, &degree_of, &spec),
-            Items::Flat { .. } | Items::All { .. } => return None,
+            _ => {
+                let word_at = |sg: &mut SubgroupCtx<'_, '_>, pos| items.resolve(sg, pos);
+                bucket::bin_words(q, items.n_words(), word_at, pool, &degree_of, &spec)
+            }
         };
         let [small, medium, large] = S::BUCKETS;
         let mut last = no_launch(q);
@@ -1000,11 +1002,8 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
             fin_words: input.words(),
             unvisited,
         };
-        let ev = match self.bucketed(&side, &items, pool) {
-            Some(ev) => ev,
-            None => self.walk(&side, &items),
-        };
-        (ev, counted)
+        let ev = self.bucketed(&side, &items, pool);
+        (ev.unwrap_or_else(|| self.walk(&side, &items)), counted)
     }
 }
 
@@ -1546,7 +1545,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_needs_skew_and_frontier_volume() {
+    fn auto_bins_a_skewed_graph_whatever_the_frontier() {
         let q = queue();
         // hub 0 → 1..=30 plus leaves scattered over five bitmap words;
         // enough quiet words (n = 512 → 16 windows) that the hub's window
@@ -1555,32 +1554,95 @@ mod tests {
         for v in [33u32, 65, 97, 129] {
             edges.push((v, v + 1));
         }
-        let g = DeviceCsr::upload(&q, &CsrHost::from_edges(512, &edges)).unwrap();
+        let skewed = DeviceCsr::upload(&q, &CsrHost::from_edges(512, &edges)).unwrap();
+        let ring: Vec<(u32, u32)> = (0..512).map(|v| (v, (v + 1) % 512)).collect();
+        let uniform = DeviceCsr::upload(&q, &CsrHost::from_edges(512, &ring)).unwrap();
         let mut t = tuning(&q, 512);
         t.word_bits = 32;
         t.balancing = Balancing::Auto;
         t.small_max_degree = 2;
         t.large_min_degree = 16; // hub (30) qualifies
-        let run_and_names = |actives: &[u32]| {
+        let run_and_names = |g: &DeviceCsr, actives: &[u32]| {
             let input = TwoLayerFrontier::<u32>::new(&q, 512).unwrap();
             let output = TwoLayerFrontier::<u32>::new(&q, 512).unwrap();
             for &v in actives {
                 input.insert_host(v);
             }
             let before = q.profiler().kernel_count();
-            Advance::new(&q, &g, &input)
+            Advance::new(&q, g, &input)
                 .output(&output)
                 .tuning(&t)
                 .run(|_l, _s, _d, _e, _w| true);
             kernel_names_after(&q, before)
         };
-        // 5 non-zero words on a skewed graph: Auto goes bucketed.
-        let names = run_and_names(&[0, 33, 65, 97, 129]);
-        assert!(names.contains(&"advance_bucket_bin".to_string()));
-        // 1 word: stays workgroup-mapped, no binning launch.
-        let names = run_and_names(&[0]);
+        // The hub alone is one non-zero word, and the one that most needs
+        // its edges spread: no volume bar stands in the way.
+        for actives in [&[0u32, 33, 65, 97, 129][..], &[0]] {
+            let names = run_and_names(&skewed, actives);
+            assert!(names.contains(&"advance_bucket_bin".to_string()));
+            assert!(names.contains(&"advance_large".to_string()));
+            assert!(!names.contains(&"advance".to_string()));
+        }
+        // A uniform graph stays workgroup-mapped at any volume.
+        let names = run_and_names(&uniform, &[0, 33, 65, 97, 129]);
         assert!(!names.contains(&"advance_bucket_bin".to_string()));
         assert!(names.contains(&"advance".to_string()));
+    }
+
+    #[test]
+    fn all_vertices_offers_each_edge_once_under_every_balancing() {
+        // Hub 0 → 1..=200 plus scattered leaves on 517 vertices (skewed,
+        // and the last all-ones word has 27 tail bits); a 256-vertex ring
+        // with chords (uniform, whole words); a 70-vertex chain (uniform,
+        // tail bits).
+        let mut hub: Vec<(u32, u32)> = (1..=200).map(|v| (0, v)).collect();
+        hub.extend((210..500).step_by(7).map(|v| (v, v + 1)));
+        hub.extend([(516, 3), (516, 4), (516, 5)]);
+        let ring: Vec<(u32, u32)> = (0..256u32)
+            .flat_map(|v| [(v, (v + 1) % 256), (v, (v + 9) % 256)])
+            .collect();
+        let chain: Vec<(u32, u32)> = (0..69).map(|v| (v, v + 1)).collect();
+        for (n, edges, skewed) in [(517, hub, true), (256, ring, false), (70, chain, false)] {
+            let q = Queue::with_sanitizer(Device::new(DeviceProfile::host_test()), 0x5EED);
+            let g = DeviceCsr::upload(&q, &CsrHost::from_edges(n, &edges)).unwrap();
+            let m = g.edge_count();
+            for balancing in [
+                Balancing::WorkgroupMapped,
+                Balancing::Bucketed,
+                Balancing::Auto,
+            ] {
+                let t = Tuning {
+                    balancing,
+                    ..bucket_tuning(&q, n)
+                };
+                let offered = q.malloc_device::<u32>(m).unwrap();
+                q.fill(&offered, 0);
+                let before = q.profiler().kernel_count();
+                Advance::<u32, _>::all_vertices(&q, &g)
+                    .tuning(&t)
+                    .run(|l, u, v, e, _w| {
+                        // The edge id names the edge: its endpoints must be
+                        // the graph's, whichever lane got here.
+                        assert_eq!(g.edge_dest(l, e), v);
+                        let (lo, hi) = g.row_bounds(l, u);
+                        assert!((lo..hi).contains(&e));
+                        l.fetch_add(&offered, e as usize, 1);
+                        false
+                    });
+                assert_eq!(offered.to_vec(), vec![1; m], "n={n} {balancing:?}");
+                let names = kernel_names_after(&q, before);
+                let binned =
+                    balancing == Balancing::Bucketed || (balancing == Balancing::Auto && skewed);
+                assert_eq!(
+                    names.contains(&"advance_bucket_bin".to_string()),
+                    binned,
+                    "n={n} {balancing:?}: {names:?}"
+                );
+                assert_eq!(names.contains(&"advance".to_string()), !binned);
+            }
+            let san = q.sanitizer().unwrap();
+            assert!(san.is_clean(), "n={n}:\n{}", san.report());
+        }
     }
 
     #[test]
@@ -1775,31 +1837,34 @@ mod tests {
         let q = queue();
         let edges: Vec<(u32, u32)> = (1..=20).map(|v| (0, v)).collect();
         let g = pull_graph(&q, 22, &edges);
-        let t = tuning(&q, 22);
+        // Workgroup-mapped, and binned by in-degree: the all-vertices
+        // candidate list goes through the bucketed dispatch like any other.
+        for (t, kernel) in [
+            (tuning(&q, 22), "advance_pull"),
+            (bucket_tuning(&q, 22), "advance_pull_small"),
+        ] {
+            let input = TwoLayerFrontier::<u32>::new(&q, 22).unwrap();
+            input.insert_host(0);
+            let push_out = TwoLayerFrontier::<u32>::new(&q, 22).unwrap();
+            Advance::new(&q, &g, &input)
+                .output(&push_out)
+                .tuning(&t)
+                .run(|_l, _s, _d, _e, _w| true);
 
-        let input = TwoLayerFrontier::<u32>::new(&q, 22).unwrap();
-        input.insert_host(0);
-        let push_out = TwoLayerFrontier::<u32>::new(&q, 22).unwrap();
-        Advance::new(&q, &g, &input)
-            .output(&push_out)
-            .tuning(&t)
-            .run(|_l, _s, _d, _e, _w| true);
-
-        let pull_out = TwoLayerFrontier::<u32>::new(&q, 22).unwrap();
-        let before = q.profiler().kernel_count();
-        Advance::new(&q, &g, &input)
-            .output(&pull_out)
-            .tuning(&t)
-            .pull(PullScope::AllVertices)
-            .run(|_l, _s, _d, _e, _w| true);
-        assert!(
-            kernel_names_after(&q, before)
-                .iter()
-                .any(|n| n.starts_with("advance_pull")),
-            "the pull kernel family must carry the scan"
-        );
-        pull_out.check_invariant().unwrap();
-        assert_eq!(pull_out.to_sorted_vec(), push_out.to_sorted_vec());
+            let pull_out = TwoLayerFrontier::<u32>::new(&q, 22).unwrap();
+            let before = q.profiler().kernel_count();
+            Advance::new(&q, &g, &input)
+                .output(&pull_out)
+                .tuning(&t)
+                .pull(PullScope::AllVertices)
+                .run(|_l, _s, _d, _e, _w| true);
+            assert!(
+                kernel_names_after(&q, before).contains(&kernel.to_string()),
+                "the pull kernel family must carry the scan"
+            );
+            pull_out.check_invariant().unwrap();
+            assert_eq!(pull_out.to_sorted_vec(), push_out.to_sorted_vec());
+        }
     }
 
     #[test]

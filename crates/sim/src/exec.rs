@@ -559,6 +559,39 @@ impl<'g, 'a> SubgroupCtx<'g, 'a> {
         base
     }
 
+    /// Subgroup-aggregated accumulation into the `f32` cell `buf[idx]`:
+    /// the values of `mask`'s lanes are summed by a subgroup reduction (in
+    /// lane order, so the subgroup's contribution does not depend on the
+    /// schedule) and the lowest active lane adds the total with *one*
+    /// atomic — [`reserve`](Self::reserve)'s shape for a sum nobody needs
+    /// a slot from. An empty `mask` issues no atomic.
+    pub fn accumulate_f32(
+        &mut self,
+        buf: &DeviceBuffer<f32>,
+        idx: usize,
+        mask: u64,
+        mut value: impl FnMut(u32) -> f32,
+    ) {
+        if mask == 0 {
+            return;
+        }
+        let mut total = 0.0f32;
+        for lane in 0..self.width() {
+            if mask & (1 << lane) != 0 {
+                total += value(lane);
+            }
+        }
+        self.log_reduce_cost(mask);
+        let leader = 1u64 << mask.trailing_zeros();
+        self.rmw_impl(
+            buf,
+            leader,
+            |_| (idx, total),
+            |b, i, v| b.fetch_add_f32(i, v),
+            |_, _| {},
+        );
+    }
+
     /// SIMD `atomic_min`; `sink` receives previous values.
     pub fn atomic_min<T: AtomicInt>(
         &mut self,
@@ -1106,6 +1139,25 @@ mod tests {
             assert_eq!(sg.reserve(&counter, 0, 0b1010, |_| 0, &mut offs), 0);
         });
         assert_eq!(g.take_stats().atomics, 0);
+    }
+
+    #[test]
+    fn accumulate_f32_adds_the_lane_sum_with_one_atomic() {
+        let c = cfg(1, 16, 8);
+        let cell: DeviceBuffer<f32> =
+            DeviceBuffer::new(Arc::new(MemTracker::new(1 << 30)), 2, AllocKind::Device).unwrap();
+        cell.store(1, 10.0);
+        let mut g = ctx_acct(&c);
+        g.for_each_subgroup(|sg| {
+            // lanes 1, 2, 5 contribute 0.5, 1.0, 2.5
+            sg.accumulate_f32(&cell, 1, 0b0010_0110, |lane| lane as f32 * 0.5);
+            sg.accumulate_f32(&cell, 1, 0, |_| 100.0);
+        });
+        assert_eq!(cell.load(1), 10.0 + 2.0 * 4.0);
+        assert_eq!(cell.load(0), 0.0, "only the addressed cell moves");
+        let stats = g.take_stats();
+        assert_eq!(stats.atomics, 2, "one per subgroup with an active lane");
+        assert_eq!(stats.atomic_conflict_cycles, 0);
     }
 
     #[test]

@@ -149,6 +149,80 @@ fn pagerank_mass_is_conserved_on_web_graph() {
 }
 
 #[test]
+fn pagerank_agrees_under_every_balancing() {
+    use sygraph::algos::pagerank::{run, PagerankParams};
+    use sygraph_core::graph::CsrHost;
+    use sygraph_core::inspector::Balancing;
+
+    // A hub whose 600 successors are all dangling (and cluster into its
+    // own ID window, so `Auto` bins this graph), a long cycle through the
+    // hub, and some 750 isolated vertices.
+    let mut edges: Vec<(u32, u32)> = (1..=600).map(|v| (0, v)).collect();
+    edges.extend((700..1400).map(|v| (v, v + 1)));
+    edges.push((1400, 0));
+    let dangling = CsrHost::from_edges(2048, &edges);
+    let class = sygraph_algos::determinism::of("pagerank");
+    for (name, host) in [
+        ("kron", datasets::kron(Scale::Test).host),
+        ("hub", dangling),
+    ] {
+        // Stop after exactly SWEEPS sweeps, on a tolerance halfway (in
+        // ratio) between the host reference's residuals on either side, so
+        // f32 accumulation noise cannot move the count.
+        const SWEEPS: u32 = 6;
+        let residual = |k: u32| -> f32 {
+            let (a, b) = (
+                reference::pagerank(&host, 0.85, k - 1),
+                reference::pagerank(&host, 0.85, k),
+            );
+            a.iter().zip(&b).map(|(x, y)| (x - y).abs()).sum()
+        };
+        let (before, after) = (residual(SWEEPS - 1), residual(SWEEPS));
+        assert!(
+            after * 1.5 < before,
+            "{name}: residuals {before} -> {after}"
+        );
+        let params = PagerankParams {
+            tol: (before * after).sqrt(),
+            ..Default::default()
+        };
+        let want = reference::pagerank(&host, 0.85, SWEEPS);
+        let mut first: Option<Vec<f32>> = None;
+        for balancing in [
+            Balancing::WorkgroupMapped,
+            Balancing::Bucketed,
+            Balancing::Auto,
+        ] {
+            let q = queue();
+            let g = Graph::new(&q, &host).unwrap();
+            let opts = OptConfig::with_balancing(balancing);
+            let got = run(&q, &g.csr, &opts, params).unwrap();
+            let binned = q
+                .profiler()
+                .kernels()
+                .iter()
+                .any(|k| k.name == "advance_bucket_bin");
+            let expect_binned =
+                balancing == Balancing::Bucketed || (balancing == Balancing::Auto && name == "hub");
+            assert_eq!(binned, expect_binned, "{name} under {balancing:?}");
+            assert_eq!(got.iterations, SWEEPS, "{name} {balancing:?}");
+            let l1: f32 = got
+                .values
+                .iter()
+                .zip(&want)
+                .map(|(a, b)| (a - b).abs())
+                .sum();
+            assert!(l1 < 1e-4, "{name} {balancing:?}: L1 error {l1}");
+            let first = first.get_or_insert_with(|| got.values.clone());
+            assert!(
+                class.agrees_f32(first, &got.values),
+                "{name}: {balancing:?} left the declared class"
+            );
+        }
+    }
+}
+
+#[test]
 fn results_identical_across_device_profiles() {
     let d = datasets::twitter(Scale::Test);
     let mut all = Vec::new();

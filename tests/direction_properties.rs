@@ -228,3 +228,41 @@ fn oom_mid_pull_takes_the_force_push_rung_and_recovers() {
         "after the rung the run must finish push-side: {dirs:?}"
     );
 }
+
+/// Pull supersteps recorded by a run's direction trace.
+fn pull_supersteps(q: &Queue) -> usize {
+    let dirs = q.profiler().direction_events();
+    dirs.iter().filter(|e| e.direction == "pull").count()
+}
+
+#[test]
+fn auto_pulls_only_where_the_scan_can_exit_early() {
+    // CC hands pull supersteps every vertex and every in-edge: under
+    // `Auto` that is never fewer edges than push, so it never pulls, and
+    // a forced pull still does. BFS pulls over the adopt-once unvisited
+    // set exactly as often as it did when CC still pulled (3 and 2
+    // supersteps, measured at the commit before the rule).
+    let all = OptConfig::all();
+    for (ds, bfs_pulls) in [
+        (datasets::kron(Scale::Test), 3),
+        (datasets::hollywood(Scale::Test), 2),
+    ] {
+        let und = ds.undirected();
+        let q = queue();
+        let g = Graph::with_pull(&q, &und).unwrap();
+        let auto = cc::run(&q, &g, &all).unwrap();
+        assert_eq!(pull_supersteps(&q), 0, "{}: CC under Auto", ds.key);
+
+        let q = queue();
+        let g = Graph::with_pull(&q, &und).unwrap();
+        let forced = cc::run(&q, &g, &OptConfig::with_direction(Direction::Pull)).unwrap();
+        assert_eq!(pull_supersteps(&q), forced.iterations as usize);
+        assert_eq!(auto.values, forced.values);
+
+        let q = queue();
+        let g = Graph::with_pull(&q, &ds.host).unwrap();
+        let src = sample_useful_sources(&ds.host, 1, 42)[0];
+        bfs::run_fused(&q, &g, src, &all).unwrap();
+        assert_eq!(pull_supersteps(&q), bfs_pulls, "{}: fused BFS", ds.key);
+    }
+}

@@ -289,3 +289,68 @@ fn mem_accounting_survives_checkpoint_restore() {
         "counters already agree with the allocation ledger"
     );
 }
+
+#[test]
+fn pagerank_sweep_restarts_from_any_launch_under_every_balancing() {
+    // A PageRank sweep is restartable: it resets `next`, `dangling` and
+    // `l1_delta` at its top and commits `rank` in its one trailing
+    // launch. Fail every launch of the second sweep in turn — under the
+    // bucketed dispatch that is the fill, `pr_share`, the binning pass,
+    // each expansion kernel and `pr_apply` — and the run must land where
+    // the fault-free run does, having re-launched exactly the prefix the
+    // faulted attempt had completed (six sweeps, fixed: a residual test
+    // would let f32 accumulation noise move the count). Ordinals come
+    // from the fault-free run's sweep markers, so a dispatch that adds or
+    // drops a launch per sweep moves them along with it.
+    use sygraph_algos::pagerank::{run, PagerankParams};
+    use sygraph_core::inspector::Balancing;
+
+    let host = datasets::kron(Scale::Test).host;
+    let class = sygraph_algos::determinism::of("pagerank");
+    let params = PagerankParams {
+        max_iters: 6,
+        tol: 0.0,
+        ..Default::default()
+    };
+    for balancing in [
+        Balancing::WorkgroupMapped,
+        Balancing::Bucketed,
+        Balancing::Auto,
+    ] {
+        let mut opts = OptConfig::with_balancing(balancing);
+        opts.recovery = RecoveryPolicy::resilient(3, 0);
+        let clean_q = Queue::new(Device::new(DeviceProfile::host_test()));
+        let g = DeviceCsr::upload(&clean_q, &host).unwrap();
+        let clean = run(&clean_q, &g, &opts, params).unwrap();
+        let marks = clean_q.profiler().markers();
+        let (second, third) = (marks[1].kernel_watermark, marks[2].kernel_watermark);
+        let launches = clean_q.profiler().kernel_count();
+        assert!(
+            third - second
+                >= if balancing == Balancing::Bucketed {
+                    6
+                } else {
+                    4
+                },
+            "{balancing:?}: a sweep of {} launches",
+            third - second
+        );
+        for at in second..third {
+            let plan = FaultPlan::parse(&format!("transient@{at}:1")).unwrap();
+            let q = Queue::with_faults(Device::new(DeviceProfile::host_test()), plan);
+            let g = DeviceCsr::upload(&q, &host).unwrap();
+            let got = run(&q, &g, &opts, params)
+                .unwrap_or_else(|e| panic!("{balancing:?}: transient@{at} did not recover: {e}"));
+            assert_eq!(got.iterations, 6, "{balancing:?} @{at}");
+            assert!(
+                class.agrees_f32(&clean.values, &got.values),
+                "{balancing:?}: transient@{at} recovered to different ranks"
+            );
+            assert_eq!(
+                q.profiler().kernel_count(),
+                launches + (at - second),
+                "{balancing:?} @{at}: the sweep re-runs whole, once"
+            );
+        }
+    }
+}
