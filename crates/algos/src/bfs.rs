@@ -13,11 +13,12 @@
 use sygraph_core::engine::{CheckpointState, PullCandidates, StepAdvance, SuperstepEngine};
 use sygraph_core::frontier::Word;
 use sygraph_core::graph::DeviceGraphView;
-use sygraph_core::inspector::{inspect, OptConfig, Tuning};
+use sygraph_core::inspector::{OptConfig, Tuning};
 use sygraph_core::types::{EdgeId, VertexId, Weight, INF_DIST};
 use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SimResult};
 
 use crate::common::{guarded_init, make_frontier, AlgoResult};
+use crate::dispatch_by_word;
 
 /// Runs BFS from `src`, returning hop distances (unreached = `INF_DIST`).
 /// The distance stamp runs as a separate `compute` pass per superstep.
@@ -27,11 +28,12 @@ pub fn run<G: DeviceGraphView + ?Sized>(
     src: VertexId,
     opts: &OptConfig,
 ) -> SimResult<AlgoResult<u32>> {
-    let tuning = inspect(q.profile(), opts, g.vertex_count());
-    match tuning.word_bits {
-        32 => engine_run::<u32, G>(q, g, src, opts, false, "bfs_iter", &tuning),
-        _ => engine_run::<u64, G>(q, g, src, opts, false, "bfs_iter", &tuning),
-    }
+    dispatch_by_word!(
+        q,
+        opts,
+        g.vertex_count(),
+        engine_run::<G>(q, g, src, opts, false, "bfs_iter")
+    )
 }
 
 /// Like [`run`], but fuses the distance stamp into the advance kernel:
@@ -42,11 +44,12 @@ pub fn run_fused<G: DeviceGraphView + ?Sized>(
     src: VertexId,
     opts: &OptConfig,
 ) -> SimResult<AlgoResult<u32>> {
-    let tuning = inspect(q.profile(), opts, g.vertex_count());
-    match tuning.word_bits {
-        32 => engine_run::<u32, G>(q, g, src, opts, true, "bfs_iter", &tuning),
-        _ => engine_run::<u64, G>(q, g, src, opts, true, "bfs_iter", &tuning),
-    }
+    dispatch_by_word!(
+        q,
+        opts,
+        g.vertex_count(),
+        engine_run::<G>(q, g, src, opts, true, "bfs_iter")
+    )
 }
 
 /// BFS's advance functor over the level buffer `dist`: keep unvisited

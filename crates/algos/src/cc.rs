@@ -7,11 +7,12 @@
 use sygraph_core::engine::{CheckpointState, PostStep, StepAdvance, SuperstepEngine, NO_COMPUTE};
 use sygraph_core::frontier::{BitmapLike, Word};
 use sygraph_core::graph::DeviceGraphView;
-use sygraph_core::inspector::{inspect, OptConfig, Tuning};
+use sygraph_core::inspector::{OptConfig, Tuning};
 use sygraph_core::types::{EdgeId, VertexId, Weight};
 use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SimResult};
 
 use crate::common::{guarded_init, make_frontier, AlgoResult};
+use crate::dispatch_by_word;
 
 /// Runs label-propagation CC; returns per-vertex component labels
 /// (the minimum vertex id of each component).
@@ -26,11 +27,7 @@ pub fn run<G: DeviceGraphView + ?Sized>(
     g: &G,
     opts: &OptConfig,
 ) -> SimResult<AlgoResult<u32>> {
-    let tuning = inspect(q.profile(), opts, g.vertex_count());
-    match tuning.word_bits {
-        32 => run_impl::<u32, G>(q, g, opts, &tuning, false),
-        _ => run_impl::<u64, G>(q, g, opts, &tuning, false),
-    }
+    dispatch_by_word!(q, opts, g.vertex_count(), run_impl::<G>(q, g, opts, false))
 }
 
 /// Label propagation with Stergiou-style *shortcutting*: after each
@@ -45,11 +42,7 @@ pub fn run_shortcutting<G: DeviceGraphView + ?Sized>(
     g: &G,
     opts: &OptConfig,
 ) -> SimResult<AlgoResult<u32>> {
-    let tuning = inspect(q.profile(), opts, g.vertex_count());
-    match tuning.word_bits {
-        32 => run_impl::<u32, G>(q, g, opts, &tuning, true),
-        _ => run_impl::<u64, G>(q, g, opts, &tuning, true),
-    }
+    dispatch_by_word!(q, opts, g.vertex_count(), run_impl::<G>(q, g, opts, true))
 }
 
 /// Label propagation over `labels`, as an advance functor: push the
@@ -72,8 +65,8 @@ fn run_impl<W: Word, G: DeviceGraphView + ?Sized>(
     q: &Queue,
     g: &G,
     opts: &OptConfig,
-    tuning: &Tuning,
     shortcut: bool,
+    tuning: &Tuning,
 ) -> SimResult<AlgoResult<u32>> {
     let n = g.vertex_count();
     let t0 = q.now_ns();

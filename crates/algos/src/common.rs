@@ -6,7 +6,7 @@ use sygraph_core::engine::RecoveryPolicy;
 use sygraph_core::frontier::{
     BitmapFrontier, BitmapLike, HybridFrontier, SparseFrontier, TwoLayerFrontier, Word,
 };
-use sygraph_core::inspector::{inspect, OptConfig, Representation, Tuning};
+use sygraph_core::inspector::{OptConfig, Representation};
 use sygraph_sim::{Queue, SimError, SimResult};
 
 /// Result of one algorithm run: per-vertex values plus run metadata.
@@ -42,7 +42,7 @@ pub fn guarded_init(q: &Queue, recovery: &RecoveryPolicy, init: impl Fn()) -> Si
             return Err(e);
         }
         attempt += 1;
-        q.advance_clock_ns((recovery.backoff_ns << (attempt - 1).min(16)) as f64);
+        q.advance_clock_ns(recovery.backoff(attempt));
     }
 }
 
@@ -68,32 +68,20 @@ pub fn make_frontier<W: Word>(
     }
 }
 
-/// Derives the tuning for this queue's device and dispatches `f` on the
-/// inspector-selected word width (the MSI optimization picks 32-bit words
-/// on NVIDIA/Intel and 64-bit on AMD; with MSI off the word is 64-bit).
-pub fn dispatch_word<R>(
-    q: &Queue,
-    opts: &OptConfig,
-    n: usize,
-    f32bit: impl FnOnce(Tuning) -> R,
-    f64bit: impl FnOnce(Tuning) -> R,
-) -> R {
-    let tuning = inspect(q.profile(), opts, n);
-    match tuning.word_bits {
-        32 => f32bit(tuning),
-        _ => f64bit(tuning),
-    }
-}
-
-/// Convenience macro: runs `$impl_fn::<u32>` or `::<u64>` per the
-/// inspector's word choice.
+/// Derives the tuning for `$q`'s device and calls `$impl_fn::<u32, ..>`
+/// or `::<u64, ..>` on the inspector-selected word width, passing
+/// `&tuning` last (the MSI optimization picks 32-bit words on
+/// NVIDIA/Intel and 64-bit on AMD; with MSI off the word is 64-bit).
+/// Generic arguments after the word type go in a turbofish:
+/// `run_impl::<G>(q, g)`.
 #[macro_export]
 macro_rules! dispatch_by_word {
-    ($q:expr, $opts:expr, $n:expr, $impl_fn:ident ( $($arg:expr),* $(,)? )) => {{
+    ($q:expr, $opts:expr, $n:expr,
+     $impl_fn:ident $(::<$($generic:ty),+>)? ( $($arg:expr),* $(,)? )) => {{
         let tuning = sygraph_core::inspector::inspect($q.profile(), $opts, $n);
         match tuning.word_bits {
-            32 => $impl_fn::<u32>($($arg,)* &tuning),
-            _ => $impl_fn::<u64>($($arg,)* &tuning),
+            32 => $impl_fn::<u32 $($(, $generic)+)?>($($arg,)* &tuning),
+            _ => $impl_fn::<u64 $($(, $generic)+)?>($($arg,)* &tuning),
         }
     }};
 }
@@ -101,6 +89,7 @@ macro_rules! dispatch_by_word {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sygraph_core::inspector::Tuning;
     use sygraph_sim::{Device, DeviceProfile};
 
     #[test]
@@ -117,11 +106,12 @@ mod tests {
 
     #[test]
     fn dispatch_picks_width_by_vendor() {
+        fn bits<W: Word>(_: &Tuning) -> u32 {
+            W::BITS
+        }
         let qa = Queue::new(Device::new(DeviceProfile::v100s()));
-        let w = dispatch_word(&qa, &OptConfig::all(), 1000, |_| 32, |_| 64);
-        assert_eq!(w, 32);
+        assert_eq!(dispatch_by_word!(qa, &OptConfig::all(), 1000, bits()), 32);
         let qb = Queue::new(Device::new(DeviceProfile::mi100()));
-        let w = dispatch_word(&qb, &OptConfig::all(), 1000, |_| 32, |_| 64);
-        assert_eq!(w, 64);
+        assert_eq!(dispatch_by_word!(qb, &OptConfig::all(), 1000, bits()), 64);
     }
 }

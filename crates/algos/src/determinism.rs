@@ -1,7 +1,9 @@
-//! How far two runs of one algorithm may differ, declared once: the
-//! service (cache, coalescer), the bench ablations and the
-//! cross-schedule property tests all read the class from [`of`] and
-//! compare through [`Determinism::agrees_f32`] / [`agrees_u32`].
+//! How far two runs of one algorithm may differ. The class of each
+//! algorithm is declared in the catalogue
+//! ([`Algo::determinism`](crate::Algo::determinism)); the service
+//! (cache, coalescer), the bench ablations and the cross-schedule
+//! property tests read it there and compare through
+//! [`Determinism::agrees_f32`] / [`agrees_u32`].
 //!
 //! [`agrees_u32`]: Determinism::agrees_u32
 
@@ -13,22 +15,6 @@ pub enum Determinism {
     /// Runs agree to within this fraction of the result's largest finite
     /// magnitude (see [`Determinism::agrees_f32`]).
     Tolerance(f32),
-}
-
-/// The class of the algorithm with wire name `algo`
-/// (`bfs|sssp|delta|cc|bc|pagerank`). BC and PageRank accumulate with
-/// `fetch_add_f32`, whose summation order follows the workgroup and
-/// host-thread schedule; the others are min-combine or level-stamp
-/// fixpoints, which no order can change.
-///
-/// # Panics
-/// On a name that is none of the six.
-pub fn of(algo: &str) -> Determinism {
-    match algo {
-        "bfs" | "sssp" | "delta" | "cc" => Determinism::BitExact,
-        "bc" | "pagerank" => Determinism::Tolerance(1e-4),
-        other => panic!("no determinism class declared for algorithm {other:?}"),
-    }
 }
 
 impl Determinism {
@@ -77,14 +63,5 @@ mod tests {
         assert!(Determinism::BitExact.agrees_f32(&[0.5, f32::NAN], &[0.5, f32::NAN]));
         assert!(!Determinism::BitExact.agrees_f32(&[0.0], &[-0.0]));
         assert!(!Determinism::BitExact.agrees_f32(&[1.0], &[1.0 + f32::EPSILON]));
-    }
-
-    #[test]
-    fn every_service_algorithm_has_a_class() {
-        for algo in ["bfs", "sssp", "delta", "cc"] {
-            assert_eq!(of(algo), Determinism::BitExact);
-        }
-        assert!(matches!(of("bc"), Determinism::Tolerance(_)));
-        assert!(matches!(of("pagerank"), Determinism::Tolerance(_)));
     }
 }

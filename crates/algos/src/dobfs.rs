@@ -13,11 +13,13 @@
 //! [`SuperstepEngine`]: sygraph_core::engine::SuperstepEngine
 
 use sygraph_core::graph::{DeviceGraphView, Graph};
-use sygraph_core::inspector::{inspect, Direction, OptConfig};
+use sygraph_core::inspector::{Direction, OptConfig};
 use sygraph_core::types::VertexId;
 use sygraph_sim::{Queue, SimError, SimResult};
 
+use crate::bfs::engine_run;
 use crate::common::AlgoResult;
+use crate::dispatch_by_word;
 
 /// Runs direction-optimizing BFS from `src`. The graph must carry a pull
 /// (CSC) view — build it with [`Graph::with_pull`] — otherwise a typed
@@ -27,20 +29,6 @@ use crate::common::AlgoResult;
 /// (`Auto`/`Pull`) and upgrades an explicit `Push` to `Auto`: asking for
 /// direction-*optimizing* BFS opts into the hybrid.
 pub fn run(q: &Queue, g: &Graph, src: VertexId, opts: &OptConfig) -> SimResult<AlgoResult<u32>> {
-    let mut opts = *opts;
-    if opts.direction == Direction::Push {
-        opts.direction = Direction::Auto;
-    }
-    run_preset(q, g, src, &opts, None)
-}
-
-fn run_preset(
-    q: &Queue,
-    g: &Graph,
-    src: VertexId,
-    opts: &OptConfig,
-    thresholds: Option<(u32, u32)>,
-) -> SimResult<AlgoResult<u32>> {
     if !g.supports_pull() {
         return Err(SimError::Unsupported(
             "direction-optimizing BFS needs a pull (CSC) view; build the \
@@ -48,16 +36,17 @@ fn run_preset(
                 .into(),
         ));
     }
-    let mut tuning = inspect(q.profile(), opts, g.vertex_count());
-    if let Some((alpha, beta)) = thresholds {
-        tuning.alpha = alpha;
-        tuning.beta = beta;
+    let mut opts = *opts;
+    if opts.direction == Direction::Push {
+        opts.direction = Direction::Auto;
     }
     // Fused distance stamp, as the hand-rolled version always ran.
-    match tuning.word_bits {
-        32 => crate::bfs::engine_run::<u32, Graph>(q, g, src, opts, true, "dobfs_iter", &tuning),
-        _ => crate::bfs::engine_run::<u64, Graph>(q, g, src, opts, true, "dobfs_iter", &tuning),
-    }
+    dispatch_by_word!(
+        q,
+        &opts,
+        g.vertex_count(),
+        engine_run::<Graph>(q, g, src, &opts, true, "dobfs_iter")
+    )
 }
 
 #[cfg(test)]
@@ -65,6 +54,7 @@ mod tests {
     use super::*;
     use crate::reference;
     use sygraph_core::graph::CsrHost;
+    use sygraph_core::inspector::inspect;
     use sygraph_sim::{Device, DeviceProfile};
 
     fn queue() -> Queue {
@@ -97,8 +87,20 @@ mod tests {
         }
     }
 
+    /// The preset's engine cycle under hand-set Beamer thresholds.
+    fn run_with_thresholds(q: &Queue, g: &Graph, alpha: u32, beta: u32) -> AlgoResult<u32> {
+        let opts = OptConfig::all();
+        let mut tuning = inspect(q.profile(), &opts, g.vertex_count());
+        (tuning.alpha, tuning.beta) = (alpha, beta);
+        assert_ne!(
+            tuning.word_bits, 32,
+            "only 32 logical bits live in u32 words"
+        );
+        engine_run::<u64, Graph>(q, g, 0, &opts, true, "dobfs_iter", &tuning).unwrap()
+    }
+
     #[test]
-    fn preset_thresholds_steer_the_direction_policy() {
+    fn thresholds_steer_the_direction_policy() {
         // Chain long enough that the dense estimate (nonzero_words ×
         // word_bits, so ≥ 64 for any non-empty frontier) stays below n.
         let edges: Vec<(u32, u32)> = (0..127).map(|v| (v, v + 1)).collect();
@@ -109,7 +111,7 @@ mod tests {
         // stays push throughout and matches plain BFS bit for bit.
         let q = queue();
         let g = Graph::with_pull(&q, &host).unwrap();
-        let got = run_preset(&q, &g, 0, &OptConfig::all(), Some((1, 1))).unwrap();
+        let got = run_with_thresholds(&q, &g, 1, 1);
         assert_eq!(got.values, expect);
         let plain = crate::bfs::run_fused(&q, &g, 0, &OptConfig::all()).unwrap();
         assert_eq!(got.values, plain.values);
@@ -125,7 +127,7 @@ mod tests {
         // engages pull from the second superstep on.
         let q = queue();
         let g = Graph::with_pull(&q, &host).unwrap();
-        let got = run_preset(&q, &g, 0, &OptConfig::all(), Some((u32::MAX, u32::MAX))).unwrap();
+        let got = run_with_thresholds(&q, &g, u32::MAX, u32::MAX);
         assert_eq!(got.values, expect);
         assert!(
             q.profiler()

@@ -9,6 +9,7 @@
 
 pub mod bc;
 pub mod bfs;
+pub mod catalogue;
 pub mod cc;
 pub mod common;
 pub mod delta;
@@ -22,5 +23,6 @@ pub mod reference;
 pub mod sssp;
 pub mod triangles;
 
+pub use catalogue::{Algo, Args, Output, Values};
 pub use common::AlgoResult;
 pub use determinism::Determinism;

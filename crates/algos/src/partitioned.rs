@@ -23,11 +23,11 @@ use sygraph_core::engine::{
 use sygraph_core::frontier::exchange::{ExchangeConfig, ExchangeTally};
 use sygraph_core::frontier::Word;
 use sygraph_core::graph::{DeviceCsr, DevicePartition, PartitionedGraph};
-use sygraph_core::inspector::{inspect, OptConfig, Tuning};
+use sygraph_core::inspector::{OptConfig, Tuning};
 use sygraph_core::types::{VertexId, INF_DIST, INF_WEIGHT};
 use sygraph_sim::{DeviceBuffer, DeviceScalar, Queue, SimResult};
 
-use crate::{bfs, cc, sssp};
+use crate::{bfs, cc, dispatch_by_word, sssp};
 
 /// Result of a partitioned run: the gathered global values plus the
 /// exchange accounting the single-device [`crate::common::AlgoResult`]
@@ -171,11 +171,12 @@ fn run<T: HaloValue>(
     excfg: ExchangeConfig,
     program: Program<T>,
 ) -> SimResult<PartitionedResult<T>> {
-    let tuning = inspect(queues[0].profile(), opts, pg.n);
-    match tuning.word_bits {
-        32 => run_impl::<u32, T>(queues, pg, tuning, excfg, program),
-        _ => run_impl::<u64, T>(queues, pg, tuning, excfg, program),
-    }
+    dispatch_by_word!(
+        queues[0],
+        opts,
+        pg.n,
+        run_impl::<T>(queues, pg, excfg, program)
+    )
 }
 
 /// The one driver: shard upload, per-shard state, engines, BSP loop,
@@ -183,9 +184,9 @@ fn run<T: HaloValue>(
 fn run_impl<W: Word, T: HaloValue>(
     queues: &[Queue],
     pg: &PartitionedGraph,
-    tuning: Tuning,
     excfg: ExchangeConfig,
     program: Program<T>,
+    tuning: &Tuning,
 ) -> SimResult<PartitionedResult<T>> {
     let slowest_ns = || queues.iter().map(Queue::now_ns).fold(0.0, f64::max);
     let graphs = (pg.parts.iter().zip(queues))
@@ -207,7 +208,7 @@ fn run_impl<W: Word, T: HaloValue>(
         .map(|d| vec![d as &dyn CheckpointState])
         .collect();
     let mut mde =
-        MultiDeviceEngine::<W>::new(pg, queues, &graphs, tuning, excfg, &ckpt, program.mark)?;
+        MultiDeviceEngine::<W>::new(pg, queues, &graphs, *tuning, excfg, &ckpt, program.mark)?;
     match program.root {
         Some((src, value)) => {
             assert!((src as usize) < pg.n, "source out of range");

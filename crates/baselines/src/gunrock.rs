@@ -9,12 +9,13 @@
 //! for the backward pass — which is what exhausts memory on the
 //! huge-diameter road-USA graph (Figure 8 / Table 6 OOM entries).
 
+use sygraph_algos::Values;
 use sygraph_core::frontier::{Frontier, VectorFrontier};
 use sygraph_core::graph::{CsrHost, DeviceCsr, DeviceGraphView};
 use sygraph_core::types::{VertexId, INF_DIST, INF_WEIGHT};
 use sygraph_sim::{Queue, SimError, SimResult};
 
-use crate::harness::{AlgoKind, AlgoValues, Framework, RunRecord};
+use crate::harness::{AlgoKind, Framework, RunRecord};
 use crate::vecops::{advance_vector, frontier_degree_sum};
 
 /// Gunrock-like comparator.
@@ -199,7 +200,7 @@ impl GunrockLike {
         Ok(RunRecord {
             algo_ms: (q.now_ns() - t0) / 1e6,
             iterations: iter,
-            values: AlgoValues::U32(dist.to_vec()),
+            values: Values::U32(dist.to_vec()),
         })
     }
 
@@ -233,7 +234,7 @@ impl GunrockLike {
         Ok(RunRecord {
             algo_ms: (q.now_ns() - t0) / 1e6,
             iterations: iter,
-            values: AlgoValues::F32(dist.to_vec()),
+            values: Values::F32(dist.to_vec()),
         })
     }
 
@@ -276,7 +277,7 @@ impl GunrockLike {
         Ok(RunRecord {
             algo_ms: (q.now_ns() - t0) / 1e6,
             iterations: iter,
-            values: AlgoValues::U32(labels.to_vec()),
+            values: Values::U32(labels.to_vec()),
         })
     }
 
@@ -356,7 +357,7 @@ impl GunrockLike {
         Ok(RunRecord {
             algo_ms: (q.now_ns() - t0) / 1e6,
             iterations: d,
-            values: AlgoValues::F32(delta.to_vec()),
+            values: Values::F32(delta.to_vec()),
         })
     }
 }

@@ -4,6 +4,7 @@
 //! both results (correctness) and modelled cost (performance).
 
 use serde::{Deserialize, Serialize};
+use sygraph_algos::{Algo, Values};
 use sygraph_core::graph::CsrHost;
 use sygraph_core::types::VertexId;
 use sygraph_sim::{Queue, SimResult};
@@ -31,34 +32,19 @@ impl AlgoKind {
         }
     }
 
+    /// The catalogue entry behind the row.
+    pub fn algo(&self) -> Algo {
+        match self {
+            AlgoKind::Bc => Algo::Bc,
+            AlgoKind::Bfs => Algo::Bfs,
+            AlgoKind::Cc => Algo::Cc,
+            AlgoKind::Sssp => Algo::Sssp,
+        }
+    }
+
     /// CC runs on the symmetrized graph and ignores the source.
     pub fn needs_undirected(&self) -> bool {
-        matches!(self, AlgoKind::Cc)
-    }
-}
-
-/// Per-vertex output of an algorithm run, for cross-framework validation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AlgoValues {
-    U32(Vec<u32>),
-    F32(Vec<f32>),
-}
-
-impl AlgoValues {
-    /// Approximate equality (exact for u32; relative tolerance for f32,
-    /// since atomic float accumulation orders differ across frameworks).
-    pub fn approx_eq(&self, other: &AlgoValues, tol: f32) -> bool {
-        match (self, other) {
-            (AlgoValues::U32(a), AlgoValues::U32(b)) => a == b,
-            (AlgoValues::F32(a), AlgoValues::F32(b)) => {
-                a.len() == b.len()
-                    && a.iter().zip(b).all(|(x, y)| {
-                        (x.is_infinite() && y.is_infinite())
-                            || (x - y).abs() <= tol * (1.0 + x.abs().max(y.abs()))
-                    })
-            }
-            _ => false,
-        }
+        self.algo().needs_undirected()
     }
 }
 
@@ -71,7 +57,7 @@ pub struct RunRecord {
     /// Supersteps executed.
     pub iterations: u32,
     /// Per-vertex results for validation.
-    pub values: AlgoValues,
+    pub values: Values,
 }
 
 /// A graph framework under evaluation.
@@ -97,23 +83,23 @@ pub fn validate_against_reference(
     host: &CsrHost,
     algo: AlgoKind,
     src: VertexId,
-    got: &AlgoValues,
+    got: &Values,
 ) -> Result<(), String> {
     use sygraph_algos::reference;
     match (algo, got) {
-        (AlgoKind::Bfs, AlgoValues::U32(d)) => {
+        (AlgoKind::Bfs, Values::U32(d)) => {
             let want = reference::bfs(host, src);
             (d == &want)
                 .then_some(())
                 .ok_or_else(|| "BFS distances mismatch".into())
         }
-        (AlgoKind::Cc, AlgoValues::U32(l)) => {
+        (AlgoKind::Cc, Values::U32(l)) => {
             let want = reference::connected_components(host);
             (l == &want)
                 .then_some(())
                 .ok_or_else(|| "CC labels mismatch".into())
         }
-        (AlgoKind::Sssp, AlgoValues::F32(d)) => {
+        (AlgoKind::Sssp, Values::F32(d)) => {
             let want = reference::dijkstra(host, src);
             for (v, (a, b)) in d.iter().zip(want.iter()).enumerate() {
                 let ok = (a.is_infinite() && b.is_infinite()) || (a - b).abs() < 1e-3;
@@ -123,7 +109,7 @@ pub fn validate_against_reference(
             }
             Ok(())
         }
-        (AlgoKind::Bc, AlgoValues::F32(d)) => {
+        (AlgoKind::Bc, Values::F32(d)) => {
             let want = reference::betweenness_from(host, src);
             for (v, (a, b)) in d.iter().zip(want.iter()).enumerate() {
                 if (a - b).abs() > 1e-2 * (1.0 + b.abs()) {
@@ -146,15 +132,5 @@ mod tests {
         assert!(AlgoKind::Cc.needs_undirected());
         assert!(!AlgoKind::Bfs.needs_undirected());
         assert_eq!(AlgoKind::Sssp.name(), "SSSP");
-    }
-
-    #[test]
-    fn approx_eq_handles_infinities_and_tolerance() {
-        let a = AlgoValues::F32(vec![1.0, f32::INFINITY]);
-        let b = AlgoValues::F32(vec![1.0000001, f32::INFINITY]);
-        assert!(a.approx_eq(&b, 1e-4));
-        let c = AlgoValues::F32(vec![2.0, f32::INFINITY]);
-        assert!(!a.approx_eq(&c, 1e-4));
-        assert!(!a.approx_eq(&AlgoValues::U32(vec![1]), 1e-4));
     }
 }

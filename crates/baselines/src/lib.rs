@@ -25,7 +25,7 @@ pub mod tigr;
 pub mod vecops;
 
 pub use gunrock::GunrockLike;
-pub use harness::{validate_against_reference, AlgoKind, AlgoValues, Framework, RunRecord};
+pub use harness::{validate_against_reference, AlgoKind, Framework, RunRecord};
 pub use sepgraph::SepGraphLike;
 pub use sygraph_fw::SygraphFramework;
 pub use tigr::TigrLike;

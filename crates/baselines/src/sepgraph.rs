@@ -18,12 +18,13 @@
 //! CC: the paper "couldn't find any implementation compatible with
 //! SEP-Graph"; `run(Cc, ..)` returns [`SimError::Unsupported`].
 
+use sygraph_algos::Values;
 use sygraph_core::frontier::{BitmapFrontier, BitmapLike, Frontier, VectorFrontier};
 use sygraph_core::graph::{CsrHost, DeviceCsr, DeviceGraphView};
 use sygraph_core::types::{VertexId, INF_DIST, INF_WEIGHT};
 use sygraph_sim::{Queue, SimError, SimResult};
 
-use crate::harness::{AlgoKind, AlgoValues, Framework, RunRecord};
+use crate::harness::{AlgoKind, Framework, RunRecord};
 use crate::vecops::{advance_vector, bitmap_to_vector, frontier_degree_sum, vector_to_bitmap};
 
 /// SEP-Graph-like comparator.
@@ -207,7 +208,7 @@ impl SepGraphLike {
         Ok(RunRecord {
             algo_ms: (q.now_ns() - t0) / 1e6,
             iterations: iter,
-            values: AlgoValues::U32(dist.to_vec()),
+            values: Values::U32(dist.to_vec()),
         })
     }
 
@@ -268,7 +269,7 @@ impl SepGraphLike {
         Ok(RunRecord {
             algo_ms: (q.now_ns() - t0) / 1e6,
             iterations: iter,
-            values: AlgoValues::F32(dist.to_vec()),
+            values: Values::F32(dist.to_vec()),
         })
     }
 
@@ -336,7 +337,7 @@ impl SepGraphLike {
         Ok(RunRecord {
             algo_ms: (q.now_ns() - t0) / 1e6,
             iterations: d,
-            values: AlgoValues::F32(delta.to_vec()),
+            values: Values::F32(delta.to_vec()),
         })
     }
 }

@@ -1,17 +1,18 @@
 //! SYgraph itself, wrapped in the common [`Framework`] harness.
 //! No preprocessing, no post-processing (Table 1).
 
-use sygraph_core::graph::{CsrHost, DeviceCsr};
+use sygraph_algos::Args;
+use sygraph_core::graph::{CsrHost, Graph};
 use sygraph_core::inspector::OptConfig;
 use sygraph_core::types::VertexId;
 use sygraph_sim::{Queue, SimResult};
 
-use crate::harness::{AlgoKind, AlgoValues, Framework, RunRecord};
+use crate::harness::{AlgoKind, Framework, RunRecord};
 
 /// SYgraph under the harness.
 pub struct SygraphFramework {
     opts: OptConfig,
-    graph: Option<DeviceCsr>,
+    graph: Option<Graph>,
 }
 
 impl SygraphFramework {
@@ -19,7 +20,7 @@ impl SygraphFramework {
         SygraphFramework { opts, graph: None }
     }
 
-    fn graph(&self) -> &DeviceCsr {
+    fn graph(&self) -> &Graph {
         self.graph.as_ref().expect("prepare() not called")
     }
 }
@@ -36,7 +37,7 @@ impl Framework for SygraphFramework {
     }
 
     fn prepare(&mut self, q: &Queue, host: &CsrHost) -> SimResult<()> {
-        self.graph = Some(DeviceCsr::upload(q, host)?);
+        self.graph = Some(Graph::new(q, host)?);
         Ok(())
     }
 
@@ -45,40 +46,12 @@ impl Framework for SygraphFramework {
     }
 
     fn run(&mut self, q: &Queue, algo: AlgoKind, src: VertexId) -> SimResult<RunRecord> {
-        let g = self.graph();
-        Ok(match algo {
-            AlgoKind::Bfs => {
-                let r = sygraph_algos::bfs::run(q, g, src, &self.opts)?;
-                RunRecord {
-                    algo_ms: r.sim_ms,
-                    iterations: r.iterations,
-                    values: AlgoValues::U32(r.values),
-                }
-            }
-            AlgoKind::Sssp => {
-                let r = sygraph_algos::sssp::run(q, g, src, &self.opts)?;
-                RunRecord {
-                    algo_ms: r.sim_ms,
-                    iterations: r.iterations,
-                    values: AlgoValues::F32(r.values),
-                }
-            }
-            AlgoKind::Cc => {
-                let r = sygraph_algos::cc::run(q, g, &self.opts)?;
-                RunRecord {
-                    algo_ms: r.sim_ms,
-                    iterations: r.iterations,
-                    values: AlgoValues::U32(r.values),
-                }
-            }
-            AlgoKind::Bc => {
-                let r = sygraph_algos::bc::run(q, g, src, &self.opts)?;
-                RunRecord {
-                    algo_ms: r.sim_ms,
-                    iterations: r.iterations,
-                    values: AlgoValues::F32(r.values),
-                }
-            }
+        let args = Args::rooted(src);
+        let r = algo.algo().run(q, self.graph(), args, &self.opts)?;
+        Ok(RunRecord {
+            algo_ms: r.sim_ms,
+            iterations: r.iterations,
+            values: r.values,
         })
     }
 }

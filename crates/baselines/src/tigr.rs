@@ -13,12 +13,13 @@
 //!   graphs pay diameter × |V| work — Tigr's weak spot — while
 //!   low-diameter scale-free graphs are efficiently load-balanced.
 
+use sygraph_algos::Values;
 use sygraph_core::frontier::{BoolmapFrontier, Frontier};
 use sygraph_core::graph::CsrHost;
 use sygraph_core::types::{VertexId, INF_DIST, INF_WEIGHT};
 use sygraph_sim::{DeviceBuffer, Queue, SimError, SimResult};
 
-use crate::harness::{AlgoKind, AlgoValues, Framework, RunRecord};
+use crate::harness::{AlgoKind, Framework, RunRecord};
 
 /// Maximum virtual-node degree after the UDT split.
 pub const UDT_K: usize = 64;
@@ -201,7 +202,7 @@ impl TigrLike {
         Ok(RunRecord {
             algo_ms: (q.now_ns() - t0) / 1e6,
             iterations: iter,
-            values: AlgoValues::U32(dist.to_vec()),
+            values: Values::U32(dist.to_vec()),
         })
     }
 
@@ -239,7 +240,7 @@ impl TigrLike {
         Ok(RunRecord {
             algo_ms: (q.now_ns() - t0) / 1e6,
             iterations: iter,
-            values: AlgoValues::F32(dist.to_vec()),
+            values: Values::F32(dist.to_vec()),
         })
     }
 
@@ -275,7 +276,7 @@ impl TigrLike {
         Ok(RunRecord {
             algo_ms: (q.now_ns() - t0) / 1e6,
             iterations: iter,
-            values: AlgoValues::U32(labels.to_vec()),
+            values: Values::U32(labels.to_vec()),
         })
     }
 
@@ -340,7 +341,7 @@ impl TigrLike {
         Ok(RunRecord {
             algo_ms: (q.now_ns() - t0) / 1e6,
             iterations: d,
-            values: AlgoValues::F32(delta.to_vec()),
+            values: Values::F32(delta.to_vec()),
         })
     }
 }

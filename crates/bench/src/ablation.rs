@@ -7,18 +7,17 @@
 //! Every run starts from the highest-out-degree vertex. A variant may
 //! change which edges get scanned and in what order, never the result:
 //! BFS and SSSP must agree bit for bit, BC (order-dependent float
-//! accumulation) within `sygraph_algos::determinism::of("bc")`. A
+//! accumulation) within `Algo::Bc.determinism()`. A
 //! divergence fails the experiment; a missed performance bar is a
 //! recorded verdict.
 
 use serde_json::json;
-use sygraph_algos::{bc, bfs, determinism, sssp, AlgoResult};
+use sygraph_algos::{bfs, Algo, Args, Values};
 use sygraph_core::frontier::maintenance_payer;
 use sygraph_core::graph::Graph;
 use sygraph_core::inspector::{Balancing, Direction, OptConfig, Representation};
 use sygraph_gen::{datasets, Dataset, Scale};
-use sygraph_service::JobValues;
-use sygraph_sim::{Queue, SimResult};
+use sygraph_sim::Queue;
 
 use crate::report::{Clock::Modelled, Report, Table, Verdict};
 use crate::{hub_source, Context};
@@ -56,8 +55,8 @@ struct Spec {
     datasets: &'static [MarkedDataset],
     /// Speedups are against the first; the bars on `auto` read the last.
     variants: [Variant; 3],
-    /// Wire names of the algorithms each variant runs, in order.
-    algos: &'static [&'static str],
+    /// The algorithms each variant runs, in order.
+    algos: &'static [Algo],
     /// Upload a pull-capable graph and run the fused driver (the
     /// direction policy needs the CSC mirror).
     pull: bool,
@@ -107,7 +106,7 @@ const ADVANCE_BALANCING: Spec = Spec {
         ("bucketed", |o| o.balancing = Balancing::Bucketed),
         ("auto", |o| o.balancing = Balancing::Auto),
     ],
-    algos: &["bfs", "sssp", "bc"],
+    algos: &[Algo::Bfs, Algo::Sssp, Algo::Bc],
     pull: false,
     cost: ("advance_cycles", is_advance),
     bars: |cells| {
@@ -134,7 +133,7 @@ const DIRECTION_OPT: Spec = Spec {
         ("pull", |o| o.direction = Direction::Pull),
         ("auto", |o| o.direction = Direction::Auto),
     ],
-    algos: &["bfs"],
+    algos: &[Algo::Bfs],
     pull: true,
     cost: ("traversal_cycles", is_pipeline),
     bars: |cells| {
@@ -173,7 +172,7 @@ const FRONTIER_REP: Spec = Spec {
         ("sparse", |o| o.representation = Representation::Sparse),
         ("auto", |o| o.representation = Representation::Auto),
     ],
-    algos: &["bfs", "sssp"],
+    algos: &[Algo::Bfs, Algo::Sssp],
     pull: false,
     cost: ("frontier_cycles", is_pipeline),
     bars: |cells| {
@@ -207,26 +206,6 @@ pub fn frontier_rep(ctx: &Context) -> Result<Report, String> {
     run(ctx, &FRONTIER_REP)
 }
 
-/// Runs one algorithm of the spec; returns its values and modelled ms.
-fn run_algo(
-    q: &Queue,
-    g: &Graph,
-    algo: &str,
-    fused: bool,
-    src: u32,
-    opts: &OptConfig,
-) -> SimResult<(JobValues, f64)> {
-    let ints = |r: AlgoResult<u32>| (JobValues::U32(r.values), r.sim_ms);
-    let floats = |r: AlgoResult<f32>| (JobValues::F32(r.values), r.sim_ms);
-    match algo {
-        "bfs" if fused => bfs::run_fused(q, g, src, opts).map(ints),
-        "bfs" => bfs::run(q, &g.csr, src, opts).map(ints),
-        "sssp" => sssp::run(q, &g.csr, src, opts).map(floats),
-        "bc" => bc::run(q, &g.csr, src, opts).map(floats),
-        other => panic!("ablation spec names unknown algorithm {other:?}"),
-    }
-}
-
 fn run(ctx: &Context, spec: &Spec) -> Result<Report, String> {
     let mut sets = Table::new("datasets")
         .label("dataset")
@@ -256,7 +235,7 @@ fn run(ctx: &Context, spec: &Spec) -> Result<Report, String> {
             json!(ds.host.edge_count()),
             json!(src),
         ]);
-        let mut base: Option<(Vec<JobValues>, f64)> = None;
+        let mut base: Option<(Vec<Values>, f64)> = None;
         for (vi, (variant, force)) in spec.variants.iter().enumerate() {
             let mut opts = OptConfig::all();
             force(&mut opts);
@@ -269,16 +248,22 @@ fn run(ctx: &Context, spec: &Spec) -> Result<Report, String> {
             let g = g.map_err(|e| e.to_string())?;
             let mut values = Vec::new();
             let mut sim_ms = 0.0;
-            for algo in spec.algos {
-                let (v, ms) = run_algo(&q, &g, algo, spec.pull, src, &opts)
-                    .map_err(|e| format!("{algo} on {} under {variant}: {e}", ds.key))?;
-                values.push(v);
-                sim_ms += ms;
+            for &algo in spec.algos {
+                // The direction spec's BFS is the fused driver, which the
+                // catalogue does not list.
+                let ran = if spec.pull && algo == Algo::Bfs {
+                    bfs::run_fused(&q, &g, src, &opts).map(Into::into)
+                } else {
+                    algo.run(&q, &g, Args::rooted(src), &opts)
+                };
+                let ran = ran.map_err(|e| format!("{algo} on {} under {variant}: {e}", ds.key))?;
+                values.push(ran.values);
+                sim_ms += ran.sim_ms;
             }
             let cycles = exec_cycles(&q, spec.cost.1);
             let (base_values, base_cycles) = base.get_or_insert((values.clone(), cycles));
             for ((algo, ours), theirs) in spec.algos.iter().zip(&values).zip(&*base_values) {
-                if !theirs.agrees(ours, determinism::of(algo)) {
+                if !theirs.agrees(ours, algo.determinism()) {
                     let base = spec.variants[0].0;
                     return Err(format!(
                         "{algo} under {variant} diverged from {base} on {}",

@@ -3,7 +3,7 @@
 //! simulated devices).
 
 use serde_json::json;
-use sygraph_algos::{bc, bfs, determinism, multi, partitioned, AlgoResult};
+use sygraph_algos::{bc, bfs, multi, partitioned, Algo, AlgoResult};
 use sygraph_core::frontier::exchange::ExchangeConfig;
 use sygraph_core::graph::{CsrHost, DeviceCsr, Graph, PartitionSpec, PartitionedGraph};
 use sygraph_core::inspector::OptConfig;
@@ -76,7 +76,7 @@ pub fn multi_source(ctx: &Context) -> Result<Report, String> {
         let q = ctx.queue(&ds);
         let g = DeviceCsr::upload(&q, &ds.host).map_err(fail)?;
         let batched = multi::bfs_multi(&q, &g, &sources, WIDTH, &opts).map_err(fail)?;
-        let class = determinism::of("bfs");
+        let class = Algo::Bfs.determinism();
         let mut lanes = batched.per_source.iter().zip(&serial);
         if !lanes.all(|(b, s)| class.agrees_u32(&s.values, b)) {
             return Err(format!("batched BFS diverged from rooted on {}", ds.key));
@@ -97,7 +97,7 @@ pub fn multi_source(ctx: &Context) -> Result<Report, String> {
         // CSC mirror (its build is part of the batched run's time).
         let g = Graph::with_pull(&q, &ds.host).map_err(fail)?;
         let batched = multi::bc_multi(&q, &g, &sources, WIDTH, &opts).map_err(fail)?;
-        let class = determinism::of("bc");
+        let class = Algo::Bc.determinism();
         let mut lanes = batched.per_source.iter().zip(&serial);
         if !lanes.all(|(b, s)| class.agrees_f32(&s.values, b)) {
             return Err(format!("batched BC diverged from rooted on {}", ds.key));
@@ -217,7 +217,7 @@ pub fn multi_device(ctx: &Context) -> Result<Report, String> {
         }
     }
     let single = &cells[0];
-    let class = determinism::of("bfs");
+    let class = Algo::Bfs.determinism();
     for c in &cells[1..] {
         if !class.agrees_u32(&single.result.values, &c.result.values) {
             let (spec, n) = (c.spec, c.devices);

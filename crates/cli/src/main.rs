@@ -3,15 +3,15 @@
 //! ```text
 //! sygraph-cli <algo> <graph> [options]
 //!
-//! algo    bfs | sssp | cc | bc | pagerank | dobfs | delta | triangles |
-//!         kcore | closeness | reach
+//! algo    an algorithm of the catalogue (`sygraph_algos::Algo`; the usage
+//!         text lists them), or closeness | reach
 //! graph   a file (.mtx, .el, .gr, .sygb) or a generated dataset:
 //!         gen:ca gen:usa gen:hollyw gen:indo gen:journal gen:kron gen:twitter
 //!         (generated at bench scale; set SYG_SCALE=test for the
 //!         small CI-sized variants)
 //!
 //! options
-//!   --src <v>         source vertex (default 0; ignored by cc/pagerank)
+//!   --src <v>         source vertex (default 0; read only by rooted algorithms)
 //!   --sources <a,b,…> batch of source vertices: bfs/bc/closeness/reach run
 //!                     all of them in one W-lane multi-source pass (the
 //!                     engine packs W bit-lanes beside the frontier bitmap
@@ -72,43 +72,52 @@
 //! stops admissions, drains queued and in-flight jobs up to the drain
 //! deadline (DESIGN.md §16), prints the drain summary, and exits 0.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 
+use serde_json::{json, Value};
+use sygraph_algos::partitioned::{self, PartitionedResult};
+use sygraph_algos::{multi, Algo, Args, Values};
 use sygraph_core::engine::RecoveryPolicy;
 use sygraph_core::frontier::exchange::ExchangeConfig;
 use sygraph_core::frontier::maintenance_payer;
 use sygraph_core::graph::{validate_sources, CsrHost, Graph, PartitionSpec, PartitionedGraph};
 use sygraph_core::inspector::{Balancing, Direction, OptConfig, Representation};
-use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue};
+use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue, SimResult};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: sygraph-cli <bfs|sssp|cc|bc|pagerank|dobfs|delta|triangles|kcore|closeness|reach> <graph.{{mtx,el,gr,sygb}}|gen:NAME> \
+/// Why a mode ends early. Either message may be empty: the usage text,
+/// or what the sanitizer already printed, says it all.
+enum Stop {
+    /// A wrong command line: the message, the usage text, exit code 2.
+    Usage(String),
+    /// Loading or running failed: the message, exit code 1.
+    Failed(String),
+}
+
+fn usage() -> String {
+    format!(
+        "usage: sygraph-cli <{}|closeness|reach> <graph.{{mtx,el,gr,sygb}}|gen:NAME> \
          [--src V] [--sources A,B,...] [--batch-width 8|16|32|64] \
          [--device v100s|max1100|mi100|host] [--undirected] \
          [--no-msi] [--no-cf] [--no-2lb] [--balancing wg|bucketed|auto] \
          [--frontier dense|sparse|auto] [--direction push|pull|auto] \
          [--devices N] [--partition hash|range] \
          [--delta X] [--json] [--profile] [--sanitize] \
-         [--inject-faults SPEC] [--retry N] [--checkpoint-every K]"
-    );
-    ExitCode::from(2)
+         [--inject-faults SPEC] [--retry N] [--checkpoint-every K]",
+        Algo::labels(&Algo::ALL)
+    )
 }
 
-fn serve_usage() -> ExitCode {
-    eprintln!(
-        "usage: sygraph-cli serve [--addr HOST:PORT] [--device v100s|max1100|mi100|host] \
-         [--workers N] [--batch-window-ms MS] [--batch-width 8|16|32|64] \
-         [--job-mem-budget BYTES[K|M|G]] [--cache-entries N] \
-         [--graphs name=spec[+undirected][+pull],...] [--paused] \
-         [--max-queue N] [--default-timeout-ms MS] [--max-timeout-ms MS] \
-         [--inject-faults SPEC] [--retry N] [--checkpoint-every K] \
-         [--drain-deadline-ms MS] [--breaker-threshold N] [--breaker-open-ms MS] \
-         [--http-read-timeout-ms MS]"
-    );
-    ExitCode::from(2)
-}
+const SERVE_USAGE: &str =
+    "usage: sygraph-cli serve [--addr HOST:PORT] [--device v100s|max1100|mi100|host] \
+     [--workers N] [--batch-window-ms MS] [--batch-width 8|16|32|64] \
+     [--job-mem-budget BYTES[K|M|G]] [--cache-entries N] \
+     [--graphs name=spec[+undirected][+pull],...] [--paused] \
+     [--max-queue N] [--default-timeout-ms MS] [--max-timeout-ms MS] \
+     [--inject-faults SPEC] [--retry N] [--checkpoint-every K] \
+     [--drain-deadline-ms MS] [--breaker-threshold N] [--breaker-open-ms MS] \
+     [--http-read-timeout-ms MS]";
 
 /// Set by the SIGTERM/SIGINT handler; the serve loop polls it.
 static TERMINATE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
@@ -145,8 +154,57 @@ fn parse_bytes(text: &str) -> Result<u64, String> {
         .map_err(|_| format!("bad size {text:?}"))
 }
 
+/// The arguments after the positional ones, as both modes read them.
+struct Flags<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Flags<'a> {
+    fn text(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The next argument as a `T`; a missing or malformed one ends the
+    /// mode with the usage text.
+    fn value<T: FromStr>(&mut self) -> Result<T, Stop> {
+        let parsed = self.text().and_then(|text| text.parse().ok());
+        parsed.ok_or(Stop::Usage(String::new()))
+    }
+
+    /// `serve`'s reader: the value of `flag`, a missing one named on
+    /// stderr.
+    fn value_of(&mut self, flag: &str) -> Result<&'a str, Stop> {
+        self.text()
+            .ok_or_else(|| Stop::Usage(format!("{flag} needs a value")))
+    }
+
+    /// [`value_of`](Flags::value_of) `flag`, parsed.
+    fn read<T: FromStr>(&mut self, flag: &str) -> Result<T, Stop> {
+        self.value_of(flag)?
+            .parse()
+            .map_err(|_| Stop::Usage(String::new()))
+    }
+}
+
+/// `--device`.
+fn device_profile(name: &str) -> Result<DeviceProfile, Stop> {
+    DeviceProfile::by_name(name).ok_or_else(|| Stop::Usage(format!("unknown device {name}")))
+}
+
+/// `--inject-faults`.
+fn fault_plan(spec: &str) -> Result<FaultPlan, Stop> {
+    FaultPlan::parse(spec).map_err(|e| Stop::Usage(format!("bad --inject-faults spec: {e}")))
+}
+
+/// `--retry` / `--checkpoint-every` as a policy: the resilient one,
+/// except that the OOM ladder needs a retry budget to climb.
+fn recovery(retries: u32, checkpoint_every: u32) -> RecoveryPolicy {
+    RecoveryPolicy {
+        degrade_on_oom: retries > 0,
+        ..RecoveryPolicy::resilient(retries, checkpoint_every)
+    }
+}
+
 /// `sygraph-cli serve`: start the analytics service and block.
-fn serve_main(args: &[String]) -> ExitCode {
+fn serve_main(args: &[String]) -> Result<(), Stop> {
     use sygraph_service::{HttpServer, RegisterOptions, Service, ServiceConfig};
 
     let mut addr = "127.0.0.1:7878".to_string();
@@ -156,138 +214,52 @@ fn serve_main(args: &[String]) -> ExitCode {
     let mut http_read_timeout_ms: u64 = 30_000;
     let mut retry: Option<u32> = None;
     let mut checkpoint_every: Option<u32> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, ExitCode> {
-            it.next().cloned().ok_or_else(|| {
-                eprintln!("{name} needs a value");
-                serve_usage()
-            })
-        };
-        match flag.as_str() {
-            "--addr" => match value("--addr") {
-                Ok(v) => addr = v,
-                Err(e) => return e,
-            },
-            "--device" => match value("--device") {
-                Ok(v) => device = v,
-                Err(e) => return e,
-            },
-            "--workers" => match value("--workers").map(|v| v.parse()) {
-                Ok(Ok(n)) => cfg.workers = n,
-                _ => return serve_usage(),
-            },
-            "--batch-window-ms" => match value("--batch-window-ms").map(|v| v.parse()) {
-                Ok(Ok(n)) => cfg.batch_window_ms = n,
-                _ => return serve_usage(),
-            },
-            "--batch-width" => match value("--batch-width").map(|v| v.parse()) {
-                Ok(Ok(n)) => cfg.batch_width = n,
-                _ => return serve_usage(),
-            },
-            "--job-mem-budget" => match value("--job-mem-budget").map(|v| parse_bytes(&v)) {
-                Ok(Ok(n)) => cfg.job_mem_budget = Some(n),
-                Ok(Err(e)) => {
-                    eprintln!("{e}");
-                    return serve_usage();
-                }
-                Err(e) => return e,
-            },
-            "--cache-entries" => match value("--cache-entries").map(|v| v.parse()) {
-                Ok(Ok(n)) => cfg.cache_entries = n,
-                _ => return serve_usage(),
-            },
-            "--graphs" => match value("--graphs") {
-                Ok(v) => graph_specs.extend(v.split(',').map(str::to_string)),
-                Err(e) => return e,
-            },
-            "--paused" => cfg.start_paused = true,
-            "--max-queue" => match value("--max-queue").map(|v| v.parse()) {
-                Ok(Ok(n)) => cfg.max_queue = n,
-                _ => return serve_usage(),
-            },
-            "--default-timeout-ms" => match value("--default-timeout-ms").map(|v| v.parse()) {
-                Ok(Ok(n)) => cfg.default_timeout_ms = Some(n),
-                _ => return serve_usage(),
-            },
-            "--max-timeout-ms" => match value("--max-timeout-ms").map(|v| v.parse()) {
-                Ok(Ok(n)) => cfg.max_timeout_ms = n,
-                _ => return serve_usage(),
-            },
-            "--inject-faults" => match value("--inject-faults").map(|v| FaultPlan::parse(&v)) {
-                Ok(Ok(plan)) => cfg.fault_plan = Some(plan),
-                Ok(Err(e)) => {
-                    eprintln!("bad --inject-faults spec: {e}");
-                    return serve_usage();
-                }
-                Err(e) => return e,
-            },
-            "--retry" => match value("--retry").map(|v| v.parse()) {
-                Ok(Ok(n)) => retry = Some(n),
-                _ => return serve_usage(),
-            },
-            "--checkpoint-every" => match value("--checkpoint-every").map(|v| v.parse()) {
-                Ok(Ok(n)) => checkpoint_every = Some(n),
-                _ => return serve_usage(),
-            },
-            "--drain-deadline-ms" => match value("--drain-deadline-ms").map(|v| v.parse()) {
-                Ok(Ok(n)) => cfg.drain_deadline_ms = n,
-                _ => return serve_usage(),
-            },
-            "--breaker-threshold" => match value("--breaker-threshold").map(|v| v.parse()) {
-                Ok(Ok(n)) => cfg.breaker_threshold = n,
-                _ => return serve_usage(),
-            },
-            "--breaker-open-ms" => match value("--breaker-open-ms").map(|v| v.parse()) {
-                Ok(Ok(n)) => cfg.breaker_open_ms = n,
-                _ => return serve_usage(),
-            },
-            "--http-read-timeout-ms" => match value("--http-read-timeout-ms").map(|v| v.parse()) {
-                Ok(Ok(n)) => http_read_timeout_ms = n,
-                _ => return serve_usage(),
-            },
-            other => {
-                eprintln!("unknown option {other}");
-                return serve_usage();
+    let mut flags = Flags(args.iter());
+    while let Some(flag) = flags.text() {
+        match flag {
+            "--addr" => addr = flags.read(flag)?,
+            "--device" => device = flags.read(flag)?,
+            "--workers" => cfg.workers = flags.read(flag)?,
+            "--batch-window-ms" => cfg.batch_window_ms = flags.read(flag)?,
+            "--batch-width" => cfg.batch_width = flags.read(flag)?,
+            "--job-mem-budget" => {
+                let bytes = parse_bytes(flags.value_of(flag)?).map_err(Stop::Usage)?;
+                cfg.job_mem_budget = Some(bytes);
             }
+            "--cache-entries" => cfg.cache_entries = flags.read(flag)?,
+            "--graphs" => graph_specs.extend(flags.value_of(flag)?.split(',').map(str::to_string)),
+            "--paused" => cfg.start_paused = true,
+            "--max-queue" => cfg.max_queue = flags.read(flag)?,
+            "--default-timeout-ms" => cfg.default_timeout_ms = Some(flags.read(flag)?),
+            "--max-timeout-ms" => cfg.max_timeout_ms = flags.read(flag)?,
+            "--inject-faults" => cfg.fault_plan = Some(fault_plan(flags.value_of(flag)?)?),
+            "--retry" => retry = Some(flags.read(flag)?),
+            "--checkpoint-every" => checkpoint_every = Some(flags.read(flag)?),
+            "--drain-deadline-ms" => cfg.drain_deadline_ms = flags.read(flag)?,
+            "--breaker-threshold" => cfg.breaker_threshold = flags.read(flag)?,
+            "--breaker-open-ms" => cfg.breaker_open_ms = flags.read(flag)?,
+            "--http-read-timeout-ms" => http_read_timeout_ms = flags.read(flag)?,
+            other => return Err(Stop::Usage(format!("unknown option {other}"))),
         }
     }
-    cfg.profile = match device.as_str() {
-        "v100s" => DeviceProfile::v100s(),
-        "max1100" => DeviceProfile::max1100(),
-        "mi100" => DeviceProfile::mi100(),
-        "host" => DeviceProfile::host_test(),
-        other => {
-            eprintln!("unknown device {other}");
-            return serve_usage();
-        }
-    };
+    cfg.profile = device_profile(&device)?;
     // Recovery policy: explicit --retry/--checkpoint-every win; a fault
     // plan with neither defaults to the resilient policy, since running
     // chaos against fail-fast workers tests nothing but the breaker.
     cfg.recovery = match (retry, checkpoint_every) {
         (None, None) if cfg.fault_plan.is_some() => RecoveryPolicy::resilient(3, 4),
         (None, None) => RecoveryPolicy::default(),
-        (r, c) => {
-            let mut p = RecoveryPolicy::resilient(r.unwrap_or(3), c.unwrap_or(4));
-            p.degrade_on_oom = r.unwrap_or(3) > 0;
-            p
-        }
+        (r, c) => recovery(r.unwrap_or(3), c.unwrap_or(4)),
     };
 
-    let service = match Service::start(cfg.clone()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("failed to start service: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let service = Service::start(cfg.clone())
+        .map_err(|e| Stop::Failed(format!("failed to start service: {e}")))?;
 
     // Preload graphs: `name=spec[+undirected][+pull]`.
     for entry in &graph_specs {
         let Some((name, rest)) = entry.split_once('=') else {
-            eprintln!("bad --graphs entry {entry:?} (expected name=spec)");
-            return serve_usage();
+            let message = format!("bad --graphs entry {entry:?} (expected name=spec)");
+            return Err(Stop::Usage(message));
         };
         let mut options = RegisterOptions::default();
         let mut parts = rest.split('+');
@@ -297,44 +269,28 @@ fn serve_main(args: &[String]) -> ExitCode {
                 "undirected" => options.undirected = true,
                 "pull" => options.pull = true,
                 other => {
-                    eprintln!("bad --graphs flag {other:?} in {entry:?}");
-                    return serve_usage();
+                    let message = format!("bad --graphs flag {other:?} in {entry:?}");
+                    return Err(Stop::Usage(message));
                 }
             }
         }
-        let host = match sygraph_service::load_graph_spec(spec) {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("error loading graph {name}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match service.register_graph(name, host, options) {
-            Ok(g) => eprintln!(
-                "registered {name}: {} vertices, {} edges (version {})",
-                g.vertex_count(),
-                g.edge_count(),
-                g.version
-            ),
-            Err(e) => {
-                eprintln!("error registering graph {name}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let host = sygraph_service::load_graph_spec(spec)
+            .map_err(|e| Stop::Failed(format!("error loading graph {name}: {e}")))?;
+        let g = service
+            .register_graph(name, host, options)
+            .map_err(|e| Stop::Failed(format!("error registering graph {name}: {e}")))?;
+        eprintln!(
+            "registered {name}: {} vertices, {} edges (version {})",
+            g.vertex_count(),
+            g.edge_count(),
+            g.version
+        );
     }
 
     let service = std::sync::Arc::new(service);
-    let mut server = match HttpServer::serve_with_read_timeout(
-        service.clone(),
-        &addr,
-        std::time::Duration::from_millis(http_read_timeout_ms),
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("failed to bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let read_timeout = std::time::Duration::from_millis(http_read_timeout_ms);
+    let mut server = HttpServer::serve_with_read_timeout(service.clone(), &addr, read_timeout)
+        .map_err(|e| Stop::Failed(format!("failed to bind {addr}: {e}")))?;
     install_terminate_handlers();
     println!("listening on http://{}", server.addr());
     while !TERMINATE.load(std::sync::atomic::Ordering::SeqCst) {
@@ -357,537 +313,538 @@ fn serve_main(args: &[String]) -> ExitCode {
         report.shed_queued,
         report.cancelled_in_flight
     );
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// The run mode's flags.
+#[derive(Default)]
+struct RunFlags {
+    src: u32,
+    sources: Vec<u32>,
+    batch_width: u32,
+    device: String,
+    undirected: bool,
+    opts: OptConfig,
+    direction_explicit: bool,
+    /// `--delta`, and `--k` for kcore.
+    delta: f32,
+    json: bool,
+    profile: bool,
+    sanitize: bool,
+    fault_spec: Option<String>,
+    retry: u32,
+    checkpoint_every: u32,
+    devices: u32,
+    /// `--partition`, when given.
+    partition: Option<PartitionSpec>,
+}
+
+impl RunFlags {
+    fn parse(args: &[String]) -> Result<RunFlags, Stop> {
+        let mut f = RunFlags {
+            batch_width: 32,
+            device: "v100s".to_string(),
+            delta: Args::default().delta,
+            devices: 1,
+            ..RunFlags::default()
+        };
+        let mut flags = Flags(args.iter());
+        while let Some(flag) = flags.text() {
+            match flag {
+                "--src" => f.src = flags.value()?,
+                "--sources" => {
+                    let list: String = flags.value()?;
+                    let sources = list.split(',').map(|v| v.trim().parse().ok());
+                    f.sources = sources
+                        .collect::<Option<_>>()
+                        .ok_or(Stop::Usage(String::new()))?;
+                }
+                "--batch-width" => {
+                    f.batch_width = flags.value()?;
+                    if !matches!(f.batch_width, 8 | 16 | 32 | 64) {
+                        return Err(Stop::Usage(String::new()));
+                    }
+                }
+                "--device" => f.device = flags.value()?,
+                "--undirected" => f.undirected = true,
+                "--no-msi" => f.opts.msi = false,
+                "--no-cf" => f.opts.coarsening = false,
+                "--no-2lb" => f.opts.two_layer = false,
+                "--balancing" => {
+                    f.opts.balancing = match flags.text() {
+                        Some("wg") => Balancing::WorkgroupMapped,
+                        Some("bucketed") => Balancing::Bucketed,
+                        Some("auto") => Balancing::Auto,
+                        _ => return Err(Stop::Usage(String::new())),
+                    }
+                }
+                "--frontier" => {
+                    f.opts.representation = match flags.text() {
+                        Some("dense") => Representation::Dense,
+                        Some("sparse") => Representation::Sparse,
+                        Some("auto") => Representation::Auto,
+                        _ => return Err(Stop::Usage(String::new())),
+                    }
+                }
+                "--direction" => {
+                    f.direction_explicit = true;
+                    f.opts.direction = match flags.text() {
+                        Some("push") => Direction::Push,
+                        Some("pull") => Direction::Pull,
+                        Some("auto") => Direction::Auto,
+                        _ => return Err(Stop::Usage(String::new())),
+                    }
+                }
+                "--delta" | "--k" => f.delta = flags.value()?,
+                "--json" => f.json = true,
+                "--profile" => f.profile = true,
+                "--sanitize" => f.sanitize = true,
+                "--inject-faults" => f.fault_spec = Some(flags.value()?),
+                "--retry" => f.retry = flags.value()?,
+                "--checkpoint-every" => f.checkpoint_every = flags.value()?,
+                "--devices" => {
+                    f.devices = flags.value()?;
+                    if f.devices == 0 {
+                        return Err(Stop::Usage(String::new()));
+                    }
+                }
+                "--partition" => {
+                    let spec = flags.text().and_then(PartitionSpec::parse);
+                    f.partition = Some(spec.ok_or(Stop::Usage(String::new()))?);
+                }
+                other => return Err(Stop::Usage(format!("unknown option {other}"))),
+            }
+        }
+        Ok(f)
+    }
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("serve") {
-        return serve_main(&args[1..]);
-    }
-    if args.len() < 2 {
-        return usage();
-    }
-    let algo = args[0].as_str();
-    let graph_spec = args[1].as_str();
-
-    // flag parsing
-    let mut src: u32 = 0;
-    let mut msources: Vec<u32> = Vec::new();
-    let mut batch_width: u32 = 32;
-    let mut device = "v100s".to_string();
-    let mut undirected = false;
-    let mut opts = OptConfig::all();
-    let mut direction_explicit = false;
-    let mut delta = 2.0f32;
-    let mut json = false;
-    let mut profile = false;
-    let mut sanitize = false;
-    let mut fault_spec: Option<String> = None;
-    let mut retry: u32 = 0;
-    let mut checkpoint_every: u32 = 0;
-    let mut devices: u32 = 1;
-    let mut partition = PartitionSpec::Hash;
-    let mut partition_explicit = false;
-    let mut it = args[2..].iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--src" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => src = v,
-                None => return usage(),
-            },
-            "--sources" => {
-                let parsed: Option<Vec<u32>> = it
-                    .next()
-                    .map(|s| s.split(',').map(|v| v.trim().parse().ok()).collect())
-                    .unwrap_or(None);
-                match parsed {
-                    Some(v) if !v.is_empty() => msources = v,
-                    _ => return usage(),
-                }
-            }
-            "--batch-width" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(w @ (8 | 16 | 32 | 64)) => batch_width = w,
-                _ => return usage(),
-            },
-            "--device" => match it.next() {
-                Some(d) => device = d.clone(),
-                None => return usage(),
-            },
-            "--undirected" => undirected = true,
-            "--no-msi" => opts.msi = false,
-            "--no-cf" => opts.coarsening = false,
-            "--no-2lb" => opts.two_layer = false,
-            "--balancing" => match it.next().map(String::as_str) {
-                Some("wg") => opts.balancing = Balancing::WorkgroupMapped,
-                Some("bucketed") => opts.balancing = Balancing::Bucketed,
-                Some("auto") => opts.balancing = Balancing::Auto,
-                _ => return usage(),
-            },
-            "--frontier" => match it.next().map(String::as_str) {
-                Some("dense") => opts.representation = Representation::Dense,
-                Some("sparse") => opts.representation = Representation::Sparse,
-                Some("auto") => opts.representation = Representation::Auto,
-                _ => return usage(),
-            },
-            "--direction" => {
-                direction_explicit = true;
-                match it.next().map(String::as_str) {
-                    Some("push") => opts.direction = Direction::Push,
-                    Some("pull") => opts.direction = Direction::Pull,
-                    Some("auto") => opts.direction = Direction::Auto,
-                    _ => return usage(),
-                }
-            }
-            "--delta" | "--k" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => delta = v,
-                None => return usage(),
-            },
-            "--json" => json = true,
-            "--profile" => profile = true,
-            "--sanitize" => sanitize = true,
-            "--inject-faults" => match it.next() {
-                Some(s) => fault_spec = Some(s.clone()),
-                None => return usage(),
-            },
-            "--retry" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => retry = v,
-                None => return usage(),
-            },
-            "--checkpoint-every" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => checkpoint_every = v,
-                None => return usage(),
-            },
-            "--devices" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) if v >= 1 => devices = v,
-                _ => return usage(),
-            },
-            "--partition" => match it.next().and_then(|s| PartitionSpec::parse(s)) {
-                Some(p) => {
-                    partition = p;
-                    partition_explicit = true;
-                }
-                None => return usage(),
-            },
-            other => {
-                eprintln!("unknown option {other}");
-                return usage();
-            }
-        }
-    }
-
-    let profile_dev = match device.as_str() {
-        "v100s" => DeviceProfile::v100s(),
-        "max1100" => DeviceProfile::max1100(),
-        "mi100" => DeviceProfile::mi100(),
-        "host" => DeviceProfile::host_test(),
-        other => {
-            eprintln!("unknown device {other}");
-            return usage();
-        }
+    let serve = args.first().map(String::as_str) == Some("serve");
+    let ended = if serve {
+        serve_main(&args[1..])
+    } else {
+        run_main(&args)
     };
-
-    let mut host = match sygraph_service::load_graph_spec(graph_spec) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("error loading graph: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (message, usage) = match ended {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Stop::Failed(message)) => (message, None),
+        Err(Stop::Usage(message)) if serve => (message, Some(SERVE_USAGE.to_string())),
+        Err(Stop::Usage(message)) => (message, Some(usage())),
     };
-    if undirected || algo == "cc" || algo == "triangles" || algo == "kcore" {
-        host = match host.to_undirected() {
-            Ok(h) => h,
-            Err(e) => {
-                eprintln!("error loading graph: {e}");
-                return ExitCode::FAILURE;
+    if !message.is_empty() {
+        eprintln!("{message}");
+    }
+    let Some(usage) = usage else {
+        return ExitCode::FAILURE;
+    };
+    eprintln!("{usage}");
+    ExitCode::from(2)
+}
+
+/// What every run path's report starts from.
+struct Job<'a> {
+    /// The algorithm as the command line spelled it.
+    name: &'a str,
+    graph_spec: &'a str,
+    host: &'a CsrHost,
+    device: &'a DeviceProfile,
+    flags: &'a RunFlags,
+}
+
+/// What a run path hands [`Job::report`], whichever path ran.
+struct Outcome {
+    values: Value,
+    iterations: u32,
+    sim_ms: f64,
+    /// The summary line after the dash.
+    summary: String,
+    /// Appended to the text header line.
+    header: String,
+    /// Text lines after the summary line.
+    notes: Vec<String>,
+    /// JSON fields beside the ones every path reports.
+    fields: Vec<(&'static str, Value)>,
+}
+
+impl Outcome {
+    /// A single-device outcome over per-vertex `values`.
+    fn of(values: &Values, iterations: u32, sim_ms: f64) -> Outcome {
+        let summary = match values {
+            Values::U32(v) => {
+                let reached = v.iter().filter(|&&d| d != u32::MAX).count();
+                format!("{reached}/{} vertices reached", v.len())
+            }
+            Values::F32(v) => {
+                let finite = v.iter().filter(|x| x.is_finite());
+                let max = finite.clone().copied().fold(0f32, f32::max);
+                format!("{}/{} finite values, max {max:.4}", finite.count(), v.len())
             }
         };
+        Outcome {
+            values: json!(values),
+            iterations,
+            sim_ms,
+            summary,
+            header: String::new(),
+            notes: Vec::new(),
+            fields: Vec::new(),
+        }
     }
-    if host.vertex_count() == 0 {
-        eprintln!("graph is empty");
-        return ExitCode::FAILURE;
+}
+
+impl Job<'_> {
+    /// The one text printer and the one JSON writer.
+    fn report(&self, out: Outcome, queues: &[Queue]) {
+        let (n, m) = (self.host.vertex_count(), self.host.edge_count());
+        if self.flags.json {
+            let recoveries: usize = queues.iter().map(|q| q.profiler().recovery_count()).sum();
+            let mut doc: BTreeMap<&str, Value> = out.fields.into_iter().collect();
+            doc.extend([
+                ("algo", json!(self.name)),
+                ("graph", json!(self.graph_spec)),
+                ("device", json!(self.device.name)),
+                ("vertices", json!(n)),
+                ("edges", json!(m)),
+                ("iterations", json!(out.iterations)),
+                ("sim_ms", json!(out.sim_ms)),
+                ("recovery_events", json!(recoveries)),
+                ("values", out.values),
+            ]);
+            let text = serde_json::to_string(&doc).expect("a JSON value serializes");
+            println!("{text}");
+        } else {
+            println!(
+                "{} on {} ({n} vertices, {m} edges) @ {}{}",
+                self.name, self.graph_spec, self.device.name, out.header
+            );
+            println!(
+                "  {} supersteps, {:.3} simulated ms — {}",
+                out.iterations, out.sim_ms, out.summary
+            );
+            for note in out.notes {
+                println!("  {note}");
+            }
+        }
+    }
+}
+
+/// One kernel name's row of the `--profile` table.
+struct KernelRow {
+    ms: f64,
+    launches: usize,
+    /// Worst max/mean group-cycle imbalance of any launch.
+    imbalance: f64,
+    /// Worst idle-lane fraction of any launch.
+    idle: f64,
+}
+
+/// Per-name totals over every queue's kernel records. Time descending,
+/// then name: equal-time rows must not fall back on hash order, or two
+/// identical runs print differently.
+fn kernel_table(queues: &[Queue]) -> Vec<(String, KernelRow)> {
+    let mut per: BTreeMap<String, KernelRow> = BTreeMap::new();
+    for k in queues.iter().flat_map(|q| q.profiler().kernels()) {
+        let row = per.entry(k.name).or_insert(KernelRow {
+            ms: 0.0,
+            launches: 0,
+            imbalance: 1.0,
+            idle: 0.0,
+        });
+        row.ms += k.stats.total_ns() / 1e6;
+        row.launches += 1;
+        row.imbalance = row.imbalance.max(k.stats.load_imbalance());
+        row.idle = row.idle.max(k.stats.idle_lane_fraction());
+    }
+    let mut rows: Vec<(String, KernelRow)> = per.into_iter().collect();
+    rows.sort_by(|a, b| b.1.ms.total_cmp(&a.1.ms));
+    rows
+}
+
+/// One `recovery @superstep` line per event of `q`, under `label`.
+fn print_recovery_events(q: &Queue, label: &str) {
+    for e in q.profiler().recovery_events() {
+        println!(
+            "  {label} @superstep {:>4}: {} -> {} (attempt {}, t={:.3} ms)",
+            e.superstep,
+            e.fault,
+            e.action,
+            e.attempt,
+            e.t_ns / 1e6
+        );
+    }
+}
+
+/// The run mode: load the graph, pick the run path, report.
+fn run_main(args: &[String]) -> Result<(), Stop> {
+    let [name, graph_spec, rest @ ..] = args else {
+        return Err(Stop::Usage(String::new()));
+    };
+    let flags = RunFlags::parse(rest)?;
+    let algo = Algo::parse(name);
+    let device = device_profile(&flags.device)?;
+    let symmetrize = flags.undirected || algo.is_some_and(Algo::needs_undirected);
+    let loaded = sygraph_service::load_graph_spec(graph_spec).map_err(|e| e.to_string());
+    let symmetric = |host: CsrHost| host.to_undirected().map_err(|e| e.to_string());
+    let host = if symmetrize {
+        loaded.and_then(symmetric)
+    } else {
+        loaded
+    };
+    let host = host.map_err(|e| Stop::Failed(format!("error loading graph: {e}")))?;
+    let n = host.vertex_count();
+    if n == 0 {
+        return Err(Stop::Failed("graph is empty".into()));
     }
     // The same typed boundary check the service request path uses: an
     // out-of-range --src/--sources is rejected here, never handed to the
-    // engine where it would wrap or panic.
-    if let Err(e) = validate_sources(host.vertex_count(), &[src])
-        .and_then(|()| validate_sources(host.vertex_count(), &msources))
-    {
-        let e: sygraph_sim::SimError = e.into();
-        eprintln!("run failed: {e}");
-        return ExitCode::FAILURE;
-    }
-
-    if retry > 0 || checkpoint_every > 0 {
-        opts.recovery = RecoveryPolicy {
-            max_retries: retry,
-            backoff_ns: 1_000,
-            degrade_on_oom: retry > 0,
-            checkpoint_every,
-        };
-    }
-
-    // Partitioned multi-device path: shard the CSR, one queue per device,
-    // superstep-aligned BSP with halo exchange at every boundary.
-    if devices > 1 || partition_explicit {
-        if sanitize {
-            eprintln!("--sanitize is single-device only");
-            return ExitCode::FAILURE;
-        }
-        if !msources.is_empty() {
-            eprintln!("--sources is single-device only");
-            return ExitCode::FAILURE;
-        }
-        if !matches!(algo, "bfs" | "sssp" | "cc") {
-            eprintln!("--devices supports bfs|sssp|cc, not {algo}");
-            return usage();
-        }
-        return run_partitioned(
-            algo,
-            graph_spec,
-            &host,
-            &profile_dev,
-            &opts,
-            partition,
-            devices,
-            src,
-            fault_spec.as_deref(),
-            json,
-            profile,
-        );
-    }
-
-    let mut q = if sanitize {
-        // Fixed seed so a reported order dependence reproduces exactly.
-        Queue::with_sanitizer(Device::new(profile_dev.clone()), 0xBADC0DE)
+    // engine where it would wrap or panic. An unrooted algorithm never
+    // reads --src; closeness and reach root at it like the rooted ones.
+    let src: &[u32] = if algo.is_none_or(Algo::needs_source) {
+        std::slice::from_ref(&flags.src)
     } else {
-        Queue::new(Device::new(profile_dev.clone()))
+        &[]
     };
-    if let Some(spec) = &fault_spec {
-        match FaultPlan::parse(spec) {
-            Ok(plan) => q.attach_faults(plan),
-            Err(e) => {
-                eprintln!("bad --inject-faults spec: {e}");
-                return usage();
-            }
-        }
+    let run_failed = |e: sygraph_sim::SimError| Stop::Failed(format!("run failed: {e}"));
+    validate_sources(n, src)
+        .and_then(|()| validate_sources(n, &flags.sources))
+        .map_err(|e| run_failed(e.into()))?;
+    let mut opts = flags.opts;
+    if flags.retry > 0 || flags.checkpoint_every > 0 {
+        opts.recovery = recovery(flags.retry, flags.checkpoint_every);
     }
-    let q = q;
+
+    let sharded = flags.devices > 1 || flags.partition.is_some();
+    if sharded && flags.sanitize {
+        return Err(Stop::Failed("--sanitize is single-device only".into()));
+    }
+    if sharded && !flags.sources.is_empty() {
+        return Err(Stop::Failed("--sources is single-device only".into()));
+    }
+    let sharded_algo = algo.filter(|a| sharded && a.has_partitioned_driver());
+    if sharded && sharded_algo.is_none() {
+        let drivers = Algo::ALL.into_iter().filter(|a| a.has_partitioned_driver());
+        let drivers = Algo::labels(&drivers.collect::<Vec<_>>());
+        return Err(Stop::Usage(format!(
+            "--devices supports {drivers}, not {name}"
+        )));
+    }
+    let plan = flags.fault_spec.as_deref().map(fault_plan).transpose()?;
+    let job = Job {
+        name,
+        graph_spec,
+        host: &host,
+        device: &device,
+        flags: &flags,
+    };
+    if let Some(algo) = sharded_algo {
+        return job.run_sharded(algo, &opts, plan).map_err(run_failed);
+    }
+
+    let q_device = Device::new(device.clone());
+    let mut q = if flags.sanitize {
+        // Fixed seed so a reported order dependence reproduces exactly.
+        Queue::with_sanitizer(q_device, 0xBADC0DE)
+    } else {
+        Queue::new(q_device)
+    };
+    if let Some(plan) = plan {
+        q.attach_faults(plan);
+    }
     // dobfs always needs the CSC view; batched BC wants it for its
     // in-edge backward sweep; other traversals only pay for it when the
     // user explicitly opts into a pull-capable direction.
-    let needs_pull = algo == "dobfs"
-        || (algo == "bc" && !msources.is_empty())
-        || (direction_explicit && opts.direction != Direction::Push);
-    let g = match if needs_pull {
+    let needs_pull = algo.is_some_and(Algo::needs_pull)
+        || (algo == Some(Algo::Bc) && !flags.sources.is_empty())
+        || (flags.direction_explicit && opts.direction != Direction::Push);
+    let g = if needs_pull {
         Graph::with_pull(&q, &host)
     } else {
         Graph::new(&q, &host)
-    } {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("device error: {e}");
-            return ExitCode::FAILURE;
-        }
     };
+    let g = g.map_err(|e| Stop::Failed(format!("device error: {e}")))?;
 
-    // run
-    enum Out {
-        U32(Vec<u32>, u32, f64),
-        F32(Vec<f32>, u32, f64),
-        Multi {
-            iterations: u32,
-            batches: u32,
-            sim_ms: f64,
-            summary: String,
-            sources: Vec<u32>,
-            values: serde_json::Value,
-        },
-    }
     // A --sources batch (and the inherently multi-source closeness/reach
-    // algorithms) goes through the W-lane batched path; everything else
-    // keeps the single-source entry points.
-    let result = if !msources.is_empty() || algo == "closeness" || algo == "reach" {
-        use sygraph_algos::multi;
-        let srcs = if msources.is_empty() {
-            vec![src]
+    // wrappers) goes through the W-lane batched path; everything else is
+    // one catalogue run.
+    let result = if !flags.sources.is_empty() || matches!(name.as_str(), "closeness" | "reach") {
+        let sources = if flags.sources.is_empty() {
+            vec![flags.src]
         } else {
-            msources.clone()
+            flags.sources.clone()
         };
-        match algo {
-            "bfs" => multi::bfs_multi(&q, &g.csr, &srcs, batch_width, &opts).map(|r| {
-                let n = host.vertex_count();
-                let reached: usize = r
-                    .per_source
-                    .iter()
-                    .map(|d| d.iter().filter(|&&x| x != u32::MAX).count())
-                    .sum();
-                Out::Multi {
-                    iterations: r.iterations,
-                    batches: r.batches,
-                    sim_ms: r.sim_ms,
-                    summary: format!(
-                        "{} sources, {reached}/{} vertices reached in total",
-                        r.sources.len(),
-                        n * r.sources.len()
-                    ),
-                    sources: r.sources,
-                    values: serde_json::json!(r.per_source),
-                }
-            }),
-            "bc" => multi::bc_multi(&q, &g, &srcs, batch_width, &opts).map(|r| {
-                let max = r.per_source.iter().flatten().copied().fold(0f32, f32::max);
-                Out::Multi {
-                    iterations: r.iterations,
-                    batches: r.batches,
-                    sim_ms: r.sim_ms,
-                    summary: format!("{} sources, max dependency {max:.4}", r.sources.len()),
-                    sources: r.sources,
-                    values: serde_json::json!(r.per_source),
-                }
-            }),
-            "closeness" => multi::closeness_multi(&q, &g.csr, &srcs, batch_width, &opts).map(|r| {
-                let max = r.scores.iter().copied().fold(0f32, f32::max);
-                Out::Multi {
-                    iterations: r.iterations,
-                    batches: srcs.len().div_ceil(batch_width as usize) as u32,
-                    sim_ms: r.sim_ms,
-                    summary: format!("{} sources, max closeness {max:.4}", r.sources.len()),
-                    sources: r.sources,
-                    values: serde_json::json!(r.scores),
-                }
-            }),
-            "reach" => multi::reachability_multi(&q, &g.csr, &srcs, batch_width, &opts).map(|r| {
-                let reached: usize = r
-                    .per_source
-                    .iter()
-                    .map(|m| m.iter().filter(|&&x| x).count())
-                    .sum();
-                Out::Multi {
-                    iterations: r.iterations,
-                    batches: r.batches,
-                    sim_ms: r.sim_ms,
-                    summary: format!(
-                        "{} sources, {reached} (source, vertex) pairs reachable",
-                        r.sources.len()
-                    ),
-                    sources: r.sources,
-                    values: serde_json::json!(r.per_source),
-                }
-            }),
-            other => {
-                eprintln!("--sources supports bfs|bc|closeness|reach, not {other}");
-                return usage();
-            }
-        }
+        let ran = run_batched(algo, name, &q, &g, &sources, flags.batch_width, &opts);
+        ran.transpose().ok_or_else(|| {
+            Stop::Usage(format!(
+                "--sources supports bfs|bc|closeness|reach, not {name}"
+            ))
+        })?
     } else {
-        match algo {
-            // bfs and cc run through the graph view, so a pull-capable
-            // `--direction` takes effect; the rest stay on the CSR.
-            "bfs" => sygraph_algos::bfs::run(&q, &g, src, &opts)
-                .map(|r| Out::U32(r.values, r.iterations, r.sim_ms)),
-            "sssp" => sygraph_algos::sssp::run(&q, &g.csr, src, &opts)
-                .map(|r| Out::F32(r.values, r.iterations, r.sim_ms)),
-            "cc" => sygraph_algos::cc::run(&q, &g, &opts)
-                .map(|r| Out::U32(r.values, r.iterations, r.sim_ms)),
-            "bc" => sygraph_algos::bc::run(&q, &g.csr, src, &opts)
-                .map(|r| Out::F32(r.values, r.iterations, r.sim_ms)),
-            "pagerank" => sygraph_algos::pagerank::run(&q, &g.csr, &opts, Default::default())
-                .map(|r| Out::F32(r.values, r.iterations, r.sim_ms)),
-            "dobfs" => sygraph_algos::dobfs::run(&q, &g, src, &opts)
-                .map(|r| Out::U32(r.values, r.iterations, r.sim_ms)),
-            "delta" => sygraph_algos::delta::run(&q, &g.csr, src, &opts, delta)
-                .map(|r| Out::F32(r.values, r.iterations, r.sim_ms)),
-            "triangles" => sygraph_algos::triangles::run(&q, &g.csr, &opts)
-                .map(|r| Out::U32(r.values, r.iterations, r.sim_ms)),
-            "kcore" => sygraph_algos::kcore::run(&q, &g.csr, delta as u32, &opts)
-                .map(|r| Out::U32(r.values, r.iterations, r.sim_ms)),
-            other => {
-                eprintln!("unknown algorithm {other}");
-                return usage();
-            }
-        }
-    };
-    let out = match result {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let (iterations, sim_ms, summary) = match &out {
-        Out::U32(v, i, ms) => {
-            let reached = v.iter().filter(|&&d| d != u32::MAX).count();
-            (*i, *ms, format!("{reached}/{} vertices reached", v.len()))
-        }
-        Out::F32(v, i, ms) => {
-            let finite = v.iter().filter(|x| x.is_finite()).count();
-            let max = v
-                .iter()
-                .copied()
-                .filter(|x| x.is_finite())
-                .fold(0f32, f32::max);
-            (
-                *i,
-                *ms,
-                format!("{finite}/{} finite values, max {max:.4}", v.len()),
-            )
-        }
-        Out::Multi {
-            iterations,
-            batches,
-            sim_ms,
-            summary,
-            ..
-        } => (
-            *iterations,
-            *sim_ms,
-            format!("{summary} ({batches} batches of width {batch_width})"),
-        ),
-    };
-
-    if json {
-        let mut doc = HashMap::new();
-        doc.insert("algo", serde_json::json!(algo));
-        doc.insert("graph", serde_json::json!(graph_spec));
-        doc.insert("device", serde_json::json!(profile_dev.name));
-        doc.insert("vertices", serde_json::json!(host.vertex_count()));
-        doc.insert("edges", serde_json::json!(host.edge_count()));
-        doc.insert("iterations", serde_json::json!(iterations));
-        doc.insert("sim_ms", serde_json::json!(sim_ms));
-        doc.insert(
-            "recovery_events",
-            serde_json::json!(q.profiler().recovery_count()),
-        );
-        match &out {
-            Out::U32(v, _, _) => doc.insert("values", serde_json::json!(v)),
-            Out::F32(v, _, _) => doc.insert("values", serde_json::json!(v)),
-            Out::Multi {
-                sources,
-                batches,
-                values,
-                ..
-            } => {
-                doc.insert("sources", serde_json::json!(sources));
-                doc.insert("batches", serde_json::json!(batches));
-                doc.insert("batch_width", serde_json::json!(batch_width));
-                doc.insert("values", values.clone())
-            }
+        let algo = algo.ok_or_else(|| Stop::Usage(format!("unknown algorithm {name}")))?;
+        let args = Args {
+            source: flags.src,
+            delta: flags.delta,
         };
-        println!("{}", serde_json::to_string(&doc).unwrap());
-    } else {
-        println!(
-            "{algo} on {graph_spec} ({} vertices, {} edges) @ {}",
-            host.vertex_count(),
-            host.edge_count(),
-            profile_dev.name
-        );
-        println!("  {iterations} supersteps, {sim_ms:.3} simulated ms — {summary}");
-        let recov = q.profiler().recovery_events();
-        if !recov.is_empty() {
-            let mut counts: Vec<(String, usize)> = Vec::new();
-            for e in &recov {
-                let key = format!("{}->{}", e.fault, e.action);
-                match counts.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, c)) => *c += 1,
-                    None => counts.push((key, 1)),
-                }
+        algo.run(&q, &g, args, &opts)
+            .map(|r| Outcome::of(&r.values, r.iterations, r.sim_ms))
+    };
+    let mut out = result.map_err(run_failed)?;
+
+    let recov = q.profiler().recovery_events();
+    if !recov.is_empty() {
+        let mut counts: Vec<(String, usize)> = Vec::new();
+        for e in &recov {
+            let key = format!("{}->{}", e.fault, e.action);
+            match counts.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, c)) => *c += 1,
+                None => counts.push((key, 1)),
             }
-            let parts: Vec<String> = counts
-                .iter()
-                .map(|(k, c)| format!("{k}\u{d7}{c}"))
-                .collect();
-            println!("  recovery: {} events ({})", recov.len(), parts.join(", "));
         }
+        let parts: Vec<String> = counts
+            .iter()
+            .map(|(k, c)| format!("{k}\u{d7}{c}"))
+            .collect();
+        let note = format!("recovery: {} events ({})", recov.len(), parts.join(", "));
+        out.notes.push(note);
     }
-
-    if profile {
-        // (total ms, launches, worst max/mean group-cycle imbalance,
-        //  worst idle-lane fraction) per kernel name.
-        let mut per: HashMap<String, (f64, usize, f64, f64)> = HashMap::new();
-        for k in q.profiler().kernels() {
-            let e = per.entry(k.name).or_insert((0.0, 0, 1.0, 0.0));
-            e.0 += k.stats.total_ns() / 1e6;
-            e.1 += 1;
-            e.2 = e.2.max(k.stats.load_imbalance());
-            e.3 = e.3.max(k.stats.idle_lane_fraction());
-        }
-        let mut rows: Vec<_> = per.into_iter().collect();
-        // Time descending, then name: equal-time rows must not fall
-        // back on hash order, or two identical runs print differently.
-        rows.sort_by(|a, b| b.1 .0.total_cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
-        println!("  kernel profile:");
-        for (name, (ms, count, imbalance, idle)) in rows {
-            println!(
-                "    {name:<22} {ms:>9.3} ms  ×{count:<5} imbal {imbalance:>6.2}×  idle {:>5.1}%",
-                idle * 100.0
-            );
-        }
-        // Per-superstep frontier-representation trace (recorded by the
-        // engine whenever the run went through it), run-length encoded,
-        // plus greppable switch counters and the frontier-maintenance
-        // kernel cost split by representation.
-        let reps = q.profiler().rep_events();
-        if !reps.is_empty() {
-            println!(
-                "  frontier representation: {}",
-                rle(reps.iter().map(|e| &e.rep))
-            );
-            let switches_to =
-                |rep: &str| reps.iter().filter(|e| e.switched && e.rep == rep).count();
-            println!("  sparse->dense switches: {}", switches_to("dense"));
-            println!("  dense->sparse switches: {}", switches_to("sparse"));
-            let cost_of = |payer: &str| -> f64 {
-                q.profiler()
-                    .kernels()
-                    .iter()
-                    .filter(|k| maintenance_payer(&k.name) == Some(payer))
-                    .map(|k| k.stats.total_ns() / 1e6)
-                    .sum()
-            };
-            println!(
-                "  frontier maintenance: dense compaction {:.3} ms, sparse upkeep {:.3} ms",
-                cost_of("dense"),
-                cost_of("sparse"),
-            );
-        }
-        let dirs = q.profiler().direction_events();
-        if !dirs.is_empty() {
-            println!(
-                "  traversal direction: {}",
-                rle(dirs.iter().map(|e| &e.direction))
-            );
-            println!(
-                "  direction switches: {}",
-                q.profiler().direction_switch_count()
-            );
-        }
-        let lanes = q.profiler().lane_events();
-        if !lanes.is_empty() {
-            println!("  active lanes: {}", rle(lanes.iter().map(|e| e.active)));
-            println!("  lanes retired: {}", q.profiler().lane_retired_count());
-        }
-        for e in q.profiler().recovery_events() {
-            println!(
-                "  recovery @superstep {:>4}: {} -> {} (attempt {}, t={:.3} ms)",
-                e.superstep,
-                e.fault,
-                e.action,
-                e.attempt,
-                e.t_ns / 1e6
-            );
-        }
-        println!("  device memory peak: {} KB", q.device().mem_peak() / 1024);
+    job.report(out, std::slice::from_ref(&q));
+    if flags.profile {
+        print_profile(&q);
     }
-
     if let Some(san) = q.sanitizer() {
         println!("{}", san.report());
         if !san.is_clean() {
-            return ExitCode::FAILURE;
+            return Err(Stop::Failed(String::new()));
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+/// What [`run_batched`] reads off a lane-batched result: values,
+/// supersteps, batches, modelled ms, and what the sources found.
+type Batched = (Value, u32, u32, f64, String);
+
+fn lanes<T>(values: Value, r: &multi::MultiResult<T>, found: String) -> Batched {
+    (values, r.iterations, r.batches, r.sim_ms, found)
+}
+
+/// The `--sources` path: `name`'s W-lane batched run over `sources`;
+/// `None` when it has none.
+fn run_batched(
+    algo: Option<Algo>,
+    name: &str,
+    q: &Queue,
+    g: &Graph,
+    sources: &[u32],
+    width: u32,
+    opts: &OptConfig,
+) -> SimResult<Option<Outcome>> {
+    let (values, iterations, batches, sim_ms, found): Batched = match (algo, name) {
+        (Some(Algo::Bfs), _) => {
+            let r = multi::bfs_multi(q, &g.csr, sources, width, opts)?;
+            let reached = r.per_source.iter().flatten();
+            let reached = reached.filter(|&&d| d != u32::MAX).count();
+            let pairs = g.vertex_count() * sources.len();
+            let found = format!("{reached}/{pairs} vertices reached in total");
+            lanes(json!(r.per_source), &r, found)
+        }
+        (Some(Algo::Bc), _) => {
+            let r = multi::bc_multi(q, g, sources, width, opts)?;
+            let max = r.per_source.iter().flatten().copied().fold(0f32, f32::max);
+            let found = format!("max dependency {max:.4}");
+            lanes(json!(r.per_source), &r, found)
+        }
+        (None, "closeness") => {
+            let r = multi::closeness_multi(q, &g.csr, sources, width, opts)?;
+            let max = r.scores.iter().copied().fold(0f32, f32::max);
+            let batches = sources.len().div_ceil(width as usize) as u32;
+            let found = format!("max closeness {max:.4}");
+            (json!(r.scores), r.iterations, batches, r.sim_ms, found)
+        }
+        (None, "reach") => {
+            let r = multi::reachability_multi(q, &g.csr, sources, width, opts)?;
+            let reached = r.per_source.iter().flatten().filter(|&&x| x).count();
+            let found = format!("{reached} (source, vertex) pairs reachable");
+            lanes(json!(r.per_source), &r, found)
+        }
+        _ => return Ok(None),
+    };
+    Ok(Some(Outcome {
+        values,
+        iterations,
+        sim_ms,
+        summary: format!(
+            "{} sources, {found} ({batches} batches of width {width})",
+            sources.len()
+        ),
+        header: String::new(),
+        notes: Vec::new(),
+        fields: vec![
+            ("sources", json!(sources)),
+            ("batches", json!(batches)),
+            ("batch_width", json!(width)),
+        ],
+    }))
+}
+
+/// The single-device `--profile` section.
+fn print_profile(q: &Queue) {
+    println!("  kernel profile:");
+    for (name, row) in kernel_table(std::slice::from_ref(q)) {
+        println!(
+            "    {name:<22} {:>9.3} ms  \u{d7}{:<5} imbal {:>6.2}\u{d7}  idle {:>5.1}%",
+            row.ms,
+            row.launches,
+            row.imbalance,
+            row.idle * 100.0
+        );
+    }
+    // Per-superstep frontier-representation trace (recorded by the
+    // engine whenever the run went through it), run-length encoded,
+    // plus greppable switch counters and the frontier-maintenance
+    // kernel cost split by representation.
+    let reps = q.profiler().rep_events();
+    if !reps.is_empty() {
+        println!(
+            "  frontier representation: {}",
+            rle(reps.iter().map(|e| &e.rep))
+        );
+        let switches_to = |rep: &str| reps.iter().filter(|e| e.switched && e.rep == rep).count();
+        println!("  sparse->dense switches: {}", switches_to("dense"));
+        println!("  dense->sparse switches: {}", switches_to("sparse"));
+        let cost_of = |payer: &str| -> f64 {
+            q.profiler()
+                .kernels()
+                .iter()
+                .filter(|k| maintenance_payer(&k.name) == Some(payer))
+                .map(|k| k.stats.total_ns() / 1e6)
+                .sum()
+        };
+        println!(
+            "  frontier maintenance: dense compaction {:.3} ms, sparse upkeep {:.3} ms",
+            cost_of("dense"),
+            cost_of("sparse"),
+        );
+    }
+    let dirs = q.profiler().direction_events();
+    if !dirs.is_empty() {
+        println!(
+            "  traversal direction: {}",
+            rle(dirs.iter().map(|e| &e.direction))
+        );
+        println!(
+            "  direction switches: {}",
+            q.profiler().direction_switch_count()
+        );
+    }
+    let lanes = q.profiler().lane_events();
+    if !lanes.is_empty() {
+        println!("  active lanes: {}", rle(lanes.iter().map(|e| e.active)));
+        println!("  lanes retired: {}", q.profiler().lane_retired_count());
+    }
+    print_recovery_events(q, "recovery");
+    println!("  device memory peak: {} KB", q.device().mem_peak() / 1024);
 }
 
 /// Run-length encodes a per-superstep trace as `a×3 -> b×2`.
@@ -903,166 +860,89 @@ fn rle<T: PartialEq + std::fmt::Display>(trace: impl Iterator<Item = T>) -> Stri
     parts.join(" -> ")
 }
 
-/// The `--devices N` path: partition, run the multi-device BSP loop, and
-/// print the merged per-partition report.
-#[allow(clippy::too_many_arguments)]
-fn run_partitioned(
-    algo: &str,
-    graph_spec: &str,
-    host: &CsrHost,
-    profile_dev: &DeviceProfile,
-    opts: &OptConfig,
-    partition: PartitionSpec,
-    devices: u32,
-    src: u32,
-    fault_spec: Option<&str>,
-    json: bool,
-    profile: bool,
-) -> ExitCode {
-    use sygraph_algos::partitioned;
-
-    let pg = PartitionedGraph::build(host, partition, devices);
-    let mut queues: Vec<Queue> = (0..devices)
-        .map(|_| Queue::new(Device::new(profile_dev.clone())))
-        .collect();
-    if let Some(spec) = fault_spec {
-        // Deterministic plans land on partition 0's queue; the other
-        // partitions keep running and the exchange carries them through
-        // that partition's checkpoint resume.
-        match FaultPlan::parse(spec) {
-            Ok(plan) => queues[0].attach_faults(plan),
-            Err(e) => {
-                eprintln!("bad --inject-faults spec: {e}");
-                return usage();
-            }
+impl Job<'_> {
+    /// The `--devices N` path: partition, run `algo`'s multi-device BSP
+    /// driver, one queue per device, and report the merged accounting.
+    fn run_sharded(&self, algo: Algo, opts: &OptConfig, plan: Option<FaultPlan>) -> SimResult<()> {
+        let flags = self.flags;
+        let partition = flags.partition.unwrap_or(PartitionSpec::Hash);
+        let pg = PartitionedGraph::build(self.host, partition, flags.devices);
+        let mut queues: Vec<Queue> = (0..flags.devices)
+            .map(|_| Queue::new(Device::new(self.device.clone())))
+            .collect();
+        if let Some(plan) = plan {
+            // Deterministic plans land on partition 0's queue; the other
+            // partitions keep running and the exchange carries them
+            // through that partition's checkpoint resume.
+            queues[0].attach_faults(plan);
+        }
+        let (excfg, src) = (ExchangeConfig::default(), flags.src);
+        // The drivers return their own element types, so each arm
+        // reports for itself.
+        match algo {
+            Algo::Bfs => partitioned::bfs(&queues, &pg, src, opts, excfg)
+                .map(|r| self.report_sharded(r, partition, &pg, &queues)),
+            Algo::Sssp => partitioned::sssp(&queues, &pg, src, opts, excfg)
+                .map(|r| self.report_sharded(r, partition, &pg, &queues)),
+            Algo::Cc => partitioned::cc(&queues, &pg, opts, excfg)
+                .map(|r| self.report_sharded(r, partition, &pg, &queues)),
+            _ => unreachable!("{algo} has no partitioned driver"),
         }
     }
-    let queues = queues;
-    let excfg = ExchangeConfig::default();
 
-    enum POut {
-        U32(Vec<u32>),
-        F32(Vec<f32>),
-    }
-    let result = match algo {
-        "bfs" => partitioned::bfs(&queues, &pg, src, opts, excfg).map(|r| {
-            (
-                POut::U32(r.values),
-                r.supersteps,
-                r.sim_ms,
-                r.exchange,
-                r.per_superstep,
-                r.resumes,
-            )
-        }),
-        "sssp" => partitioned::sssp(&queues, &pg, src, opts, excfg).map(|r| {
-            (
-                POut::F32(r.values),
-                r.supersteps,
-                r.sim_ms,
-                r.exchange,
-                r.per_superstep,
-                r.resumes,
-            )
-        }),
-        "cc" => partitioned::cc(&queues, &pg, opts, excfg).map(|r| {
-            (
-                POut::U32(r.values),
-                r.supersteps,
-                r.sim_ms,
-                r.exchange,
-                r.per_superstep,
-                r.resumes,
-            )
-        }),
-        _ => unreachable!("guarded by the caller"),
-    };
-    let (out, supersteps, sim_ms, exchange, per_superstep, resumes) = match result {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    fn report_sharded<T>(
+        &self,
+        r: PartitionedResult<T>,
+        partition: PartitionSpec,
+        pg: &PartitionedGraph,
+        queues: &[Queue],
+    ) where
+        Values: From<Vec<T>>,
+    {
+        // Merged per-partition accounting: simulated kernel time per
+        // queue, and the load imbalance the edge-cut produced.
+        let part_ms: Vec<f64> = queues
+            .iter()
+            .map(|q| {
+                let kernels = q.profiler().kernels();
+                kernels.iter().map(|k| k.stats.total_ns() / 1e6).sum()
+            })
+            .collect();
+        let max_ms = part_ms.iter().copied().fold(0f64, f64::max);
+        let mean_ms = part_ms.iter().sum::<f64>() / part_ms.len() as f64;
+        let imbalance = if mean_ms > 0.0 { max_ms / mean_ms } else { 1.0 };
+        let recoveries: usize = queues.iter().map(|q| q.profiler().recovery_count()).sum();
+        let (exchange, resumes, devices) = (r.exchange, r.resumes, self.flags.devices);
 
-    let summary = match &out {
-        POut::U32(v) => {
-            let reached = v.iter().filter(|&&d| d != u32::MAX).count();
-            format!("{reached}/{} vertices reached", v.len())
-        }
-        POut::F32(v) => {
-            let finite = v.iter().filter(|x| x.is_finite()).count();
-            let max = v
-                .iter()
-                .copied()
-                .filter(|x| x.is_finite())
-                .fold(0f32, f32::max);
-            format!("{finite}/{} finite values, max {max:.4}", v.len())
-        }
-    };
-
-    // Merged per-partition accounting: simulated kernel time per queue,
-    // and the load imbalance the edge-cut produced.
-    let part_ms: Vec<f64> = queues
-        .iter()
-        .map(|q| {
-            q.profiler()
-                .kernels()
-                .iter()
-                .map(|k| k.stats.total_ns() / 1e6)
-                .sum()
-        })
-        .collect();
-    let max_ms = part_ms.iter().copied().fold(0f64, f64::max);
-    let mean_ms = part_ms.iter().sum::<f64>() / part_ms.len() as f64;
-    let imbalance = if mean_ms > 0.0 { max_ms / mean_ms } else { 1.0 };
-    let recovery_events: usize = queues.iter().map(|q| q.profiler().recovery_count()).sum();
-
-    if json {
-        let mut doc = HashMap::new();
-        doc.insert("algo", serde_json::json!(algo));
-        doc.insert("graph", serde_json::json!(graph_spec));
-        doc.insert("device", serde_json::json!(profile_dev.name));
-        doc.insert("devices", serde_json::json!(devices));
-        doc.insert("partition", serde_json::json!(partition.label()));
-        doc.insert("vertices", serde_json::json!(host.vertex_count()));
-        doc.insert("edges", serde_json::json!(host.edge_count()));
-        doc.insert("supersteps", serde_json::json!(supersteps));
-        doc.insert("iterations", serde_json::json!(supersteps));
-        doc.insert("sim_ms", serde_json::json!(sim_ms));
-        doc.insert("exchange_words", serde_json::json!(exchange.words));
-        doc.insert("exchange_msgs", serde_json::json!(exchange.msgs));
-        doc.insert("exchange_bytes", serde_json::json!(exchange.bytes));
-        doc.insert("load_imbalance", serde_json::json!(imbalance));
-        doc.insert("recovery_events", serde_json::json!(recovery_events));
-        doc.insert("checkpoint_resumes", serde_json::json!(resumes));
-        match &out {
-            POut::U32(v) => doc.insert("values", serde_json::json!(v)),
-            POut::F32(v) => doc.insert("values", serde_json::json!(v)),
-        };
-        println!("{}", serde_json::to_string(&doc).unwrap());
-    } else {
-        println!(
-            "{algo} on {graph_spec} ({} vertices, {} edges) @ {} \u{d7}{devices} devices, {} partition",
-            host.vertex_count(),
-            host.edge_count(),
-            profile_dev.name,
-            partition.label()
-        );
-        println!("  {supersteps} supersteps, {sim_ms:.3} simulated ms — {summary}");
-        println!(
-            "  exchange: {} B in {} msgs over {} words ({} supersteps moved bytes)",
+        let mut out = Outcome::of(&r.values.into(), r.supersteps, r.sim_ms);
+        out.header = format!(" \u{d7}{devices} devices, {} partition", partition.label());
+        out.notes.push(format!(
+            "exchange: {} B in {} msgs over {} words ({} supersteps moved bytes)",
             exchange.bytes,
             exchange.msgs,
             exchange.words,
-            per_superstep.len()
-        );
-        if recovery_events > 0 || resumes > 0 {
-            println!("  recovery: {recovery_events} events, {resumes} checkpoint resumes");
+            r.per_superstep.len()
+        ));
+        if recoveries > 0 || resumes > 0 {
+            out.notes.push(format!(
+                "recovery: {recoveries} events, {resumes} checkpoint resumes"
+            ));
         }
-    }
+        out.fields = vec![
+            ("devices", json!(devices)),
+            ("partition", json!(partition.label())),
+            ("supersteps", json!(r.supersteps)),
+            ("exchange_words", json!(exchange.words)),
+            ("exchange_msgs", json!(exchange.msgs)),
+            ("exchange_bytes", json!(exchange.bytes)),
+            ("load_imbalance", json!(imbalance)),
+            ("checkpoint_resumes", json!(resumes)),
+        ];
+        self.report(out, queues);
+        if !self.flags.profile {
+            return;
+        }
 
-    if profile {
         println!("  multi-device profile:");
         for (p, q) in queues.iter().enumerate() {
             let launches = q.profiler().kernels().len();
@@ -1076,25 +956,16 @@ fn run_partitioned(
             );
         }
         println!("    load imbalance (max/mean kernel ms): {imbalance:.2}\u{d7}");
-        // Merged kernel table: per-name totals summed across every
-        // device's profiler.
-        let mut per: HashMap<String, (f64, usize)> = HashMap::new();
-        for q in &queues {
-            for k in q.profiler().kernels() {
-                let e = per.entry(k.name).or_insert((0.0, 0));
-                e.0 += k.stats.total_ns() / 1e6;
-                e.1 += 1;
-            }
-        }
-        let mut rows: Vec<_> = per.into_iter().collect();
-        rows.sort_by(|a, b| b.1 .0.total_cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
         println!("    merged kernel profile (all devices):");
-        for (name, (ms, count)) in rows {
-            println!("      {name:<26} {ms:>9.3} ms  \u{d7}{count}");
+        for (name, row) in kernel_table(queues) {
+            println!(
+                "      {name:<26} {:>9.3} ms  \u{d7}{}",
+                row.ms, row.launches
+            );
         }
-        if !per_superstep.is_empty() {
+        if !r.per_superstep.is_empty() {
             println!("    exchange per superstep:");
-            for x in &per_superstep {
+            for x in &r.per_superstep {
                 println!(
                     "      superstep {:>4}: {:>7} words, {:>7} msgs, {:>9} B, {:>7} accepted",
                     x.superstep, x.words, x.msgs, x.bytes, x.accepted
@@ -1102,17 +973,7 @@ fn run_partitioned(
             }
         }
         for (p, q) in queues.iter().enumerate() {
-            for e in q.profiler().recovery_events() {
-                println!(
-                    "    device {p} recovery @superstep {:>4}: {} -> {} (attempt {}, t={:.3} ms)",
-                    e.superstep,
-                    e.fault,
-                    e.action,
-                    e.attempt,
-                    e.t_ns / 1e6
-                );
-            }
+            print_recovery_events(q, &format!("  device {p} recovery"));
         }
     }
-    ExitCode::SUCCESS
 }

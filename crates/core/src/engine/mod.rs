@@ -983,8 +983,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
                     return Err(e);
                 }
                 session.retries += 1;
-                self.q
-                    .advance_clock_ns((policy.backoff_ns << (session.retries - 1).min(16)) as f64);
+                self.q.advance_clock_ns(policy.backoff(session.retries));
                 self.repair_frontiers();
                 self.record_recovery("transient", "retry", session.retries);
                 Ok(false)
@@ -1201,7 +1200,7 @@ pub fn fixed_point(
                 return Err(e);
             }
             retries += 1;
-            q.advance_clock_ns((policy.backoff_ns << (retries - 1).min(16)) as f64);
+            q.advance_clock_ns(policy.backoff(retries));
             continue;
         }
         retries = 0;

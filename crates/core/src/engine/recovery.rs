@@ -34,7 +34,8 @@ use crate::types::VertexId;
 pub struct RecoveryPolicy {
     /// Transient-fault retries per superstep (0 = propagate immediately).
     pub max_retries: u32,
-    /// Simulated-time backoff before retry `k`: `backoff_ns << (k-1)`.
+    /// Simulated-time backoff before the first retry; it doubles with
+    /// each further one (see [`RecoveryPolicy::backoff`]).
     pub backoff_ns: u64,
     /// Walk the degradation ladder on OOM instead of propagating.
     pub degrade_on_oom: bool,
@@ -54,6 +55,12 @@ impl RecoveryPolicy {
             degrade_on_oom: true,
             checkpoint_every,
         }
+    }
+
+    /// Simulated nanoseconds to wait before retry `k` (1-based):
+    /// `backoff_ns << (k - 1)`, the doubling capped at 2^16.
+    pub fn backoff(&self, k: u32) -> f64 {
+        (self.backoff_ns << (k - 1).min(16)) as f64
     }
 
     /// Whether any recovery mechanism is enabled.

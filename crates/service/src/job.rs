@@ -7,74 +7,43 @@
 //! admission control refuses them.
 
 use serde::{Deserialize, Serialize};
-pub use sygraph_algos::Determinism;
+pub use sygraph_algos::{Algo, Determinism, Values as JobValues};
 
 use crate::error::{ServiceError, ServiceResult};
 
-/// Algorithms the service can run. Single-source BFS requests are the
-/// coalescible class: the scheduler may fold several of them into one
-/// W-lane multi-source pass (bit-identical per lane to rooted runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algo {
-    Bfs,
-    Sssp,
-    DeltaSssp,
-    Cc,
-    Bc,
-    Pagerank,
+/// The catalogue algorithms the service admits, in the order its 400
+/// text lists them: the ones [`modeled_peak_bytes`] prices.
+///
+/// [`modeled_peak_bytes`]: crate::scheduler::modeled_peak_bytes
+pub const ADMITTED: [Algo; 6] = [
+    Algo::Bfs,
+    Algo::Sssp,
+    Algo::Delta,
+    Algo::Cc,
+    Algo::Bc,
+    Algo::Pagerank,
+];
+
+/// Parses a request's wire name; an unknown or unadmitted algorithm is
+/// a typed 400, not a panic deep in dispatch.
+pub fn admitted(name: &str) -> ServiceResult<Algo> {
+    let algo = Algo::parse(name).filter(|a| ADMITTED.contains(a));
+    algo.ok_or_else(|| {
+        let expected = Algo::labels(&ADMITTED);
+        ServiceError::BadRequest(format!("unknown algorithm {name:?} (expected {expected})"))
+    })
 }
 
-impl Algo {
-    /// Parses the wire name; rejects unknown algorithms with a typed
-    /// error instead of panicking deep in dispatch.
-    pub fn parse(name: &str) -> ServiceResult<Algo> {
-        match name {
-            "bfs" => Ok(Algo::Bfs),
-            "sssp" => Ok(Algo::Sssp),
-            "delta" | "delta-sssp" => Ok(Algo::DeltaSssp),
-            "cc" => Ok(Algo::Cc),
-            "bc" => Ok(Algo::Bc),
-            "pagerank" | "pr" => Ok(Algo::Pagerank),
-            other => Err(ServiceError::BadRequest(format!(
-                "unknown algorithm {other:?} (expected bfs|sssp|delta|cc|bc|pagerank)"
-            ))),
-        }
-    }
-
-    /// Canonical wire name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Algo::Bfs => "bfs",
-            Algo::Sssp => "sssp",
-            Algo::DeltaSssp => "delta",
-            Algo::Cc => "cc",
-            Algo::Bc => "bc",
-            Algo::Pagerank => "pagerank",
-        }
-    }
-
-    /// Whether the algorithm is rooted (requires a `source`).
-    pub fn needs_source(&self) -> bool {
-        !matches!(self, Algo::Cc | Algo::Pagerank)
-    }
-
-    /// The algorithm's determinism class, as `sygraph_algos` declares it.
-    pub fn determinism(&self) -> Determinism {
-        sygraph_algos::determinism::of(self.label())
-    }
-
-    /// Whether single-source requests of this algorithm may be folded
-    /// into one multi-source lane pass. The class must be bit-exact, or
-    /// batching would show in the values (which rules out `bc_multi`),
-    /// and the service runs one lane kernel, `bfs_multi`.
-    pub fn coalescible(&self) -> bool {
-        matches!(self, Algo::Bfs) && self.determinism() == Determinism::BitExact
-    }
+/// Whether single-source requests of `algo` may be folded into one
+/// multi-source lane pass: there must be a lane kernel for it, and its
+/// class must be bit-exact, or batching would show in the values.
+pub fn coalescible(algo: Algo) -> bool {
+    algo.has_lane_kernel() && algo.determinism() == Determinism::BitExact
 }
 
 /// A job submission. `algo` stays a string here so parse failures reach
 /// the caller as a 400, not a deserialization panic; `Service::submit`
-/// converts it via [`Algo::parse`]. Optional knobs default to service
+/// converts it via [`admitted`]. Optional knobs default to service
 /// policy when absent.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JobRequest {
@@ -142,56 +111,6 @@ impl JobState {
     /// `Done`, `Failed` and `Rejected` are final.
     pub fn is_terminal(self) -> bool {
         !matches!(self, JobState::Queued | JobState::Running)
-    }
-}
-
-/// A finished job's per-vertex values. `PartialEq` here is the
-/// bit-identity check the cache tests rely on (no NaNs escape the
-/// algorithms, so float equality is exact equality of bits in practice;
-/// the tests additionally compare `f32::to_bits`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobValues {
-    U32(Vec<u32>),
-    F32(Vec<f32>),
-}
-
-impl JobValues {
-    pub fn len(&self) -> usize {
-        match self {
-            JobValues::U32(v) => v.len(),
-            JobValues::F32(v) => v.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Exact bit-level equality (distinguishes NaN payloads and signed
-    /// zeros, unlike `PartialEq` on floats).
-    pub fn bits_eq(&self, other: &JobValues) -> bool {
-        self.agrees(other, Determinism::BitExact)
-    }
-
-    /// Whether `other` is an acceptable re-run of `self` under `class`
-    /// (see [`Determinism::agrees_f32`]).
-    pub fn agrees(&self, other: &JobValues, class: Determinism) -> bool {
-        match (self, other) {
-            (JobValues::U32(a), JobValues::U32(b)) => class.agrees_u32(a, b),
-            (JobValues::F32(a), JobValues::F32(b)) => class.agrees_f32(a, b),
-            _ => false,
-        }
-    }
-}
-
-// Hand-written so the wire shape is a flat array (matching the CLI's
-// `"values": [...]`), not the derive's `{"U32": [...]}` tagging.
-impl Serialize for JobValues {
-    fn serialize_value(&self) -> serde::Value {
-        match self {
-            JobValues::U32(v) => v.serialize_value(),
-            JobValues::F32(v) => v.serialize_value(),
-        }
     }
 }
 
@@ -305,26 +224,27 @@ mod tests {
     use super::*;
 
     #[test]
-    fn algo_parse_round_trips_and_rejects() {
-        for name in ["bfs", "sssp", "delta", "cc", "bc", "pagerank"] {
-            assert_eq!(Algo::parse(name).unwrap().label(), name);
+    fn admission_parses_six_names_and_rejects_the_rest() {
+        for algo in ADMITTED {
+            assert_eq!(admitted(algo.label()).unwrap(), algo);
         }
-        assert_eq!(Algo::parse("pr").unwrap(), Algo::Pagerank);
-        let err = Algo::parse("tarjan").unwrap_err();
-        assert_eq!(err.http_status(), 400);
+        assert_eq!(admitted("pr").unwrap(), Algo::Pagerank);
+        assert_eq!(admitted("delta-sssp").unwrap(), Algo::Delta);
+        for name in ["tarjan", "dobfs", "triangles", "kcore"] {
+            let err = admitted(name).unwrap_err();
+            assert_eq!(err.http_status(), 400);
+            assert!(
+                err.to_string()
+                    .ends_with("(expected bfs|sssp|delta|cc|bc|pagerank)"),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn only_bfs_coalesces() {
-        assert!(Algo::Bfs.coalescible());
-        for a in [
-            Algo::Sssp,
-            Algo::DeltaSssp,
-            Algo::Cc,
-            Algo::Bc,
-            Algo::Pagerank,
-        ] {
-            assert!(!a.coalescible(), "{:?}", a);
+        for algo in ADMITTED {
+            assert_eq!(coalescible(algo), algo == Algo::Bfs, "{algo}");
         }
     }
 
@@ -343,27 +263,5 @@ mod tests {
     fn values_serialize_flat() {
         let v = JobValues::U32(vec![1, 2, 3]);
         assert_eq!(serde_json::to_string(&v).unwrap(), "[1,2,3]");
-    }
-
-    #[test]
-    fn tolerance_is_relative_to_the_largest_finite_value() {
-        let class = Determinism::Tolerance(1e-4);
-        let a = JobValues::F32(vec![1000.0, 1.0, f32::INFINITY]);
-        let near = JobValues::F32(vec![1000.05, 1.05, f32::INFINITY]);
-        let far = JobValues::F32(vec![1000.2, 1.0, f32::INFINITY]);
-        let finite = JobValues::F32(vec![1000.0, 1.0, f32::MAX]);
-        assert!(a.agrees(&near, class), "0.05 is within 1e-4 of 1000");
-        assert!(!a.agrees(&far, class));
-        assert!(!a.agrees(&finite, class), "an infinity matches only itself");
-        assert!(!a.agrees(&near, Determinism::BitExact));
-        assert!(a.agrees(&a.clone(), Determinism::BitExact));
-    }
-
-    #[test]
-    fn float_bit_identity_is_stricter_than_eq() {
-        let a = JobValues::F32(vec![0.0]);
-        let b = JobValues::F32(vec![-0.0]);
-        assert_eq!(a, b); // IEEE equality
-        assert!(!a.bits_eq(&b)); // bit identity
     }
 }

@@ -42,16 +42,17 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sygraph_algos::common::AlgoResult;
-use sygraph_algos::{bc, bfs, cc, delta, multi, pagerank, sssp};
+use sygraph_algos::{multi, Args};
 use sygraph_core::engine::RecoveryPolicy;
-use sygraph_core::graph::{validate_sources, CsrHost, Graph};
-use sygraph_core::inspector::OptConfig;
+use sygraph_core::graph::{validate_sources, CsrHost};
+use sygraph_core::inspector::{Direction, OptConfig};
 use sygraph_sim::{CancelToken, Device, DeviceProfile, FaultPlan, Queue, SimError};
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::error::{ServiceError, ServiceResult};
-use crate::job::{Algo, JobMetrics, JobRecord, JobRequest, JobState, JobValues};
+use crate::job::{
+    admitted, coalescible, Algo, JobMetrics, JobRecord, JobRequest, JobState, JobValues,
+};
 use crate::registry::{DeviceMirror, RegisterOptions, RegisteredGraph, Registry};
 
 /// Service configuration.
@@ -151,6 +152,10 @@ impl ServiceConfig {
 /// frontiers; deliberately a little generous so a pass never exceeds the
 /// admitted figure by more than slack. `lanes` scales the multi-source
 /// BFS layout (per-lane depth rows + packed lane masks).
+///
+/// # Panics
+/// On an algorithm outside [`ADMITTED`](crate::job::ADMITTED): there is
+/// no request to price.
 pub fn modeled_peak_bytes(algo: Algo, n: u64, _m: u64, lanes: u32) -> u64 {
     let lanes = lanes.max(1) as u64;
     // Two in/out frontiers, each a two-layer bitmap plus compaction
@@ -161,12 +166,15 @@ pub fn modeled_peak_bytes(algo: Algo, n: u64, _m: u64, lanes: u32) -> u64 {
         Algo::Bfs => lanes * 4 * n + lanes * n / 4 + lanes * frontier / 2,
         Algo::Sssp => 4 * n,
         // distances + bucket tags.
-        Algo::DeltaSssp => 8 * n,
+        Algo::Delta => 8 * n,
         Algo::Cc => 4 * n,
         // depth + sigma + delta + retained per-level frontier pool.
         Algo::Bc => 12 * n + 4 * n,
         // rank + next + share + scalars.
         Algo::Pagerank => 12 * n + 64,
+        Algo::Dobfs | Algo::Triangles | Algo::Kcore => {
+            panic!("the service does not admit {algo}, so it has no memory model")
+        }
     };
     state + frontier
 }
@@ -434,7 +442,7 @@ impl Ledger {
             let now = Instant::now();
             self.pending.push_back(PendingJob {
                 id,
-                coalesce: key.algo.coalescible() && !record.request.no_coalesce.unwrap_or(false),
+                coalesce: coalescible(key.algo) && !record.request.no_coalesce.unwrap_or(false),
                 key,
                 enqueued_at: now,
                 deadline: timeout_ms.map(|t| now + Duration::from_millis(t)),
@@ -785,7 +793,7 @@ impl Service {
     /// Checks a request against the registry and models its peak memory.
     fn price(&self, request: &JobRequest) -> ServiceResult<Priced> {
         let sh = &*self.shared;
-        let algo = Algo::parse(&request.algo)?;
+        let algo = admitted(&request.algo)?;
         let reg = sh.registry.get(&request.graph)?;
         let n = reg.vertex_count();
         let source = match (algo.needs_source(), request.source) {
@@ -800,7 +808,7 @@ impl Service {
             }
         };
         let delta_bits = match algo {
-            Algo::DeltaSssp => {
+            Algo::Delta => {
                 let d = request.delta.unwrap_or(2.0);
                 if d <= 0.0 || d.is_nan() {
                     let msg = format!("delta must be positive, got {d}");
@@ -1098,8 +1106,22 @@ fn execute(sh: &Shared, q: &Queue, mirror: &mut DeviceMirror, batch: &Batch) -> 
         let per_job = r.per_source.into_iter().map(JobValues::U32).collect();
         (per_job, r.iterations, r.sim_ms)
     } else {
-        let (values, iterations, sim_ms) = run_single(q, &graph, head, &opts)?;
-        (vec![values], iterations, sim_ms)
+        // A job that could have ridden in a lane batch runs on the push
+        // view even when a pull mirror is resident: that is the rooted
+        // run `bfs_multi`'s lanes are bit-identical to, so coalescing
+        // stays unobservable in the values.
+        let mut opts = opts;
+        if coalescible(head.algo) {
+            opts.direction = Direction::Push;
+        }
+        let args = Args {
+            source: head.source.unwrap_or(0),
+            delta: head
+                .delta_bits
+                .map_or(Args::default().delta, f32::from_bits),
+        };
+        let r = head.algo.run(q, &graph, args, &opts)?;
+        (vec![r.values], r.iterations, r.sim_ms)
     };
     Ok(Ran {
         per_job,
@@ -1109,39 +1131,6 @@ fn execute(sh: &Shared, q: &Queue, mirror: &mut DeviceMirror, batch: &Batch) -> 
         mem_peak_bytes: q.device().mem_peak().saturating_sub(used_before),
         recovery_events: q.profiler().recovery_count() as u64,
         wall_ns: wall_start.elapsed().as_nanos() as u64,
-    })
-}
-
-/// Runs one non-coalesced job. BFS runs on the push (CSR) view even
-/// when a pull mirror is resident, keeping serial output exactly the
-/// baseline that `bfs_multi` lanes are bit-identical to — coalescing
-/// must be unobservable in the values.
-fn run_single(
-    q: &Queue,
-    graph: &Graph,
-    key: &CacheKey,
-    opts: &OptConfig,
-) -> ServiceResult<(JobValues, u32, f64)> {
-    fn unpack<T>(
-        r: AlgoResult<T>,
-        wrap: impl FnOnce(Vec<T>) -> JobValues,
-    ) -> (JobValues, u32, f64) {
-        (wrap(r.values), r.iterations, r.sim_ms)
-    }
-    let src = key.source.unwrap_or(0);
-    Ok(match key.algo {
-        Algo::Bfs => unpack(bfs::run(q, &graph.csr, src, opts)?, JobValues::U32),
-        Algo::Sssp => unpack(sssp::run(q, &graph.csr, src, opts)?, JobValues::F32),
-        Algo::DeltaSssp => {
-            let d = f32::from_bits(key.delta_bits.expect("delta jobs are admitted with a Δ"));
-            unpack(delta::run(q, &graph.csr, src, opts, d)?, JobValues::F32)
-        }
-        Algo::Cc => unpack(cc::run(q, graph, opts)?, JobValues::U32),
-        Algo::Bc => unpack(bc::run(q, &graph.csr, src, opts)?, JobValues::F32),
-        Algo::Pagerank => unpack(
-            pagerank::run(q, &graph.csr, opts, Default::default())?,
-            JobValues::F32,
-        ),
     })
 }
 

@@ -204,6 +204,17 @@ impl DeviceProfile {
         }
     }
 
+    /// The profile a command line names: `v100s | max1100 | mi100 | host`.
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "v100s" => Some(Self::v100s()),
+            "max1100" => Some(Self::max1100()),
+            "mi100" => Some(Self::mi100()),
+            "host" => Some(Self::host_test()),
+            _ => None,
+        }
+    }
+
     /// All three paper devices, in Table 4 order (machines A, B, C).
     pub fn paper_machines() -> Vec<DeviceProfile> {
         vec![Self::v100s(), Self::max1100(), Self::mi100()]
@@ -271,6 +282,19 @@ mod tests {
         assert_eq!(machines[1].l2_bytes, 108 << 20);
         assert_eq!(machines[2].vendor, Vendor::Amd);
         assert_eq!(machines[2].l2_bytes, 8 << 20);
+    }
+
+    #[test]
+    fn by_name_resolves_the_four_profiles() {
+        for (name, vendor) in [
+            ("v100s", Vendor::Nvidia),
+            ("max1100", Vendor::Intel),
+            ("mi100", Vendor::Amd),
+            ("host", Vendor::Host),
+        ] {
+            assert_eq!(DeviceProfile::by_name(name).unwrap().vendor, vendor);
+        }
+        assert!(DeviceProfile::by_name("tpu").is_none());
     }
 
     #[test]

@@ -100,7 +100,7 @@ proptest! {
         tigr.prepare(&q, &host).unwrap();
         let rec = tigr.run(&q, AlgoKind::Bfs, 0).unwrap();
         match rec.values {
-            sygraph_baselines::AlgoValues::U32(d) => {
+            sygraph_algos::Values::U32(d) => {
                 prop_assert_eq!(d, reference::bfs(&host, 0));
             }
             _ => prop_assert!(false, "wrong value type"),

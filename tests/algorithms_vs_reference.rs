@@ -161,7 +161,7 @@ fn pagerank_agrees_under_every_balancing() {
     edges.extend((700..1400).map(|v| (v, v + 1)));
     edges.push((1400, 0));
     let dangling = CsrHost::from_edges(2048, &edges);
-    let class = sygraph_algos::determinism::of("pagerank");
+    let class = sygraph_algos::Algo::Pagerank.determinism();
     for (name, host) in [
         ("kron", datasets::kron(Scale::Test).host),
         ("hub", dangling),

@@ -5,7 +5,7 @@
 //! Three layers of evidence:
 //! 1. generator suite (R-MAT, road, web stand-ins): BFS and SSSP results
 //!    bit-identical across strategies, BC within its declared class
-//!    (`sygraph_algos::determinism`; its atomic float accumulation order
+//!    (`sygraph_algos::Algo::determinism`; its atomic float accumulation order
 //!    legitimately changes);
 //! 2. proptest on random graphs: the raw `advance` output frontier is
 //!    word-for-word identical between workgroup-mapped and bucketed
@@ -48,7 +48,7 @@ fn check_dataset(ds: &sygraph_gen::Dataset) {
                 assert_eq!(b0, &bfs, "BFS diverged on {} under {s:?}", ds.key);
                 assert_eq!(s0, &sssp, "SSSP diverged on {} under {s:?}", ds.key);
                 assert!(
-                    sygraph_algos::determinism::of("bc").agrees_f32(c0, &bc),
+                    sygraph_algos::Algo::Bc.determinism().agrees_f32(c0, &bc),
                     "BC diverged on {} under {s:?}",
                     ds.key
                 );

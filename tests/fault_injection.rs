@@ -5,10 +5,10 @@
 //! idle fault plan must be byte-identical in the profiler's kernel stream
 //! to no plan at all (zero overhead when nothing fires).
 
-use sygraph_algos::{bfs, cc, sssp};
+use sygraph_algos::{Algo, Args, Values};
 use sygraph_bench::sample_useful_sources;
 use sygraph_core::engine::RecoveryPolicy;
-use sygraph_core::graph::{CsrHost, DeviceCsr};
+use sygraph_core::graph::{CsrHost, DeviceCsr, Graph};
 use sygraph_core::inspector::{OptConfig, Representation};
 use sygraph_gen::{datasets, Dataset, Scale};
 use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue, SimError, SimResult};
@@ -20,13 +20,6 @@ fn four_datasets() -> Vec<Dataset> {
         datasets::indochina(Scale::Test),
         datasets::kron(Scale::Test),
     ]
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Algo {
-    Bfs,
-    Sssp,
-    Cc,
 }
 
 const ALGOS: [Algo; 3] = [Algo::Bfs, Algo::Sssp, Algo::Cc];
@@ -45,23 +38,10 @@ fn run_values(
     src: u32,
     opts: &OptConfig,
 ) -> SimResult<Vec<u64>> {
-    let g = DeviceCsr::upload(q, host)?;
-    Ok(match algo {
-        Algo::Bfs => bfs::run(q, &g, src, opts)?
-            .values
-            .into_iter()
-            .map(u64::from)
-            .collect(),
-        Algo::Sssp => sssp::run(q, &g, src, opts)?
-            .values
-            .into_iter()
-            .map(|v| u64::from(v.to_bits()))
-            .collect(),
-        Algo::Cc => cc::run(q, &g, opts)?
-            .values
-            .into_iter()
-            .map(u64::from)
-            .collect(),
+    let g = Graph::new(q, host)?;
+    Ok(match algo.run(q, &g, Args::rooted(src), opts)?.values {
+        Values::U32(v) => v.into_iter().map(u64::from).collect(),
+        Values::F32(v) => v.into_iter().map(|x| u64::from(x.to_bits())).collect(),
     })
 }
 
@@ -306,7 +286,7 @@ fn pagerank_sweep_restarts_from_any_launch_under_every_balancing() {
     use sygraph_core::inspector::Balancing;
 
     let host = datasets::kron(Scale::Test).host;
-    let class = sygraph_algos::determinism::of("pagerank");
+    let class = Algo::Pagerank.determinism();
     let params = PagerankParams {
         max_iters: 6,
         tol: 0.0,

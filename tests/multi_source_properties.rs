@@ -93,7 +93,8 @@ fn batched_bc_matches_sequential_runs_within_tolerance() {
                     let gs = DeviceCsr::upload(&qs, &ds.host).unwrap();
                     let solo = bc::run(&qs, &gs, s, &opts).unwrap();
                     assert!(
-                        sygraph_algos::determinism::of("bc")
+                        sygraph_algos::Algo::Bc
+                            .determinism()
                             .agrees_f32(&solo.values, &batched.per_source[i]),
                         "{ctx}: lane {i} (source {s}) left BC's declared class"
                     );

@@ -6,7 +6,7 @@
 //! Three layers of evidence:
 //! 1. generator suite (R-MAT, road, web, social stand-ins): BFS, SSSP and
 //!    CC results bit-identical across representations, BC within its
-//!    declared class (`sygraph_algos::determinism`; its atomic float
+//!    declared class (`sygraph_algos::Algo::determinism`; its atomic float
 //!    accumulation order legitimately changes);
 //! 2. proptest on random vertex sets: the dense→sparse→dense conversion
 //!    kernel round-trip reproduces the bitmap exactly, on both word
@@ -55,7 +55,7 @@ fn check_dataset(ds: &sygraph_gen::Dataset) {
                 assert_eq!(s0, &sssp, "SSSP diverged on {} under {r:?}", ds.key);
                 assert_eq!(l0, &cc, "CC diverged on {} under {r:?}", ds.key);
                 assert!(
-                    sygraph_algos::determinism::of("bc").agrees_f32(c0, &bc),
+                    sygraph_algos::Algo::Bc.determinism().agrees_f32(c0, &bc),
                     "BC diverged on {} under {r:?}",
                     ds.key
                 );

@@ -196,6 +196,66 @@ fn coalesced_batch_is_bit_identical_to_serial() {
     assert!(service.stats().coalesced_batches >= 1);
 }
 
+/// A rooted BFS stays on the push view when the graph is registered with
+/// a pull mirror: it launches what the same request launches against
+/// the mirror-less registration (no pull superstep, no candidate set),
+/// and the serial run, a coalesced lane and a cache hit all return the
+/// same bits.
+#[test]
+fn serial_bfs_on_a_pull_graph_stays_on_the_push_view() {
+    let ds = datasets::kron(Scale::Test);
+    let mut cfg = default_cfg();
+    cfg.workers = 1; // one claimer folds the whole paused backlog
+    let service = test_service(cfg);
+    for (name, pull) in [("plain", false), ("pull", true)] {
+        let options = RegisterOptions {
+            undirected: false,
+            pull,
+        };
+        service
+            .register_graph(name, ds.host.clone(), options)
+            .expect("register");
+    }
+    let source = sygraph_bench::hub_source(&ds.host);
+    let bfs = |graph: &str, no_cache: bool, no_coalesce: bool| {
+        let mut r = JobRequest::rooted(graph, "bfs", source);
+        r.no_cache = Some(no_cache);
+        r.no_coalesce = Some(no_coalesce);
+        r
+    };
+
+    let plain = submit_wait(&service, bfs("plain", true, true));
+    let serial = submit_wait(&service, bfs("pull", true, true));
+    assert_eq!(plain.state, JobState::Done, "{:?}", plain.error);
+    assert_eq!(serial.state, JobState::Done, "{:?}", serial.error);
+    let values = serial.values.as_ref().unwrap();
+    assert!(values.bits_eq(plain.values.as_ref().unwrap()));
+    assert_eq!(serial.metrics.iterations, plain.metrics.iterations);
+    assert_eq!(
+        serial.metrics.kernel_launches, plain.metrics.kernel_launches,
+        "the pull mirror changed what a serial BFS launches"
+    );
+
+    let warm = submit_wait(&service, bfs("pull", false, true));
+    let hit = submit_wait(&service, bfs("pull", false, true));
+    assert!(!warm.metrics.cache_hit && hit.metrics.cache_hit);
+    assert!(values.bits_eq(hit.values.as_ref().unwrap()));
+
+    service.pause();
+    let lane = service.submit(bfs("pull", true, false)).expect("submit");
+    for other in 0..7 {
+        let mut r = JobRequest::rooted("pull", "bfs", other);
+        r.no_cache = Some(true);
+        service.submit(r).expect("submit");
+    }
+    service.resume();
+    service.wait_idle();
+    let lane = service.job(lane).unwrap();
+    assert_eq!(lane.state, JobState::Done, "{:?}", lane.error);
+    assert!(lane.metrics.coalesced && lane.metrics.batch_size > 1);
+    assert!(values.bits_eq(lane.values.as_ref().unwrap()));
+}
+
 /// Admission control: a job whose modelled peak exceeds the per-job
 /// budget is rejected up front (typed, 413), while small jobs on the
 /// same service proceed normally.
