@@ -244,7 +244,7 @@ mod tests {
     use super::*;
     use crate::reference;
     use sygraph_core::graph::{CsrHost, PartitionSpec};
-    use sygraph_sim::{Device, DeviceProfile};
+    use sygraph_sim::{Device, DeviceProfile, TraceKind};
 
     fn queues(n: usize) -> Vec<Queue> {
         (0..n)
@@ -340,9 +340,8 @@ mod tests {
         assert!(got.exchange.bytes > 0);
         assert_eq!(got.per_superstep.len(), 1);
         assert_eq!(got.per_superstep[0].accepted, 1);
-        // The sender's profiler carries the ExchangeEvent.
-        let evs = qs[pg.owner_of(0) as usize].profiler().exchange_events();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].msgs, 1);
+        // The sender's log carries the exchange.
+        let sent = |k: &TraceKind| matches!(k, TraceKind::Exchange { msgs: 1, .. });
+        assert_eq!(qs[pg.owner_of(0) as usize].profiler().count(sent), 1);
     }
 }

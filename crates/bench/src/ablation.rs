@@ -17,7 +17,7 @@ use sygraph_core::frontier::maintenance_payer;
 use sygraph_core::graph::Graph;
 use sygraph_core::inspector::{Balancing, Direction, OptConfig, Representation};
 use sygraph_gen::{datasets, Dataset, Scale};
-use sygraph_sim::Queue;
+use sygraph_sim::{KernelRecord, Queue};
 
 use crate::report::{Clock::Modelled, Report, Table, Verdict};
 use crate::{hub_source, Context};
@@ -279,15 +279,17 @@ fn run(ctx: &Context, spec: &Spec) -> Result<Report, String> {
             };
             let prof = q.profiler();
             let dirs = prof.direction_events();
+            let imbalance =
+                |k: &KernelRecord| is_advance(&k.name).then(|| k.stats.load_imbalance());
             table.row(vec![
                 json!(ds.key),
                 json!(variant),
                 json!(cycles),
                 json!(sim_ms),
-                json!(prof.worst_load_imbalance(is_advance)),
+                json!(prof.peak(1.0, imbalance)),
                 json!(dirs.iter().filter(|e| e.direction == "pull").count()),
-                json!(prof.direction_switch_count()),
-                json!(prof.rep_switch_count()),
+                json!(dirs.iter().filter(|e| e.switched).count()),
+                json!(prof.rep_events().iter().filter(|e| e.switched).count()),
                 json!(cell.speedup()),
             ]);
             cells.push(cell);

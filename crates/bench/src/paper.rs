@@ -9,7 +9,7 @@ use sygraph_baselines::AlgoKind;
 use sygraph_core::graph::Graph;
 use sygraph_core::inspector::OptConfig;
 use sygraph_gen::{comparison_suite, datasets, paper_suite, Dataset, Scale};
-use sygraph_sim::{DeviceProfile, Queue, SimError};
+use sygraph_sim::{DeviceProfile, KernelRecord, Queue, SimError};
 
 use crate::report::{Cell, Report, Table};
 use crate::{geomean, hub_source, run_cell, sample_useful_sources, stats};
@@ -158,8 +158,12 @@ pub fn table5(ctx: &Context) -> Result<Report, String> {
             let (q, _) = bfs_once(ctx, ds, fw, src)?;
             let f = advance_filter(fw);
             // Ignore tiny launches, as NCU's peak metrics effectively do.
-            row.push(json!(q.profiler().peak_l1_hit_rate(f, 64) * 100.0));
-            row.push(json!(q.profiler().peak_occupancy(f) * 100.0));
+            let l1 = |k: &KernelRecord| {
+                (f(&k.name) && k.stats.totals.transactions() >= 64).then(|| k.stats.l1_hit_rate())
+            };
+            let occupancy = |k: &KernelRecord| f(&k.name).then_some(k.stats.occupancy);
+            row.push(json!(q.profiler().peak(0.0, l1) * 100.0));
+            row.push(json!(q.profiler().peak(0.0, occupancy) * 100.0));
         }
         table.row(row);
     }

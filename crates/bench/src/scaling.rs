@@ -8,7 +8,7 @@ use sygraph_core::frontier::exchange::ExchangeConfig;
 use sygraph_core::graph::{CsrHost, DeviceCsr, Graph, PartitionSpec, PartitionedGraph};
 use sygraph_core::inspector::OptConfig;
 use sygraph_gen::datasets;
-use sygraph_sim::{Device, DeviceProfile, Queue, SimError};
+use sygraph_sim::{Device, DeviceProfile, Queue, SimError, TraceKind};
 
 use crate::report::{Clock, Report, Table, Verdict};
 use crate::{sample_useful_sources, scaled_profile, Context};
@@ -20,6 +20,14 @@ const N_SOURCES: usize = 32;
 fn totals<T>(runs: &[AlgoResult<T>]) -> (f64, u32) {
     let ms = runs.iter().map(|r| r.sim_ms).sum();
     (ms, runs.iter().map(|r| r.iterations).sum())
+}
+
+/// Lanes the batched supersteps recorded on `q` retired, in total.
+fn lanes_retired(q: &Queue) -> u32 {
+    q.profiler().fold(0, |sum, e| match e.kind {
+        TraceKind::Lanes { retired, .. } => sum + retired,
+        _ => sum,
+    })
 }
 
 /// Multi-source batching: for each dataset, 32 sources run through
@@ -81,7 +89,7 @@ pub fn multi_source(ctx: &Context) -> Result<Report, String> {
         if !lanes.all(|(b, s)| class.agrees_u32(&s.values, b)) {
             return Err(format!("batched BFS diverged from rooted on {}", ds.key));
         }
-        let retired = q.profiler().lane_retired_count();
+        let retired = lanes_retired(&q);
         let bfs_row = (
             "bfs",
             totals(&serial),
@@ -102,7 +110,7 @@ pub fn multi_source(ctx: &Context) -> Result<Report, String> {
         if !lanes.all(|(b, s)| class.agrees_f32(&s.values, b)) {
             return Err(format!("batched BC diverged from rooted on {}", ds.key));
         }
-        let retired = q.profiler().lane_retired_count();
+        let retired = lanes_retired(&q);
         let bc_row = (
             "bc",
             totals(&serial),

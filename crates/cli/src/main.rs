@@ -84,7 +84,7 @@ use sygraph_core::frontier::exchange::ExchangeConfig;
 use sygraph_core::frontier::maintenance_payer;
 use sygraph_core::graph::{validate_sources, CsrHost, Graph, PartitionSpec, PartitionedGraph};
 use sygraph_core::inspector::{Balancing, Direction, OptConfig, Representation};
-use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue, SimResult};
+use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue, SimResult, TraceKind};
 
 /// Why a mode ends early. Either message may be empty: the usage text,
 /// or what the sanitizer already printed, says it all.
@@ -499,7 +499,7 @@ impl Job<'_> {
     fn report(&self, out: Outcome, queues: &[Queue]) {
         let (n, m) = (self.host.vertex_count(), self.host.edge_count());
         if self.flags.json {
-            let recoveries: usize = queues.iter().map(|q| q.profiler().recovery_count()).sum();
+            let recoveries: usize = queues.iter().map(|q| recoveries(q).len()).sum();
             let mut doc: BTreeMap<&str, Value> = out.fields.into_iter().collect();
             doc.extend([
                 ("algo", json!(self.name)),
@@ -562,16 +562,25 @@ fn kernel_table(queues: &[Queue]) -> Vec<(String, KernelRow)> {
     rows
 }
 
-/// One `recovery @superstep` line per event of `q`, under `label`.
+/// `q`'s recovery actions in the order the engine took them:
+/// `(superstep, t_ns, fault, action, attempt)`.
+fn recoveries(q: &Queue) -> Vec<(u32, f64, String, String, u32)> {
+    q.profiler().select(|e| match &e.kind {
+        TraceKind::Recovery {
+            fault,
+            action,
+            attempt,
+        } => Some((e.superstep, e.t_ns, fault.clone(), action.clone(), *attempt)),
+        _ => None,
+    })
+}
+
+/// One `recovery @superstep` line per recovery action of `q`, under `label`.
 fn print_recovery_events(q: &Queue, label: &str) {
-    for e in q.profiler().recovery_events() {
+    for (superstep, t_ns, fault, action, attempt) in recoveries(q) {
         println!(
-            "  {label} @superstep {:>4}: {} -> {} (attempt {}, t={:.3} ms)",
-            e.superstep,
-            e.fault,
-            e.action,
-            e.attempt,
-            e.t_ns / 1e6
+            "  {label} @superstep {superstep:>4}: {fault} -> {action} (attempt {attempt}, t={:.3} ms)",
+            t_ns / 1e6
         );
     }
 }
@@ -691,11 +700,11 @@ fn run_main(args: &[String]) -> Result<(), Stop> {
     };
     let mut out = result.map_err(run_failed)?;
 
-    let recov = q.profiler().recovery_events();
+    let recov = recoveries(&q);
     if !recov.is_empty() {
         let mut counts: Vec<(String, usize)> = Vec::new();
-        for e in &recov {
-            let key = format!("{}->{}", e.fault, e.action);
+        for (_, _, fault, action, _) in &recov {
+            let key = format!("{fault}->{action}");
             match counts.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, c)) => *c += 1,
                 None => counts.push((key, 1)),
@@ -800,11 +809,12 @@ fn print_profile(q: &Queue) {
             row.idle * 100.0
         );
     }
-    // Per-superstep frontier-representation trace (recorded by the
-    // engine whenever the run went through it), run-length encoded,
-    // plus greppable switch counters and the frontier-maintenance
-    // kernel cost split by representation.
-    let reps = q.profiler().rep_events();
+    // Per-superstep frontier-representation trace (one `Plan` event per
+    // superstep whenever the run went through the engine), run-length
+    // encoded, plus greppable switch counters and the
+    // frontier-maintenance kernel cost split by representation.
+    let prof = q.profiler();
+    let reps = prof.rep_events();
     if !reps.is_empty() {
         println!(
             "  frontier representation: {}",
@@ -814,8 +824,7 @@ fn print_profile(q: &Queue) {
         println!("  sparse->dense switches: {}", switches_to("dense"));
         println!("  dense->sparse switches: {}", switches_to("sparse"));
         let cost_of = |payer: &str| -> f64 {
-            q.profiler()
-                .kernels()
+            prof.kernels()
                 .iter()
                 .filter(|k| maintenance_payer(&k.name) == Some(payer))
                 .map(|k| k.stats.total_ns() / 1e6)
@@ -827,21 +836,25 @@ fn print_profile(q: &Queue) {
             cost_of("sparse"),
         );
     }
-    let dirs = q.profiler().direction_events();
+    let dirs = prof.direction_events();
     if !dirs.is_empty() {
         println!(
             "  traversal direction: {}",
             rle(dirs.iter().map(|e| &e.direction))
         );
-        println!(
-            "  direction switches: {}",
-            q.profiler().direction_switch_count()
-        );
+        let switches = dirs.iter().filter(|e| e.switched).count();
+        println!("  direction switches: {switches}");
     }
-    let lanes = q.profiler().lane_events();
+    let lanes = prof.select(|e| match e.kind {
+        TraceKind::Lanes { active, retired } => Some((active, retired)),
+        _ => None,
+    });
     if !lanes.is_empty() {
-        println!("  active lanes: {}", rle(lanes.iter().map(|e| e.active)));
-        println!("  lanes retired: {}", q.profiler().lane_retired_count());
+        println!("  active lanes: {}", rle(lanes.iter().map(|l| l.0)));
+        println!(
+            "  lanes retired: {}",
+            lanes.iter().map(|l| l.1).sum::<u32>()
+        );
     }
     print_recovery_events(q, "recovery");
     println!("  device memory peak: {} KB", q.device().mem_peak() / 1024);
@@ -911,7 +924,7 @@ impl Job<'_> {
         let max_ms = part_ms.iter().copied().fold(0f64, f64::max);
         let mean_ms = part_ms.iter().sum::<f64>() / part_ms.len() as f64;
         let imbalance = if mean_ms > 0.0 { max_ms / mean_ms } else { 1.0 };
-        let recoveries: usize = queues.iter().map(|q| q.profiler().recovery_count()).sum();
+        let recoveries: usize = queues.iter().map(|q| recoveries(q).len()).sum();
         let (exchange, resumes, devices) = (r.exchange, r.resumes, self.flags.devices);
 
         let mut out = Outcome::of(&r.values.into(), r.supersteps, r.sim_ms);
@@ -945,13 +958,16 @@ impl Job<'_> {
 
         println!("  multi-device profile:");
         for (p, q) in queues.iter().enumerate() {
-            let launches = q.profiler().kernels().len();
+            let launches = q.profiler().kernel_count();
+            let exch_out = q.profiler().fold(0, |sum, e| match e.kind {
+                TraceKind::Exchange { bytes, .. } => sum + bytes,
+                _ => sum,
+            });
             println!(
-                "    device {p}: owned {:>8}, halo {:>7}, kernel {:>9.3} ms \u{d7}{launches:<5} launches, exch out {:>10} B, mem peak {} KB",
+                "    device {p}: owned {:>8}, halo {:>7}, kernel {:>9.3} ms \u{d7}{launches:<5} launches, exch out {exch_out:>10} B, mem peak {} KB",
                 pg.parts[p].owned,
                 pg.parts[p].halo.len(),
                 part_ms[p],
-                q.profiler().exchange_byte_total(),
                 q.device().mem_peak() / 1024
             );
         }

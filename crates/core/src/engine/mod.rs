@@ -28,7 +28,7 @@
 pub mod multi_device;
 pub mod recovery;
 
-use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, RecoveryEvent, SimError, SimResult};
+use sygraph_sim::{DeviceBuffer, ItemCtx, PlanInputs, Queue, SimError, SimResult, TraceKind};
 
 use crate::frontier::bucket::BucketPool;
 use crate::frontier::lanes::{lane_locate, LaneView};
@@ -46,7 +46,7 @@ pub use recovery::{CheckpointState, EngineCheckpoint, LaneCheckpoint, RecoveryPo
 /// Which candidate set the engine hands a *pull*-direction superstep
 /// (see [`PullScope`]). Chosen once per engine by the algorithm — the
 /// per-superstep push/pull decision itself belongs to the engine
-/// ([`Tuning::choose_direction`]).
+/// ([`Tuning::plan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PullCandidates {
     /// Every vertex scans its in-edges: the functor sees exactly the edge
@@ -180,15 +180,11 @@ pub struct SuperstepEngine<'a, W: Word, G: DeviceGraphView + ?Sized> {
     /// `pool_attempted` stops us retrying a failed allocation every step.
     bucket_pool: Option<BucketPool>,
     pool_attempted: bool,
-    /// Representation the input frontier ran under last superstep. The
-    /// engine owns the switch policy: each step it resolves
-    /// [`Tuning::choose_representation`] against `last_estimate` and asks
-    /// the frontier to adopt the result — layouts that can't (plain
-    /// bitmaps, two-layer) report back `Dense` and nothing changes.
+    /// Representation the input frontier ran under last superstep, the
+    /// hysteresis state of [`Tuning::plan`]. The engine asks the frontier
+    /// to adopt what the plan says — layouts that can't (plain bitmaps,
+    /// two-layer) are planned `Dense` and nothing changes.
     rep: RepKind,
-    /// Representation *switches* performed so far (transitions between
-    /// consecutive supersteps; the initial adoption is not a switch).
-    rep_switches: u32,
     /// Estimated input-frontier population for the next rep decision:
     /// the counted-compaction result the engine already reads back for
     /// convergence — exact entries under sparse, `nz_words × word_bits`
@@ -201,15 +197,17 @@ pub struct SuperstepEngine<'a, W: Word, G: DeviceGraphView + ?Sized> {
     /// one step behind, always mispredicts — is not asked to go sparse
     /// and pay a doomed list rebuild.
     predicted: usize,
+    /// The input frontier's exact population, once a probe has read it off
+    /// a current list. The input is immutable until the rotate, so the
+    /// number outlives the list: a retried superstep plans from it although
+    /// the repair in between left the list stale.
+    listed: Option<usize>,
     /// Candidate-set policy for pull supersteps (engine-level direction
     /// optimization); set once via [`SuperstepEngine::pull_scope`].
     pull_scope: PullCandidates,
     /// Direction the last superstep ran (`false` = push). Feeds the
-    /// Beamer hysteresis in [`Tuning::choose_direction`].
+    /// Beamer hysteresis in [`Tuning::plan`].
     pulling: bool,
-    /// Direction *switches* performed so far (transitions between
-    /// consecutive supersteps).
-    dir_switches: u32,
     /// Sticky opt-out: set when the graph has no pull view, building one
     /// failed, or the OOM ladder forced push. Never cleared within a run.
     pull_disabled: bool,
@@ -272,16 +270,15 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             bucket_pool: None,
             pool_attempted: false,
             rep: RepKind::Dense,
-            rep_switches: 0,
             // Engines start from seed frontiers (a vertex or two), so the
             // first Auto decision leans sparse; frontiers that can't go
             // sparse (or whose bounded list overflowed, e.g. after
             // `fill_all`) adopt back to dense on their own.
             last_estimate: 0,
             predicted: 0,
+            listed: None,
             pull_scope: PullCandidates::default(),
             pulling: false,
-            dir_switches: 0,
             pull_disabled: false,
             pull_engaged: false,
             unvisited: None,
@@ -395,18 +392,6 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         self.fout.as_ref()
     }
 
-    /// Representation switches performed so far — transitions between
-    /// consecutive supersteps; the initial adoption does not count.
-    pub fn rep_switches(&self) -> u32 {
-        self.rep_switches
-    }
-
-    /// Direction switches performed so far — transitions between
-    /// consecutive supersteps; starting in push does not count.
-    pub fn direction_switches(&self) -> u32 {
-        self.dir_switches
-    }
-
     /// `unv −= sub`, word-wise (AND-NOT), then layer-2 rebuild. One-time
     /// seeding cost only: steady-state maintenance rides inside the
     /// advance (push supersteps remove accepted destinations in-functor,
@@ -482,71 +467,44 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         compute_f: Option<&StepComputeDyn<'_>>,
     ) -> bool {
         let iter = self.iter;
-        self.q.mark(format!("{}{}", self.mark_prefix, iter));
+        let mark = format!("{}{}", self.mark_prefix, iter);
+        self.q.trace(Some(iter), TraceKind::Mark(mark));
         self.ensure_bucket_pool();
         self.seed_unvisited();
-        // Resolve the representation policy against last superstep's
-        // population estimate and ask the frontier to adopt it *before*
-        // building the advance (dispatch keys off the adopted layout).
-        // Frontiers without a sparse mode report back `Dense` and nothing
-        // changes, so this is free for the classic layouts.
-        let policy_est = self.last_estimate.max(self.predicted);
-        // Direction policy (Beamer hysteresis, §3.4): driven by the
-        // *measured* population the advance already read back — not the
-        // forward estimate the rep policy adds on top. The forward term
-        // includes a `max_degree` boost for narrow frontiers (cheap
-        // insurance for the rep choice) that would pin a hub-carrying web
-        // graph in pull for the whole tail; the measured count lags one
-        // superstep, which is exactly classic Beamer timing, and costs no
-        // extra host sync. The first superstep that wants pull makes the
-        // graph's CSC view resident; any failure pins the engine to push
-        // for the rest of the run. `Auto` pulls only under the adopt-once
-        // scope: an all-vertices pull cannot exit a scan early, so it
-        // never offers the functor fewer edges than the push it replaces
-        // and only a forced `Direction::Pull` takes it.
-        let may_pull = match self.tuning.direction {
-            Direction::Push => false,
-            Direction::Pull => true,
-            Direction::Auto => self.pull_scope == PullCandidates::Unvisited,
+        // Plan the superstep from what the engine already holds host-side
+        // — last superstep's counted compaction, the input's list length
+        // where that is a free read, the graph's load-time profile — then
+        // carry the plan out: the first superstep that pulls makes the
+        // graph's CSC view resident (any failure pins the engine to push
+        // for the rest of the run), and both frontiers adopt their
+        // representation *before* the advance is built, because dispatch
+        // keys off the adopted layout.
+        debug_assert_eq!(self.fin.capacity(), self.fout.capacity());
+        let probe = self.fin.list_probe();
+        self.listed = probe.and_then(|len| len.or(self.listed));
+        let profile = self.graph.degree_profile();
+        let scoped = self.pull_scope == PullCandidates::Unvisited;
+        let inputs = PlanInputs {
+            last_estimate: self.last_estimate,
+            predicted: self.predicted,
+            capacity: self.fin.capacity(),
+            n: self.graph.vertex_count(),
+            prev_sparse: self.rep == RepKind::Sparse,
+            prev_pull: self.pulling,
+            pull_available: !self.pull_disabled
+                && self.graph.supports_pull()
+                && (!scoped || self.unvisited.is_some()),
+            pull_exits_early: scoped,
+            listable: probe.is_some(),
+            listed: self.listed,
+            max_degree: profile.map_or(0, |p| p.max_degree),
+            word_skew: profile.map_or(0.0, |p| p.word_skew),
         };
-        let pull = may_pull
-            && self.tuning.choose_direction(
-                self.last_estimate,
-                self.graph.vertex_count(),
-                self.pulling,
-            )
-            && self.ensure_pull_ready();
-        let desired = self
-            .tuning
-            .choose_representation(policy_est, self.fin.capacity(), self.rep);
-        let adopted = self.fin.adopt_rep(self.q, desired);
-        let switched = iter > 0 && adopted != self.rep;
-        // The output adopts *before* the advance inserts into it, on a
-        // forward estimate: when the input runs sparse its exact
-        // population is a free host read (the list length). The hysteresis
-        // gap absorbs ordinary growth, but a frontier no wider than one
-        // bitmap word can hide a hub whose degree the mean conceals —
-        // that is the explosion superstep of every hub-seeded search, so
-        // add `max_degree` there. A hybrid output adopted dense stops
-        // maintaining its item list (inserts cost a bare bitmap OR), so
-        // the widest superstep pays no per-insert list tax.
-        let in_pop = match self.fin.sparse_view(self.q) {
-            Some(view) => view.len,
-            None => policy_est,
-        };
-        let mut out_est = in_pop;
-        if in_pop <= self.tuning.word_bits as usize {
-            out_est = out_est.saturating_add(
-                self.graph
-                    .degree_profile()
-                    .map_or(0, |p| p.max_degree as usize),
-            );
-        }
-        let out_desired = self
-            .tuning
-            .choose_representation(out_est, self.fout.capacity(), adopted);
-        self.fout.adopt_rep(self.q, out_desired);
-        self.predicted = out_est;
+        let plan = self.tuning.plan(&inputs);
+        let pull = plan.pull && self.ensure_pull_ready();
+        let adopted = self.fin.adopt_rep(self.q, RepKind::of(plan.sparse_in));
+        self.fout.adopt_rep(self.q, RepKind::of(plan.sparse_out));
+        self.predicted = plan.predicted;
         // Keep the unvisited set exact at O(accepted edges), not O(n):
         // on push supersteps every accepted destination is removed
         // in-functor (idempotent atomic AND-NOT, so duplicate accepts are
@@ -615,24 +573,15 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         if words == Some(0) || (words.is_none() && self.fin.is_empty(self.q)) {
             return false;
         }
-        if switched {
-            self.rep_switches += 1;
-        }
         self.rep = adopted;
-        self.q
-            .profiler()
-            .record_rep(self.q.now_ns(), iter, adopted.label(), switched);
-        let dir_switched = iter > 0 && pull != self.pulling;
-        if dir_switched {
-            self.dir_switches += 1;
-        }
         self.pulling = pull;
-        self.q.profiler().record_direction(
-            self.q.now_ns(),
-            iter,
-            if pull { "pull" } else { "push" },
-            dir_switched,
-        );
+        let ran = TraceKind::Plan {
+            inputs,
+            plan,
+            sparse: adopted == RepKind::Sparse,
+            pull,
+        };
+        self.q.trace(Some(iter), ran);
         if !self.fused {
             if let Some(cf) = compute_f {
                 compute::over_compacted(self.q, self.fout.as_ref(), |l, v| cf(l, iter, v)).wait();
@@ -826,9 +775,11 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             ms.alive.store(0, 0);
             let retired = (live & !alive_mask).count_ones();
             ms.live = alive_mask;
-            self.q
-                .profiler()
-                .record_lane(self.q.now_ns(), iter, alive_mask.count_ones(), retired);
+            let census = TraceKind::Lanes {
+                active: alive_mask.count_ones(),
+                retired,
+            };
+            self.q.trace(Some(iter), census);
         }
         self.landed(stepped)
     }
@@ -844,6 +795,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             self.fout.clear(self.q);
         }
         self.lazy_ok = false;
+        self.listed = None;
         self.iter += 1;
     }
 
@@ -870,6 +822,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     pub fn rotate_retaining(&mut self, fresh: Box<dyn BitmapLike<W>>) -> Box<dyn BitmapLike<W>> {
         let retained = std::mem::replace(&mut self.fin, std::mem::replace(&mut self.fout, fresh));
         self.lazy_ok = false;
+        self.listed = None;
         self.iter += 1;
         retained
     }
@@ -985,7 +938,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
                 session.retries += 1;
                 self.q.advance_clock_ns(policy.backoff(session.retries));
                 self.repair_frontiers();
-                self.record_recovery("transient", "retry", session.retries);
+                self.trace_recovery("transient", "retry", session.retries);
                 Ok(false)
             }
             SimError::OutOfMemory { .. } => {
@@ -1004,7 +957,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
                     self.pulling = false;
                     self.tuning.direction = Direction::Push;
                     self.repair_frontiers();
-                    self.record_recovery("oom", "force-push", 1);
+                    self.trace_recovery("oom", "force-push", 1);
                     return Ok(false);
                 }
                 let action = match session.oom_rung {
@@ -1032,7 +985,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
                 };
                 session.oom_rung += 1;
                 self.repair_frontiers();
-                self.record_recovery("oom", action, session.oom_rung);
+                self.trace_recovery("oom", action, session.oom_rung);
                 Ok(false)
             }
             SimError::DeviceLost { .. } => {
@@ -1044,7 +997,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
                 }
                 session.resumes += 1;
                 self.restore_checkpoint(ck);
-                self.record_recovery("device-lost", "resume", session.resumes);
+                self.trace_recovery("device-lost", "resume", session.resumes);
                 Ok(true)
             }
             other => Err(other),
@@ -1124,6 +1077,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         self.rep = self.fin.rep_kind();
         self.last_estimate = ck.frontier.len();
         self.predicted = ck.frontier.len();
+        self.listed = None;
         // Rewind the direction state: the hysteresis flag and, when the
         // checkpoint carried one, the unvisited set's exact membership.
         // If its buffers cannot be (re-)allocated on the revived device,
@@ -1153,14 +1107,13 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         self.q.device().recompute_mem_accounting();
     }
 
-    fn record_recovery(&self, fault: &str, action: &str, attempt: u32) {
-        self.q.profiler().record_recovery(RecoveryEvent {
-            t_ns: self.q.now_ns(),
-            superstep: self.iter,
+    fn trace_recovery(&self, fault: &str, action: &str, attempt: u32) {
+        let kind = TraceKind::Recovery {
             fault: fault.into(),
             action: action.into(),
             attempt,
-        });
+        };
+        self.q.trace(Some(self.iter), kind);
     }
 }
 
@@ -1192,7 +1145,7 @@ pub fn fixed_point(
     let mut retries = 0u32;
     while iter < max_iters {
         q.check_cancelled()?;
-        q.mark(format!("{mark_prefix}{iter}"));
+        q.trace(Some(iter), TraceKind::Mark(format!("{mark_prefix}{iter}")));
         let proceed = body(q, iter)?;
         if let Some(e) = q.take_fault() {
             let retryable = matches!(e, SimError::Transient { .. } | SimError::OutOfMemory { .. });
@@ -1432,7 +1385,8 @@ mod tests {
             let fout = Box::new(TwoLayerFrontier::<u32>::new(&q, 44).unwrap());
             fin.insert_host(0);
             let mut engine = SuperstepEngine::new(&q, &g, t, fin, fout).max_iters(64, "diverged");
-            let allocs_before = q.profiler().mem_events().len();
+            let allocs_now = || q.profiler().count(|k| matches!(k, TraceKind::Mem { .. }));
+            let allocs_before = allocs_now();
             let iters = engine
                 .run(
                     |l, _i, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
@@ -1440,7 +1394,7 @@ mod tests {
                     None,
                 )
                 .unwrap();
-            let allocs = q.profiler().mem_events().len() - allocs_before;
+            let allocs = allocs_now() - allocs_before;
             (dist.to_vec(), iters, allocs)
         };
         let (d_wg, i_wg, _) = bfs(Balancing::WorkgroupMapped);
@@ -1457,7 +1411,7 @@ mod tests {
     /// BFS over `edges` with the frontier pair matching the requested
     /// representation policy (mirroring what `make_frontier` hands the
     /// algorithms). Returns distances, superstep count, switch count and
-    /// the profiler's per-superstep representation trace.
+    /// the log's per-superstep representation trace.
     fn bfs_with_rep(
         rep: crate::inspector::Representation,
         edges: &[(u32, u32)],
@@ -1495,9 +1449,9 @@ mod tests {
                 None,
             )
             .unwrap();
-        let switches = engine.rep_switches();
-        let iters = engine.iteration();
-        (dist.to_vec(), iters, switches, q.profiler().rep_events())
+        let events = q.profiler().rep_events();
+        let switches = events.iter().filter(|e| e.switched).count() as u32;
+        (dist.to_vec(), engine.iteration(), switches, events)
     }
 
     /// Chain into a 4-way split whose branches each fan 10 wide, staying
@@ -1531,26 +1485,6 @@ mod tests {
         assert_eq!(s_sparse, 0, "forced sparse never switches");
         assert!(s_auto >= 1, "auto must switch on the widening fan");
         assert!(ev_sparse.iter().all(|e| e.rep == "sparse"));
-    }
-
-    #[test]
-    fn auto_representation_switches_at_the_hysteresis_exit() {
-        use crate::inspector::Representation;
-        let (edges, n) = fan_edges();
-        let (_, iters, switches, events) = bfs_with_rep(Representation::Auto, &edges, n);
-        // Supersteps 0–3 run sparse (populations 1, 1, 4 and 40 — the
-        // 40-wide step still *enters* on the lagged estimate); the exact
-        // count of 40 > 640/32 then forces dense for superstep 4.
-        assert_eq!(iters, 5);
-        assert_eq!(switches, 1);
-        let reps: Vec<&str> = events.iter().map(|e| e.rep.as_str()).collect();
-        assert_eq!(reps, vec!["sparse", "sparse", "sparse", "sparse", "dense"]);
-        assert_eq!(
-            events.iter().filter(|e| e.switched).count(),
-            switches as usize,
-            "profiler switch trace must agree with the engine counter"
-        );
-        assert!(events[4].switched && events[4].superstep == 4);
     }
 
     #[test]
@@ -1606,7 +1540,8 @@ mod tests {
         .unwrap();
         assert_eq!(iters, 5);
         assert_eq!(sum, 10, "0+1+2+3+4");
-        assert!(q.profiler().markers().iter().any(|m| m.label == "fp_iter4"));
+        let marked = |k: &TraceKind| matches!(k, TraceKind::Mark(label) if label == "fp_iter4");
+        assert_eq!(q.profiler().count(marked), 1);
     }
 
     #[test]
@@ -1637,13 +1572,13 @@ mod tests {
     }
 
     /// BFS through the engine with an explicit direction policy and the
-    /// `Unvisited` pull scope. Returns (distances, supersteps, switches).
+    /// `Unvisited` pull scope. Returns (distances, supersteps).
     fn bfs_direction<G: DeviceGraphView + ?Sized>(
         q: &Queue,
         g: &G,
         n: usize,
         direction: Direction,
-    ) -> (Vec<u32>, u32, u32) {
+    ) -> (Vec<u32>, u32) {
         let mut tuning = inspect(q.profile(), &OptConfig::all(), n);
         tuning.direction = direction;
         let dist = q.malloc_device::<u32>(n).unwrap();
@@ -1663,7 +1598,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        (dist.to_vec(), iters, engine.direction_switches())
+        (dist.to_vec(), iters)
     }
 
     #[test]
@@ -1671,9 +1606,9 @@ mod tests {
         let q = queue();
         let host = wide_host(256);
         let g = Graph::with_pull(&q, &host).unwrap();
-        let (push, ip, _) = bfs_direction(&q, &g, 256, Direction::Push);
-        let (pull, il, _) = bfs_direction(&q, &g, 256, Direction::Pull);
-        let (auto, ia, _) = bfs_direction(&q, &g, 256, Direction::Auto);
+        let (push, ip) = bfs_direction(&q, &g, 256, Direction::Push);
+        let (pull, il) = bfs_direction(&q, &g, 256, Direction::Pull);
+        let (auto, ia) = bfs_direction(&q, &g, 256, Direction::Auto);
         assert_eq!(push, pull);
         assert_eq!(push, auto);
         assert_eq!(ip, il);
@@ -1681,46 +1616,17 @@ mod tests {
     }
 
     #[test]
-    fn auto_pulls_on_the_wide_supersteps_and_traces() {
-        let q = queue();
-        let host = wide_host(256);
-        let g = Graph::with_pull(&q, &host).unwrap();
-        let t0 = q.profiler().direction_events().len();
-        let (_, iters, switches) = bfs_direction(&q, &g, 256, Direction::Auto);
-        let dirs = &q.profiler().direction_events()[t0..];
-        // The final (empty) superstep converges before recording and is
-        // not counted: the trace covers exactly the live supersteps.
-        assert_eq!(dirs.len() as u32, iters);
-        assert!(
-            dirs.windows(2)
-                .all(|w| w[0].superstep + 1 == w[1].superstep),
-            "trace must be per-superstep: {dirs:?}"
-        );
-        assert_eq!(dirs[0].direction, "push", "single-seed superstep pushes");
-        assert!(
-            dirs.iter().any(|e| e.direction == "pull"),
-            "the exploded wavefront must pull: {dirs:?}"
-        );
-        assert_eq!(
-            switches as usize,
-            dirs.iter().filter(|e| e.switched).count(),
-            "engine counter must agree with the profiler trace"
-        );
-        // Hysteresis: push→pull (and possibly back for the tail), never
-        // per-superstep flapping.
-        assert!(switches <= 2, "direction flapped: {dirs:?}");
-    }
-
-    #[test]
     fn forced_pull_uses_pull_kernels_only() {
         let q = queue();
         let host = wide_host(128);
         let g = Graph::with_pull(&q, &host).unwrap();
-        let (_, iters, switches) = bfs_direction(&q, &g, 128, Direction::Pull);
-        assert_eq!(switches, 0);
+        let (_, iters) = bfs_direction(&q, &g, 128, Direction::Pull);
         let dirs = q.profiler().direction_events();
         assert_eq!(dirs.len() as u32, iters);
-        assert!(dirs.iter().all(|e| e.direction == "pull"), "{dirs:?}");
+        assert!(
+            dirs.iter().all(|e| e.direction == "pull" && !e.switched),
+            "{dirs:?}"
+        );
         assert!(
             q.profiler()
                 .kernels()
@@ -1737,13 +1643,15 @@ mod tests {
         let q = queue();
         let host = wide_host(96);
         let g = DeviceCsr::upload(&q, &host).unwrap();
-        let (dist, _, switches) = bfs_direction(&q, &g, 96, Direction::Pull);
+        let (dist, _) = bfs_direction(&q, &g, 96, Direction::Pull);
         let g2 = Graph::with_pull(&q, &host).unwrap();
-        let (want, _, _) = bfs_direction(&q, &g2, 96, Direction::Push);
+        let (want, _) = bfs_direction(&q, &g2, 96, Direction::Push);
         assert_eq!(dist, want);
-        assert_eq!(switches, 0);
         let dirs = q.profiler().direction_events();
-        assert!(dirs.iter().all(|e| e.direction == "push"), "{dirs:?}");
+        assert!(
+            dirs.iter().all(|e| e.direction == "push" && !e.switched),
+            "{dirs:?}"
+        );
     }
 
     #[test]
@@ -1931,22 +1839,25 @@ mod tests {
             .multi_source(8, mb.live)
             .unwrap();
         mb.run(&mut engine).unwrap();
-        let events = q.profiler().lane_events();
-        assert!(!events.is_empty());
-        let mut prev = u32::MAX;
-        for e in &events {
-            assert!(e.active <= prev, "active lanes must be non-increasing");
-            prev = e.active;
-        }
-        assert_eq!(events.last().unwrap().active, 0);
+        // (active, retired) per batched superstep.
+        let census = q.profiler().select(|e| match e.kind {
+            TraceKind::Lanes { active, retired } => Some((active, retired)),
+            _ => None,
+        });
+        assert!(!census.is_empty());
+        assert!(
+            census.windows(2).all(|w| w[1].0 <= w[0].0),
+            "active lanes must be non-increasing: {census:?}"
+        );
+        assert_eq!(census.last().unwrap().0, 0);
         assert_eq!(
-            events.iter().map(|e| e.retired).sum::<u32>(),
+            census.iter().map(|c| c.1).sum::<u32>(),
             3,
             "each lane retires exactly once"
         );
         // The chain tails differ by 24 supersteps, so the census must
         // show staggered retirement, not one mass exit.
-        assert!(events.iter().filter(|e| e.retired > 0).count() >= 2);
+        assert!(census.iter().filter(|c| c.1 > 0).count() >= 2);
         assert_eq!(engine.live_lanes(), 0);
     }
 

@@ -19,8 +19,8 @@
 //!    bits never re-enter the local frontier cycle.
 //! 4. **Barrier** — every queue's clock advances to the slowest
 //!    partition's, plus the collective's modelled interconnect time; an
-//!    `ExchangeEvent` per non-empty channel lands in the sender's
-//!    profiler.
+//!    `Exchange` trace event per non-empty channel lands in the sender's
+//!    log.
 //! 5. **Rotate + merge** — all partitions rotate (keeping `iter` aligned
 //!    across devices — distance stamps read it), then each drains its
 //!    mailbox and min-merges the values through the algorithm's
@@ -32,7 +32,7 @@
 //! which is associative and commutative — partitioned runs are
 //! bit-identical to single-device runs (property-tested).
 
-use sygraph_sim::{ExchangeEvent, Queue, SimError, SimResult};
+use sygraph_sim::{Queue, SimError, SimResult, TraceKind};
 
 use crate::engine::{
     CheckpointState, RecoverySession, StepAdvanceDyn, StepComputeDyn, SuperstepEngine,
@@ -236,15 +236,14 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
                     tally.words += ch.words;
                     tally.msgs += ch.msgs;
                     tally.bytes += ch.bytes;
-                    self.queues[p].profiler().record_exchange(ExchangeEvent {
-                        t_ns: self.queues[p].now_ns(),
-                        superstep: iter,
+                    let sent = TraceKind::Exchange {
                         src_part: p as u32,
                         dst_part: ch.dst_part,
                         words: ch.words,
                         msgs: ch.msgs,
                         bytes: ch.bytes,
-                    });
+                    };
+                    self.queues[p].trace(Some(iter), sent);
                 }
             }
 

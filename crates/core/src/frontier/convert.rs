@@ -1,11 +1,11 @@
-//! Device-side conversion kernels between the dense (bitmap) and sparse
-//! (item-list) frontier representations.
+//! Device-side conversion kernels from the dense (bitmap) to the sparse
+//! (item-list) frontier representation. The other direction needs none:
+//! every layout keeps its bitmap current.
 //!
-//! Both directions mirror the §4.3 compaction idiom: one thread per
-//! source element, no host round-trips beyond the counter reads the
-//! callers already do. The sparse→dense direction is an atomic-OR
-//! scatter; the dense→sparse direction is the kernel `frontier_compact`
-//! runs over the second layer ([`append_set_bits`]), here over the first.
+//! They mirror the §4.3 compaction idiom: one thread per source element,
+//! no host round-trips beyond the counter reads the callers already do.
+//! Dense→sparse is the kernel `frontier_compact` runs over the second
+//! layer ([`append_set_bits`]), here over the first.
 
 use sygraph_sim::{DeviceBuffer, Queue, MAX_SUBGROUP};
 
@@ -90,33 +90,6 @@ pub fn sparsify<W: Word>(
     append_set_bits(q, "frontier_sparsify", words, items, len, Some(overflow));
 }
 
-/// Sparse → dense ("frontier_densify"): scatters `items[..len]` into the
-/// bitmap with atomic ORs, maintaining the second layer when one is
-/// given. Duplicate items are tolerated (the OR is idempotent; the
-/// second-layer mark only fires for the winning lane).
-pub fn densify<W: Word>(
-    q: &Queue,
-    items: &DeviceBuffer<u32>,
-    len: usize,
-    words: &DeviceBuffer<W>,
-    layer2: Option<&DeviceBuffer<W>>,
-) {
-    if len == 0 {
-        return;
-    }
-    q.parallel_for("frontier_densify", len, |lane, i| {
-        let v = lane.load(items, i);
-        let (wi, b) = locate::<W>(v);
-        let old = lane.fetch_or(words, wi, W::one_bit(b));
-        if let Some(l2) = layer2 {
-            if old.is_zero() {
-                let (l2i, l2b) = locate::<W>(wi as u32);
-                lane.fetch_or(l2, l2i, W::one_bit(l2b));
-            }
-        }
-    });
-}
-
 /// Sparse lazy clear ("frontier_sparse_lazy_clear"): empties a frontier
 /// whose item list is exact in O(population). Lane `i < len` zeroes entry
 /// `i`'s first-layer word — `fetch_and`, because entries sharing a word
@@ -181,23 +154,5 @@ mod tests {
         overflow.store(0, 0);
         sparsify::<u32>(&q, &words, &items, &len, &overflow);
         assert_eq!(overflow.load(0), 1);
-    }
-
-    #[test]
-    fn densify_round_trips_sparsify() {
-        let q = queue();
-        let words = q.malloc_device::<u64>(8).unwrap();
-        for (i, bits) in [(0usize, 0x8001u64), (5, 0xF0F0)] {
-            words.store(i, bits);
-        }
-        let items = q.malloc_device::<u32>(64).unwrap();
-        let len = q.malloc_device::<u32>(1).unwrap();
-        let overflow = q.malloc_device::<u32>(1).unwrap();
-        overflow.store(0, 0);
-        sparsify::<u64>(&q, &words, &items, &len, &overflow);
-        let back = q.malloc_device::<u64>(8).unwrap();
-        q.fill(&back, 0u64);
-        densify::<u64>(&q, &items, len.load(0) as usize, &back, None);
-        assert_eq!(words.to_vec(), back.to_vec());
     }
 }

@@ -19,7 +19,7 @@
 //! Cost model: each channel pays `words·W/8 + msgs·(4 + value_bytes)`
 //! bytes over a modelled interconnect; the multi-device engine advances
 //! every queue's clock by the collective's transfer time at the superstep
-//! barrier and records an `ExchangeEvent` per non-empty channel.
+//! barrier and records an `Exchange` trace event per non-empty channel.
 
 use crate::frontier::word::Word;
 use crate::frontier::BitmapLike;

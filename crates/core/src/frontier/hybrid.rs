@@ -232,6 +232,10 @@ impl<W: Word> BitmapLike<W> for HybridFrontier<W> {
         }
     }
 
+    fn list_probe(&self) -> Option<Option<usize>> {
+        (self.overflow.load(0) == 0).then(|| self.list_valid().then(|| self.list.len()))
+    }
+
     fn adopt_rep(&self, q: &Queue, kind: RepKind) -> RepKind {
         match kind {
             RepKind::Dense => {

@@ -55,11 +55,10 @@ use crate::types::VertexId;
 /// compute), each with who pays for it: the dense bitmap
 /// (`two_layer`), the sparse item list (`sparse`, `hybrid`, `convert`)
 /// or the pull direction's unvisited set (`engine`).
-const MAINTENANCE_KERNELS: [(&str, &str); 6] = [
+const MAINTENANCE_KERNELS: [(&str, &str); 5] = [
     ("frontier_compact", "dense"),
     ("frontier_lazy_clear", "dense"),
     ("frontier_sparsify", "sparse"),
-    ("frontier_densify", "sparse"),
     ("frontier_sparse_lazy_clear", "sparse"),
     ("unvisited_subtract", "pull"),
 ];
@@ -147,6 +146,16 @@ pub trait BitmapLike<W: Word>: Frontier {
     /// spent on its compaction count.
     fn sparse_view(&self, q: &Queue) -> Option<SparseView<'_>> {
         let _ = q;
+        None
+    }
+
+    /// What asking this frontier to go sparse would find, read host-side
+    /// with no device work: `None` — it would refuse (the layout has no
+    /// item list, or its bounded list overflowed); `Some(None)` — it would
+    /// rebuild a stale list; `Some(Some(len))` — its list is current and
+    /// holds `len` entries. The engine plans a superstep from this before
+    /// it asks for anything ([`BitmapLike::adopt_rep`]).
+    fn list_probe(&self) -> Option<Option<usize>> {
         None
     }
 

@@ -23,11 +23,12 @@ pub enum RepKind {
 }
 
 impl RepKind {
-    /// Short label for profiler records and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            RepKind::Dense => "dense",
-            RepKind::Sparse => "sparse",
+    /// The representation a plan's `sparse` flag names.
+    pub fn of(sparse: bool) -> Self {
+        if sparse {
+            RepKind::Sparse
+        } else {
+            RepKind::Dense
         }
     }
 }

@@ -193,6 +193,10 @@ impl<W: Word> BitmapLike<W> for SparseFrontier<W> {
         }
     }
 
+    fn list_probe(&self) -> Option<Option<usize>> {
+        Some(self.list_valid().then(|| self.list.len()))
+    }
+
     fn adopt_rep(&self, q: &Queue, kind: RepKind) -> RepKind {
         match kind {
             RepKind::Dense => {

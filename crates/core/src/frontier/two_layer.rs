@@ -10,7 +10,6 @@
 use sygraph_sim::{DeviceBuffer, ItemCtx, Queue};
 
 use crate::frontier::bitmap::BitmapStorage;
-use crate::frontier::bucket::{self, BucketCounts, BucketPool, BucketSpec, DegreeOf};
 use crate::frontier::convert;
 use crate::frontier::word::{locate, words_for, Word};
 use crate::frontier::{BitmapLike, Frontier};
@@ -54,24 +53,6 @@ impl<W: Word> TwoLayerFrontier<W> {
     /// The second-layer word array.
     pub fn layer2(&self) -> &DeviceBuffer<W> {
         &self.layer2
-    }
-
-    /// Counted compaction extended with degree binning (§4.2 hybrid load
-    /// balancing): runs [`BitmapLike::compact`], then bins the compacted
-    /// vertices into `pool`'s three degree buckets. Returns the non-zero
-    /// word count alongside the bucket counts; skips the binning launch
-    /// entirely when the frontier is empty.
-    pub fn compact_binned(
-        &self,
-        q: &Queue,
-        pool: &BucketPool,
-        degree_of: DegreeOf<'_>,
-        spec: &BucketSpec,
-    ) -> (usize, BucketCounts) {
-        let (nz, offsets) = self.compact(q).expect("two-layer frontier always compacts");
-        let counts =
-            bucket::bin_compacted(q, &self.storage.words, offsets, nz, pool, degree_of, spec);
-        (nz, counts)
     }
 
     /// The counted-compaction scratch `(offsets, count)` from the last
@@ -263,6 +244,7 @@ impl<W: Word> BitmapLike<W> for TwoLayerFrontier<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontier::bucket::{self, BucketPool, BucketSpec, DegreeOf};
     use sygraph_sim::{Device, DeviceProfile};
 
     fn queue() -> Queue {
@@ -272,19 +254,15 @@ mod tests {
     #[test]
     fn device_bytes_equals_sum_of_constituent_buffers() {
         let q = queue();
-        let before: i64 = q
-            .profiler()
-            .mem_events()
-            .iter()
-            .map(|e| e.delta_bytes)
-            .sum();
+        let allocated = || {
+            q.profiler().fold(0i64, |sum, e| match e.kind {
+                sygraph_sim::TraceKind::Mem { delta_bytes, .. } => sum + delta_bytes,
+                _ => sum,
+            })
+        };
+        let before = allocated();
         let f = TwoLayerFrontier::<u32>::new(&q, 10_000).unwrap();
-        let after: i64 = q
-            .profiler()
-            .mem_events()
-            .iter()
-            .map(|e| e.delta_bytes)
-            .sum();
+        let after = allocated();
         assert_eq!(
             f.device_bytes(),
             (after - before) as u64,
@@ -444,15 +422,12 @@ mod tests {
         let pool = BucketPool::new(&q, 256, 4096, &spec).unwrap();
         // degree = vertex id: 2 small, 10 medium, 40 → 2 chunks,
         // 200 → 7 chunks
-        let (nz, counts) = f.compact_binned(
-            &q,
-            &pool,
-            &|lane, v| {
-                lane.compute(1);
-                v
-            },
-            &spec,
-        );
+        let (nz, offsets) = f.compact(&q).unwrap();
+        let degree_is_id: DegreeOf<'_> = &|lane, v| {
+            lane.compute(1);
+            v
+        };
+        let counts = bucket::bin_compacted(&q, f.words(), offsets, nz, &pool, degree_is_id, &spec);
         // vertices 2 and 10 share word 0; 40 is in word 1, 200 in word 6
         assert_eq!(nz, 3);
         assert_eq!(counts.small, 1);

@@ -91,16 +91,6 @@ impl VectorFrontier {
         }
     }
 
-    /// Device-side indexed read.
-    pub fn get_lane(&self, lane: &mut ItemCtx<'_>, i: usize) -> VertexId {
-        lane.load(&self.items, i)
-    }
-
-    /// Device-side indexed write (used by compaction/dedup passes).
-    pub fn set_lane(&self, lane: &mut ItemCtx<'_>, i: usize, v: VertexId) {
-        lane.store(&self.items, i, v);
-    }
-
     /// Overwrites the element count (after a compaction kernel).
     pub fn set_len(&self, len: usize) {
         self.size.store(0, len as u32);
@@ -131,33 +121,6 @@ impl VectorFrontier {
         let old = std::mem::replace(&mut self.items, bigger);
         q.free(old);
         self.note_high_water();
-        Ok(())
-    }
-
-    /// Releases slack capacity down to the current element count: without
-    /// this, one duplicate-inflated superstep pins its 2×-grown buffer for
-    /// the rest of the run (the plateau after each spike in Figure 9).
-    /// Records the capacity high-water mark as a profiler marker so the
-    /// sim memory stats retain it after the buffer shrinks.
-    pub fn shrink_to_fit(&mut self, q: &Queue) -> SimResult<()> {
-        self.note_high_water();
-        let len = self.len();
-        let target = len.max(1);
-        if target >= self.items.len() {
-            return Ok(());
-        }
-        q.mark(format!(
-            "vector_high_water_bytes:{}",
-            self.high_water_bytes()
-        ));
-        let smaller = q.malloc_device::<u32>(target)?;
-        let old_items = &self.items;
-        q.parallel_for("vector_shrink_copy", len, |lane, i| {
-            let v = lane.load(old_items, i);
-            lane.store(&smaller, i, v);
-        });
-        let old = std::mem::replace(&mut self.items, smaller);
-        q.free(old);
         Ok(())
     }
 
@@ -247,7 +210,7 @@ impl Frontier for VectorFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sygraph_sim::{Device, DeviceProfile};
+    use sygraph_sim::{Device, DeviceProfile, TraceKind};
 
     fn queue() -> Queue {
         Queue::new(Device::new(DeviceProfile::host_test()))
@@ -306,53 +269,19 @@ mod tests {
         let q = queue();
         let mut f = VectorFrontier::with_capacity(&q, 100, 4).unwrap();
         f.ensure_capacity(&q, 100).unwrap();
-        let evs = q.profiler().mem_events();
         // alloc(items) + alloc(size) + alloc(bigger) + free(old)
-        assert!(evs.iter().any(|e| e.delta_bytes < 0), "old buffer freed");
-        let peak_during = evs.iter().map(|e| e.usage_after).max().unwrap();
-        assert!(peak_during >= (4 + 128) * 4, "both buffers coexisted");
-    }
-
-    #[test]
-    fn shrink_to_fit_releases_slack_and_keeps_high_water() {
-        let q = queue();
-        let mut f = VectorFrontier::with_capacity(&q, 1000, 4).unwrap();
-        f.ensure_capacity(&q, 600).unwrap();
-        assert_eq!(f.capacity_slots(), 1024, "2x growth");
-        for v in 0..5u32 {
-            f.insert_host(v);
-        }
-        f.shrink_to_fit(&q).unwrap();
-        assert_eq!(f.capacity_slots(), 5, "slack released down to len");
-        assert_eq!(f.to_sorted_vec(), vec![0, 1, 2, 3, 4], "contents survive");
-        assert_eq!(f.high_water_slots(), 1024, "peak capacity remembered");
-        // The peak is surfaced to the sim memory stats as a marker...
-        let markers = q.profiler().markers();
-        assert!(
-            markers
-                .iter()
-                .any(|m| m.label == format!("vector_high_water_bytes:{}", 1024 * 4)),
-            "high-water marker recorded: {markers:?}"
-        );
-        // ...and the old buffer shows up as freed in the mem events.
-        assert!(q
+        let (freed, peak_during) = q
             .profiler()
-            .mem_events()
-            .iter()
-            .any(|e| e.delta_bytes == -(1024 * 4)));
-    }
-
-    #[test]
-    fn shrink_to_fit_without_slack_is_free() {
-        let q = queue();
-        let mut f = VectorFrontier::with_capacity(&q, 100, 3).unwrap();
-        for v in 0..3u32 {
-            f.insert_host(v);
-        }
-        let events = q.profiler().mem_events().len();
-        f.shrink_to_fit(&q).unwrap();
-        assert_eq!(f.capacity_slots(), 3);
-        assert_eq!(q.profiler().mem_events().len(), events, "no realloc");
+            .fold((false, 0), |(freed, peak), e| match e.kind {
+                TraceKind::Mem {
+                    delta_bytes,
+                    usage_after,
+                    ..
+                } => (freed || delta_bytes < 0, peak.max(usage_after)),
+                _ => (freed, peak),
+            });
+        assert!(freed, "old buffer freed");
+        assert!(peak_during >= (4 + 128) * 4, "both buffers coexisted");
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! factor. Also hosts the optimization toggles ablated in Figure 7.
 
 use serde::{Deserialize, Serialize};
-use sygraph_sim::{DeviceProfile, Vendor};
+use sygraph_sim::{DeviceProfile, Plan, PlanInputs, Vendor};
 
 use crate::engine::recovery::RecoveryPolicy;
-use crate::frontier::RepKind;
 
 /// Advance load-balancing policy (§4.2): how compacted frontier vertices
 /// are mapped onto execution resources.
@@ -39,8 +38,7 @@ pub enum Representation {
     /// vertex list, skipping the compaction scan entirely.
     Sparse,
     /// Pick per superstep from the population count the engine already
-    /// syncs for convergence, with hysteresis (see
-    /// [`Tuning::choose_representation`]).
+    /// syncs for convergence, with hysteresis (see [`Tuning::plan`]).
     #[default]
     Auto,
 }
@@ -59,7 +57,7 @@ pub enum Direction {
     /// the engine falls back to push when none is available.
     Pull,
     /// Beamer-style per-superstep selection with hysteresis (see
-    /// [`Tuning::choose_direction`]): switch to pull when the frontier
+    /// [`Tuning::plan`]): switch to pull when the frontier
     /// grows past `n / alpha`, back to push when it shrinks below
     /// `n / beta`. The decision is driven by the population estimate the
     /// engine already tracks from counted compaction, so it costs no
@@ -276,72 +274,14 @@ impl Tuning {
     /// stay conservative). The choice is per graph, not per superstep:
     /// bucketed dispatch pays a binning kernel plus a host round-trip for
     /// three counters, which only a skewed graph earns back
-    /// ([`Tuning::graph_is_skewed`]) — and on one it earns it back even
-    /// for a one-word frontier, because that word may hold the hub.
+    /// ([`Tuning::bins`]) — and on one it earns it back even for a one-word
+    /// frontier, because that word may hold the hub.
     pub fn effective_balancing(&self, profile: Option<&DegreeProfile>) -> Balancing {
-        match self.balancing {
-            Balancing::Auto if self.graph_is_skewed(profile) => Balancing::Bucketed,
-            Balancing::Auto => Balancing::WorkgroupMapped,
-            forced => forced,
-        }
-    }
-
-    /// Resolve the [`Representation`] policy for the upcoming superstep.
-    ///
-    /// `est_active` is an upper bound on the input frontier's population:
-    /// exact when the previous superstep ran sparse (the list length), and
-    /// `nonzero_words × word_bits` when it ran dense — both are counts the
-    /// engine already read back for convergence, so the decision costs no
-    /// extra host round-trip. `current` feeds the hysteresis: a dense
-    /// frontier goes sparse only below `capacity / sparse_enter_div`
-    /// (default n/64) and a sparse one goes dense only above
-    /// `capacity / sparse_exit_div` (default n/32), so a wavefront sitting
-    /// on one boundary never pays conversion every superstep.
-    pub fn choose_representation(
-        &self,
-        est_active: usize,
-        capacity: usize,
-        current: RepKind,
-    ) -> RepKind {
-        match self.representation {
-            Representation::Dense => RepKind::Dense,
-            Representation::Sparse => RepKind::Sparse,
-            Representation::Auto => {
-                let enter = capacity / (self.sparse_enter_div.max(1) as usize);
-                let exit = capacity / (self.sparse_exit_div.max(1) as usize);
-                match current {
-                    RepKind::Dense if est_active <= enter => RepKind::Sparse,
-                    RepKind::Sparse if est_active > exit => RepKind::Dense,
-                    unchanged => unchanged,
-                }
-            }
-        }
-    }
-
-    /// Resolve the [`Direction`] policy for the upcoming superstep:
-    /// `true` = pull, `false` = push.
-    ///
-    /// `est_pop` is the engine's population estimate for the input
-    /// frontier — exact after a sparse superstep, `nonzero_words ×
-    /// word_bits` after a dense one, and boosted by the fan-out prediction
-    /// for the step ahead; all numbers the engine already reads back for
-    /// convergence, so the decision costs no extra host round-trip.
-    /// Beamer-style hysteresis: a pushing traversal switches to pull only
-    /// above `n / alpha` (default n/4), a pulling one returns to push only
-    /// below `n / beta` (default n/24). Estimates landing between the two
-    /// thresholds keep the current direction, so a frontier hovering at
-    /// one boundary never alternates kernels every superstep.
-    pub fn choose_direction(&self, est_pop: usize, n: usize, pulling: bool) -> bool {
-        match self.direction {
-            Direction::Push => false,
-            Direction::Pull => true,
-            Direction::Auto => {
-                if pulling {
-                    est_pop >= n / (self.beta.max(1) as usize)
-                } else {
-                    est_pop > n / (self.alpha.max(1) as usize)
-                }
-            }
+        let (max_degree, word_skew) = profile.map_or((0, 0.0), |p| (p.max_degree, p.word_skew));
+        if self.bins(max_degree, word_skew) {
+            Balancing::Bucketed
+        } else {
+            Balancing::WorkgroupMapped
         }
     }
 
@@ -355,12 +295,98 @@ impl Tuning {
     /// suffers when one word concentrates far more edges than its peers —
     /// a graph whose hubs are spread evenly across words (e.g. the
     /// indochina stand-in) keeps every workgroup equally fed and pays the
-    /// binning pass for nothing. `None` (no profile available) stays
-    /// conservative.
-    pub fn graph_is_skewed(&self, profile: Option<&DegreeProfile>) -> bool {
-        profile.is_some_and(|p| {
-            p.max_degree >= self.large_min_degree && p.word_skew >= AUTO_MIN_WORD_SKEW
-        })
+    /// binning pass for nothing. Explicit strategies ignore the graph.
+    fn bins(&self, max_degree: u32, word_skew: f64) -> bool {
+        match self.balancing {
+            Balancing::Auto => {
+                max_degree >= self.large_min_degree && word_skew >= AUTO_MIN_WORD_SKEW
+            }
+            forced => forced == Balancing::Bucketed,
+        }
+    }
+
+    /// The representation rule, for an estimate `est` of a frontier's
+    /// population against its `capacity`. `est` is an upper bound: exact
+    /// when the frontier is listed, `nonzero_words × word_bits` when it
+    /// ran dense. `sparse` feeds the hysteresis: a dense frontier goes
+    /// sparse only below `capacity / sparse_enter_div` (default n/64) and
+    /// a sparse one goes dense only above `capacity / sparse_exit_div`
+    /// (default n/32), so a wavefront sitting on one boundary never pays
+    /// conversion every superstep.
+    fn lists(&self, est: usize, capacity: usize, sparse: bool) -> bool {
+        match self.representation {
+            Representation::Dense => false,
+            Representation::Sparse => true,
+            Representation::Auto if sparse => {
+                est <= capacity / self.sparse_exit_div.max(1) as usize
+            }
+            Representation::Auto => est <= capacity / self.sparse_enter_div.max(1) as usize,
+        }
+    }
+
+    /// Decides how one superstep runs — the engine's single policy call,
+    /// a pure function of `i`: every number in it is one the engine
+    /// already holds host-side (the counted compaction it reads back for
+    /// convergence, a list length, the graph's load-time degree profile),
+    /// so the decision costs no extra host round-trip and a recorded one
+    /// replays from the trace log alone.
+    ///
+    /// *Representation, input side*: the rule above on the larger of the
+    /// measured estimate and the forward one — the measured count lags a
+    /// superstep, so without the forward term a wavefront that just
+    /// exploded would be asked to go sparse and pay a doomed list rebuild.
+    /// A frontier that cannot list stays dense.
+    ///
+    /// *Representation, output side*: the output adopts before the advance
+    /// inserts into it, on a forward estimate: the input's exact
+    /// population when it is listed, the estimate otherwise. The
+    /// hysteresis gap absorbs ordinary growth, but a frontier no wider
+    /// than one bitmap word can hide a hub whose degree the mean conceals
+    /// — the explosion superstep of every hub-seeded search — so
+    /// `max_degree` is added there. An output adopted dense stops
+    /// maintaining its item list, so the widest superstep pays no
+    /// per-insert list tax.
+    ///
+    /// *Direction* (Beamer, §3.4): driven by the *measured* population,
+    /// not the forward estimate — its `max_degree` boost would pin a
+    /// hub-carrying web graph in pull for the whole tail, and lagging one
+    /// superstep is exactly classic Beamer timing. A pushing traversal
+    /// switches to pull only above `n / alpha` (default n/4), a pulling
+    /// one returns to push only below `n / beta` (default n/24); between
+    /// the two the current direction is kept, so a frontier hovering at
+    /// one boundary never alternates kernels. `Auto` pulls only when the
+    /// scan can exit early: an all-vertices pull never offers the functor
+    /// fewer edges than the push it replaces, so only a forced
+    /// [`Direction::Pull`] takes it.
+    pub fn plan(&self, i: &PlanInputs) -> Plan {
+        let est = i.last_estimate.max(i.predicted);
+        let sparse_in = i.listable && self.lists(est, i.capacity, i.prev_sparse);
+        let in_pop = if sparse_in {
+            i.listed.unwrap_or(est)
+        } else {
+            est
+        };
+        let mut predicted = in_pop;
+        if in_pop <= self.word_bits as usize {
+            predicted = predicted.saturating_add(i.max_degree as usize);
+        }
+        let pull = i.pull_available
+            && match self.direction {
+                Direction::Push => false,
+                Direction::Pull => true,
+                Direction::Auto if !i.pull_exits_early => false,
+                Direction::Auto if i.prev_pull => {
+                    i.last_estimate >= i.n / self.beta.max(1) as usize
+                }
+                Direction::Auto => i.last_estimate > i.n / self.alpha.max(1) as usize,
+            };
+        Plan {
+            sparse_in,
+            sparse_out: self.lists(predicted, i.capacity, sparse_in),
+            pull,
+            bucketed: self.bins(i.max_degree, i.word_skew),
+            predicted,
+        }
     }
 }
 
@@ -594,105 +620,17 @@ mod tests {
     }
 
     #[test]
-    fn representation_hysteresis() {
-        let t = inspect(&DeviceProfile::v100s(), &OptConfig::all(), 1 << 20);
-        assert_eq!(t.representation, Representation::Auto);
-        let n = 6400usize;
-        let enter = n / SPARSE_ENTER_DIV as usize; // 100
-        let exit = n / SPARSE_EXIT_DIV as usize; // 200
-                                                 // Dense stays dense until the population drops to the entry bar.
-        assert_eq!(
-            t.choose_representation(enter + 1, n, RepKind::Dense),
-            RepKind::Dense
-        );
-        assert_eq!(
-            t.choose_representation(enter, n, RepKind::Dense),
-            RepKind::Sparse
-        );
-        // Sparse stays sparse inside the hysteresis band…
-        assert_eq!(
-            t.choose_representation(exit, n, RepKind::Sparse),
-            RepKind::Sparse
-        );
-        // …and exits only above the (2× higher) exit bar.
-        assert_eq!(
-            t.choose_representation(exit + 1, n, RepKind::Sparse),
-            RepKind::Dense
-        );
-        // Forced policies ignore the estimate.
-        let dense = Tuning {
-            representation: Representation::Dense,
-            ..t
-        };
-        assert_eq!(
-            dense.choose_representation(0, n, RepKind::Sparse),
-            RepKind::Dense
-        );
-        let sparse = Tuning {
-            representation: Representation::Sparse,
-            ..t
-        };
-        assert_eq!(
-            sparse.choose_representation(n, n, RepKind::Dense),
-            RepKind::Sparse
-        );
-    }
-
-    #[test]
-    fn direction_hysteresis_no_flapping() {
-        let t = inspect(&DeviceProfile::v100s(), &OptConfig::all(), 1 << 20);
-        assert_eq!(t.direction, Direction::Auto);
-        let n = 2400usize;
-        let enter = n / t.alpha as usize; // 600
-        let exit = n / t.beta as usize; // 100
-                                        // Pushing: stays push at the boundary, pulls just above it.
-        assert!(!t.choose_direction(enter, n, false));
-        assert!(t.choose_direction(enter + 1, n, false));
-        // Pulling: stays pull at the exit boundary, pushes just below it.
-        assert!(t.choose_direction(exit, n, true));
-        assert!(!t.choose_direction(exit - 1, n, true));
-        // Inside the band both directions are sticky — a population
-        // oscillating around either threshold cannot flap: after a
-        // push→pull switch at enter+1, dropping back to enter keeps pull.
-        assert!(t.choose_direction(enter, n, true));
-        // After a pull→push switch at exit-1, rising back to exit keeps
-        // push (exit < enter so the push branch sees a small frontier).
-        assert!(!t.choose_direction(exit, n, false));
-        for pop in [exit, (exit + enter) / 2, enter] {
-            assert!(t.choose_direction(pop, n, true), "band is sticky @{pop}");
-            assert!(!t.choose_direction(pop, n, false), "band is sticky @{pop}");
-        }
-    }
-
-    #[test]
-    fn forced_directions_ignore_population() {
-        let t = inspect(&DeviceProfile::v100s(), &OptConfig::all(), 1 << 20);
-        let push = Tuning {
-            direction: Direction::Push,
-            ..t
-        };
-        let pull = Tuning {
-            direction: Direction::Pull,
-            ..t
-        };
-        for pop in [0usize, 100, 1 << 20] {
-            assert!(!push.choose_direction(pop, 1 << 20, true));
-            assert!(pull.choose_direction(pop, 1 << 20, false));
-        }
-        assert_eq!(OptConfig::baseline().direction, Direction::Push);
-        assert_eq!(
-            OptConfig::with_direction(Direction::Pull).direction,
-            Direction::Pull
-        );
-    }
-
-    #[test]
     fn baseline_and_ablation_configs_stay_dense() {
         assert_eq!(OptConfig::baseline().representation, Representation::Dense);
         assert_eq!(OptConfig::all().representation, Representation::Auto);
         assert_eq!(
             OptConfig::with_representation(Representation::Sparse).representation,
             Representation::Sparse
+        );
+        assert_eq!(OptConfig::baseline().direction, Direction::Push);
+        assert_eq!(
+            OptConfig::with_direction(Direction::Pull).direction,
+            Direction::Pull
         );
         for (label, cfg) in OptConfig::ablation_suite() {
             if label != "All" {
@@ -771,11 +709,6 @@ mod tests {
             (None, Balancing::WorkgroupMapped),
         ] {
             assert_eq!(t.effective_balancing(profile), want);
-            assert_eq!(
-                t.graph_is_skewed(profile),
-                want == Balancing::Bucketed,
-                "one question, asked by the pool and by the dispatch"
-            );
         }
         // Explicit strategies ignore the profile.
         for forced in [Balancing::Bucketed, Balancing::WorkgroupMapped] {

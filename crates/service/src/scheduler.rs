@@ -46,7 +46,7 @@ use sygraph_algos::{multi, Args};
 use sygraph_core::engine::RecoveryPolicy;
 use sygraph_core::graph::{validate_sources, CsrHost};
 use sygraph_core::inspector::{Direction, OptConfig};
-use sygraph_sim::{CancelToken, Device, DeviceProfile, FaultPlan, Queue, SimError};
+use sygraph_sim::{CancelToken, Device, DeviceProfile, FaultPlan, Queue, SimError, TraceKind};
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::error::{ServiceError, ServiceResult};
@@ -1129,7 +1129,9 @@ fn execute(sh: &Shared, q: &Queue, mirror: &mut DeviceMirror, batch: &Batch) -> 
         sim_ms,
         kernel_launches: q.profiler().kernel_count() as u64,
         mem_peak_bytes: q.device().mem_peak().saturating_sub(used_before),
-        recovery_events: q.profiler().recovery_count() as u64,
+        recovery_events: q
+            .profiler()
+            .count(|k| matches!(k, TraceKind::Recovery { .. })) as u64,
         wall_ns: wall_start.elapsed().as_nanos() as u64,
     })
 }

@@ -56,10 +56,6 @@ impl LaunchConfig {
         self.local_mem_bytes = bytes;
         self
     }
-
-    pub fn subgroups_per_group(&self) -> u32 {
-        self.wg_size / self.sg_size
-    }
 }
 
 /// Whether the runtime collects performance statistics.
@@ -161,13 +157,6 @@ impl<'a> GroupCtx<'a> {
         if self.accounting == Accounting::Full {
             self.stats.barriers += 1;
             self.stats.compute_cycles += BARRIER_CYCLES;
-        }
-    }
-
-    /// Charges `cycles` of uniform (scalar) compute work.
-    pub fn compute_uniform(&mut self, cycles: u64) {
-        if self.accounting == Accounting::Full {
-            self.stats.compute_cycles += cycles;
         }
     }
 
@@ -360,20 +349,6 @@ impl<'g, 'a> SubgroupCtx<'g, 'a> {
         for lane in 0..w {
             if mask & (1 << lane) != 0 {
                 acc += f(lane);
-            }
-        }
-        self.log_reduce_cost(mask);
-        acc
-    }
-
-    /// Subgroup reduction (min) over `u32` lane values; `u32::MAX` if no
-    /// lane is active.
-    pub fn reduce_min_u32(&mut self, mask: u64, mut f: impl FnMut(u32) -> u32) -> u32 {
-        let w = self.width();
-        let mut acc = u32::MAX;
-        for lane in 0..w {
-            if mask & (1 << lane) != 0 {
-                acc = acc.min(f(lane));
             }
         }
         self.log_reduce_cost(mask);
@@ -601,17 +576,6 @@ impl<'g, 'a> SubgroupCtx<'g, 'a> {
         sink: impl FnMut(u32, T),
     ) {
         self.rmw_impl(buf, mask, src, |b, i, v| b.fetch_min(i, v), sink);
-    }
-
-    /// SIMD `atomic_min` on `f32` distances (CAS loop, as GPU SSSP does).
-    pub fn atomic_min_f32(
-        &mut self,
-        buf: &DeviceBuffer<f32>,
-        mask: u64,
-        src: impl FnMut(u32) -> (usize, f32),
-        sink: impl FnMut(u32, f32),
-    ) {
-        self.rmw_impl(buf, mask, src, |b, i, v| b.fetch_min_f32(i, v), sink);
     }
 
     /// Runs a user lambda once per active lane, giving each lane an

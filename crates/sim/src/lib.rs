@@ -57,8 +57,7 @@ pub use exec::{full_mask, Accounting, GroupCtx, ItemCtx, LaunchConfig, SubgroupC
 pub use fault::FaultPlan;
 pub use memory::{AllocKind, AtomicInt, DeviceBuffer, DeviceScalar};
 pub use profiler::{
-    DirectionEvent, ExchangeEvent, KernelRecord, LaneEvent, Marker, MemEvent, Profiler,
-    RecoveryEvent, RepEvent,
+    DirectionEvent, KernelRecord, Plan, PlanInputs, Profiler, RepEvent, TraceEvent, TraceKind,
 };
 pub use queue::{Device, Event, Queue};
 pub use sanitize::{Finding, FindingKind, Sanitizer};

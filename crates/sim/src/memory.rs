@@ -165,7 +165,6 @@ pub struct MemTracker {
     used: AtomicU64,
     peak: AtomicU64,
     next_addr: AtomicU64,
-    allocs: AtomicU64,
     generation: AtomicU64,
     release_underflows: AtomicU64,
     ledger: Mutex<BTreeMap<u64, LedgerEntry>>,
@@ -180,7 +179,6 @@ impl MemTracker {
             peak: AtomicU64::new(0),
             // Leave a zero page unused so address 0 never appears.
             next_addr: AtomicU64::new(4096),
-            allocs: AtomicU64::new(0),
             generation: AtomicU64::new(0),
             release_underflows: AtomicU64::new(0),
             ledger: Mutex::new(BTreeMap::new()),
@@ -220,7 +218,6 @@ impl MemTracker {
                 Err(actual) => cur = actual,
             }
         }
-        self.allocs.fetch_add(1, Ordering::Relaxed);
         Ok(self
             .next_addr
             .fetch_add(charged.max(256), Ordering::Relaxed))
@@ -324,10 +321,6 @@ impl MemTracker {
     pub fn reset_peak(&self) {
         self.peak
             .store(self.used.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    pub fn alloc_count(&self) -> u64 {
-        self.allocs.load(Ordering::Relaxed)
     }
 }
 

@@ -1,10 +1,28 @@
-//! Execution profiler: per-kernel records, memory events and phase markers.
+//! The trace log: one ordered record of everything a queue did and every
+//! decision the engine took on it.
 //!
-//! The profiler is the measurement instrument behind the paper's evaluation
-//! artifacts: Figure 8/10 read total simulated times, Table 5 reads peak
-//! per-kernel L1 hit rate and occupancy, Figure 9 reads DRAM traffic and
-//! allocation footprint grouped by phase markers (one marker per BFS
-//! iteration).
+//! A [`Profiler`] is a single `Vec` of [`TraceEvent`]s in record order,
+//! written by [`Profiler::record`] (through `Queue::trace`, which stamps
+//! the simulated clock) and read by a snapshot ([`Profiler::events`]), a
+//! filter ([`Profiler::select`]) or a fold ([`Profiler::fold`]). Nothing
+//! is kept beside it, because the order already says it: the launches of
+//! a phase are the `Kernel` events between its `Mark` and the next, and a
+//! switch is a `Plan` whose value differs from the one it was planned
+//! from. The seven kinds, and the paper artefact that reads each:
+//!
+//! | kind       | written by                         | read by |
+//! |------------|------------------------------------|---------|
+//! | `Kernel`   | `Queue` at every launch            | Figures 8/10 (simulated time), Table 5 (peak L1 hit rate, occupancy), the balancing ablation (load imbalance) |
+//! | `Mem`      | `Queue` at every alloc / free      | Figure 9's allocation footprint |
+//! | `Mark`     | `Queue::mark`, once per iteration  | Figure 9's per-iteration DRAM traffic ([`Profiler::dram_bytes_by_phase`]) |
+//! | `Plan`     | the engine, once per landed superstep | the representation and direction ablations (§3.2's inspector at work), `--profile`'s traces |
+//! | `Recovery` | the engine's fault handling        | the fault matrix and the service-resilience grid |
+//! | `Lanes`    | batched multi-source supersteps    | the multi-source scaling table (lanes retired) |
+//! | `Exchange` | the multi-device engine            | the multi-device scaling table (interconnect bytes) |
+//!
+//! `superstep` is the step the engine last announced on this queue:
+//! engine-written events carry it, queue-written ones (`Kernel`, `Mem`,
+//! plain marks) inherit it from the event before them.
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -24,29 +42,120 @@ pub struct KernelRecord {
     pub stats: KernelStats,
 }
 
-/// A device memory allocation/free event.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MemEvent {
-    pub t_ns: f64,
-    /// Positive for alloc, negative for free.
-    pub delta_bytes: i64,
-    /// Device memory in use after the event.
-    pub usage_after: u64,
-    pub tag: String,
+/// Everything a superstep's [`Plan`] is a function of, gathered by the
+/// engine from host-side state before it launches anything: no field
+/// needs the queue, the frontier or the graph to be read again, so a
+/// recorded decision can be replayed from the log alone.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanInputs {
+    /// Measured bound on the previous input frontier's population (the
+    /// count its advance read back for convergence).
+    pub last_estimate: usize,
+    /// Forward estimate the previous plan made for this superstep's input.
+    pub predicted: usize,
+    /// Vertices a frontier of this run can hold.
+    pub capacity: usize,
+    /// Vertices in the graph.
+    pub n: usize,
+    /// Whether the last landed superstep's input ran as an item list.
+    pub prev_sparse: bool,
+    /// Whether the last landed superstep pulled.
+    pub prev_pull: bool,
+    /// Whether a pull superstep could run at all: the graph has a pull
+    /// view, nothing has pinned the run to push, the candidate set exists.
+    pub pull_available: bool,
+    /// Whether a pull scan stops at a vertex's first accepted in-edge
+    /// (the adopt-once candidate set) — the only pull that can beat push.
+    pub pull_exits_early: bool,
+    /// Whether the input frontier can present an item list (it has one
+    /// and it has not overflowed).
+    pub listable: bool,
+    /// The input's exact population, when its list is current and the
+    /// length is a free host read.
+    pub listed: Option<usize>,
+    /// The graph's maximum out-degree (0 when it has no degree profile).
+    pub max_degree: u32,
+    /// The graph's hub clustering (0 when it has no degree profile).
+    pub word_skew: f64,
 }
 
-/// A named phase marker (e.g. one per BFS iteration).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Marker {
-    pub label: String,
-    pub t_ns: f64,
-    /// Number of kernels recorded before this marker.
-    pub kernel_watermark: usize,
+/// How one superstep runs: what `Tuning::plan` answers for a
+/// [`PlanInputs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Plan {
+    /// The input frontier runs as an item list (else as bitmap words).
+    pub sparse_in: bool,
+    /// The output frontier keeps its item list while it is written.
+    pub sparse_out: bool,
+    /// The advance pulls (else pushes).
+    pub pull: bool,
+    /// The balancing policy, resolved for this graph, bins by degree.
+    pub bucketed: bool,
+    /// Forward estimate of the output's population: the next superstep's
+    /// [`PlanInputs::predicted`].
+    pub predicted: usize,
 }
 
-/// One superstep's frontier-representation choice, as recorded by the
-/// engine: which representation the input frontier ran under and whether
-/// that was a switch from the previous superstep.
+/// What a [`TraceEvent`] records.
+#[derive(Debug, Clone)]
+pub enum TraceKind {
+    /// A kernel launch.
+    Kernel(KernelRecord),
+    /// A device allocation (`delta_bytes > 0`) or free, and the memory in
+    /// use after it.
+    Mem {
+        delta_bytes: i64,
+        usage_after: u64,
+        tag: String,
+    },
+    /// A named phase marker (e.g. one per BFS iteration).
+    Mark(String),
+    /// One landed superstep: what the engine knew, what it decided, and
+    /// what then ran. `sparse` / `pull` are the input representation the
+    /// frontier adopted and the direction the advance took; they differ
+    /// from `plan` only where the device refused it (a stale item list
+    /// re-overflowed on rebuild, the pull view could not be made resident).
+    Plan {
+        inputs: PlanInputs,
+        plan: Plan,
+        sparse: bool,
+        pull: bool,
+    },
+    /// One recovery action: `fault` is `transient` / `oom` /
+    /// `device-lost`, `action` is `retry`, a degradation rung or `resume`,
+    /// `attempt` counts from 1 within the fault class.
+    Recovery {
+        fault: String,
+        action: String,
+        attempt: u32,
+    },
+    /// One batched multi-source superstep's census: lanes still live after
+    /// it and lanes that retired during it.
+    Lanes { active: u32, retired: u32 },
+    /// One superstep-boundary exchange channel of the multi-device engine:
+    /// halo words changed, activations carried and modelled interconnect
+    /// bytes, from the partition this queue drives to `dst_part`.
+    Exchange {
+        src_part: u32,
+        dst_part: u32,
+        words: u64,
+        msgs: u64,
+        bytes: u64,
+    },
+}
+
+/// One entry of the trace log.
+#[derive(Debug, Clone)]
+pub struct TraceEvent {
+    /// Simulated time of the record (a launch's start).
+    pub t_ns: f64,
+    /// Superstep the event belongs to (see the module docs).
+    pub superstep: u32,
+    pub kind: TraceKind,
+}
+
+/// The frontier representation one superstep's input ran under: a view of
+/// the log's `Plan` events.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RepEvent {
     pub t_ns: f64,
@@ -58,10 +167,8 @@ pub struct RepEvent {
     pub switched: bool,
 }
 
-/// One superstep's traversal-direction choice, as recorded by the engine:
-/// whether the advance ran push (frontier scans out-edges) or pull
-/// (unvisited candidates scan in-edges) and whether that was a switch from
-/// the previous superstep.
+/// The traversal direction one superstep's advance ran: a view of the
+/// log's `Plan` events.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DirectionEvent {
     pub t_ns: f64,
@@ -73,320 +180,120 @@ pub struct DirectionEvent {
     pub switched: bool,
 }
 
-/// One recovery action taken by the engine in response to an injected (or
-/// real) fault: a transient retry, an OOM degradation rung, or a
-/// checkpoint resume after device loss.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RecoveryEvent {
-    pub t_ns: f64,
-    /// Superstep index at which the fault was handled (0-based).
-    pub superstep: u32,
-    /// Fault class ("transient" / "oom" / "device-lost").
-    pub fault: String,
-    /// Action taken ("retry" / a degradation rung label / "resume").
-    pub action: String,
-    /// 1-based attempt counter within this fault class.
-    pub attempt: u32,
-}
-
-/// One batched multi-source superstep's lane census, as recorded by the
-/// engine: how many source lanes were still live after the superstep and
-/// how many retired during it (their frontier emptied).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LaneEvent {
-    pub t_ns: f64,
-    /// Superstep index within the engine run (0-based).
-    pub superstep: u32,
-    /// Live lanes after the superstep's retirements.
-    pub active: u32,
-    /// Lanes that retired during this superstep.
-    pub retired: u32,
-}
-
-/// One superstep-boundary frontier exchange on one channel (an ordered
-/// partition pair), as recorded by the multi-device engine: how many halo
-/// words changed, how many halo activations they carried, and the bytes
-/// the interconnect moved for them (words + indices + value payload).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExchangeEvent {
-    pub t_ns: f64,
-    /// Global superstep index within the multi-device run (0-based).
-    pub superstep: u32,
-    /// Sending partition (the one this profiler's queue drives).
-    pub src_part: u32,
-    /// Receiving partition.
-    pub dst_part: u32,
-    /// Non-zero halo words scanned out of the sender's output frontier.
-    pub words: u64,
-    /// Halo activations (set bits) delivered on this channel.
-    pub msgs: u64,
-    /// Modelled interconnect bytes for this channel.
-    pub bytes: u64,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    kernels: Vec<KernelRecord>,
-    mem_events: Vec<MemEvent>,
-    markers: Vec<Marker>,
-    rep_events: Vec<RepEvent>,
-    direction_events: Vec<DirectionEvent>,
-    recovery_events: Vec<RecoveryEvent>,
-    lane_events: Vec<LaneEvent>,
-    exchange_events: Vec<ExchangeEvent>,
-}
-
-/// Thread-safe profiler attached to a queue.
+/// Thread-safe trace log attached to a queue.
 #[derive(Debug, Default)]
 pub struct Profiler {
-    inner: Mutex<Inner>,
+    log: Mutex<Vec<TraceEvent>>,
 }
 
 impl Profiler {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub(crate) fn record_kernel(&self, rec: KernelRecord) {
-        self.inner.lock().kernels.push(rec);
-    }
-
-    pub(crate) fn record_mem(&self, ev: MemEvent) {
-        self.inner.lock().mem_events.push(ev);
-    }
-
-    /// Inserts a phase marker at time `t_ns`.
-    pub fn mark(&self, label: impl Into<String>, t_ns: f64) {
-        let mut inner = self.inner.lock();
-        let watermark = inner.kernels.len();
-        inner.markers.push(Marker {
-            label: label.into(),
+    /// Appends one event. `superstep: None` inherits the step of the event
+    /// before it (0 on an empty log).
+    pub fn record(&self, t_ns: f64, superstep: Option<u32>, kind: TraceKind) {
+        let mut log = self.log.lock();
+        let superstep = superstep.unwrap_or_else(|| log.last().map_or(0, |e| e.superstep));
+        log.push(TraceEvent {
             t_ns,
-            kernel_watermark: watermark,
+            superstep,
+            kind,
         });
     }
 
-    /// Snapshot of all kernel records.
+    /// Snapshot of the whole log, in record order.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        self.log.lock().clone()
+    }
+
+    /// Folds `f` over the log in record order, without copying it.
+    pub fn fold<A>(&self, init: A, f: impl FnMut(A, &TraceEvent) -> A) -> A {
+        self.log.lock().iter().fold(init, f)
+    }
+
+    /// What `pick` takes from each event, in record order.
+    pub fn select<T>(&self, pick: impl Fn(&TraceEvent) -> Option<T>) -> Vec<T> {
+        self.log.lock().iter().filter_map(pick).collect()
+    }
+
+    /// Number of events whose kind satisfies `of`.
+    pub fn count(&self, of: impl Fn(&TraceKind) -> bool) -> usize {
+        self.fold(0, |n, e| n + usize::from(of(&e.kind)))
+    }
+
+    /// The log's launches, in `seq` order.
     pub fn kernels(&self) -> Vec<KernelRecord> {
-        self.inner.lock().kernels.clone()
-    }
-
-    /// Snapshot of memory events.
-    pub fn mem_events(&self) -> Vec<MemEvent> {
-        self.inner.lock().mem_events.clone()
-    }
-
-    /// Snapshot of markers.
-    pub fn markers(&self) -> Vec<Marker> {
-        self.inner.lock().markers.clone()
-    }
-
-    /// Records a frontier-representation choice for one superstep.
-    pub fn record_rep(&self, t_ns: f64, superstep: u32, rep: &str, switched: bool) {
-        self.inner.lock().rep_events.push(RepEvent {
-            t_ns,
-            superstep,
-            rep: rep.to_string(),
-            switched,
-        });
-    }
-
-    /// Snapshot of representation events.
-    pub fn rep_events(&self) -> Vec<RepEvent> {
-        self.inner.lock().rep_events.clone()
-    }
-
-    /// Number of representation *switches* recorded (events with
-    /// `switched == true`).
-    pub fn rep_switch_count(&self) -> usize {
-        self.inner
-            .lock()
-            .rep_events
-            .iter()
-            .filter(|e| e.switched)
-            .count()
-    }
-
-    /// Records a traversal-direction choice for one superstep.
-    pub fn record_direction(&self, t_ns: f64, superstep: u32, direction: &str, switched: bool) {
-        self.inner.lock().direction_events.push(DirectionEvent {
-            t_ns,
-            superstep,
-            direction: direction.to_string(),
-            switched,
-        });
-    }
-
-    /// Snapshot of direction events.
-    pub fn direction_events(&self) -> Vec<DirectionEvent> {
-        self.inner.lock().direction_events.clone()
-    }
-
-    /// Number of direction *switches* recorded (events with
-    /// `switched == true`).
-    pub fn direction_switch_count(&self) -> usize {
-        self.inner
-            .lock()
-            .direction_events
-            .iter()
-            .filter(|e| e.switched)
-            .count()
-    }
-
-    /// Records a fault-recovery action.
-    pub fn record_recovery(&self, ev: RecoveryEvent) {
-        self.inner.lock().recovery_events.push(ev);
-    }
-
-    /// Snapshot of recovery events.
-    pub fn recovery_events(&self) -> Vec<RecoveryEvent> {
-        self.inner.lock().recovery_events.clone()
-    }
-
-    /// Number of recovery events recorded so far.
-    pub fn recovery_count(&self) -> usize {
-        self.inner.lock().recovery_events.len()
-    }
-
-    /// Records one batched superstep's lane census.
-    pub fn record_lane(&self, t_ns: f64, superstep: u32, active: u32, retired: u32) {
-        self.inner.lock().lane_events.push(LaneEvent {
-            t_ns,
-            superstep,
-            active,
-            retired,
-        });
-    }
-
-    /// Snapshot of lane events.
-    pub fn lane_events(&self) -> Vec<LaneEvent> {
-        self.inner.lock().lane_events.clone()
-    }
-
-    /// Total lane retirements recorded so far.
-    pub fn lane_retired_count(&self) -> u32 {
-        self.inner
-            .lock()
-            .lane_events
-            .iter()
-            .map(|e| e.retired)
-            .sum()
-    }
-
-    /// Records one superstep-boundary exchange channel.
-    pub fn record_exchange(&self, ev: ExchangeEvent) {
-        self.inner.lock().exchange_events.push(ev);
-    }
-
-    /// Snapshot of exchange events.
-    pub fn exchange_events(&self) -> Vec<ExchangeEvent> {
-        self.inner.lock().exchange_events.clone()
-    }
-
-    /// Total interconnect bytes across all recorded exchanges.
-    pub fn exchange_byte_total(&self) -> u64 {
-        self.inner
-            .lock()
-            .exchange_events
-            .iter()
-            .map(|e| e.bytes)
-            .sum()
+        self.select(|e| match &e.kind {
+            TraceKind::Kernel(k) => Some(k.clone()),
+            _ => None,
+        })
     }
 
     /// Number of kernels recorded so far.
     pub fn kernel_count(&self) -> usize {
-        self.inner.lock().kernels.len()
+        self.count(|k| matches!(k, TraceKind::Kernel(_)))
     }
 
-    /// Total DRAM bytes moved by all recorded kernels.
-    pub fn total_dram_bytes(&self) -> u64 {
-        self.inner
-            .lock()
-            .kernels
-            .iter()
-            .map(|k| k.stats.totals.dram_bytes)
-            .sum()
+    /// The input representation of every landed superstep, one entry per
+    /// `Plan` event. `switched` compares what ran with what the plan was
+    /// made from; superstep 0 never switches.
+    pub fn rep_events(&self) -> Vec<RepEvent> {
+        self.select(|e| match &e.kind {
+            TraceKind::Plan { inputs, sparse, .. } => Some(RepEvent {
+                t_ns: e.t_ns,
+                superstep: e.superstep,
+                rep: if *sparse { "sparse" } else { "dense" }.into(),
+                switched: e.superstep > 0 && *sparse != inputs.prev_sparse,
+            }),
+            _ => None,
+        })
     }
 
-    /// Peak L1 hit rate over kernels matching `filter` that performed at
-    /// least `min_transactions` memory transactions (tiny kernels are
-    /// noise, as in NCU reports).
-    pub fn peak_l1_hit_rate(&self, filter: impl Fn(&str) -> bool, min_transactions: u64) -> f64 {
-        self.inner
-            .lock()
-            .kernels
-            .iter()
-            .filter(|k| filter(&k.name) && k.stats.totals.transactions() >= min_transactions)
-            .map(|k| k.stats.l1_hit_rate())
-            .fold(0.0, f64::max)
+    /// The direction of every landed superstep; see
+    /// [`Profiler::rep_events`].
+    pub fn direction_events(&self) -> Vec<DirectionEvent> {
+        self.select(|e| match &e.kind {
+            TraceKind::Plan { inputs, pull, .. } => Some(DirectionEvent {
+                t_ns: e.t_ns,
+                superstep: e.superstep,
+                direction: if *pull { "pull" } else { "push" }.into(),
+                switched: e.superstep > 0 && *pull != inputs.prev_pull,
+            }),
+            _ => None,
+        })
     }
 
-    /// Peak achieved occupancy over kernels matching `filter`.
-    pub fn peak_occupancy(&self, filter: impl Fn(&str) -> bool) -> f64 {
-        self.inner
-            .lock()
-            .kernels
-            .iter()
-            .filter(|k| filter(&k.name))
-            .map(|k| k.stats.occupancy)
-            .fold(0.0, f64::max)
+    /// The largest `metric` over the log's launches, starting from
+    /// `floor`; launches for which `metric` is `None` are skipped (tiny
+    /// kernels are noise, as in NCU reports).
+    pub fn peak(&self, floor: f64, metric: impl Fn(&KernelRecord) -> Option<f64>) -> f64 {
+        self.fold(floor, |best, e| match &e.kind {
+            TraceKind::Kernel(k) => metric(k).map_or(best, |m| best.max(m)),
+            _ => best,
+        })
     }
 
-    /// Worst (largest) load imbalance — max/mean per-workgroup cycles —
-    /// over kernels matching `filter`. Returns 1.0 when nothing matches:
-    /// an absent kernel cannot be imbalanced.
-    pub fn worst_load_imbalance(&self, filter: impl Fn(&str) -> bool) -> f64 {
-        self.inner
-            .lock()
-            .kernels
-            .iter()
-            .filter(|k| filter(&k.name))
-            .map(|k| k.stats.load_imbalance())
-            .fold(1.0, f64::max)
-    }
-
-    /// DRAM bytes per phase: slices kernel records at marker watermarks.
-    /// Returns `(label, bytes)` per phase; kernels after the last marker
-    /// are attributed to a trailing `"(tail)"` phase if any exist.
+    /// DRAM bytes per phase: each marker opens a phase that owns the
+    /// launches up to the next one. Launches before the first marker
+    /// belong to no phase.
     pub fn dram_bytes_by_phase(&self) -> Vec<(String, u64)> {
-        let inner = self.inner.lock();
-        let mut out = Vec::new();
-        let mut start = 0usize;
-        let mut prev_label: Option<&str> = None;
-        for m in &inner.markers {
-            if let Some(label) = prev_label {
-                let bytes: u64 = inner.kernels[start..m.kernel_watermark]
-                    .iter()
-                    .map(|k| k.stats.totals.dram_bytes)
-                    .sum();
-                out.push((label.to_string(), bytes));
+        self.fold(Vec::new(), |mut out, e| {
+            match &e.kind {
+                TraceKind::Mark(label) => out.push((label.clone(), 0)),
+                TraceKind::Kernel(k) => {
+                    if let Some((_, bytes)) = out.last_mut() {
+                        *bytes += k.stats.totals.dram_bytes;
+                    }
+                }
+                _ => {}
             }
-            start = m.kernel_watermark;
-            prev_label = Some(&m.label);
-        }
-        if let Some(label) = prev_label {
-            let bytes: u64 = inner.kernels[start..]
-                .iter()
-                .map(|k| k.stats.totals.dram_bytes)
-                .sum();
-            out.push((label.to_string(), bytes));
-        }
-        out
+            out
+        })
     }
 
-    /// Clears all records. A long-running caller that reuses one queue (a
+    /// Clears the log. A long-running caller that reuses one queue (a
     /// service worker) calls this at each job boundary: what the profiler
-    /// holds afterwards is that job's alone, and the streams stay bounded.
+    /// holds afterwards is that job's alone, and the log stays bounded.
     pub fn reset(&self) {
-        let mut inner = self.inner.lock();
-        inner.kernels.clear();
-        inner.mem_events.clear();
-        inner.markers.clear();
-        inner.rep_events.clear();
-        inner.direction_events.clear();
-        inner.recovery_events.clear();
-        inner.lane_events.clear();
-        inner.exchange_events.clear();
+        self.log.lock().clear();
     }
 }
 
@@ -395,8 +302,8 @@ mod tests {
     use super::*;
     use crate::stats::{GroupStats, KernelStats};
 
-    fn krec(name: &str, seq: u64, l1: u64, dram: u64, occ: f64) -> KernelRecord {
-        KernelRecord {
+    fn krec(p: &Profiler, name: &str, seq: u64, l1: u64, dram: u64, occ: f64) {
+        let rec = KernelRecord {
             name: name.into(),
             seq,
             start_ns: seq as f64,
@@ -411,77 +318,63 @@ mod tests {
                 occupancy: occ,
                 ..Default::default()
             },
-        }
+        };
+        p.record(rec.start_ns, None, TraceKind::Kernel(rec));
     }
 
     #[test]
-    fn peak_metrics_respect_filters() {
-        let p = Profiler::new();
-        p.record_kernel(krec("advance", 0, 90, 10, 0.9));
-        p.record_kernel(krec("advance", 1, 10, 90, 0.7));
-        p.record_kernel(krec("tiny", 2, 1, 0, 0.99));
-        let peak = p.peak_l1_hit_rate(|n| n == "advance", 50);
-        assert!((peak - 0.9).abs() < 1e-9);
+    fn peak_skips_what_the_metric_declines() {
+        let p = Profiler::default();
+        krec(&p, "advance", 0, 90, 10, 0.9);
+        krec(&p, "advance", 1, 10, 90, 0.7);
+        krec(&p, "tiny", 2, 1, 0, 0.99);
         // The tiny kernel is excluded by the transaction floor.
-        let all = p.peak_l1_hit_rate(|_| true, 50);
-        assert!((all - 0.9).abs() < 1e-9);
-        assert!((p.peak_occupancy(|n| n == "tiny") - 0.99).abs() < 1e-9);
+        let l1 =
+            |k: &KernelRecord| (k.stats.totals.transactions() >= 50).then(|| k.stats.l1_hit_rate());
+        assert!((p.peak(0.0, l1) - 0.9).abs() < 1e-9);
+        let occ = |k: &KernelRecord| (k.name == "tiny").then_some(k.stats.occupancy);
+        assert!((p.peak(0.0, occ) - 0.99).abs() < 1e-9);
+        // Nothing matches -> the floor.
+        assert_eq!(p.peak(1.0, |_| None), 1.0);
     }
 
     #[test]
-    fn phase_attribution() {
-        let p = Profiler::new();
-        p.mark("iter0", 0.0);
-        p.record_kernel(krec("a", 0, 0, 10, 0.5));
-        p.record_kernel(krec("b", 1, 0, 5, 0.5));
-        p.mark("iter1", 2.0);
-        p.record_kernel(krec("c", 2, 0, 1, 0.5));
+    fn phases_fall_out_of_log_order() {
+        let p = Profiler::default();
+        krec(&p, "setup", 0, 0, 99, 0.5);
+        p.record(0.0, None, TraceKind::Mark("iter0".into()));
+        krec(&p, "a", 1, 0, 10, 0.5);
+        krec(&p, "b", 2, 0, 5, 0.5);
+        p.record(2.0, None, TraceKind::Mark("iter1".into()));
+        krec(&p, "c", 3, 0, 1, 0.5);
+        p.record(3.0, None, TraceKind::Mark("iter2".into()));
         let phases = p.dram_bytes_by_phase();
-        assert_eq!(phases.len(), 2);
+        assert_eq!(phases.len(), 3);
         assert_eq!(phases[0], ("iter0".to_string(), 15 * 128));
         assert_eq!(phases[1], ("iter1".to_string(), 128));
+        assert_eq!(phases[2], ("iter2".to_string(), 0));
     }
 
     #[test]
-    fn worst_imbalance_respects_filter() {
-        let p = Profiler::new();
-        let mut a = krec("advance", 0, 0, 10, 0.5);
-        a.stats.max_group_cycles = 900.0;
-        a.stats.mean_group_cycles = 100.0;
-        let mut b = krec("compute", 1, 0, 10, 0.5);
-        b.stats.max_group_cycles = 200.0;
-        b.stats.mean_group_cycles = 100.0;
-        p.record_kernel(a);
-        p.record_kernel(b);
-        assert!((p.worst_load_imbalance(|n| n == "advance") - 9.0).abs() < 1e-9);
-        assert!((p.worst_load_imbalance(|n| n == "compute") - 2.0).abs() < 1e-9);
-        // No matches -> neutral 1.0.
-        assert!((p.worst_load_imbalance(|n| n == "absent") - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn totals_and_reset() {
-        let p = Profiler::new();
-        p.record_kernel(krec("a", 0, 0, 10, 0.5));
-        assert_eq!(p.total_dram_bytes(), 1280);
-        assert_eq!(p.kernel_count(), 1);
-        p.record_rep(0.0, 0, "dense", false);
+    fn queue_written_events_inherit_the_announced_superstep() {
+        let p = Profiler::default();
+        krec(&p, "setup", 0, 0, 1, 0.5);
+        p.record(1.0, Some(3), TraceKind::Mark("step3".into()));
+        krec(&p, "advance", 1, 0, 1, 0.5);
+        p.record(
+            2.0,
+            Some(3),
+            TraceKind::Lanes {
+                active: 2,
+                retired: 1,
+            },
+        );
+        let steps: Vec<u32> = p.events().iter().map(|e| e.superstep).collect();
+        assert_eq!(steps, vec![0, 3, 3, 3]);
+        assert_eq!(p.kernel_count(), 2);
+        assert_eq!(p.count(|k| matches!(k, TraceKind::Lanes { .. })), 1);
         p.reset();
+        assert!(p.events().is_empty());
         assert_eq!(p.kernel_count(), 0);
-        assert_eq!(p.total_dram_bytes(), 0);
-        assert!(p.rep_events().is_empty());
-    }
-
-    #[test]
-    fn rep_events_count_switches() {
-        let p = Profiler::new();
-        p.record_rep(0.0, 0, "dense", false);
-        p.record_rep(1.0, 1, "sparse", true);
-        p.record_rep(2.0, 2, "sparse", false);
-        p.record_rep(3.0, 3, "dense", true);
-        assert_eq!(p.rep_events().len(), 4);
-        assert_eq!(p.rep_switch_count(), 2);
-        assert_eq!(p.rep_events()[1].rep, "sparse");
-        assert_eq!(p.rep_events()[3].superstep, 3);
     }
 }

@@ -18,7 +18,7 @@ use crate::error::{SimError, SimResult};
 use crate::exec::{run_range_group, Accounting, GroupCtx, ItemCtx, LaunchConfig, SubgroupCtx};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::memory::{AllocKind, DeviceBuffer, DeviceScalar, MemTracker};
-use crate::profiler::{KernelRecord, MemEvent, Profiler};
+use crate::profiler::{KernelRecord, Profiler, TraceKind};
 use crate::sanitize::{AccessRec, SanGroup, Sanitizer, Snapshot};
 
 /// A simulated GPU: a profile plus its memory tracker.
@@ -116,7 +116,7 @@ impl Queue {
             caches,
             clock_ns: Mutex::new(0.0),
             seq: Mutex::new(0),
-            profiler: Arc::new(Profiler::new()),
+            profiler: Arc::new(Profiler::default()),
             sanitizer: None,
             faults: None,
             cancel: Mutex::new(None),
@@ -143,7 +143,7 @@ impl Queue {
     /// A queue with a deterministic [`FaultPlan`] attached: launches and
     /// allocations fail exactly where the plan says (see `crate::fault`).
     /// With an empty plan this is zero-overhead: the simulated clock and
-    /// profiler streams are byte-identical to a plain queue.
+    /// trace log are byte-identical to a plain queue.
     pub fn with_faults(device: Arc<Device>, plan: FaultPlan) -> Self {
         let mut q = Self::new(device);
         q.attach_faults(plan);
@@ -203,11 +203,6 @@ impl Queue {
         *self.cancel.lock() = token;
     }
 
-    /// The currently attached cancel token, if any.
-    pub fn cancel_token(&self) -> Option<CancelToken> {
-        self.cancel.lock().clone()
-    }
-
     /// `Err(SimError::Cancelled)` when the attached token has fired;
     /// `Ok(())` otherwise (including when no token is attached).
     pub fn check_cancelled(&self) -> SimResult<()> {
@@ -251,9 +246,15 @@ impl Queue {
         self.profiler.reset();
     }
 
+    /// Appends `kind` to the trace log at the current simulated time;
+    /// `superstep: None` inherits the step last announced on this queue.
+    pub fn trace(&self, superstep: Option<u32>, kind: TraceKind) {
+        self.profiler.record(self.now_ns(), superstep, kind);
+    }
+
     /// Inserts a profiler phase marker at the current simulated time.
     pub fn mark(&self, label: impl Into<String>) {
-        self.profiler.mark(label, self.now_ns());
+        self.trace(None, TraceKind::Mark(label.into()));
     }
 
     // ---- allocation -------------------------------------------------------
@@ -278,12 +279,7 @@ impl Queue {
             return Err(e);
         }
         let buf = DeviceBuffer::new(self.device.tracker.clone(), len, kind)?;
-        self.profiler.record_mem(MemEvent {
-            t_ns: self.now_ns(),
-            delta_bytes: buf.bytes() as i64,
-            usage_after: self.device.tracker.used(),
-            tag: tag.into(),
-        });
+        self.trace_mem(buf.bytes() as i64, tag);
         Ok(buf)
     }
 
@@ -292,12 +288,16 @@ impl Queue {
     pub fn free<T: DeviceScalar>(&self, buf: DeviceBuffer<T>) {
         let bytes = buf.bytes();
         drop(buf);
-        self.profiler.record_mem(MemEvent {
-            t_ns: self.now_ns(),
-            delta_bytes: -(bytes as i64),
+        self.trace_mem(-(bytes as i64), "free");
+    }
+
+    fn trace_mem(&self, delta_bytes: i64, tag: &str) {
+        let kind = TraceKind::Mem {
+            delta_bytes,
             usage_after: self.device.tracker.used(),
-            tag: "free".into(),
-        });
+            tag: tag.into(),
+        };
+        self.trace(None, kind);
     }
 
     // ---- kernel submission -------------------------------------------------
@@ -426,8 +426,7 @@ impl Queue {
         }
 
         if flagged && cfg.workgroups > 1 {
-            self.profiler
-                .mark(format!("sanitize:flagged:{label}"), self.now_ns());
+            self.mark(format!("sanitize:flagged:{label}"));
             let first = snap.current();
             snap.restore();
             let perm = san.permutation(cfg.workgroups, *self.seq.lock());
@@ -494,31 +493,6 @@ impl Queue {
         })
     }
 
-    /// Like [`Queue::launch`], but surfaces a fault injected at (or pending
-    /// before) this launch as an `Err`, draining it from the queue.
-    pub fn try_launch<F>(&self, cfg: LaunchConfig, kernel: F) -> SimResult<Event>
-    where
-        F: Fn(&mut GroupCtx<'_>) + Sync,
-    {
-        let ev = self.launch(cfg, kernel);
-        match self.take_fault() {
-            Some(e) => Err(e),
-            None => Ok(ev),
-        }
-    }
-
-    /// Like [`Queue::parallel_for`], but surfaces injected faults as `Err`.
-    pub fn try_parallel_for<F>(&self, name: impl Into<String>, n: usize, f: F) -> SimResult<Event>
-    where
-        F: Fn(&mut ItemCtx<'_>, usize) + Sync,
-    {
-        let ev = self.parallel_for(name, n, f);
-        match self.take_fault() {
-            Some(e) => Err(e),
-            None => Ok(ev),
-        }
-    }
-
     /// Fills a buffer from the device (a `memset`-style kernel, modelled at
     /// streaming bandwidth and accounted as DRAM traffic).
     pub fn fill<T: DeviceScalar>(&self, buf: &DeviceBuffer<T>, v: T) -> Event {
@@ -546,13 +520,14 @@ impl Queue {
         let s = *seq;
         *seq += 1;
         drop(seq);
-        self.profiler.record_kernel(KernelRecord {
+        let rec = KernelRecord {
             name,
             seq: s,
             start_ns: start,
             end_ns: end,
             stats: kstats,
-        });
+        };
+        self.profiler.record(start, None, TraceKind::Kernel(rec));
         Event {
             start_ns: start,
             end_ns: end,
@@ -573,15 +548,6 @@ impl std::fmt::Debug for Queue {
             self.device.profile.name,
             self.elapsed_ms()
         )
-    }
-}
-
-/// Helper: error message when a framework needs more memory than the
-/// simulated device offers.
-pub fn oom_check(res: SimResult<()>) -> SimResult<()> {
-    match res {
-        Err(SimError::OutOfMemory { .. }) => res,
-        other => other,
     }
 }
 
@@ -674,11 +640,15 @@ mod tests {
         let q = q();
         let b = q.malloc_device::<u32>(1024).unwrap();
         q.free(b);
-        let evs = q.profiler().mem_events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].delta_bytes, 4096);
-        assert_eq!(evs[1].delta_bytes, -4096);
-        assert_eq!(evs[1].usage_after, 0);
+        let evs = q.profiler().select(|e| match e.kind {
+            TraceKind::Mem {
+                delta_bytes,
+                usage_after,
+                ..
+            } => Some((delta_bytes, usage_after)),
+            _ => None,
+        });
+        assert_eq!(evs, vec![(4096, 4096), (-4096, 0)]);
     }
 
     #[test]

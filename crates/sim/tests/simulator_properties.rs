@@ -7,7 +7,7 @@ use std::collections::{HashSet, VecDeque};
 use proptest::prelude::*;
 use sygraph_sim::cache::CacheModel;
 use sygraph_sim::coalesce::Coalescer;
-use sygraph_sim::{Device, DeviceProfile, Queue};
+use sygraph_sim::{Device, DeviceProfile, Queue, TraceKind};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -130,9 +130,9 @@ fn kernel_stats_survive_profiler_snapshot() {
     assert!(s.totals.transactions() > 0);
     assert!(s.occupancy > 0.0 && s.occupancy <= 1.0);
     assert!(s.exec_ns > 0.0);
-    assert_eq!(
-        q.profiler().total_dram_bytes(),
-        s.totals.dram_bytes,
-        "aggregate matches the single record"
-    );
+    let dram = q.profiler().fold(0, |sum, e| match &e.kind {
+        TraceKind::Kernel(k) => sum + k.stats.totals.dram_bytes,
+        _ => sum,
+    });
+    assert_eq!(dram, s.totals.dram_bytes, "the fold sees the single record");
 }

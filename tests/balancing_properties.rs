@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use sygraph::prelude::*;
-use sygraph_core::frontier::{BucketPool, BucketSpec};
+use sygraph_core::frontier::{bucket, BucketPool, BucketSpec};
 
 fn queue() -> Queue {
     Queue::new(Device::new(DeviceProfile::v100s()))
@@ -139,12 +139,9 @@ proptest! {
         let spec = BucketSpec { small_max: 2, large_min: 8, chunk: 8 };
         let pool = BucketPool::new(&q, N, host.edge_count().max(1), &spec).unwrap();
         let degree = |v: u32| host.degree(v);
-        let (_, counts) = f.compact_binned(
-            &q,
-            &pool,
-            &|_l, v| degree(v),
-            &spec,
-        );
+        let (nz, offsets) = f.compact(&q).unwrap();
+        let counts =
+            bucket::bin_compacted(&q, f.words(), offsets, nz, &pool, &|_l, v| degree(v), &spec);
         // Expected partition, computed on the host from the dedup'd
         // frontier (the bitmap dedups; the raw `frontier` vec may not).
         let mut active: Vec<u32> = frontier.clone();

@@ -14,6 +14,9 @@ use sygraph_core::inspector::{Direction, OptConfig, Representation};
 use sygraph_gen::{datasets, Dataset, Scale};
 use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue};
 
+mod common;
+use common::{first_launch, recoveries};
+
 fn four_datasets() -> Vec<Dataset> {
     vec![
         datasets::road_ca(Scale::Test),
@@ -114,13 +117,7 @@ fn auto_traces_every_superstep_and_never_flaps() {
             ds.key
         );
         assert_eq!(dirs[0].direction, "push", "{}: BFS starts push", ds.key);
-        let switches = q.profiler().direction_switch_count();
-        assert_eq!(
-            switches,
-            dirs.iter().filter(|e| e.switched).count(),
-            "{}: switch counter must agree with the trace",
-            ds.key
-        );
+        let switches = dirs.iter().filter(|e| e.switched).count();
         assert!(
             switches <= 2,
             "{}: Beamer hysteresis must not flap ({switches} switches: {:?})",
@@ -132,23 +129,9 @@ fn auto_traces_every_superstep_and_never_flaps() {
     }
 }
 
-/// Kernel-ordinal bookkeeping for placing a fault mid-run (mirrors
-/// `tests/fault_injection.rs`): launches before the first superstep
-/// marker belong to algorithm init, where faults are rightly
-/// unrecoverable.
-struct Baseline {
-    values: Vec<u32>,
-    kernels: u64,
-    loop_start: u64,
-}
-
-impl Baseline {
-    fn ordinal(&self, third: u64) -> u64 {
-        self.loop_start + (self.kernels - self.loop_start) * third / 3
-    }
-}
-
-fn pull_baseline(ds: &Dataset, src: u32, opts: &OptConfig) -> Baseline {
+/// The fault-free values of a pulling BFS and the launch ordinal that
+/// opens its superstep `step`, for placing a fault mid-run.
+fn pull_baseline(ds: &Dataset, src: u32, opts: &OptConfig, step: usize) -> (Vec<u32>, u64) {
     let q = queue();
     let g = Graph::with_pull(&q, &ds.host).unwrap();
     let values = bfs::run(&q, &g, src, opts).unwrap().values;
@@ -159,33 +142,29 @@ fn pull_baseline(ds: &Dataset, src: u32, opts: &OptConfig) -> Baseline {
             .any(|e| e.direction == "pull"),
         "baseline must actually exercise the pull path"
     );
-    Baseline {
-        values,
-        kernels: q.profiler().kernel_count() as u64,
-        loop_start: q.profiler().markers()[0].kernel_watermark as u64,
-    }
+    (values, first_launch(&q, step))
 }
 
 #[test]
 fn checkpoint_resume_mid_pull_is_bit_identical() {
     // Forced pull keeps every superstep on the pull path, so a device
-    // loss two thirds through the run lands mid-pull: the checkpoint must
+    // loss at the top of superstep 2 lands mid-pull: the checkpoint must
     // carry the direction state and the unvisited set across the resume.
     let ds = datasets::hollywood(Scale::Test);
     let src = sample_useful_sources(&ds.host, 1, 42)[0];
     let mut o = opts(Representation::Auto, Direction::Pull);
     o.recovery = RecoveryPolicy::resilient(3, 4);
-    let base = pull_baseline(&ds, src, &o);
-    assert_eq!(base.values, reference::bfs(&ds.host, src));
+    let (values, ordinal) = pull_baseline(&ds, src, &o, 2);
+    assert_eq!(values, reference::bfs(&ds.host, src));
 
-    let plan = FaultPlan::parse(&format!("lost@{}", base.ordinal(2))).unwrap();
+    let plan = FaultPlan::parse(&format!("lost@{ordinal}")).unwrap();
     let q = Queue::with_faults(Device::new(DeviceProfile::host_test()), plan);
     let g = Graph::with_pull(&q, &ds.host).unwrap();
     let got = bfs::run(&q, &g, src, &o).unwrap();
-    assert_eq!(got.values, base.values, "resume diverged from fault-free");
-    let events = q.profiler().recovery_events();
+    assert_eq!(got.values, values, "resume diverged from fault-free");
+    let events = recoveries(&q);
     assert_eq!(events.len(), 1, "exactly one resume: {events:?}");
-    assert_eq!(events[0].fault, "device-lost");
+    assert_eq!(events[0].0, "device-lost");
     assert!(
         q.profiler()
             .direction_events()
@@ -204,21 +183,18 @@ fn oom_mid_pull_takes_the_force_push_rung_and_recovers() {
     let src = sample_useful_sources(&ds.host, 1, 42)[0];
     let mut o = opts(Representation::Auto, Direction::Pull);
     o.recovery = RecoveryPolicy::resilient(3, 4);
-    let base = pull_baseline(&ds, src, &o);
+    let (values, ordinal) = pull_baseline(&ds, src, &o, 1);
 
-    let plan = FaultPlan::parse(&format!("oom@{}", base.ordinal(1))).unwrap();
+    let plan = FaultPlan::parse(&format!("oom@{ordinal}")).unwrap();
     let q = Queue::with_faults(Device::new(DeviceProfile::host_test()), plan);
     let g = Graph::with_pull(&q, &ds.host).unwrap();
     let got = bfs::run(&q, &g, src, &o).unwrap();
-    assert_eq!(
-        got.values, base.values,
-        "force-push diverged from fault-free"
-    );
-    let events = q.profiler().recovery_events();
+    assert_eq!(got.values, values, "force-push diverged from fault-free");
+    let events = recoveries(&q);
     assert!(
         events
             .iter()
-            .any(|e| e.fault == "oom" && e.action == "force-push"),
+            .any(|(fault, action)| fault == "oom" && action == "force-push"),
         "expected the force-push OOM rung, got {events:?}"
     );
     let dirs = q.profiler().direction_events();

@@ -13,6 +13,9 @@ use sygraph_core::inspector::{OptConfig, Representation};
 use sygraph_gen::{datasets, Dataset, Scale};
 use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue, SimError, SimResult};
 
+mod common;
+use common::{recoveries, step_launches};
+
 fn four_datasets() -> Vec<Dataset> {
     vec![
         datasets::road_ca(Scale::Test),
@@ -53,31 +56,36 @@ fn opts_with(rep: Representation, policy: RecoveryPolicy) -> OptConfig {
 
 struct Baseline {
     values: Vec<u64>,
-    /// Kernel launches in the fault-free run.
-    kernels: u64,
-    /// Launches before the engine's first superstep marker — ordinals at
-    /// or past this land inside the superstep loop, where the engine's
-    /// recovery machinery owns them (a fault during algorithm *init*
-    /// is rightly unrecoverable).
-    loop_start: u64,
+    /// Two launch ordinals of the fault-free run, in order, both inside
+    /// the superstep loop — where the engine's recovery machinery owns
+    /// them (a fault during algorithm *init* is rightly unrecoverable) —
+    /// and both early enough to exist under every thread schedule: the
+    /// launch that opens superstep 1, and the one that opens superstep 2
+    /// or, where that superstep is the list-length convergence check and
+    /// launches nothing, the one that closes superstep 1.
+    mid_run: [u64; 2],
 }
 
 impl Baseline {
-    /// An ordinal `frac` (in thirds) of the way through the superstep
-    /// loop's launches.
-    fn ordinal(&self, third: u64) -> u64 {
-        self.loop_start + (self.kernels - self.loop_start) * third / 3
+    /// The first (`1`) or second (`2`) mid-run ordinal.
+    fn ordinal(&self, k: usize) -> u64 {
+        self.mid_run[k - 1]
     }
 }
 
 fn baseline(host: &CsrHost, algo: Algo, src: u32, opts: &OptConfig) -> Baseline {
     let q = Queue::new(Device::new(DeviceProfile::host_test()));
     let values = run_values(&q, host, algo, src, opts).expect("fault-free run");
-    let loop_start = q.profiler().markers()[0].kernel_watermark as u64;
+    let (one, two) = (step_launches(&q, 1), step_launches(&q, 2));
+    assert!(one.end - one.start >= 2, "superstep 1 launched {one:?}");
+    let later = if two.is_empty() {
+        one.end - 1
+    } else {
+        two.start
+    };
     Baseline {
         values,
-        kernels: q.profiler().kernel_count() as u64,
-        loop_start,
+        mid_run: [one.start, later],
     }
 }
 
@@ -103,7 +111,7 @@ fn assert_recovers(
         values, base.values,
         "{ctx}: `{spec}` recovered to different values"
     );
-    let events = q.profiler().recovery_count();
+    let events = recoveries(&q).len();
     assert!(
         (min_events..=max_events).contains(&events),
         "{ctx}: `{spec}` logged {events} recovery events, expected {min_events}..={max_events}"
@@ -120,12 +128,6 @@ fn fault_matrix(kind: &str, spec_of: impl Fn(&Baseline) -> (String, usize, usize
             for algo in ALGOS {
                 let ctx = format!("{kind}: {:?} on {} under {rep:?}", algo, ds.name);
                 let base = baseline(&host, algo, src, &opts);
-                assert!(
-                    base.kernels - base.loop_start >= 3,
-                    "{ctx}: too few loop launches ({} of {}) to inject mid-run",
-                    base.kernels - base.loop_start,
-                    base.kernels
-                );
                 let (spec, lo, hi) = spec_of(&base);
                 assert_recovers(&host, algo, src, &opts, &base, &spec, lo, hi, &ctx);
             }
@@ -188,7 +190,7 @@ fn idle_fault_plan_is_byte_identical_zero_overhead() {
         stream(&faulted),
         "idle injector must not perturb the kernel stream or the clock"
     );
-    assert_eq!(faulted.profiler().recovery_count(), 0);
+    assert!(recoveries(&faulted).is_empty());
 }
 
 #[test]
@@ -228,7 +230,7 @@ fn transient_retries_are_bounded() {
         other => panic!("expected Transient after retry exhaustion, got {other:?}"),
     }
     assert_eq!(
-        q.profiler().recovery_count(),
+        recoveries(&q).len(),
         2,
         "exactly max_retries retry events before giving up"
     );
@@ -302,20 +304,18 @@ fn pagerank_sweep_restarts_from_any_launch_under_every_balancing() {
         let clean_q = Queue::new(Device::new(DeviceProfile::host_test()));
         let g = DeviceCsr::upload(&clean_q, &host).unwrap();
         let clean = run(&clean_q, &g, &opts, params).unwrap();
-        let marks = clean_q.profiler().markers();
-        let (second, third) = (marks[1].kernel_watermark, marks[2].kernel_watermark);
-        let launches = clean_q.profiler().kernel_count();
+        let sweep = step_launches(&clean_q, 1);
+        let launches = clean_q.profiler().kernel_count() as u64;
         assert!(
-            third - second
+            sweep.end - sweep.start
                 >= if balancing == Balancing::Bucketed {
                     6
                 } else {
                     4
                 },
-            "{balancing:?}: a sweep of {} launches",
-            third - second
+            "{balancing:?}: a sweep of {sweep:?}"
         );
-        for at in second..third {
+        for at in sweep.clone() {
             let plan = FaultPlan::parse(&format!("transient@{at}:1")).unwrap();
             let q = Queue::with_faults(Device::new(DeviceProfile::host_test()), plan);
             let g = DeviceCsr::upload(&q, &host).unwrap();
@@ -327,8 +327,8 @@ fn pagerank_sweep_restarts_from_any_launch_under_every_balancing() {
                 "{balancing:?}: transient@{at} recovered to different ranks"
             );
             assert_eq!(
-                q.profiler().kernel_count(),
-                launches + (at - second),
+                q.profiler().kernel_count() as u64,
+                launches + (at - sweep.start),
                 "{balancing:?} @{at}: the sweep re-runs whole, once"
             );
         }

@@ -15,6 +15,8 @@ use sygraph_core::inspector::OptConfig;
 use sygraph_gen::{datasets, Dataset, Scale};
 use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue};
 
+mod common;
+
 fn four_datasets() -> Vec<Dataset> {
     vec![
         datasets::road_ca(Scale::Test),
@@ -113,18 +115,13 @@ fn device_lost_on_one_partition_resumes_without_disturbing_the_others() {
     let clean_qs = queues(devices);
     let clean = partitioned::bfs(&clean_qs, &pg, src, &opts, excfg).unwrap();
     assert_eq!(clean.resumes, 0);
-    let (target, kernels) = clean_qs
+    let (target, _) = clean_qs
         .iter()
-        .map(|q| q.profiler().kernel_count() as u64)
+        .map(|q| q.profiler().kernel_count())
         .enumerate()
         .max_by_key(|&(_, k)| k)
         .unwrap();
-    let loop_start = clean_qs[target].profiler().markers()[0].kernel_watermark as u64;
-    assert!(
-        kernels - loop_start >= 2,
-        "need loop launches to inject into ({kernels} total, loop from {loop_start})"
-    );
-    let ordinal = loop_start + (kernels - loop_start) / 2;
+    let ordinal = common::first_launch(&clean_qs[target], 2);
 
     // Same run with partition `target`'s device dying mid-loop.
     let plan = FaultPlan::parse(&format!("lost@{ordinal}")).unwrap();
@@ -146,7 +143,7 @@ fn device_lost_on_one_partition_resumes_without_disturbing_the_others() {
     );
     assert!(recovered.resumes >= 1, "the lost device must have resumed");
     for (p, q) in faulted_qs.iter().enumerate() {
-        let events = q.profiler().recovery_count();
+        let events = common::recoveries(q).len();
         if p == target {
             assert!(events >= 1, "partition {p} should log its recovery");
         } else {

@@ -14,6 +14,8 @@ use sygraph_core::inspector::{Direction, OptConfig, Representation};
 use sygraph_gen::{datasets, Dataset, Scale};
 use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue};
 
+mod common;
+
 fn four_datasets() -> Vec<Dataset> {
     vec![
         datasets::road_ca(Scale::Test),
@@ -142,13 +144,9 @@ fn mid_batch_device_lost_resumes_bit_identically() {
     let clean = queue();
     let g = DeviceCsr::upload(&clean, &ds.host).unwrap();
     let base = multi::bfs_multi(&clean, &g, &sources, 8, &opts).unwrap();
-    let loop_start = clean.profiler().markers()[0].kernel_watermark as u64;
-    let kernels = clean.profiler().kernel_count() as u64;
-    assert!(kernels - loop_start >= 3, "too few launches to inject into");
-
-    // Two thirds of the way through the superstep loop's launches:
-    // well past the first checkpoint, with lanes still in flight.
-    let ordinal = loop_start + (kernels - loop_start) * 2 / 3;
+    // The top of superstep 2: past the first checkpoint, with lanes still
+    // in flight.
+    let ordinal = common::first_launch(&clean, 2);
     let plan = FaultPlan::parse(&format!("lost@{ordinal}")).unwrap();
     let q = Queue::with_faults(Device::new(DeviceProfile::host_test()), plan);
     let gf = DeviceCsr::upload(&q, &ds.host).unwrap();
@@ -159,7 +157,7 @@ fn mid_batch_device_lost_resumes_bit_identically() {
         "recovered batch diverged from the fault-free batch"
     );
     assert_eq!(
-        q.profiler().recovery_count(),
+        common::recoveries(&q).len(),
         1,
         "exactly one device-lost recovery expected"
     );

@@ -101,15 +101,15 @@ fn auto_goes_sparse_on_the_road_grid() {
         "auto BFS on the road grid never left the dense bitmap"
     );
     assert!(
-        q.profiler().rep_switch_count() >= 1,
+        events.iter().any(|e| e.switched),
         "the widening wavefront must force at least one representation switch"
     );
 }
 
 const N: usize = 96;
 
-/// Round-trips `vertices` through dense → sparse → dense on word width `W`
-/// and checks both the final bitmap and the intermediate list.
+/// Converts `vertices` dense → sparse on word width `W` and checks the
+/// list against the bitmap it was built from.
 fn roundtrip_exact<W: Word>(q: &Queue, vertices: &[u32]) {
     let dense = TwoLayerFrontier::<W>::new(q, N).unwrap();
     for &v in vertices {
@@ -125,17 +125,6 @@ fn roundtrip_exact<W: Word>(q: &Queue, vertices: &[u32]) {
     let mut got = items.to_vec()[..len.load(0) as usize].to_vec();
     got.sort_unstable();
     assert_eq!(got, dense.to_sorted_vec(), "sparsify lost or invented bits");
-    // And scattering it back reproduces the words exactly, layer2 included.
-    let back = TwoLayerFrontier::<W>::new(q, N).unwrap();
-    convert::densify::<W>(
-        q,
-        &items,
-        len.load(0) as usize,
-        back.words(),
-        Some(back.layer2()),
-    );
-    assert_eq!(back.words().to_vec(), dense.words().to_vec());
-    assert_eq!(back.layer2().to_vec(), dense.layer2().to_vec());
 }
 
 /// One raw advance (functor always true) from either a sparse or a dense
