@@ -84,7 +84,7 @@ use sygraph_core::frontier::exchange::ExchangeConfig;
 use sygraph_core::frontier::maintenance_payer;
 use sygraph_core::graph::{validate_sources, CsrHost, Graph, PartitionSpec, PartitionedGraph};
 use sygraph_core::inspector::{Balancing, Direction, OptConfig, Representation};
-use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue, SimResult, TraceKind};
+use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue, Retire, SimResult, TraceKind};
 
 /// Why a mode ends early. Either message may be empty: the usage text,
 /// or what the sanitizer already printed, says it all.
@@ -834,6 +834,22 @@ fn print_profile(q: &Queue) {
             "  frontier maintenance: dense compaction {:.3} ms, sparse upkeep {:.3} ms",
             cost_of("dense"),
             cost_of("sparse"),
+        );
+        // How each retired input was cleared: inside the next advance
+        // launch, or by a launch of its own (whose time is in the split
+        // above; an inline clear's is inside the `advance*` rows).
+        let retired = |inline: bool| {
+            prof.count(|k| match k {
+                TraceKind::Plan { retired, .. } if *retired != Retire::None => {
+                    (*retired == Retire::Inline) == inline
+                }
+                _ => false,
+            })
+        };
+        println!(
+            "  retired inline \u{d7}{}, stand-alone \u{d7}{}",
+            retired(true),
+            retired(false)
         );
     }
     let dirs = prof.direction_events();

@@ -13,22 +13,27 @@
 //!    [`BitmapLike::insert_lane_checked`]), or as a follow-up
 //!    [`compute::over_compacted`] pass sized by the output frontier's
 //!    non-zero words rather than its full capacity.
-//! 3. **Rotate** — [`SuperstepEngine::rotate`] swaps the frontiers and
-//!    *lazily* clears the old input: only the words the superstep's
-//!    compaction found non-zero are zeroed ([`BitmapLike::lazy_clear`]),
-//!    valid because every insert of the superstep went to the other
-//!    frontier.
+//! 3. **Rotate** — [`SuperstepEngine::rotate`] turns a ring of three
+//!    frontiers: the output becomes the input, an already-empty spare
+//!    becomes the output, and the old input is *retired* — garbage nobody
+//!    reads. Its lazy clear (only the words the superstep's compaction or
+//!    item list found set: [`BitmapLike::lazy_clear_units`], valid because
+//!    every insert of the superstep went to the other frontier) rides the
+//!    next superstep's first advance launch as tail workgroups, so it is
+//!    off the critical path and a third buffer is all it costs.
 //!
-//! Per superstep on the two-layer layout this is 3 kernels fused
-//! (compact, advance+compute, lazy clear) versus 4+ for the classic
-//! unfused sequence — and exactly one host sync (the compaction count)
-//! either way. Events are chained internally; the engine only surfaces
-//! the per-step convergence result.
+//! Per superstep on the two-layer layout this is 2 kernels fused
+//! (compact, advance+compute+clear) versus 4+ for the classic unfused
+//! sequence, 1 on an item list — and exactly one host sync (the compaction
+//! count) either way. Events are chained internally; the engine only
+//! surfaces the per-step convergence result.
 
 pub mod multi_device;
 pub mod recovery;
 
-use sygraph_sim::{DeviceBuffer, ItemCtx, PlanInputs, Queue, SimError, SimResult, TraceKind};
+use sygraph_sim::{
+    DeviceBuffer, ItemCtx, PlanInputs, Queue, Retire, SimError, SimResult, TraceKind,
+};
 
 use crate::frontier::bucket::BucketPool;
 use crate::frontier::lanes::{lane_locate, LaneView};
@@ -153,15 +158,30 @@ impl RecoverySession {
     }
 }
 
-/// The superstep engine. Owns the ping-pong frontier pair and the
-/// advance→compute→swap→clear cycle; algorithms supply functors and
-/// (optionally) inspect or reseed the frontiers between steps.
+/// The superstep engine. Owns the frontier ring — the input, the output
+/// and, where the layout offers one, the spare that lets a retired input
+/// be cleared inside the next advance launch — and the
+/// advance→compute→rotate cycle; algorithms supply functors and
+/// (optionally) inspect or reseed the input and output between steps.
 pub struct SuperstepEngine<'a, W: Word, G: DeviceGraphView + ?Sized> {
     q: &'a Queue,
     graph: &'a G,
     tuning: Tuning,
     fin: Box<dyn BitmapLike<W>>,
     fout: Box<dyn BitmapLike<W>>,
+    /// The ring's third frontier, asked of the layout at the first
+    /// [`rotate`](SuperstepEngine::rotate) ([`BitmapLike::empty_like`]):
+    /// while `retire` is set it holds the retired input, otherwise it is
+    /// empty. `None` after `spare_asked` means the layout declined (or the
+    /// device had no room) and the engine rotates a pair.
+    spare: Option<Box<dyn BitmapLike<W>>>,
+    spare_asked: bool,
+    /// The clear the retired frontier still owes: `Some(fresh)` from the
+    /// rotate that retired it until an advance carries its lazy clear (or
+    /// the next rotate launches the clear alone), `fresh` being whether
+    /// its compaction metadata can still be trusted — a recovery in
+    /// between says it cannot, and the clear is then a full one.
+    retire: Option<bool>,
     fused: bool,
     mark_prefix: String,
     max_iters: usize,
@@ -261,6 +281,9 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             tuning,
             fin,
             fout,
+            spare: None,
+            spare_asked: false,
+            retire: None,
             fused: false,
             mark_prefix: "superstep".into(),
             max_iters: usize::MAX,
@@ -524,11 +547,24 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         if pull {
             self.pull_engaged = true;
         }
+        // The retired frontier's lazy clear rides this advance when its
+        // metadata is fresh and the layout can state it; otherwise it
+        // waits for the next rotate, and `waits` says why.
+        let (tail, waits) = match (self.retire, &self.spare) {
+            (Some(true), Some(spare)) => match spare.lazy_clear_units() {
+                Some(units) => (Some(units), Retire::Standalone("no-launch")),
+                None => (None, Retire::Standalone("not-fresh")),
+            },
+            (Some(_), _) => (None, Retire::Standalone("not-fresh")),
+            (None, None) if self.spare_asked => (None, Retire::Standalone("declined")),
+            (None, _) => (None, Retire::None),
+        };
         let fused_wrap;
         let mut builder = Advance::new(self.q, self.graph, self.fin.as_ref())
             .output(self.fout.as_ref())
             .tuning(&self.tuning)
-            .pool(self.bucket_pool.as_ref());
+            .pool(self.bucket_pool.as_ref())
+            .retire(tail.as_ref());
         if pull {
             builder = builder.pull(match (self.pull_scope, self.unvisited.as_ref()) {
                 (PullCandidates::Unvisited, Some(unv)) => {
@@ -543,13 +579,14 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         }
         let (ev, words) = builder.run(adv);
         ev.wait();
+        let carried = tail.is_some_and(|t| t.claimed());
         // An injected fault mid-superstep leaves skipped kernels behind:
         // the compaction count is stale and must not drive convergence,
         // representation or estimate decisions. Report "not converged" and
         // leave interpretation to the recovery layer (`step` drains it);
         // with no fault plan attached this check is free.
         if self.q.fault_pending() {
-            self.lazy_ok = false;
+            self.distrust_metadata();
             return true;
         }
         // Feed the next rep decision from the count the advance already
@@ -575,11 +612,18 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         }
         self.rep = adopted;
         self.pulling = pull;
+        let retired = if carried {
+            self.retire = None;
+            Retire::Inline
+        } else {
+            waits
+        };
         let ran = TraceKind::Plan {
             inputs,
             plan,
             sparse: adopted == RepKind::Sparse,
             pull,
+            retired,
         };
         self.q.trace(Some(iter), ran);
         if !self.fused {
@@ -596,7 +640,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     fn landed(&mut self, live: bool) -> SimResult<bool> {
         match self.q.take_fault() {
             Some(e) => {
-                self.lazy_ok = false;
+                self.distrust_metadata();
                 Err(e)
             }
             None => Ok(live),
@@ -784,23 +828,50 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         self.landed(stepped)
     }
 
-    /// Swaps the frontiers and clears the new output (the superstep's old
-    /// input) — lazily when its compaction metadata is still fresh, i.e.
-    /// the words zeroed are exactly those the advance's compaction listed.
+    /// Turns the ring: the output becomes the input, the (empty) spare the
+    /// output, and the old input is retired into the spare's place, its
+    /// clear owed to the next superstep's advance launch. Only a clear no
+    /// advance carried — it launched nothing, or a recovery left the
+    /// metadata untrusted — is launched here, alone, before the turn. A
+    /// layout without a spare swaps the pair and clears the new output
+    /// (the old input) at once, lazily when its metadata is fresh.
     pub fn rotate(&mut self) {
+        if !self.spare_asked {
+            self.spare_asked = true;
+            self.spare = self.fin.empty_like(self.q);
+        }
+        self.clear_retired();
         swap(&mut self.fin, &mut self.fout);
-        if self.lazy_ok {
-            self.fout.lazy_clear(self.q);
-        } else {
-            self.fout.clear(self.q);
+        if let Some(spare) = &mut self.spare {
+            swap(&mut self.fout, spare);
+        }
+        self.retire = Some(self.lazy_ok);
+        if self.spare.is_none() {
+            self.clear_retired();
         }
         self.lazy_ok = false;
         self.listed = None;
         self.iter += 1;
     }
 
+    /// Launches the clear the retired frontier (the spare, or without one
+    /// the output) still owes, alone: the only place a frontier is cleared
+    /// outside an advance launch.
+    fn clear_retired(&mut self) {
+        let Some(fresh) = self.retire.take() else {
+            return;
+        };
+        let retired = self.spare.as_ref().unwrap_or(&self.fout);
+        if fresh {
+            retired.lazy_clear(self.q);
+        } else {
+            retired.clear(self.q);
+        }
+    }
+
     /// [`rotate`](SuperstepEngine::rotate) under the recovery policy. A
-    /// fault during the rotate skipped the clear of the new output
+    /// fault during the rotate skipped the one clear it launches, and in
+    /// ring and pair alike that was the clear of what is now the output
     /// frontier: recover, then clear it for real — it holds no legitimate
     /// inserts yet, so a full clear is always safe. (A checkpoint resume
     /// resets both frontiers itself.)
@@ -829,7 +900,8 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
 
     /// Consumes the engine and returns its `(input, output)` frontier
     /// pair — callers recycling frontier allocations across rooted passes
-    /// (Brandes BC) reclaim the boxes instead of dropping them.
+    /// (Brandes BC) reclaim the boxes instead of dropping them. The spare,
+    /// if the run grew one, is dropped: it may hold an uncleared input.
     pub fn into_frontiers(self) -> (Box<dyn BitmapLike<W>>, Box<dyn BitmapLike<W>>) {
         (self.fin, self.fout)
     }
@@ -1008,14 +1080,22 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     /// conversion kernel can leave a hybrid frontier's host-side mode
     /// flags ahead of its device state, so rebuild the derived layers from
     /// the bitmap words (the ground truth — inserts land there first) and
-    /// force the next rotate to a full clear.
+    /// force the clears still owed — the input's, and a retired
+    /// frontier's whose launch may be among the skipped — to full ones.
     fn repair_frontiers(&mut self) {
         self.fin.rebuild_from_words(self.q);
         self.fout.rebuild_from_words(self.q);
         if let Some(unv) = &self.unvisited {
             unv.rebuild_from_words(self.q);
         }
+        self.distrust_metadata();
+    }
+
+    /// No compaction count or item list read before this point may size a
+    /// lazy clear any more.
+    fn distrust_metadata(&mut self) {
         self.lazy_ok = false;
+        self.retire = self.retire.map(|_| false);
     }
 
     /// Captures a checkpoint of the engine at the current superstep
@@ -1073,7 +1153,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             }
         }
         self.iter = ck.iteration;
-        self.lazy_ok = false;
+        self.distrust_metadata();
         self.rep = self.fin.rep_kind();
         self.last_estimate = ck.frontier.len();
         self.predicted = ck.frontier.len();
@@ -1402,9 +1482,9 @@ mod tests {
         assert_eq!(d_wg, d_bk, "balancing must not change BFS results");
         assert_eq!(i_wg, i_bk);
         assert!(
-            allocs_bk <= 5,
-            "bucket pool allocated once per engine (5 buffers), not per \
-             superstep; saw {allocs_bk} allocations"
+            allocs_bk <= 10,
+            "bucket pool and spare frontier allocated once per engine (5 \
+             buffers each), not per superstep; saw {allocs_bk} allocations"
         );
     }
 

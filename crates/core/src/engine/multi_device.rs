@@ -231,7 +231,7 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
                 // a zero word (and delays convergence by one near-empty
                 // superstep at the end of the run), both cheaper than a
                 // full `layer2_rebuild` sweep here every superstep. The
-                // following rotate's lazy clear retires the stale bits.
+                // lazy clear the rotate owes this frontier retires the stale bits.
                 for ch in channels {
                     tally.words += ch.words;
                     tally.msgs += ch.msgs;

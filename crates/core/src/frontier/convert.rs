@@ -10,6 +10,7 @@
 use sygraph_sim::{DeviceBuffer, Queue, MAX_SUBGROUP};
 
 use crate::frontier::word::{locate, slab_mask, Word};
+use crate::frontier::ClearUnits;
 
 /// Appends the id `i * W::BITS + b` of every set bit `b` of every
 /// `src[i]` to `out`, one lane per source word — the kernel under both the
@@ -92,28 +93,43 @@ pub fn sparsify<W: Word>(
 
 /// Sparse lazy clear ("frontier_sparse_lazy_clear"): empties a frontier
 /// whose item list is exact in O(population). Lane `i < len` zeroes entry
-/// `i`'s first-layer word — `fetch_and`, because entries sharing a word
+/// `i`'s first-layer word — an atomic AND, because entries sharing a word
 /// zero it from several lanes, and what conflicts that leaves are genuine
 /// same-word pairs. The second layer, when there is one, is zeroed whole by
 /// the `layer2.len()` lanes past the entries with plain stores: every
 /// non-zero first-layer word has an entry here, so all of them are being
-/// zeroed in this same kernel.
-pub(crate) fn clear_listed<W: Word>(
-    q: &Queue,
-    items: &DeviceBuffer<u32>,
+/// zeroed by these same units.
+pub(crate) fn clear_listed<'a, W: Word>(
+    items: &'a DeviceBuffer<u32>,
     len: usize,
-    words: &DeviceBuffer<W>,
-    layer2: Option<&DeviceBuffer<W>>,
-) {
-    let l2_len = layer2.map_or(0, |l2| l2.len());
-    q.parallel_for("frontier_sparse_lazy_clear", len + l2_len, |lane, i| {
-        if i < len {
-            let v = lane.load(items, i);
-            lane.fetch_and(words, locate::<W>(v).0, W::ZERO);
-        } else if let Some(layer2) = layer2 {
-            lane.store(layer2, i - len, W::ZERO);
+    words: &'a DeviceBuffer<W>,
+    layer2: Option<&'a DeviceBuffer<W>>,
+) -> ClearUnits<'a> {
+    let lanes = len + layer2.map_or(0, |l2| l2.len());
+    ClearUnits::new("frontier_sparse_lazy_clear", lanes, move |sg, first| {
+        let sgw = sg.width() as usize;
+        let slab = slab_mask(sgw, first, lanes);
+        let entries = slab_mask(sgw, first, len.max(first));
+        if entries != 0 {
+            let mut at = [0usize; MAX_SUBGROUP];
+            sg.load(
+                items,
+                entries,
+                |lane| first + lane as usize,
+                |lane, v| at[lane as usize] = locate::<W>(v).0,
+            );
+            sg.atomic_and(
+                words,
+                entries,
+                |lane| (at[lane as usize], W::ZERO),
+                |_, _| {},
+            );
         }
-    });
+        let past = slab & !entries;
+        if let (Some(layer2), true) = (layer2, past != 0) {
+            sg.store(layer2, past, |lane| (first + lane as usize - len, W::ZERO));
+        }
+    })
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use crate::frontier::rep::{RepKind, SparseView};
 use crate::frontier::two_layer::TwoLayerFrontier;
 use crate::frontier::vector::VectorFrontier;
 use crate::frontier::word::Word;
-use crate::frontier::{BitmapLike, Frontier};
+use crate::frontier::{BitmapLike, ClearUnits, Frontier};
 use crate::types::VertexId;
 
 /// Item-list capacity: an eighth of the vertex count (floor 64). The
@@ -193,24 +193,25 @@ impl<W: Word> BitmapLike<W> for HybridFrontier<W> {
     /// Lazy clear, representation-aware: with a valid list this is
     /// O(population) — zero the exact words the entries touch (and the
     /// small second layer wholesale), the scan-free clear that motivates
-    /// the sparse rep ([`convert::clear_listed`]).
-    /// Without one, fall back to the dense lazy clear when the last
-    /// superstep ran dense (its compaction offsets are fresh), or a full
-    /// clear otherwise.
-    fn lazy_clear(&self, q: &Queue) {
-        if self.list_valid() {
+    /// the sparse rep ([`convert::clear_listed`]); an empty list has
+    /// nothing on the device to zero. Without one, the dense lazy clear
+    /// when the last superstep ran dense (its compaction offsets are
+    /// fresh), and no lazy form otherwise.
+    fn lazy_clear_units(&self) -> Option<ClearUnits<'_>> {
+        let units = if self.list_valid() {
             let len = self.list.len();
-            if len > 0 {
-                let (words, layer2) = (self.inner.words(), self.inner.layer2());
-                convert::clear_listed(q, self.list.items(), len, words, Some(layer2));
-            }
-            self.reset_list_flags();
+            let layer2 = (len > 0).then(|| self.inner.layer2());
+            convert::clear_listed(self.list.items(), len, self.inner.words(), layer2)
         } else if self.mode.load(Ordering::Relaxed) == 0 {
-            self.inner.lazy_clear(q);
-            self.reset_list_flags();
+            self.inner.lazy_clear_units()?
         } else {
-            self.clear(q);
-        }
+            return None;
+        };
+        Some(units.settling(|| self.reset_list_flags()))
+    }
+
+    fn empty_like(&self, q: &Queue) -> Option<Box<dyn BitmapLike<W>>> {
+        Some(Box::new(Self::new(q, self.capacity()).ok()?))
     }
 
     fn rep_kind(&self) -> RepKind {

@@ -85,6 +85,13 @@ impl LaneView {
 /// the module docs). Always presents as `Dense` to the representation
 /// policy: the lane overlay has no sparse item list, and `adopt_rep`'s
 /// default refusal keeps the engine's policy honest about it.
+///
+/// It also declines to be the engine's spare ([`BitmapLike::empty_like`]
+/// stays `None`), so a batched engine rotates a pair and launches
+/// `lane_lazy_clear` at every rotate: a third `n × width / 8` overlay is
+/// +1.2 % of a 32-lane batch's device peak, most of the benchmark's 0.02
+/// `dev_mem_peak_mb` bound, for a kernel that is 5 % of a batch (ROADMAP
+/// item 3 carries the re-baseline that would lift this).
 pub struct LaneFrontier<W: Word> {
     base: TwoLayerFrontier<W>,
     lanes: DeviceBuffer<u64>,

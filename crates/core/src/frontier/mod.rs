@@ -46,7 +46,9 @@ pub use two_layer::TwoLayerFrontier;
 pub use vector::VectorFrontier;
 pub use word::{locate, words_for, Word};
 
-use sygraph_sim::{DeviceBuffer, ItemCtx, Queue};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SubgroupCtx};
 
 use crate::types::VertexId;
 
@@ -71,6 +73,84 @@ pub fn maintenance_payer(name: &str) -> Option<&'static str> {
         .iter()
         .find(|(kernel, _)| *kernel == name)
         .map(|(_, payer)| *payer)
+}
+
+/// One slab of a [`ClearUnits`]: `(subgroup, first lane)`.
+type SlabFn<'a> = dyn Fn(&mut SubgroupCtx<'_, '_>, usize) + Sync + 'a;
+
+/// A frontier's lazy clear as independent subgroup slabs, so it can run as
+/// a launch of its own ([`ClearUnits::launch`]) or as the tail workgroups
+/// of another one (the advance shells, when the superstep engine retires a
+/// frontier). Slab `k` is `body(sg, k * sg.width())`: the subgroup clears
+/// what lanes `first .. first + width` of `lanes` stand for, whatever the
+/// width of the launch it finds itself in.
+pub struct ClearUnits<'a> {
+    /// Kernel name of the stand-alone launch.
+    name: &'static str,
+    /// Lanes of work; zero when there is nothing on the device to clear.
+    lanes: usize,
+    body: Box<SlabFn<'a>>,
+    /// The host-side half of the clear (list length, validity flags).
+    settle: Box<dyn Fn() + Sync + 'a>,
+    claimed: AtomicBool,
+}
+
+impl<'a> ClearUnits<'a> {
+    pub(crate) fn new(
+        name: &'static str,
+        lanes: usize,
+        body: impl Fn(&mut SubgroupCtx<'_, '_>, usize) + Sync + 'a,
+    ) -> Self {
+        ClearUnits {
+            name,
+            lanes,
+            body: Box::new(body),
+            settle: Box::new(|| {}),
+            claimed: AtomicBool::new(false),
+        }
+    }
+
+    /// Adds the host-side bookkeeping that goes with the device work.
+    pub(crate) fn settling(mut self, settle: impl Fn() + Sync + 'a) -> Self {
+        self.settle = Box::new(settle);
+        self
+    }
+
+    /// Takes the units for one launch: `true` for the first caller, who
+    /// must then run every slab. Claiming does the host-side bookkeeping,
+    /// so units nobody claims leave the frontier exactly as it was.
+    pub fn claim(&self) -> bool {
+        // Relaxed: claimed and read by the one host thread that submits.
+        let first = !self.claimed.swap(true, Ordering::Relaxed);
+        if first {
+            (self.settle)();
+        }
+        first
+    }
+
+    /// Whether some launch took the units.
+    pub fn claimed(&self) -> bool {
+        self.claimed.load(Ordering::Relaxed)
+    }
+
+    /// Slabs of a launch whose subgroups are `width` lanes wide.
+    pub fn slabs(&self, width: usize) -> usize {
+        self.lanes.div_ceil(width)
+    }
+
+    /// Runs slab `k` of a launch `width` lanes wide on `sg`.
+    pub fn run(&self, sg: &mut SubgroupCtx<'_, '_>, k: usize) {
+        let first = k * sg.width() as usize;
+        (self.body)(sg, first);
+    }
+
+    /// Launches the units alone, under their own name.
+    pub fn launch(&self, q: &Queue) {
+        if self.claim() && self.lanes > 0 {
+            let width = q.profile().preferred_subgroup as usize;
+            q.parallel_for_subgroups(self.name, self.slabs(width), |sg, k| self.run(sg, k));
+        }
+    }
 }
 
 /// Operations common to every frontier layout.
@@ -121,15 +201,36 @@ pub trait BitmapLike<W: Word>: Frontier {
     /// Returns `Some((nonzero_word_count, offsets))` for two-layer
     /// frontiers, `None` when the advance must visit every word.
     fn compact(&self, q: &Queue) -> Option<(usize, &DeviceBuffer<u32>)>;
-    /// Clears the frontier touching only the words the last [`compact`]
-    /// found non-zero (the superstep engine's lazy clear). **Precondition:**
-    /// no insertions since the last `compact` call — the engine satisfies
-    /// this because a superstep's inserts all go to the *other* frontier.
-    /// Layouts without a compaction step fall back to a full clear.
+    /// The lazy clear, stated once per layout: the slabs that empty the
+    /// frontier touching only what its last [`compact`] (or its exact item
+    /// list) says is set. **Precondition:** no insertions since then — the
+    /// engine satisfies this because a superstep's inserts all go to the
+    /// *other* frontier. `None` when the layout has no lazy form, or none
+    /// right now (a stale list): the caller takes the full [`clear`].
     ///
     /// [`compact`]: BitmapLike::compact
+    /// [`clear`]: Frontier::clear
+    fn lazy_clear_units(&self) -> Option<ClearUnits<'_>> {
+        None
+    }
+
+    /// Launches [`lazy_clear_units`](BitmapLike::lazy_clear_units) alone,
+    /// or the full clear when there are none.
     fn lazy_clear(&self, q: &Queue) {
-        self.clear(q);
+        match self.lazy_clear_units() {
+            Some(units) => units.launch(q),
+            None => self.clear(q),
+        }
+    }
+
+    /// An empty frontier of this layout and capacity: the third buffer of
+    /// the superstep engine's ring, which lets a retired frontier's lazy
+    /// clear ride the next advance launch. `None` when the layout declines
+    /// (the engine then clears at the rotate, as with a pair) or the
+    /// allocation fails.
+    fn empty_like(&self, q: &Queue) -> Option<Box<dyn BitmapLike<W>>> {
+        let _ = q;
+        None
     }
 
     /// The representation this frontier currently presents to the

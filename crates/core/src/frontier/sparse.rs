@@ -20,7 +20,7 @@ use crate::frontier::convert;
 use crate::frontier::rep::{RepKind, SparseView};
 use crate::frontier::vector::VectorFrontier;
 use crate::frontier::word::{locate, Word};
-use crate::frontier::{BitmapLike, Frontier};
+use crate::frontier::{BitmapLike, ClearUnits, Frontier};
 use crate::types::VertexId;
 
 /// Duplicate-free item-list frontier over `n` vertices.
@@ -162,16 +162,16 @@ impl<W: Word> BitmapLike<W> for SparseFrontier<W> {
     }
 
     /// O(population): zero only the words the (exact) list touches.
-    fn lazy_clear(&self, q: &Queue) {
-        if !self.list_valid() {
-            self.clear(q);
-            return;
-        }
-        let len = self.list.len();
-        if len > 0 {
-            convert::clear_listed(q, self.list.items(), len, &self.storage.words, None);
-        }
-        self.list.set_len(0);
+    fn lazy_clear_units(&self) -> Option<ClearUnits<'_>> {
+        self.list_valid().then(|| {
+            let (items, len) = (self.list.items(), self.list.len());
+            convert::clear_listed(items, len, &self.storage.words, None)
+                .settling(|| self.list.set_len(0))
+        })
+    }
+
+    fn empty_like(&self, q: &Queue) -> Option<Box<dyn BitmapLike<W>>> {
+        Some(Box::new(Self::new(q, self.capacity()).ok()?))
     }
 
     fn rep_kind(&self) -> RepKind {

@@ -7,12 +7,12 @@
 //! buffer; the advance then only schedules workgroups over those offsets,
 //! so all-zero words (Figure 5a) never waste a workgroup.
 
-use sygraph_sim::{DeviceBuffer, ItemCtx, Queue};
+use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SubgroupCtx, MAX_SUBGROUP};
 
 use crate::frontier::bitmap::BitmapStorage;
 use crate::frontier::convert;
-use crate::frontier::word::{locate, words_for, Word};
-use crate::frontier::{BitmapLike, Frontier};
+use crate::frontier::word::{locate, slab_mask, words_for, zero_run, Word};
+use crate::frontier::{BitmapLike, ClearUnits, Frontier};
 use crate::types::VertexId;
 
 /// Two-layer bitmap frontier over `n` vertices.
@@ -215,24 +215,34 @@ impl<W: Word> BitmapLike<W> for TwoLayerFrontier<W> {
     /// Lazy clear (superstep engine, §4.3 discussion): instead of sweeping
     /// all `⌈n/b⌉` first-layer words, zero only the words the last
     /// [`BitmapLike::compact`] found non-zero, plus the (much smaller)
-    /// second layer. One kernel over `max(nz, ⌈n/b²⌉)` items versus one
-    /// over `⌈n/b⌉` — on sparse frontiers this clears a handful of words
-    /// instead of the whole bitmap.
-    fn lazy_clear(&self, q: &Queue) {
+    /// second layer: `max(nz, ⌈n/b²⌉)` lanes versus `⌈n/b⌉` — on sparse
+    /// frontiers a handful of words instead of the whole bitmap.
+    fn lazy_clear_units(&self) -> Option<ClearUnits<'_>> {
         let nz = self.offsets_count.load(0) as usize;
-        let l2_len = self.layer2.len();
-        let words = &self.storage.words;
-        let layer2 = &self.layer2;
-        let offsets = &self.offsets;
-        q.parallel_for("frontier_lazy_clear", nz.max(l2_len), |lane, i| {
-            if i < nz {
-                let wi = lane.load(offsets, i) as usize;
-                lane.store(words, wi, W::ZERO);
+        let (words, layer2, offsets) = (&self.storage.words, &self.layer2, &self.offsets);
+        let l2_len = layer2.len();
+        let body = move |sg: &mut SubgroupCtx<'_, '_>, first: usize| {
+            let sgw = sg.width() as usize;
+            if first < nz {
+                let mask = slab_mask(sgw, first, nz);
+                let mut at = [0usize; MAX_SUBGROUP];
+                sg.load(
+                    offsets,
+                    mask,
+                    |lane| first + lane as usize,
+                    |lane, wi| at[lane as usize] = wi as usize,
+                );
+                sg.store(words, mask, |lane| (at[lane as usize], W::ZERO));
             }
-            if i < l2_len {
-                lane.store(layer2, i, W::ZERO);
+            if first < l2_len {
+                zero_run(sg, layer2, first, l2_len.min(first + sgw));
             }
-        });
+        };
+        Some(ClearUnits::new("frontier_lazy_clear", nz.max(l2_len), body))
+    }
+
+    fn empty_like(&self, q: &Queue) -> Option<Box<dyn BitmapLike<W>>> {
+        Some(Box::new(Self::new(q, self.capacity()).ok()?))
     }
 
     /// Recomputes the second layer from the (rewritten) first layer.

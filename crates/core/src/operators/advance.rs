@@ -40,12 +40,13 @@
 //! scheduled onto an all-zero word (Figure 5a).
 
 use sygraph_sim::{
-    full_mask, DeviceBuffer, Event, ItemCtx, LaunchConfig, Queue, SubgroupCtx, MAX_SUBGROUP,
+    full_mask, DeviceBuffer, Event, GroupCtx, ItemCtx, LaunchConfig, Queue, SubgroupCtx,
+    MAX_SUBGROUP,
 };
 
 use crate::frontier::bucket::{self, BucketPool, BucketSpec};
 use crate::frontier::word::{for_each_pass, locate, Word};
-use crate::frontier::BitmapLike;
+use crate::frontier::{BitmapLike, ClearUnits};
 use crate::graph::traits::DeviceGraphView;
 use crate::inspector::{inspect, Balancing, DegreeProfile, OptConfig, Tuning};
 use crate::operators::no_launch;
@@ -111,6 +112,7 @@ pub struct Advance<'a, W: Word, G: DeviceGraphView + ?Sized> {
     fused: Option<FusedCompute<'a>>,
     pool: Option<&'a BucketPool>,
     pull: Option<PullScope<'a, W>>,
+    retire: Option<&'a ClearUnits<'a>>,
 }
 
 impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
@@ -134,6 +136,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
             fused: None,
             pool: None,
             pull: None,
+            retire: None,
         }
     }
 
@@ -187,6 +190,15 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
         self
     }
 
+    /// Carries `units` — the lazy clear of a frontier that is neither this
+    /// advance's input nor its output — as tail workgroups of the first
+    /// schedule shell this advance launches ([`Shell::launch`]).
+    /// [`ClearUnits::claimed`] tells the caller afterwards whether one did.
+    pub fn retire(mut self, units: Option<&'a ClearUnits<'a>>) -> Self {
+        self.retire = units;
+        self
+    }
+
     /// Launches the advance. Returns the completion event plus the counted
     /// compaction result (see the type-level docs).
     pub fn run(self, functor: impl AdvanceFunctor) -> (Event, Option<usize>) {
@@ -207,7 +219,10 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
             }
         };
         let cx = Launch {
-            q: self.q,
+            shell: Shell {
+                q: self.q,
+                tail: self.retire,
+            },
             graph: self.graph,
             tuning,
             output: self.output,
@@ -323,9 +338,45 @@ impl<'a, W: Word> Items<'a, W> {
 // The launch context and the two sides
 // ---------------------------------------------------------------------------
 
+/// Where the schedule shells submit: the queue, and the retired frontier's
+/// lazy clear waiting for a launch to ride.
+struct Shell<'a> {
+    q: &'a Queue,
+    tail: Option<&'a ClearUnits<'a>>,
+}
+
+impl Shell<'_> {
+    /// The one `q.launch` of the four shells. The first launch to come by
+    /// claims the tail: the workgroups past the shell's own run the clear's
+    /// slabs, one per subgroup. The cleared frontier is neither read nor
+    /// written by `shell`, so the two halves share a launch and nothing
+    /// else.
+    fn launch(&self, mut cfg: LaunchConfig, shell: impl Fn(&mut GroupCtx<'_>) + Sync) -> Event {
+        let Some(tail) = self.tail.filter(|t| t.claim()) else {
+            return self.q.launch(cfg, shell);
+        };
+        let own = cfg.workgroups;
+        let sgs = (cfg.wg_size / cfg.sg_size) as usize;
+        let slabs = tail.slabs(cfg.sg_size as usize);
+        cfg.workgroups += slabs.div_ceil(sgs);
+        self.q.launch(cfg, |ctx| {
+            if ctx.group_id < own {
+                return shell(ctx);
+            }
+            let base = (ctx.group_id - own) * sgs;
+            ctx.for_each_subgroup(|sg| {
+                let slab = base + sg.sg_id() as usize;
+                if slab < slabs {
+                    tail.run(sg, slab);
+                }
+            });
+        })
+    }
+}
+
 /// Everything the kernels of one advance share.
 struct Launch<'a, W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> {
-    q: &'a Queue,
+    shell: Shell<'a>,
     graph: &'a G,
     tuning: &'a Tuning,
     output: Option<&'a dyn BitmapLike<W>>,
@@ -683,7 +734,7 @@ impl<W: Word> Side<W> for Pull<'_, W> {
 /// workgroup owns each word and subgroup `i` takes bit slice `i` — wasting
 /// lanes whenever the slice is narrower than the subgroup (Figure 5b).
 fn walk_words<W: Word>(
-    q: &Queue,
+    shell: &Shell<'_>,
     tuning: &Tuning,
     name: &'static str,
     slots: usize,
@@ -699,7 +750,7 @@ fn walk_words<W: Word>(
     let groups = n_words.div_ceil(wpg.max(1));
     if groups == 0 {
         // Zero-vertex graph or empty word list: nothing to schedule.
-        return no_launch(q);
+        return no_launch(shell.q);
     }
     let bits_per_sg = if split {
         W::BITS.div_ceil(sgs as u32)
@@ -708,7 +759,7 @@ fn walk_words<W: Word>(
     };
     let cfg = LaunchConfig::new(name, groups, tuning.wg_size(), tuning.sg_size)
         .with_local_mem((wpg * slots * 4) as u32);
-    q.launch(cfg, |ctx| {
+    shell.launch(cfg, |ctx| {
         let base = ctx.group_id * wpg;
         ctx.for_each_subgroup(|sg| {
             let (first_slot, bit_lo) = if split {
@@ -772,7 +823,7 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
         let t = self.tuning;
         let split = t.word_bits > t.sg_size;
         walk_words(
-            self.q,
+            &self.shell,
             t,
             S::WALK,
             S::WORD_SLOTS,
@@ -803,7 +854,7 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
         let vpg = per_sg * t.subgroups_per_wg as usize;
         let groups = n_items.div_ceil(vpg.max(1));
         let cfg = LaunchConfig::new(name, groups, t.wg_size(), t.sg_size);
-        self.q.launch(cfg, |ctx| {
+        self.shell.launch(cfg, |ctx| {
             let base = ctx.group_id * vpg;
             ctx.for_each_subgroup(|sg| {
                 for c in 0..coarsening {
@@ -838,7 +889,7 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
         let vpg = t.subgroups_per_wg as usize * coarsening;
         let groups = n_items.div_ceil(vpg.max(1));
         let cfg = LaunchConfig::new(name, groups, t.wg_size(), t.sg_size);
-        self.q.launch(cfg, |ctx| {
+        self.shell.launch(cfg, |ctx| {
             let base = ctx.group_id * vpg;
             ctx.for_each_subgroup(|sg| {
                 for c in 0..coarsening {
@@ -870,7 +921,7 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
     ) -> Event {
         let t = self.tuning;
         let cfg = LaunchConfig::new(name, n_entries, t.wg_size(), t.sg_size);
-        self.q.launch(cfg, |ctx| {
+        self.shell.launch(cfg, |ctx| {
             let entry = ctx.group_id;
             ctx.for_each_subgroup(|sg| {
                 let v = sg.load_uniform(&pool.large_v, entry);
@@ -902,7 +953,7 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
         items: &Items<'_, W>,
         pool: Option<&BucketPool>,
     ) -> Option<Event> {
-        let (q, t) = (self.q, self.tuning);
+        let (q, t) = (self.shell.q, self.tuning);
         if matches!(items, Items::Flat { .. })
             || t.effective_balancing(S::profile(self.graph)) != Balancing::Bucketed
         {
@@ -959,9 +1010,9 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
         input: &dyn BitmapLike<W>,
         pool: Option<&BucketPool>,
     ) -> (Event, Option<usize>) {
-        let (items, counted) = Items::of(self.q, input);
+        let (items, counted) = Items::of(self.shell.q, input);
         if counted == Some(0) {
-            return (no_launch(self.q), counted);
+            return (no_launch(self.shell.q), counted);
         }
         let ev = match self.bucketed(&Push, &items, pool) {
             Some(ev) => ev,
@@ -983,16 +1034,16 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
         scope: PullScope<'_, W>,
         pool: Option<&BucketPool>,
     ) -> (Event, Option<usize>) {
-        let (_, counted) = Items::of(self.q, input);
+        let (_, counted) = Items::of(self.shell.q, input);
         if counted == Some(0) {
-            return (no_launch(self.q), counted);
+            return (no_launch(self.shell.q), counted);
         }
         let (items, unvisited) = match scope {
             PullScope::Unvisited(cand) => {
-                let (items, n_cand) = Items::words_of(self.q, cand);
+                let (items, n_cand) = Items::words_of(self.shell.q, cand);
                 if n_cand == Some(0) {
                     // No candidate can adopt: the pull kernel is free.
-                    return (no_launch(self.q), counted);
+                    return (no_launch(self.shell.q), counted);
                 }
                 (items, Some(cand))
             }
@@ -1052,7 +1103,8 @@ pub fn edges<W: Word, G: DeviceGraphView + ?Sized>(
             });
         });
     };
-    let ev = walk_words(q, tuning, "advance_edges", 0, false, &items, expand);
+    let shell = Shell { q, tail: None };
+    let ev = walk_words(&shell, tuning, "advance_edges", 0, false, &items, expand);
     (ev, counted)
 }
 

@@ -147,36 +147,62 @@ impl ServiceConfig {
     }
 }
 
-/// Coarse peak-scratch model for admission control, in bytes. Counts the
-/// algorithm's value/state arrays plus double-buffered two-layer
-/// frontiers; deliberately a little generous so a pass never exceeds the
-/// admitted figure by more than slack. `lanes` scales the multi-source
-/// BFS layout (per-lane depth rows + packed lane masks).
+/// Peak-scratch model for admission control, in bytes: an upper bound on
+/// what a job allocates beyond the resident graph, so a pass never
+/// exceeds the figure it was admitted on. Every device buffer is charged
+/// in 256-B blocks and 32-bit frontier words are assumed (64-bit words
+/// halve the offsets buffer). The terms:
+///
+/// * a **two-layer bitmap** is words + count scratch, the second layer,
+///   compaction offsets + their count; a **hybrid** adds the bounded item
+///   list (`n / 8` entries, at least 64), its length and two flags;
+/// * the superstep engine runs a **ring of three** hybrids (input, output
+///   and the spare that lets a retired input be cleared inside the next
+///   advance launch); a lane frontier declines the spare, so a batched
+///   BFS holds two lane overlays; BC keeps the engine's pair plus one
+///   retained frontier per BFS level, and the level count is not known at
+///   admission, so it is priced at the `n` levels a path graph needs —
+///   quadratic in `n`, which turns BC away above ~200 k vertices on a
+///   32 GB device whatever the graph's real diameter;
+/// * the **bucket pool** of the degree-bucketed dispatch holds two vertex
+///   lists and two chunk lists of `2m / large_min + 1` entries
+///   (`large_min ≥ 128` on every profile);
+/// * BFS may also hold the pull direction's **unvisited set**, one more
+///   two-layer bitmap.
+///
+/// `lanes` scales the multi-source BFS layout (per-lane depth rows,
+/// packed visited lanes, one lane overlay per frontier).
 ///
 /// # Panics
 /// On an algorithm outside [`ADMITTED`](crate::job::ADMITTED): there is
 /// no request to price.
-pub fn modeled_peak_bytes(algo: Algo, n: u64, _m: u64, lanes: u32) -> u64 {
+pub fn modeled_peak_bytes(algo: Algo, n: u64, m: u64, lanes: u32) -> u64 {
     let lanes = lanes.max(1) as u64;
-    // Two in/out frontiers, each a two-layer bitmap plus compaction
-    // scratch: ~1 byte/vertex covers every word width used.
-    let frontier = 2 * n + 256;
+    let buf = |bytes: u64| bytes.div_ceil(256).max(1) * 256;
+    let (scalar, per_vertex) = (buf(4), buf(4 * n));
+    let layer = buf(4 * n.div_ceil(32));
+    let two_layer = 2 * layer + buf(4 * n.div_ceil(1024)) + 2 * scalar;
+    let hybrid = two_layer + buf(4 * (n / 8).max(64)) + 3 * scalar;
+    let pool = 2 * per_vertex + 2 * buf(m / 16 + 4) + scalar;
+    let lane_words = buf(8 * (n * lanes).div_ceil(64));
     let state = match algo {
-        // depth rows (4B per lane per vertex) + packed visited lanes.
-        Algo::Bfs => lanes * 4 * n + lanes * n / 4 + lanes * frontier / 2,
-        Algo::Sssp => 4 * n,
-        // distances + bucket tags.
-        Algo::Delta => 8 * n,
-        Algo::Cc => 4 * n,
-        // depth + sigma + delta + retained per-level frontier pool.
-        Algo::Bc => 12 * n + 4 * n,
-        // rank + next + share + scalars.
-        Algo::Pagerank => 12 * n + 64,
+        Algo::Bfs if lanes > 1 => {
+            // depth rows + visited lanes + two lane frontiers + alive word.
+            buf(4 * n * lanes) + lane_words + 2 * (two_layer + lane_words) + scalar
+        }
+        Algo::Bfs => per_vertex + 3 * hybrid + two_layer,
+        Algo::Sssp | Algo::Cc => per_vertex + 3 * hybrid,
+        // distances + the near / next / far / scratch piles.
+        Algo::Delta => per_vertex + 4 * hybrid,
+        // depth + sigma + delta + the engine's pair and every level.
+        Algo::Bc => 3 * per_vertex + (n + 2) * hybrid,
+        // rank + next + share + the dangling and residual cells.
+        Algo::Pagerank => 3 * per_vertex + 2 * scalar,
         Algo::Dobfs | Algo::Triangles | Algo::Kcore => {
             panic!("the service does not admit {algo}, so it has no memory model")
         }
     };
-    state + frontier
+    state + pool
 }
 
 /// Point-in-time statistics snapshot.

@@ -57,7 +57,8 @@ pub use exec::{full_mask, Accounting, GroupCtx, ItemCtx, LaunchConfig, SubgroupC
 pub use fault::FaultPlan;
 pub use memory::{AllocKind, AtomicInt, DeviceBuffer, DeviceScalar};
 pub use profiler::{
-    DirectionEvent, KernelRecord, Plan, PlanInputs, Profiler, RepEvent, TraceEvent, TraceKind,
+    DirectionEvent, KernelRecord, Plan, PlanInputs, Profiler, RepEvent, Retire, TraceEvent,
+    TraceKind,
 };
 pub use queue::{Device, Event, Queue};
 pub use sanitize::{Finding, FindingKind, Sanitizer};

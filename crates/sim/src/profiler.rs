@@ -96,6 +96,24 @@ pub struct Plan {
     pub predicted: usize,
 }
 
+/// What became of the frontier the rotate before a superstep retired (the
+/// input of the superstep before it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retire {
+    /// Nothing was waiting: the run's first superstep, or the caller kept
+    /// the frontier (`rotate_retaining`).
+    None,
+    /// Its lazy clear ran as the tail workgroups of this superstep's first
+    /// advance-shell launch.
+    Inline,
+    /// Its clear is a launch of its own, and why: `declined` — the layout
+    /// offers no third buffer, so the rotate cleared it before this
+    /// superstep; `no-launch` — this superstep's advance launched no
+    /// shell; `not-fresh` — a recovery (or a list gone stale) left no lazy
+    /// form. The last two run at the next rotate.
+    Standalone(&'static str),
+}
+
 /// What a [`TraceEvent`] records.
 #[derive(Debug, Clone)]
 pub enum TraceKind {
@@ -115,11 +133,13 @@ pub enum TraceKind {
     /// frontier adopted and the direction the advance took; they differ
     /// from `plan` only where the device refused it (a stale item list
     /// re-overflowed on rebuild, the pull view could not be made resident).
+    /// `retired` is how the previous superstep's input is being cleared.
     Plan {
         inputs: PlanInputs,
         plan: Plan,
         sparse: bool,
         pull: bool,
+        retired: Retire,
     },
     /// One recovery action: `fault` is `transient` / `oom` /
     /// `device-lost`, `action` is `retry`, a degradation rung or `resume`,

@@ -5,16 +5,20 @@
 //! idle fault plan must be byte-identical in the profiler's kernel stream
 //! to no plan at all (zero overhead when nothing fires).
 
-use sygraph_algos::{Algo, Args, Values};
+use sygraph_algos::{reference, Algo, Args, Values};
 use sygraph_bench::sample_useful_sources;
-use sygraph_core::engine::RecoveryPolicy;
+use sygraph_core::engine::{CheckpointState, RecoveryPolicy, RecoverySession, SuperstepEngine};
+use sygraph_core::frontier::{BitmapLike, HybridFrontier};
 use sygraph_core::graph::{CsrHost, DeviceCsr, Graph};
-use sygraph_core::inspector::{OptConfig, Representation};
+use sygraph_core::inspector::{inspect, OptConfig, Representation};
+use sygraph_core::types::INF_DIST;
 use sygraph_gen::{datasets, Dataset, Scale};
-use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue, SimError, SimResult};
+use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue, Retire, SimError, SimResult};
 
 mod common;
-use common::{recoveries, step_launches};
+use common::{
+    assert_retires_match_the_launches, first_launch, landed_steps, recoveries, step_launches,
+};
 
 fn four_datasets() -> Vec<Dataset> {
     vec![
@@ -62,7 +66,10 @@ struct Baseline {
     /// and both early enough to exist under every thread schedule: the
     /// launch that opens superstep 1, and the one that opens superstep 2
     /// or, where that superstep is the list-length convergence check and
-    /// launches nothing, the one that closes superstep 1.
+    /// launches nothing, the one that closes superstep 1. A sparse
+    /// superstep can be a single launch (the retired frontier's clear
+    /// rides the advance); where that leaves superstep 1 one ordinal and
+    /// superstep 2 none, the pair is superstep 0's last launch and it.
     mid_run: [u64; 2],
 }
 
@@ -76,17 +83,26 @@ impl Baseline {
 fn baseline(host: &CsrHost, algo: Algo, src: u32, opts: &OptConfig) -> Baseline {
     let q = Queue::new(Device::new(DeviceProfile::host_test()));
     let values = run_values(&q, host, algo, src, opts).expect("fault-free run");
-    let (one, two) = (step_launches(&q, 1), step_launches(&q, 2));
-    assert!(one.end - one.start >= 2, "superstep 1 launched {one:?}");
+    let (zero, one, two) = (
+        step_launches(&q, 0),
+        step_launches(&q, 1),
+        step_launches(&q, 2),
+    );
+    assert!(
+        !zero.is_empty() && !one.is_empty(),
+        "supersteps 0 and 1 launched {zero:?}, {one:?}"
+    );
     let later = if two.is_empty() {
         one.end - 1
     } else {
         two.start
     };
-    Baseline {
-        values,
-        mid_run: [one.start, later],
-    }
+    let mid_run = if later > one.start {
+        [one.start, later]
+    } else {
+        [one.start - 1, one.start]
+    };
+    Baseline { values, mid_run }
 }
 
 /// Runs the algorithm under `spec` and asserts bit-identical recovery
@@ -155,6 +171,140 @@ fn injected_oom_degrades_and_recovers_bit_identically() {
 #[test]
 fn device_lost_resumes_from_checkpoint_bit_identically() {
     fault_matrix("lost", |base| (format!("lost@{}", base.ordinal(2)), 1, 1));
+}
+
+#[test]
+fn a_transient_on_any_launch_of_a_ring_superstep_recovers() {
+    // A sparse superstep is one launch for SSSP (the advance, carrying the
+    // clear of the input retired before it) and that plus a compute pass
+    // for BFS. Fail each launch of two mid-run supersteps in turn: the run
+    // lands on the fault-free values after one retry, and where the fault
+    // took the merged launch the clear it carried is launched again, whole
+    // and alone, because nothing the skipped launch read can be trusted —
+    // after which the next superstep carries its clear inline again.
+    let ds = datasets::road_ca(Scale::Test);
+    let src = sample_useful_sources(&ds.host, 1, 42)[0];
+    let opts = opts_with(Representation::Sparse, RecoveryPolicy::resilient(3, 4));
+    for algo in [Algo::Sssp, Algo::Bfs] {
+        let clean = Queue::new(Device::new(DeviceProfile::host_test()));
+        let want = run_values(&clean, &ds.host, algo, src, &opts).unwrap();
+        let steps = landed_steps(&clean);
+        for k in [3usize, 4] {
+            assert_eq!(steps[k].retired, Retire::Inline, "{algo:?} @{k}");
+            let merged = first_launch(&clean, k);
+            for at in step_launches(&clean, k) {
+                let ctx = format!("{algo:?}: transient@{at} in superstep {k}");
+                let plan = FaultPlan::parse(&format!("transient@{at}:1")).unwrap();
+                let q = Queue::with_faults(Device::new(DeviceProfile::host_test()), plan);
+                let got = run_values(&q, &ds.host, algo, src, &opts)
+                    .unwrap_or_else(|e| panic!("{ctx} did not recover: {e}"));
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(recoveries(&q).len(), 1, "{ctx}");
+                assert_retires_match_the_launches(&q, &ctx);
+                let retired: Vec<Retire> = landed_steps(&q)
+                    .iter()
+                    .filter(|s| s.superstep as usize == k || s.superstep as usize == k + 1)
+                    .map(|s| s.retired)
+                    .collect();
+                if at == merged {
+                    assert_eq!(
+                        retired,
+                        [Retire::Standalone("not-fresh"), Retire::Inline],
+                        "{ctx}"
+                    );
+                } else {
+                    // Past the plan: the superstep lands twice, its clear
+                    // already carried the first time.
+                    assert_eq!(
+                        retired,
+                        [Retire::Inline, Retire::None, Retire::Inline],
+                        "{ctx}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Fused BFS on an item-list frontier pair, driven one resilient superstep
+/// at a time with a checkpoint before each. After every rotate the output
+/// frontier — the ring's spare, about to be written — must be empty; once
+/// a recovery has happened (the one planned fault is spent, so launches no
+/// longer shift ordinals) that is checked with the device's own emptiness
+/// kernel as well as host-side. Returns the distances.
+fn drive_bfs_checking_outputs(q: &Queue, host: &CsrHost, src: u32, opts: &OptConfig) -> Vec<u32> {
+    let n = host.vertex_count();
+    let g = DeviceCsr::upload(q, host).unwrap();
+    let tuning = inspect(q.profile(), opts, n);
+    let dist = q.malloc_device::<u32>(n).unwrap();
+    q.fill(&dist, INF_DIST);
+    dist.store(src as usize, 0);
+    let fin: Box<dyn BitmapLike<u32>> = Box::new(HybridFrontier::<u32>::new(q, n).unwrap());
+    let fout: Box<dyn BitmapLike<u32>> = Box::new(HybridFrontier::<u32>::new(q, n).unwrap());
+    fin.insert_host(src);
+    let ckpt: [&dyn CheckpointState; 1] = [&dist];
+    let mut engine = SuperstepEngine::new(q, &g, tuning, fin, fout)
+        .fused(true)
+        .checkpoint_state(&ckpt);
+    let mut session = RecoverySession::default();
+    loop {
+        session.checkpoint_here(&engine);
+        let live = engine
+            .step_resilient(
+                &mut session,
+                |l, _i, _u, v, _e, _w| l.load_atomic(&dist, v as usize) == INF_DIST,
+                Some(&|l, i, v| l.store_atomic(&dist, v as usize, i + 1)),
+            )
+            .expect("the policy covers the planned fault");
+        if !live {
+            return dist.to_vec();
+        }
+        engine.rotate();
+        let (out, at) = (engine.output(), engine.iteration());
+        assert!(out.to_sorted_vec().is_empty(), "output of superstep {at}");
+        assert_eq!(out.list_probe(), Some(Some(0)), "output list @{at}");
+        if !recoveries(q).is_empty() {
+            assert!(out.is_empty(q), "output of superstep {at} on the device");
+            assert_eq!(out.compact(q).map(|c| c.0), Some(0), "layer 2 @{at}");
+        }
+    }
+}
+
+#[test]
+fn a_lost_device_or_an_oom_rung_under_a_pending_clear_leaves_the_next_output_empty() {
+    // The fault takes the launch that carries the retired frontier's clear.
+    // A resume or a ladder step then re-runs the superstep, and the clear
+    // — whose launch never ran, and whose list length is not to be trusted
+    // after it — must still happen before that frontier comes round as the
+    // output: in full, alone, at the next rotate.
+    let ds = datasets::road_ca(Scale::Test);
+    let src = sample_useful_sources(&ds.host, 1, 42)[0];
+    let opts = opts_with(Representation::Auto, RecoveryPolicy::resilient(3, 1));
+    let clean = Queue::new(Device::new(DeviceProfile::host_test()));
+    let want = drive_bfs_checking_outputs(&clean, &ds.host, src, &opts);
+    assert_eq!(want, reference::bfs(&ds.host, src));
+    let k = 4;
+    assert_eq!(landed_steps(&clean)[k].retired, Retire::Inline);
+    let merged = first_launch(&clean, k);
+    for (fault, action) in [("lost", "resume"), ("oom", "drop-bucket-pool")] {
+        let plan = FaultPlan::parse(&format!("{fault}@{merged}")).unwrap();
+        let q = Queue::with_faults(Device::new(DeviceProfile::host_test()), plan);
+        let got = drive_bfs_checking_outputs(&q, &ds.host, src, &opts);
+        assert_eq!(got, want, "{fault}@{merged}");
+        let taken: Vec<String> = recoveries(&q).into_iter().map(|r| r.1).collect();
+        assert_eq!(taken, [action], "{fault}@{merged}");
+        assert_retires_match_the_launches(&q, fault);
+        let at_fault = landed_steps(&q)
+            .into_iter()
+            .find(|s| s.superstep as usize == k)
+            .unwrap();
+        assert_eq!(at_fault.retired, Retire::Standalone("not-fresh"), "{fault}");
+        assert!(
+            at_fault.rest.iter().any(|n| n == "frontier_clear"),
+            "{fault}: the rotate after superstep {k} launched {:?}",
+            at_fault.rest
+        );
+    }
 }
 
 #[test]

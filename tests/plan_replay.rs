@@ -7,6 +7,8 @@
 //! * *Replay* — for BFS, SSSP and CC on the four test-scale datasets under
 //!   every representation × direction policy, every `Plan` event the
 //!   engine recorded satisfies `tuning.plan(&inputs) == plan`.
+//!   What the plan says became of the retired frontier agrees with the
+//!   launches around it.
 //! * *Views* — `rep_events()` / `direction_events()` have one entry per
 //!   `Plan` event, flag a switch exactly where the value differs from the
 //!   previous superstep of the same run, and `kernels()` is in `seq`
@@ -21,6 +23,8 @@ use sygraph_core::inspector::{inspect, Direction, OptConfig, Representation, Tun
 use sygraph_core::types::INF_DIST;
 use sygraph_gen::{datasets, Scale};
 use sygraph_sim::{Device, DeviceProfile, Plan, PlanInputs, Queue, TraceKind};
+
+mod common;
 
 /// A superstep about which nothing is known yet: everything the plan may
 /// use is available, nothing has run.
@@ -294,6 +298,7 @@ fn plans(q: &Queue) -> Vec<(u32, PlanInputs, Plan, bool, bool)> {
             plan,
             sparse,
             pull,
+            ..
         } => Some((e.superstep, inputs, plan, sparse, pull)),
         _ => None,
     })
@@ -307,7 +312,7 @@ fn recorded_plans_replay_and_the_views_agree_with_the_log() {
         Representation::Auto,
     ];
     let dirs = [Direction::Push, Direction::Pull, Direction::Auto];
-    let (mut pulled, mut listed) = (0, 0);
+    let (mut pulled, mut listed, mut inline, mut alone) = (0, 0, 0, 0);
     for ds in [
         datasets::road_ca(Scale::Test),
         datasets::hollywood(Scale::Test),
@@ -351,6 +356,10 @@ fn recorded_plans_replay_and_the_views_agree_with_the_log() {
             }
             pulled += log.iter().filter(|p| p.4).count();
             listed += log.iter().filter(|p| p.3).count();
+            common::assert_retires_match_the_launches(&q, &ctx);
+            let (carried, reasons) = common::retire_census(&q);
+            inline += carried;
+            alone += reasons.len();
 
             // Views: one entry per plan; a switch is a change from the
             // previous superstep of the same run.
@@ -401,7 +410,7 @@ fn recorded_plans_replay_and_the_views_agree_with_the_log() {
         }
     }
     assert!(
-        pulled > 0 && listed > 0,
-        "the sweep must exercise both axes"
+        pulled > 0 && listed > 0 && inline > 0 && alone > 0,
+        "the sweep must exercise both axes and both ways to retire a frontier"
     );
 }

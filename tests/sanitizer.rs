@@ -14,6 +14,8 @@ use sygraph_core::inspector::{OptConfig, Representation};
 use sygraph_gen::{datasets, Dataset, Scale};
 use sygraph_sim::{Device, DeviceProfile, FindingKind, LaunchConfig, Queue};
 
+mod common;
+
 fn sanitized_queue() -> Queue {
     Queue::with_sanitizer(Device::new(DeviceProfile::host_test()), 0xBADC0DE)
 }
@@ -212,6 +214,13 @@ fn bfs_sssp_cc_all_clear_on_dataset_suite() {
                 ds.name,
                 san.report()
             );
+            // The all-clear has to cover the merged launch: advance
+            // workgroups and a retired frontier's clear in one kernel.
+            assert!(
+                common::retire_census(&q).0 > 0,
+                "BFS/SSSP on {} under {rep:?} never retired a frontier inline",
+                ds.name
+            );
 
             // CC needs symmetric input; run it on its own queue so a
             // finding is attributable to one algorithm.
@@ -225,6 +234,11 @@ fn bfs_sssp_cc_all_clear_on_dataset_suite() {
                 "CC on {} under {rep:?}: {}",
                 ds.name,
                 san.report()
+            );
+            assert!(
+                common::retire_census(&q).0 > 0,
+                "CC on {} under {rep:?} never retired a frontier inline",
+                ds.name
             );
         }
     }

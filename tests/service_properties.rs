@@ -290,6 +290,68 @@ fn admission_rejects_oversized_while_small_jobs_proceed() {
     assert_eq!(ok.state, JobState::Done, "{:?}", ok.error);
     assert!(ok.metrics.mem_peak_bytes > 0);
     assert_eq!(service.stats().jobs_rejected, 1);
+
+    // The figure jobs are admitted on has to cover what they then use:
+    // every admitted algorithm on the four datasets (symmetrized, so CC
+    // runs on them too), one job at a time on one worker, stays within its
+    // modelled peak — the engine's third frontier included — and so does
+    // a full-width coalesced BFS batch within the width it was priced at.
+    let mut cfg = default_cfg();
+    cfg.workers = 1;
+    cfg.cache_entries = 0;
+    let width = cfg.batch_width;
+    let service = test_service(cfg);
+    for ds in [
+        datasets::road_ca(Scale::Test),
+        datasets::hollywood(Scale::Test),
+        datasets::indochina(Scale::Test),
+        datasets::kron(Scale::Test),
+    ] {
+        let host = ds.host.to_undirected().unwrap();
+        let (n, m) = (host.vertex_count() as u64, host.edge_count() as u64);
+        service
+            .register_graph(ds.key, host, RegisterOptions::default())
+            .unwrap();
+        for algo in sygraph_service::job::ADMITTED {
+            let mut req = JobRequest::rooted(ds.key, algo.label(), 0);
+            req.no_coalesce = Some(true);
+            let job = submit_wait(&service, req);
+            assert_eq!(
+                job.state,
+                JobState::Done,
+                "{algo} on {}: {:?}",
+                ds.key,
+                job.error
+            );
+            let m = &job.metrics;
+            assert!(
+                m.mem_peak_bytes <= m.modeled_peak_bytes,
+                "{algo} on {}: used {} B of a modelled {} B",
+                ds.key,
+                m.mem_peak_bytes,
+                m.modeled_peak_bytes
+            );
+        }
+        service.pause();
+        let ids: Vec<u64> = (0..width)
+            .map(|v| {
+                service
+                    .submit(JobRequest::rooted(ds.key, "bfs", v))
+                    .unwrap()
+            })
+            .collect();
+        service.resume();
+        service.wait_idle();
+        let lane = service.job(ids[0]).unwrap();
+        assert_eq!(lane.metrics.batch_size, width, "{}: one full batch", ds.key);
+        let modelled = modeled_peak_bytes(Algo::Bfs, n, m, width);
+        assert!(
+            lane.metrics.mem_peak_bytes <= modelled,
+            "{width}-lane bfs on {}: used {} B of a modelled {modelled} B",
+            ds.key,
+            lane.metrics.mem_peak_bytes
+        );
+    }
 }
 
 /// Submission boundaries return typed errors, never panics: unknown
