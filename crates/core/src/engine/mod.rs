@@ -549,22 +549,16 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         }
         // The retired frontier's lazy clear rides this advance when its
         // metadata is fresh and the layout can state it; otherwise it
-        // waits for the next rotate, and `waits` says why.
-        let (tail, waits) = match (self.retire, &self.spare) {
-            (Some(true), Some(spare)) => match spare.lazy_clear_units() {
-                Some(units) => (Some(units), Retire::Standalone("no-launch")),
-                None => (None, Retire::Standalone("not-fresh")),
-            },
-            (Some(_), _) => (None, Retire::Standalone("not-fresh")),
-            (None, None) if self.spare_asked => (None, Retire::Standalone("declined")),
-            (None, _) => (None, Retire::None),
+        // waits for the next rotate.
+        let tail = match (self.retire, &self.spare) {
+            (Some(true), Some(spare)) => spare.lazy_clear_units(),
+            _ => None,
         };
         let fused_wrap;
         let mut builder = Advance::new(self.q, self.graph, self.fin.as_ref())
             .output(self.fout.as_ref())
             .tuning(&self.tuning)
-            .pool(self.bucket_pool.as_ref())
-            .retire(tail.as_ref());
+            .pool(self.bucket_pool.as_ref());
         if pull {
             builder = builder.pull(match (self.pull_scope, self.unvisited.as_ref()) {
                 (PullCandidates::Unvisited, Some(unv)) => {
@@ -577,9 +571,10 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             fused_wrap = move |l: &mut ItemCtx<'_>, v: VertexId| cf(l, iter, v);
             builder = builder.fuse(&fused_wrap);
         }
-        let (ev, words) = builder.run(adv);
+        let (ev, words, carried) = builder.run_carrying(tail.as_ref(), adv);
         ev.wait();
-        let carried = tail.is_some_and(|t| t.claimed());
+        let offered = tail.is_some();
+        drop(tail);
         // An injected fault mid-superstep leaves skipped kernels behind:
         // the compaction count is stale and must not drive convergence,
         // representation or estimate decisions. Report "not converged" and
@@ -589,6 +584,17 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             self.distrust_metadata();
             return true;
         }
+        let retired = match (&self.spare, self.retire) {
+            (Some(spare), Some(_)) if carried => {
+                spare.lazy_cleared();
+                self.retire = None;
+                Retire::Inline
+            }
+            (Some(_), Some(_)) if offered => Retire::Standalone("no-launch"),
+            (Some(_), Some(_)) => Retire::Standalone("not-fresh"),
+            (None, _) if self.spare_asked => Retire::Standalone("declined"),
+            _ => Retire::None,
+        };
         // Feed the next rep decision from the count the advance already
         // read back: exact entries under sparse, `nz_words × word_bits`
         // (an upper bound) under dense. Single-layer bitmaps report no
@@ -612,12 +618,6 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         }
         self.rep = adopted;
         self.pulling = pull;
-        let retired = if carried {
-            self.retire = None;
-            Retire::Inline
-        } else {
-            waits
-        };
         let ran = TraceKind::Plan {
             inputs,
             plan,
@@ -1477,14 +1477,22 @@ mod tests {
             let allocs = allocs_now() - allocs_before;
             (dist.to_vec(), iters, allocs)
         };
-        let (d_wg, i_wg, _) = bfs(Balancing::WorkgroupMapped);
+        let (d_wg, i_wg, allocs_wg) = bfs(Balancing::WorkgroupMapped);
         let (d_bk, i_bk, allocs_bk) = bfs(Balancing::Bucketed);
         assert_eq!(d_wg, d_bk, "balancing must not change BFS results");
         assert_eq!(i_wg, i_bk);
+        // Without a bucket pool the run's only allocation is the ring's
+        // spare; the bucketed run adds the pool and nothing else.
         assert!(
-            allocs_bk <= 10,
-            "bucket pool and spare frontier allocated once per engine (5 \
-             buffers each), not per superstep; saw {allocs_bk} allocations"
+            allocs_wg <= 5,
+            "spare frontier allocated once per engine (5 buffers), not per \
+             superstep; saw {allocs_wg} allocations"
+        );
+        assert!(
+            allocs_bk - allocs_wg <= 5,
+            "bucket pool allocated once per engine (5 buffers), not per \
+             superstep; saw {} allocations",
+            allocs_bk - allocs_wg
         );
     }
 

@@ -198,16 +198,20 @@ impl<W: Word> BitmapLike<W> for HybridFrontier<W> {
     /// when the last superstep ran dense (its compaction offsets are
     /// fresh), and no lazy form otherwise.
     fn lazy_clear_units(&self) -> Option<ClearUnits<'_>> {
-        let units = if self.list_valid() {
+        if self.list_valid() {
             let len = self.list.len();
             let layer2 = (len > 0).then(|| self.inner.layer2());
-            convert::clear_listed(self.list.items(), len, self.inner.words(), layer2)
+            let words = self.inner.words();
+            Some(convert::clear_listed(self.list.items(), len, words, layer2))
         } else if self.mode.load(Ordering::Relaxed) == 0 {
-            self.inner.lazy_clear_units()?
+            self.inner.lazy_clear_units()
         } else {
-            return None;
-        };
-        Some(units.settling(|| self.reset_list_flags()))
+            None
+        }
+    }
+
+    fn lazy_cleared(&self) {
+        self.reset_list_flags();
     }
 
     fn empty_like(&self, q: &Queue) -> Option<Box<dyn BitmapLike<W>>> {

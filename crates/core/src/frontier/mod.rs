@@ -46,8 +46,6 @@ pub use two_layer::TwoLayerFrontier;
 pub use vector::VectorFrontier;
 pub use word::{locate, words_for, Word};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SubgroupCtx};
 
 use crate::types::VertexId;
@@ -78,21 +76,20 @@ pub fn maintenance_payer(name: &str) -> Option<&'static str> {
 /// One slab of a [`ClearUnits`]: `(subgroup, first lane)`.
 type SlabFn<'a> = dyn Fn(&mut SubgroupCtx<'_, '_>, usize) + Sync + 'a;
 
-/// A frontier's lazy clear as independent subgroup slabs, so it can run as
-/// a launch of its own ([`ClearUnits::launch`]) or as the tail workgroups
-/// of another one (the advance shells, when the superstep engine retires a
-/// frontier). Slab `k` is `body(sg, k * sg.width())`: the subgroup clears
-/// what lanes `first .. first + width` of `lanes` stand for, whatever the
-/// width of the launch it finds itself in.
+/// The device half of a frontier's lazy clear as independent subgroup
+/// slabs, so it can run as a launch of its own ([`ClearUnits::launch`]) or
+/// as the tail workgroups of another one (the advance shells, when the
+/// superstep engine retires a frontier). Slab `k` is
+/// `body(sg, k * sg.width())`: the subgroup clears what lanes
+/// `first .. first + width` of `lanes` stand for, whatever the width of
+/// the launch it finds itself in. Whoever runs the slabs owes the frontier
+/// a [`BitmapLike::lazy_cleared`] afterwards.
 pub struct ClearUnits<'a> {
     /// Kernel name of the stand-alone launch.
     name: &'static str,
     /// Lanes of work; zero when there is nothing on the device to clear.
     lanes: usize,
     body: Box<SlabFn<'a>>,
-    /// The host-side half of the clear (list length, validity flags).
-    settle: Box<dyn Fn() + Sync + 'a>,
-    claimed: AtomicBool,
 }
 
 impl<'a> ClearUnits<'a> {
@@ -105,32 +102,7 @@ impl<'a> ClearUnits<'a> {
             name,
             lanes,
             body: Box::new(body),
-            settle: Box::new(|| {}),
-            claimed: AtomicBool::new(false),
         }
-    }
-
-    /// Adds the host-side bookkeeping that goes with the device work.
-    pub(crate) fn settling(mut self, settle: impl Fn() + Sync + 'a) -> Self {
-        self.settle = Box::new(settle);
-        self
-    }
-
-    /// Takes the units for one launch: `true` for the first caller, who
-    /// must then run every slab. Claiming does the host-side bookkeeping,
-    /// so units nobody claims leave the frontier exactly as it was.
-    pub fn claim(&self) -> bool {
-        // Relaxed: claimed and read by the one host thread that submits.
-        let first = !self.claimed.swap(true, Ordering::Relaxed);
-        if first {
-            (self.settle)();
-        }
-        first
-    }
-
-    /// Whether some launch took the units.
-    pub fn claimed(&self) -> bool {
-        self.claimed.load(Ordering::Relaxed)
     }
 
     /// Slabs of a launch whose subgroups are `width` lanes wide.
@@ -146,7 +118,7 @@ impl<'a> ClearUnits<'a> {
 
     /// Launches the units alone, under their own name.
     pub fn launch(&self, q: &Queue) {
-        if self.claim() && self.lanes > 0 {
+        if self.lanes > 0 {
             let width = q.profile().preferred_subgroup as usize;
             q.parallel_for_subgroups(self.name, self.slabs(width), |sg, k| self.run(sg, k));
         }
@@ -214,11 +186,18 @@ pub trait BitmapLike<W: Word>: Frontier {
         None
     }
 
+    /// The host half of the lazy clear (list length, validity flags), for
+    /// whoever ran [`lazy_clear_units`](BitmapLike::lazy_clear_units).
+    fn lazy_cleared(&self) {}
+
     /// Launches [`lazy_clear_units`](BitmapLike::lazy_clear_units) alone,
     /// or the full clear when there are none.
     fn lazy_clear(&self, q: &Queue) {
         match self.lazy_clear_units() {
-            Some(units) => units.launch(q),
+            Some(units) => {
+                units.launch(q);
+                self.lazy_cleared();
+            }
             None => self.clear(q),
         }
     }

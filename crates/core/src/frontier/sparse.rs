@@ -166,8 +166,11 @@ impl<W: Word> BitmapLike<W> for SparseFrontier<W> {
         self.list_valid().then(|| {
             let (items, len) = (self.list.items(), self.list.len());
             convert::clear_listed(items, len, &self.storage.words, None)
-                .settling(|| self.list.set_len(0))
         })
+    }
+
+    fn lazy_cleared(&self) {
+        self.list.set_len(0);
     }
 
     fn empty_like(&self, q: &Queue) -> Option<Box<dyn BitmapLike<W>>> {

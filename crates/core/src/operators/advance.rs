@@ -39,6 +39,8 @@
 //! [`crate::frontier::BitmapLike::compact`], so no workgroup is ever
 //! scheduled onto an all-zero word (Figure 5a).
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use sygraph_sim::{
     full_mask, DeviceBuffer, Event, GroupCtx, ItemCtx, LaunchConfig, Queue, SubgroupCtx,
     MAX_SUBGROUP,
@@ -112,7 +114,6 @@ pub struct Advance<'a, W: Word, G: DeviceGraphView + ?Sized> {
     fused: Option<FusedCompute<'a>>,
     pool: Option<&'a BucketPool>,
     pull: Option<PullScope<'a, W>>,
-    retire: Option<&'a ClearUnits<'a>>,
 }
 
 impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
@@ -136,7 +137,6 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
             fused: None,
             pool: None,
             pull: None,
-            retire: None,
         }
     }
 
@@ -190,18 +190,22 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
         self
     }
 
-    /// Carries `units` — the lazy clear of a frontier that is neither this
-    /// advance's input nor its output — as tail workgroups of the first
-    /// schedule shell this advance launches ([`Shell::launch`]).
-    /// [`ClearUnits::claimed`] tells the caller afterwards whether one did.
-    pub fn retire(mut self, units: Option<&'a ClearUnits<'a>>) -> Self {
-        self.retire = units;
-        self
-    }
-
     /// Launches the advance. Returns the completion event plus the counted
     /// compaction result (see the type-level docs).
     pub fn run(self, functor: impl AdvanceFunctor) -> (Event, Option<usize>) {
+        let (ev, counted, _) = self.run_carrying(None, functor);
+        (ev, counted)
+    }
+
+    /// [`run`](Advance::run) with `tail` — the lazy clear of a frontier
+    /// that is neither this advance's input nor its output — carried as
+    /// tail workgroups of the first schedule shell launched
+    /// ([`Shell::launch`]). The third result says whether one was.
+    pub fn run_carrying(
+        self,
+        tail: Option<&ClearUnits<'_>>,
+        functor: impl AdvanceFunctor,
+    ) -> (Event, Option<usize>, bool) {
         assert!(
             self.fused.is_none() || self.output.is_some(),
             "Advance::fuse requires an output frontier to deduplicate against"
@@ -219,17 +223,14 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
             }
         };
         let cx = Launch {
-            shell: Shell {
-                q: self.q,
-                tail: self.retire,
-            },
+            shell: Shell::new(self.q, tail),
             graph: self.graph,
             tuning,
             output: self.output,
             fused: self.fused,
             functor: &functor,
         };
-        match (self.pull, self.input) {
+        let (ev, counted) = match (self.pull, self.input) {
             (Some(scope), input) => {
                 let input = input.expect("a pull advance needs an input frontier to probe");
                 cx.pull(input, scope, self.pool)
@@ -240,7 +241,8 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
                 let ev = cx.bucketed(&Push, &items, self.pool);
                 (ev.unwrap_or_else(|| cx.walk(&Push, &items)), None)
             }
-        }
+        };
+        (ev, counted, cx.shell.carried.into_inner())
     }
 }
 
@@ -343,16 +345,26 @@ impl<'a, W: Word> Items<'a, W> {
 struct Shell<'a> {
     q: &'a Queue,
     tail: Option<&'a ClearUnits<'a>>,
+    /// Set by the launch that took the tail. Atomic only because the
+    /// kernels borrow the whole [`Launch`]; the submitting thread alone
+    /// touches it.
+    carried: AtomicBool,
 }
 
-impl Shell<'_> {
+impl<'a> Shell<'a> {
+    fn new(q: &'a Queue, tail: Option<&'a ClearUnits<'a>>) -> Self {
+        let carried = AtomicBool::new(false);
+        Shell { q, tail, carried }
+    }
+
     /// The one `q.launch` of the four shells. The first launch to come by
-    /// claims the tail: the workgroups past the shell's own run the clear's
+    /// takes the tail: the workgroups past the shell's own run the clear's
     /// slabs, one per subgroup. The cleared frontier is neither read nor
     /// written by `shell`, so the two halves share a launch and nothing
     /// else.
     fn launch(&self, mut cfg: LaunchConfig, shell: impl Fn(&mut GroupCtx<'_>) + Sync) -> Event {
-        let Some(tail) = self.tail.filter(|t| t.claim()) else {
+        let first = || !self.carried.swap(true, Ordering::Relaxed);
+        let Some(tail) = self.tail.filter(|_| first()) else {
             return self.q.launch(cfg, shell);
         };
         let own = cfg.workgroups;
@@ -1103,7 +1115,7 @@ pub fn edges<W: Word, G: DeviceGraphView + ?Sized>(
             });
         });
     };
-    let shell = Shell { q, tail: None };
+    let shell = Shell::new(q, None);
     let ev = walk_words(&shell, tuning, "advance_edges", 0, false, &items, expand);
     (ev, counted)
 }

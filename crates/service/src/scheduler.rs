@@ -149,7 +149,8 @@ impl ServiceConfig {
 
 /// Peak-scratch model for admission control, in bytes: an upper bound on
 /// what a job allocates beyond the resident graph, so a pass never
-/// exceeds the figure it was admitted on. Every device buffer is charged
+/// exceeds the figure it was admitted on (BC excepted, below). Every
+/// device buffer is charged
 /// in 256-B blocks and 32-bit frontier words are assumed (64-bit words
 /// halve the offsets buffer). The terms:
 ///
@@ -161,9 +162,10 @@ impl ServiceConfig {
 ///   advance launch); a lane frontier declines the spare, so a batched
 ///   BFS holds two lane overlays; BC keeps the engine's pair plus one
 ///   retained frontier per BFS level, and the level count is not known at
-///   admission, so it is priced at the `n` levels a path graph needs —
-///   quadratic in `n`, which turns BC away above ~200 k vertices on a
-///   32 GB device whatever the graph's real diameter;
+///   admission: it keeps the flat `4n` allowance it has always had, which
+///   a high-diameter graph outruns (a road grid retains hundreds of
+///   levels) — a bound needs a depth estimate taken at registration
+///   (ROADMAP item 5);
 /// * the **bucket pool** of the degree-bucketed dispatch holds two vertex
 ///   lists and two chunk lists of `2m / large_min + 1` entries
 ///   (`large_min ≥ 128` on every profile);
@@ -194,8 +196,8 @@ pub fn modeled_peak_bytes(algo: Algo, n: u64, m: u64, lanes: u32) -> u64 {
         Algo::Sssp | Algo::Cc => per_vertex + 3 * hybrid,
         // distances + the near / next / far / scratch piles.
         Algo::Delta => per_vertex + 4 * hybrid,
-        // depth + sigma + delta + the engine's pair and every level.
-        Algo::Bc => 3 * per_vertex + (n + 2) * hybrid,
+        // depth + sigma + delta + the engine's pair + the level allowance.
+        Algo::Bc => 4 * per_vertex + 2 * hybrid,
         // rank + next + share + the dangling and residual cells.
         Algo::Pagerank => 3 * per_vertex + 2 * scalar,
         Algo::Dobfs | Algo::Triangles | Algo::Kcore => {

@@ -359,48 +359,41 @@ impl Queue {
         // `kernel_boundary` of the next launch that reaches them.
         let active = cus.min(cfg.workgroups);
 
-        let run_cu = |cu: usize| {
-            let mut agg = CuAgg::default();
-            let mut recs = Vec::new();
-            let mut guard = self.caches[cu].lock();
-            guard.kernel_boundary();
-            // GroupCtx borrows the CU's cache hierarchy for its
-            // lifetime; workgroups on the same CU run sequentially and
-            // hand it back through `finish`.
-            let mut cache = if accounting == Accounting::Full {
-                Some(&mut *guard)
-            } else {
-                None
-            };
-            let mut g = cu;
-            while g < cfg.workgroups {
-                // Under a shuffle, slot `g` runs workgroup `order[g]`.
-                let gid = order.map_or(g, |p| p[g]);
-                let sg = san
-                    .map(|(s, label)| SanGroup::new(Arc::clone(s), Arc::clone(label), gid as u32));
-                let mut ctx = GroupCtx::new(gid, cfg, accounting, cache.take(), line_bytes, sg);
-                kernel(&mut ctx);
-                let (stats, returned, sg) = ctx.finish();
-                cache = returned;
-                if let Some(sg) = sg {
-                    recs.extend(sg.into_recs());
+        let per_cu: Vec<(CuAgg, Vec<AccessRec>)> = (0..active)
+            .into_par_iter()
+            .map(|cu| {
+                let mut agg = CuAgg::default();
+                let mut recs = Vec::new();
+                let mut guard = self.caches[cu].lock();
+                guard.kernel_boundary();
+                // GroupCtx borrows the CU's cache hierarchy for its
+                // lifetime; workgroups on the same CU run sequentially and
+                // hand it back through `finish`.
+                let mut cache = if accounting == Accounting::Full {
+                    Some(&mut *guard)
+                } else {
+                    None
+                };
+                let mut g = cu;
+                while g < cfg.workgroups {
+                    // Under a shuffle, slot `g` runs workgroup `order[g]`.
+                    let gid = order.map_or(g, |p| p[g]);
+                    let sg = san.map(|(s, label)| {
+                        SanGroup::new(Arc::clone(s), Arc::clone(label), gid as u32)
+                    });
+                    let mut ctx = GroupCtx::new(gid, cfg, accounting, cache.take(), line_bytes, sg);
+                    kernel(&mut ctx);
+                    let (stats, returned, sg) = ctx.finish();
+                    cache = returned;
+                    if let Some(sg) = sg {
+                        recs.extend(sg.into_recs());
+                    }
+                    agg.add_group(profile, cfg, &stats);
+                    g += cus;
                 }
-                agg.add_group(profile, cfg, &stats);
-                g += cus;
-            }
-            (agg, recs)
-        };
-        // Host threads share a launch CU by CU. A launch that does not fill
-        // the device has at most one workgroup per CU — microseconds of
-        // work each, where handing a CU to another thread costs tens, and
-        // two threads inside so small a kernel mostly trade the cache
-        // lines of its few hundred words — so it runs on the caller alone:
-        // the road-graph superstep's one launch of a few dozen groups.
-        let per_cu: Vec<(CuAgg, Vec<AccessRec>)> = if cfg.workgroups < cus {
-            (0..active).map(run_cu).collect()
-        } else {
-            (0..active).into_par_iter().map(run_cu).collect()
-        };
+                (agg, recs)
+            })
+            .collect();
 
         let mut aggs = Vec::with_capacity(per_cu.len());
         let mut recs = Vec::new();

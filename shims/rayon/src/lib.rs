@@ -9,15 +9,15 @@
 //!
 //! Every call is a [`Job`]: a chunk count, an atomic counter handing out
 //! chunk indices, and a count of finished chunks. The caller claims chunks
-//! from the first instant; once the call has run for [`SOLO`] and chunks
-//! are still unclaimed it queues the job and wakes pool threads, which
-//! claim from the same counter. Whoever gets an index runs that chunk, so
-//! a call never depends on a pool thread being free: concurrent callers
-//! and calls nested inside a chunk always finish, at worst serially on
-//! their own thread. A panic inside a chunk is caught where it happens and
-//! re-raised on the caller once every chunk is done. With one core
-//! (`taskset -c 0`) there is a single chunk, it runs inline, and no pool
-//! thread exists.
+//! from the first instant; once the call has run for [`SOLO`] and the
+//! chunks still unclaimed come to [`WORTH`] it queues the job and wakes
+//! pool threads, which claim from the same counter. Whoever gets an index
+//! runs that chunk, so a call never depends on a pool thread being free:
+//! concurrent callers and calls nested inside a chunk always finish, at
+//! worst serially on their own thread. A panic inside a chunk is caught
+//! where it happens and re-raised on the caller once every chunk is done.
+//! With one core (`taskset -c 0`) there is a single chunk, it runs inline,
+//! and no pool thread exists.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -34,6 +34,14 @@ use std::time::{Duration, Instant};
 /// that is gone when it arrives. It also keeps such calls' chunks in
 /// index order, as the staggered start of per-call spawned threads did.
 const SOLO: Duration = Duration::from_micros(20);
+
+/// How much work a call must still have unclaimed, at the pace of the
+/// chunks its caller has run so far, before pool threads are woken. A
+/// helper costs a wake-up and then drags what its chunks touch (for the
+/// simulator, whole per-CU cache models) to another core: measured on two
+/// cores, a 130 µs launch of thirty light workgroups runs 1.2-1.6x slower
+/// shared than alone, a 630 µs one of eighty 1.1x faster.
+const WORTH: Duration = Duration::from_micros(250);
 
 /// Chunks cut per thread. More than one, so that a call past [`SOLO`] has
 /// work left to share and uneven chunks even out; few, so that per-chunk
@@ -78,6 +86,15 @@ impl Job {
     fn unclaimed(&self) -> usize {
         self.chunks
             .saturating_sub(self.next.load(Ordering::Relaxed))
+    }
+
+    /// Whether to wake the pool, `elapsed` into a call only its caller has
+    /// worked on: past [`SOLO`], and the unclaimed chunks, priced at the
+    /// mean of those already run, come to [`WORTH`].
+    fn worth_sharing(&self, elapsed: Duration) -> bool {
+        let left = self.unclaimed() as u32;
+        let ran = self.chunks as u32 - left;
+        left > 0 && elapsed >= SOLO && elapsed * left >= WORTH * ran
     }
 
     /// Claims one chunk and runs it; false when none was left. `from_pool`
@@ -202,8 +219,8 @@ fn chunk_count(items: usize) -> usize {
 }
 
 /// Runs `run(0) .. run(chunks - 1)`, each exactly once, on the calling
-/// thread and, past [`SOLO`], whatever pool threads are free; returns when
-/// all have finished. The single entry both adapters go through.
+/// thread and, once [`Job::worth_sharing`], whatever pool threads are free;
+/// returns when all have finished. The single entry both adapters go through.
 fn run_chunks(chunks: usize, run: &Chunk<'_>) {
     if chunks <= 1 {
         (0..chunks).for_each(run);
@@ -226,7 +243,7 @@ fn run_chunks(chunks: usize, run: &Chunk<'_>) {
     let started = Instant::now();
     let mut shared = false;
     while job.run_next(false) {
-        if !shared && job.unclaimed() > 0 && started.elapsed() >= SOLO {
+        if !shared && job.worth_sharing(started.elapsed()) {
             pool.share(&job);
             shared = true;
         }
@@ -364,7 +381,7 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::{Pool, SOLO};
+    use super::{Pool, WORTH};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Barrier};
@@ -384,12 +401,12 @@ mod tests {
         assert!(v.iter().all(|&x| x == 2));
     }
 
-    /// Keeps the calling item busy until its call is past `SOLO` (the
-    /// item began after the call did), so the rest of the call is shared
-    /// with the pool.
+    /// Keeps the calling item busy for `WORTH` (itself past `SOLO`): the
+    /// chunks behind it, priced at this one, are then worth sharing with
+    /// the pool.
     fn outlast_solo() {
         let began = Instant::now();
-        while began.elapsed() < 2 * SOLO {
+        while began.elapsed() < WORTH {
             std::hint::spin_loop();
         }
     }
