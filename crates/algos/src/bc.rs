@@ -4,7 +4,7 @@
 //! dependencies (`delta`). Returns the per-vertex dependency contribution
 //! of the given source (summing over sources yields exact BC).
 
-use sygraph_core::engine::{SuperstepEngine, NO_COMPUTE};
+use sygraph_core::engine::{retry, RecoveryPolicy, SuperstepEngine, NO_COMPUTE};
 use sygraph_core::frontier::{BitmapLike, Word};
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView};
 use sygraph_core::inspector::{OptConfig, Tuning};
@@ -13,7 +13,7 @@ use sygraph_core::operators::compute;
 use sygraph_core::types::{VertexId, INF_DIST};
 use sygraph_sim::{Queue, SimResult};
 
-use crate::common::{guarded_init, make_frontier, AlgoResult};
+use crate::common::{make_frontier, AlgoResult};
 use crate::dispatch_by_word;
 
 /// Runs single-source Brandes BC from `src`.
@@ -63,6 +63,12 @@ fn run_many_impl<W: Word>(
     // so steady state allocates nothing.
     let mut pool: Vec<Box<dyn BitmapLike<W>>> = Vec::new();
     let mut out = Vec::with_capacity(sources.len());
+    // The sigma accumulation is a `fetch_add`, not a monotone min, so a
+    // partially-run superstep is not safe to retry: the forward engine
+    // runs under the all-off policy and an injected fault fails the pass
+    // typed (the idempotent setup keeps `opts.recovery`).
+    let mut fwd_tuning = *tuning;
+    fwd_tuning.recovery = RecoveryPolicy::default();
 
     for &src in sources {
         assert!((src as usize) < n, "source out of range");
@@ -78,7 +84,7 @@ fn run_many_impl<W: Word>(
         let mut levels: Vec<Box<dyn BitmapLike<W>>> = Vec::new();
         let fin = take(&mut pool)?;
         let fout = take(&mut pool)?;
-        guarded_init(q, &opts.recovery, || {
+        retry(q, &opts.recovery, || {
             q.fill(&depth, INF_DIST);
             q.fill(&sigma, 0.0);
             q.fill(&delta, 0.0);
@@ -86,12 +92,8 @@ fn run_many_impl<W: Word>(
             sigma.store(src as usize, 1.0);
             fin.insert_host(src);
         })?;
-        // Manual superstep loop (the engine cannot own the rotate —
-        // Brandes retains each level); `step` surfaces an injected fault,
-        // which fails the pass typed. The sigma accumulation is
-        // a `fetch_add`, not a monotone min, so a partially-run
-        // superstep is not safe to retry: barrier semantics, no retries.
-        let mut engine = SuperstepEngine::new(q, g, *tuning, fin, fout).mark_prefix("bc_fwd");
+        // Brandes retains each level, so the loop rotates by hand.
+        let mut engine = SuperstepEngine::new(q, g, fwd_tuning, fin, fout).mark_prefix("bc_fwd");
         while engine.step(
             |l, d, u, v, _e, _w| {
                 let old = l.fetch_min(&depth, v as usize, d + 1);

@@ -10,14 +10,14 @@
 //! [`DeviceCsr`](sygraph_core::graph::DeviceCsr) every superstep pushes,
 //! exactly as before.
 
-use sygraph_core::engine::{CheckpointState, PullCandidates, StepAdvance, SuperstepEngine};
+use sygraph_core::engine::{retry, CheckpointState, PullCandidates, StepAdvance, SuperstepEngine};
 use sygraph_core::frontier::Word;
 use sygraph_core::graph::DeviceGraphView;
 use sygraph_core::inspector::{OptConfig, Tuning};
 use sygraph_core::types::{EdgeId, VertexId, Weight, INF_DIST};
 use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SimResult};
 
-use crate::common::{guarded_init, make_frontier, AlgoResult};
+use crate::common::{make_frontier, AlgoResult};
 use crate::dispatch_by_word;
 
 /// Runs BFS from `src`, returning hop distances (unreached = `INF_DIST`).
@@ -93,7 +93,7 @@ pub(crate) fn engine_run<W: Word, G: DeviceGraphView + ?Sized>(
     let dist = q.malloc_device::<u32>(n)?;
     let fin = make_frontier::<W>(q, n, opts)?;
     let fout = make_frontier::<W>(q, n, opts)?;
-    guarded_init(q, &opts.recovery, || {
+    retry(q, &opts.recovery, || {
         q.fill(&dist, INF_DIST);
         dist.store(src as usize, 0);
         fin.insert_host(src);
@@ -112,7 +112,7 @@ pub(crate) fn engine_run<W: Word, G: DeviceGraphView + ?Sized>(
         .max_iters(n + 1, "BFS failed to converge")
         .pull_scope(PullCandidates::Unvisited)
         .checkpoint_state(&ckpt);
-    let iterations = engine.run(unvisited(&dist), Some(&stamp_level(&dist)), None)?;
+    let iterations = engine.run(unvisited(&dist), Some(&stamp_level(&dist)))?;
 
     Ok(AlgoResult {
         values: dist.to_vec(),

@@ -4,14 +4,14 @@
 //! symmetric (undirected) for component semantics; use
 //! [`sygraph_core::graph::CsrHost::to_undirected`] first if needed.
 
-use sygraph_core::engine::{CheckpointState, PostStep, StepAdvance, SuperstepEngine, NO_COMPUTE};
+use sygraph_core::engine::{retry, CheckpointState, StepAdvance, SuperstepEngine, NO_COMPUTE};
 use sygraph_core::frontier::{BitmapLike, Word};
 use sygraph_core::graph::DeviceGraphView;
 use sygraph_core::inspector::{OptConfig, Tuning};
 use sygraph_core::types::{EdgeId, VertexId, Weight};
 use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SimResult};
 
-use crate::common::{guarded_init, make_frontier, AlgoResult};
+use crate::common::{make_frontier, AlgoResult};
 use crate::dispatch_by_word;
 
 /// Runs label-propagation CC; returns per-vertex component labels
@@ -75,7 +75,7 @@ fn run_impl<W: Word, G: DeviceGraphView + ?Sized>(
     let fin = make_frontier::<W>(q, n, opts)?;
     let fout = make_frontier::<W>(q, n, opts)?;
     // Every vertex starts by distributing its label to its neighbors.
-    guarded_init(q, &opts.recovery, || {
+    retry(q, &opts.recovery, || {
         q.parallel_for("cc_init", n, |l, v| {
             l.store(&labels, v, v as u32);
         });
@@ -87,11 +87,6 @@ fn run_impl<W: Word, G: DeviceGraphView + ?Sized>(
     } else {
         ("cc_iter", "CC failed to converge")
     };
-    let ckpt: [&dyn CheckpointState; 1] = [&labels];
-    let mut engine = SuperstepEngine::new(q, g, *tuning, fin, fout)
-        .mark_prefix(mark_prefix)
-        .max_iters(n + 1, diverge_msg)
-        .checkpoint_state(&ckpt);
     // Shortcut pass (post-step hook): chase label chains to their root
     // (pointer jumping, as in union-find's find). A change re-activates
     // the vertex so the shortened label keeps propagating.
@@ -117,8 +112,15 @@ fn run_impl<W: Word, G: DeviceGraphView + ?Sized>(
             }
         });
     };
-    let post: Option<PostStep<'_, W>> = shortcut.then_some(&shortcut_pass);
-    let iterations = engine.run(propagate_min(&labels), NO_COMPUTE, post)?;
+    let ckpt: [&dyn CheckpointState; 1] = [&labels];
+    let mut engine = SuperstepEngine::new(q, g, *tuning, fin, fout)
+        .mark_prefix(mark_prefix)
+        .max_iters(n + 1, diverge_msg)
+        .checkpoint_state(&ckpt);
+    if shortcut {
+        engine = engine.post_step(&shortcut_pass);
+    }
+    let iterations = engine.run(propagate_min(&labels), NO_COMPUTE)?;
 
     Ok(AlgoResult {
         values: labels.to_vec(),

@@ -2,12 +2,11 @@
 //! dispatch.
 
 use serde::{Deserialize, Serialize};
-use sygraph_core::engine::RecoveryPolicy;
 use sygraph_core::frontier::{
     BitmapFrontier, BitmapLike, HybridFrontier, SparseFrontier, TwoLayerFrontier, Word,
 };
 use sygraph_core::inspector::{OptConfig, Representation};
-use sygraph_sim::{Queue, SimError, SimResult};
+use sygraph_sim::{Queue, SimResult};
 
 /// Result of one algorithm run: per-vertex values plus run metadata.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -18,32 +17,6 @@ pub struct AlgoResult<T> {
     pub iterations: u32,
     /// Modelled device time of the run, in milliseconds.
     pub sim_ms: f64,
-}
-
-/// Runs an algorithm's setup kernels (distance fills, frontier seeds)
-/// under the recovery contract the engine applies to supersteps. Setup
-/// sits *before* the engine loop, so a fault injected there is outside
-/// the superstep retry domain: left unhandled it silently skips the
-/// fills and the run converges instantly on uninitialized buffers. The
-/// closure must be idempotent (fills, stores and bitmap-OR inserts all
-/// are); it is re-run whole on transient or synthetic-OOM faults, up to
-/// `recovery.max_retries` with the policy's backoff. Sticky faults
-/// (`DeviceLost`) and exhausted retries propagate as typed errors. With
-/// no fault plan attached this is exactly one call to `init`.
-pub fn guarded_init(q: &Queue, recovery: &RecoveryPolicy, init: impl Fn()) -> SimResult<()> {
-    let mut attempt = 0u32;
-    loop {
-        init();
-        let Some(e) = q.take_fault() else {
-            return Ok(());
-        };
-        let retryable = matches!(e, SimError::Transient { .. } | SimError::OutOfMemory { .. });
-        if !retryable || attempt >= recovery.max_retries {
-            return Err(e);
-        }
-        attempt += 1;
-        q.advance_clock_ns(recovery.backoff(attempt));
-    }
 }
 
 /// Creates a frontier of the layout selected by `opts`: the

@@ -7,6 +7,7 @@
 //! to the *near* pile and are relaxed immediately; the rest wait in the
 //! *far* pile until the threshold advances by Δ.
 
+use sygraph_core::engine::retry;
 use sygraph_core::frontier::{swap, Word};
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView};
 use sygraph_core::inspector::{OptConfig, Tuning};
@@ -15,7 +16,7 @@ use sygraph_core::operators::filter;
 use sygraph_core::types::{VertexId, INF_WEIGHT};
 use sygraph_sim::{Queue, SimError, SimResult};
 
-use crate::common::{guarded_init, make_frontier, AlgoResult};
+use crate::common::{make_frontier, AlgoResult};
 use crate::dispatch_by_word;
 
 /// Runs Δ-stepping SSSP from `src` with bucket width `delta`.
@@ -47,7 +48,7 @@ fn run_impl<W: Word>(
     let mut near_next = make_frontier::<W>(q, n, opts)?;
     let far = make_frontier::<W>(q, n, opts)?;
     let scratch = make_frontier::<W>(q, n, opts)?;
-    guarded_init(q, &opts.recovery, || {
+    retry(q, &opts.recovery, || {
         q.fill(&dist, INF_WEIGHT);
         dist.store(src as usize, 0.0);
         near.insert_host(src);
@@ -59,6 +60,9 @@ fn run_impl<W: Word>(
     loop {
         // Drain the near pile at the current threshold.
         while !near.is_empty(q) {
+            // Δ-stepping runs outside the engine, so it owns the
+            // superstep-boundary cancellation check the engine would make.
+            q.check_cancelled()?;
             q.mark(format!("delta_iter{iter}"));
             let (ev, _) = Advance::new(q, g, near.as_ref())
                 .tuning(tuning)

@@ -3,7 +3,7 @@
 //! use both push and pull techniques as per Beamer et al.").
 //!
 //! Since direction optimization moved into the [`SuperstepEngine`]
-//! (`Tuning::{direction, alpha, beta}` plus the engine-maintained
+//! (`Tuning::direction` plus the engine-maintained
 //! unvisited set), this module is a thin preset over [`crate::bfs`]: it
 //! checks the graph carries a pull (CSC) view, defaults the direction
 //! policy to `Auto`, and runs the ordinary BFS engine cycle — the engine
@@ -54,7 +54,6 @@ mod tests {
     use super::*;
     use crate::reference;
     use sygraph_core::graph::CsrHost;
-    use sygraph_core::inspector::inspect;
     use sygraph_sim::{Device, DeviceProfile};
 
     fn queue() -> Queue {
@@ -85,57 +84,6 @@ mod tests {
         for want in ["push", "pull"] {
             assert!(dirs.iter().any(|e| e.direction == want), "no {want}");
         }
-    }
-
-    /// The preset's engine cycle under hand-set Beamer thresholds.
-    fn run_with_thresholds(q: &Queue, g: &Graph, alpha: u32, beta: u32) -> AlgoResult<u32> {
-        let opts = OptConfig::all();
-        let mut tuning = inspect(q.profile(), &opts, g.vertex_count());
-        (tuning.alpha, tuning.beta) = (alpha, beta);
-        assert_ne!(
-            tuning.word_bits, 32,
-            "only 32 logical bits live in u32 words"
-        );
-        engine_run::<u64, Graph>(q, g, 0, &opts, true, "dobfs_iter", &tuning).unwrap()
-    }
-
-    #[test]
-    fn thresholds_steer_the_direction_policy() {
-        // Chain long enough that the dense estimate (nonzero_words ×
-        // word_bits, so ≥ 64 for any non-empty frontier) stays below n.
-        let edges: Vec<(u32, u32)> = (0..127).map(|v| (v, v + 1)).collect();
-        let host = CsrHost::from_edges(128, &edges);
-        let expect = reference::bfs(&host, 0);
-
-        // alpha = 1 ⇒ push→pull threshold is n, never crossed: the run
-        // stays push throughout and matches plain BFS bit for bit.
-        let q = queue();
-        let g = Graph::with_pull(&q, &host).unwrap();
-        let got = run_with_thresholds(&q, &g, 1, 1);
-        assert_eq!(got.values, expect);
-        let plain = crate::bfs::run_fused(&q, &g, 0, &OptConfig::all()).unwrap();
-        assert_eq!(got.values, plain.values);
-        assert!(
-            q.profiler()
-                .direction_events()
-                .iter()
-                .all(|e| e.direction == "push"),
-            "alpha=1 must keep every superstep on the push path"
-        );
-
-        // alpha = MAX ⇒ threshold n/alpha is 0: any non-empty estimate
-        // engages pull from the second superstep on.
-        let q = queue();
-        let g = Graph::with_pull(&q, &host).unwrap();
-        let got = run_with_thresholds(&q, &g, u32::MAX, u32::MAX);
-        assert_eq!(got.values, expect);
-        assert!(
-            q.profiler()
-                .direction_events()
-                .iter()
-                .any(|e| e.direction == "pull"),
-            "alpha=MAX must engage the pull path"
-        );
     }
 
     #[test]

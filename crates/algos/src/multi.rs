@@ -16,7 +16,7 @@
 //! accumulation), and the [`closeness_multi`] / [`reachability_multi`]
 //! wrappers over the batched BFS distances.
 
-use sygraph_core::engine::{CheckpointState, SuperstepEngine};
+use sygraph_core::engine::{retry, CheckpointState, RecoveryPolicy, SuperstepEngine};
 use sygraph_core::frontier::{
     lane_locate, lane_words, locate, BitmapLike, LaneFrontier, LaneView, Word,
 };
@@ -27,7 +27,6 @@ use sygraph_core::operators::compute;
 use sygraph_core::types::{VertexId, INF_DIST};
 use sygraph_sim::{Queue, SimResult};
 
-use crate::common::guarded_init;
 use crate::dispatch_by_word;
 
 /// Result of a batched multi-source run: one value vector per source, in
@@ -112,7 +111,7 @@ fn bfs_multi_impl<W: Word>(
     let mut batches = 0u32;
     for chunk in sources.chunks(w) {
         batches += 1;
-        guarded_init(q, &tuning.recovery, || {
+        retry(q, &tuning.recovery, || {
             q.fill(&depth, INF_DIST);
             q.fill(&vis, 0u64);
             fin.clear(q);
@@ -129,25 +128,25 @@ fn bfs_multi_impl<W: Word>(
             .max_iters(n + 1, "multi-source BFS failed to converge")
             .checkpoint_state(&ckpt)
             .multi_source(width, live_mask(chunk.len()))?;
-        let vis_a = vis.alias();
-        let vis_c = vis.alias();
-        let depth_c = depth.alias();
-        iterations += engine.run_multi(
-            move |l, _i, _u, v, _e, _w, m| {
+        while engine.step_multi(
+            |l, _i, _u, v, _e, _w, m| {
                 let (vw, vs) = lane_locate(v, width);
-                m & !((l.load_atomic::<u64>(&vis_a, vw) >> vs) & LaneView::mask_all(width))
+                m & !((l.load_atomic::<u64>(&vis, vw) >> vs) & LaneView::mask_all(width))
             },
-            Some(&move |l, i, v, fresh| {
+            Some(&|l, i, v, fresh| {
                 let (vw, vs) = lane_locate(v, width);
-                l.fetch_or(&vis_c, vw, fresh << vs);
+                l.fetch_or(&vis, vw, fresh << vs);
                 let mut f = fresh;
                 while f != 0 {
                     let b = f.trailing_zeros() as usize;
-                    l.store_atomic(&depth_c, v as usize * w + b, i + 1);
+                    l.store_atomic(&depth, v as usize * w + b, i + 1);
                     f &= f - 1;
                 }
             }),
-        )?;
+        )? {
+            engine.rotate()?;
+        }
+        iterations += engine.iteration();
         let all = depth.to_vec();
         for i in 0..chunk.len() {
             per_source.push((0..n).map(|v| all[v * w + i]).collect());
@@ -222,13 +221,18 @@ fn bc_multi_impl<W: Word>(
     let mut fin: Box<dyn BitmapLike<W>> = Box::new(LaneFrontier::<W>::new(q, n, width)?);
     let mut fout: Box<dyn BitmapLike<W>> = Box::new(LaneFrontier::<W>::new(q, n, width)?);
 
+    // Sigma counting is additive, so a partially-run superstep is not
+    // safe to retry: the forward engine runs under the all-off policy and
+    // an injected fault fails the batch typed (setup keeps the caller's).
+    let mut fwd_tuning = *tuning;
+    fwd_tuning.recovery = RecoveryPolicy::default();
     let mut per_source: Vec<Vec<f32>> = Vec::with_capacity(sources.len());
     let mut iterations = 0u32;
     let mut batches = 0u32;
     for chunk in sources.chunks(w) {
         batches += 1;
         let live = live_mask(chunk.len());
-        guarded_init(q, &tuning.recovery, || {
+        retry(q, &tuning.recovery, || {
             q.fill(&depth, INF_DIST);
             q.fill(&sigma, 0.0);
             q.fill(&delta, 0.0);
@@ -244,9 +248,24 @@ fn bc_multi_impl<W: Word>(
                 vis.fetch_or(vw, 1u64 << (vs + i as u32));
             }
         })?;
-        let mut engine = SuperstepEngine::new(q, &g.csr, *tuning, fin, fout)
+        // Merge each superstep's discoveries into `vis` before the rotate
+        // — the *next* superstep's accept masks must see them, this one's
+        // must not.
+        let merge_vis = |q: &Queue, _iter: u32, out: &dyn BitmapLike<W>| {
+            let out_lanes = out
+                .lane_view()
+                .expect("multi engines carry lane frontiers")
+                .lanes;
+            compute::over_compacted(q, out, |l, v| {
+                let (vw, vs) = lane_locate(v, width);
+                let m = (l.load::<u64>(&out_lanes, vw) >> vs) & mask_all;
+                l.fetch_or(&vis, vw, m << vs);
+            })
+            .wait();
+        };
+        let mut engine = SuperstepEngine::new(q, &g.csr, fwd_tuning, fin, fout)
             .mark_prefix("bc_multi_fwd")
-            .max_iters(n + 1, "multi-source BC failed to converge")
+            .post_step(&merge_vis)
             .multi_source(width, live)?;
 
         // Forward: the accept mask is `m` minus the lanes that visited
@@ -254,60 +273,29 @@ fn bc_multi_impl<W: Word>(
         // superstep (merged from the output frontier between supersteps),
         // so every shortest-path edge's sigma contribution lands exactly
         // once, even when several same-superstep parents discover `v`.
-        let vis_a = vis.alias();
-        let sigma_a = sigma.alias();
-        let depth_c = depth.alias();
-        let fwd = move |l: &mut sygraph_sim::ItemCtx<'_>,
-                        _i: u32,
-                        u: VertexId,
-                        v: VertexId,
-                        _e: sygraph_core::types::EdgeId,
-                        _w: sygraph_core::types::Weight,
-                        m: u64|
-              -> u64 {
-            let (vw, vs) = lane_locate(v, width);
-            let acc = m & !((l.load::<u64>(&vis_a, vw) >> vs) & mask_all);
-            let mut a = acc;
-            while a != 0 {
-                let b = a.trailing_zeros() as usize;
-                let su = l.load(&sigma_a, u as usize * w + b);
-                l.fetch_add_f32(&sigma_a, v as usize * w + b, su);
-                a &= a - 1;
-            }
-            acc
-        };
-        let stamp = move |l: &mut sygraph_sim::ItemCtx<'_>, i: u32, v: VertexId, fresh: u64| {
-            let mut f = fresh;
-            while f != 0 {
-                let b = f.trailing_zeros() as usize;
-                l.store_atomic(&depth_c, v as usize * w + b, i + 1);
-                f &= f - 1;
-            }
-        };
-
-        // Sigma counting is additive, so a partially-run superstep is
-        // not safe to retry: `step_multi` surfaces any injected fault and
-        // the batch fails typed.
         let mut levels: Vec<Box<dyn BitmapLike<W>>> = Vec::new();
-        while engine.step_multi(&fwd, Some(&stamp))? {
-            // Merge the superstep's discoveries into `vis` before the
-            // rotate — the *next* superstep's accept masks must see them,
-            // this one's must not.
-            let out_lanes = engine
-                .output()
-                .lane_view()
-                .expect("multi engines carry lane frontiers")
-                .lanes;
-            let vis_m = vis.alias();
-            compute::over_compacted(q, engine.output(), move |l, v| {
+        while engine.step_multi(
+            |l, _i, u, v, _e, _w, m| {
                 let (vw, vs) = lane_locate(v, width);
-                let m = (l.load::<u64>(&out_lanes, vw) >> vs) & mask_all;
-                l.fetch_or(&vis_m, vw, m << vs);
-            })
-            .wait();
-            // The vis merge must land before the next superstep's accept
-            // masks read it; a skipped merge can only fail typed.
-            q.fault_barrier()?;
+                let acc = m & !((l.load::<u64>(&vis, vw) >> vs) & mask_all);
+                let mut a = acc;
+                while a != 0 {
+                    let b = a.trailing_zeros() as usize;
+                    let su = l.load(&sigma, u as usize * w + b);
+                    l.fetch_add_f32(&sigma, v as usize * w + b, su);
+                    a &= a - 1;
+                }
+                acc
+            },
+            Some(&|l, i, v, fresh| {
+                let mut f = fresh;
+                while f != 0 {
+                    let b = f.trailing_zeros() as usize;
+                    l.store_atomic(&depth, v as usize * w + b, i + 1);
+                    f &= f - 1;
+                }
+            }),
+        )? {
             let fresh = match pool.pop() {
                 Some(f) => f,
                 None => Box::new(LaneFrontier::<W>::new(q, n, width)?),

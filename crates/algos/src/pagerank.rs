@@ -8,14 +8,14 @@
 //! the teleport term are folded in by a `compute` pass; iteration stops
 //! when the L1 delta drops below `tol` or after `max_iters` sweeps.
 
-use sygraph_core::engine::fixed_point;
+use sygraph_core::engine::{fixed_point, retry};
 use sygraph_core::frontier::BucketPool;
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView};
 use sygraph_core::inspector::{OptConfig, Tuning};
 use sygraph_core::operators::advance::Advance;
 use sygraph_sim::{full_mask, Queue, SimResult, MAX_SUBGROUP};
 
-use crate::common::{guarded_init, AlgoResult};
+use crate::common::AlgoResult;
 use crate::dispatch_by_word;
 
 /// PageRank parameters.
@@ -66,7 +66,7 @@ fn run_impl<W: sygraph_core::frontier::Word>(
     let l1_delta = q.malloc_device::<f32>(1)?;
     // One set of bucket buffers for every sweep's advance.
     let pool = BucketPool::for_graph(q, g, tuning);
-    guarded_init(q, &tuning.recovery, || {
+    retry(q, &tuning.recovery, || {
         q.fill(&rank, 1.0 / nf);
     })?;
 

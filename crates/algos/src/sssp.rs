@@ -3,14 +3,14 @@
 //! distance improved re-enter the frontier. The paper's SSSP deliberately
 //! omits Δ-stepping — that optimization lives in [`crate::delta`].
 
-use sygraph_core::engine::{CheckpointState, StepAdvance, SuperstepEngine, NO_COMPUTE};
+use sygraph_core::engine::{retry, CheckpointState, StepAdvance, SuperstepEngine, NO_COMPUTE};
 use sygraph_core::frontier::Word;
 use sygraph_core::graph::{DeviceCsr, DeviceGraphView};
 use sygraph_core::inspector::{OptConfig, Tuning};
 use sygraph_core::types::{EdgeId, VertexId, Weight, INF_WEIGHT};
 use sygraph_sim::{DeviceBuffer, ItemCtx, Queue, SimResult};
 
-use crate::common::{guarded_init, make_frontier, AlgoResult};
+use crate::common::{make_frontier, AlgoResult};
 use crate::dispatch_by_word;
 
 /// Runs Bellman-Ford SSSP from `src`, returning weighted distances
@@ -53,7 +53,7 @@ fn run_impl<W: Word>(
     let dist = q.malloc_device::<f32>(n)?;
     let fin = make_frontier::<W>(q, n, opts)?;
     let fout = make_frontier::<W>(q, n, opts)?;
-    guarded_init(q, &opts.recovery, || {
+    retry(q, &opts.recovery, || {
         q.fill(&dist, INF_WEIGHT);
         dist.store(src as usize, 0.0);
         fin.insert_host(src);
@@ -69,7 +69,7 @@ fn run_impl<W: Word>(
             "Bellman-Ford exceeded |V| iterations (negative cycle?)",
         )
         .checkpoint_state(&ckpt);
-    let iterations = engine.run(relax(&dist), NO_COMPUTE, None)?;
+    let iterations = engine.run(relax(&dist), NO_COMPUTE)?;
 
     Ok(AlgoResult {
         values: dist.to_vec(),

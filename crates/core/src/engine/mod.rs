@@ -27,6 +27,12 @@
 //! sequence, 1 on an item list — and exactly one host sync (the compaction
 //! count) either way. Events are chained internally; the engine only
 //! surfaces the per-step convergence result.
+//!
+//! [`SuperstepEngine::step`] and its batched twin
+//! [`SuperstepEngine::step_multi`] land under one contract: the engine
+//! owns the recovery session (checkpoint, retries, OOM rung, resumes) and
+//! the cancellation check, so every caller's loop is
+//! `while engine.step(..)? { engine.rotate()? }`.
 
 pub mod multi_device;
 pub mod recovery;
@@ -46,7 +52,7 @@ use crate::operators::compute;
 use crate::types::{EdgeId, VertexId, Weight};
 
 pub use multi_device::{HaloLink, MultiDeviceEngine, SuperstepExchange};
-pub use recovery::{CheckpointState, EngineCheckpoint, LaneCheckpoint, RecoveryPolicy};
+pub use recovery::{retry, CheckpointState, EngineCheckpoint, LaneCheckpoint, RecoveryPolicy};
 
 /// Which candidate set the engine hands a *pull*-direction superstep
 /// (see [`PullScope`]). Chosen once per engine by the algorithm — the
@@ -117,45 +123,22 @@ impl<F> LaneAdvance for F where
 /// for single-source fused compute).
 pub type LaneComputeDyn<'f> = dyn Fn(&mut ItemCtx<'_>, u32, VertexId, u64) + Sync + 'f;
 
-/// Convenience for advance-only batched algorithms:
-/// `engine.step_multi(f, NO_LANE_COMPUTE)`.
-pub const NO_LANE_COMPUTE: Option<&LaneComputeDyn<'static>> = None;
-
-/// Host-side hook run after each superstep's advance+compute, before the
-/// rotate: `(queue, iter, output_frontier)`. May launch kernels and insert
-/// vertices into the output frontier (e.g. Connected Components'
-/// shortcutting pass re-activating vertices whose label chain collapsed).
+/// Host-side hook run after each landed superstep's advance+compute,
+/// before the rotate: `(queue, iter, output_frontier)`. May launch kernels
+/// and insert vertices into the output frontier (e.g. Connected
+/// Components' shortcutting pass re-activating vertices whose label chain
+/// collapsed). Installed with [`SuperstepEngine::post_step`].
 pub type PostStep<'a, W> = &'a dyn Fn(&Queue, u32, &dyn BitmapLike<W>);
 
-/// The recovery state of one run, and its only holder: the latest
-/// checkpoint, the transient retries spent on the current superstep
-/// (reset when it lands), and the OOM rung and resume count, which persist
-/// for the run. [`run`](SuperstepEngine::run) keeps one internally;
-/// callers driving supersteps one at a time through
-/// [`SuperstepEngine::step_resilient`] (the multi-device engine) own
-/// theirs.
+/// The engine's recovery state for the run: the latest checkpoint, the
+/// transient retries spent on the current superstep (reset when it
+/// lands), and the OOM rung and resume count, which persist.
 #[derive(Default)]
-pub struct RecoverySession {
+struct Session {
     checkpoint: Option<EngineCheckpoint>,
     retries: u32,
     oom_rung: u32,
     resumes: u32,
-}
-
-impl RecoverySession {
-    /// Replaces the session's checkpoint with one taken at the engine's
-    /// current superstep boundary.
-    pub fn checkpoint_here<W: Word, G: DeviceGraphView + ?Sized>(
-        &mut self,
-        engine: &SuperstepEngine<'_, W, G>,
-    ) {
-        self.checkpoint = Some(engine.take_checkpoint());
-    }
-
-    /// Checkpoint resumes performed so far.
-    pub fn resumes(&self) -> u32 {
-        self.resumes
-    }
 }
 
 /// The superstep engine. Owns the frontier ring — the input, the output
@@ -246,6 +229,10 @@ pub struct SuperstepEngine<'a, W: Word, G: DeviceGraphView + ?Sized> {
     /// Batched multi-source state ([`SuperstepEngine::multi_source`]):
     /// `None` for ordinary single-source engines.
     multi: Option<MultiState>,
+    /// The hook [`SuperstepEngine::post_step`] installed.
+    post: Option<PostStep<'a, W>>,
+    /// Recovery state every superstep lands under (`land`, `recover`).
+    session: Session,
 }
 
 /// Engine-side state of a batched multi-source run.
@@ -307,6 +294,8 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             unvisited: None,
             ckpt_state: None,
             multi: None,
+            post: None,
+            session: Session::default(),
         }
     }
 
@@ -314,8 +303,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     /// pair must be [`LaneFrontier`]s of this `width` (∈ {8, 16, 32,
     /// 64}), and `live` names the lanes actually carrying a source.
     /// Supersteps then run through
-    /// [`step_multi`](SuperstepEngine::step_multi) /
-    /// [`run_multi`](SuperstepEngine::run_multi).
+    /// [`step_multi`](SuperstepEngine::step_multi).
     ///
     /// Pins the pull scope to [`PullCandidates::AllVertices`]: the
     /// adopt-once [`PullCandidates::Unvisited`] scan stops offering a
@@ -392,17 +380,30 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         self
     }
 
-    /// Errors out of [`run`](SuperstepEngine::run) with `msg` once the
-    /// iteration count exceeds `n` (divergence guard).
+    /// Errors out of [`rotate`](SuperstepEngine::rotate) with `msg` once
+    /// the iteration count exceeds `n` (divergence guard).
     pub fn max_iters(mut self, n: usize, msg: impl Into<String>) -> Self {
         self.max_iters = n;
         self.diverge_msg = msg.into();
         self
     }
 
+    /// Runs `hook` after every superstep that lands with no fault pending
+    /// (see [`PostStep`]). It must be idempotent: a fault in it re-runs
+    /// the whole superstep, hook included.
+    pub fn post_step(mut self, hook: PostStep<'a, W>) -> Self {
+        self.post = Some(hook);
+        self
+    }
+
     /// Supersteps completed so far.
     pub fn iteration(&self) -> u32 {
         self.iter
+    }
+
+    /// Checkpoint resumes performed so far.
+    pub fn resumes(&self) -> u32 {
+        self.session.resumes
     }
 
     /// The current input frontier.
@@ -482,8 +483,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     /// The body of one superstep: advance (with compute fused in or
     /// following as an [`compute::over_compacted`] pass) and the single
     /// convergence check. Returns `false` if the input frontier was empty.
-    /// Blind to injected faults — [`step`](SuperstepEngine::step) surfaces
-    /// them.
+    /// Blind to injected faults — `land` drains them.
     fn superstep(
         &mut self,
         advance_f: impl StepAdvance,
@@ -578,7 +578,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         // An injected fault mid-superstep leaves skipped kernels behind:
         // the compaction count is stale and must not drive convergence,
         // representation or estimate decisions. Report "not converged" and
-        // leave interpretation to the recovery layer (`step` drains it);
+        // leave interpretation to the recovery layer (`land` drains it);
         // with no fault plan attached this check is free.
         if self.q.fault_pending() {
             self.distrust_metadata();
@@ -635,85 +635,27 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         true
     }
 
-    /// Drains a fault latched during the superstep just run and surfaces
-    /// it as `Err`; `Ok(live)` when none fired.
-    fn landed(&mut self, live: bool) -> SimResult<bool> {
-        match self.q.take_fault() {
-            Some(e) => {
-                self.distrust_metadata();
-                Err(e)
-            }
-            None => Ok(live),
-        }
-    }
-
     /// Runs one superstep: advance (with compute fused in or following as
-    /// an [`compute::over_compacted`] pass) and the single convergence
-    /// check. Returns `Ok(false)` if the input frontier was empty — the
-    /// algorithm has converged and nothing was launched — `Ok(true)` after
-    /// a full superstep, in which case the caller advances the cycle with
+    /// an [`compute::over_compacted`] pass), the single convergence check
+    /// and the [`post_step`](SuperstepEngine::post_step) hook. Returns
+    /// `Ok(false)` if the input frontier was empty — the algorithm has
+    /// converged and nothing was launched — `Ok(true)` after a full
+    /// superstep, in which case the caller advances the cycle with
     /// [`rotate`](SuperstepEngine::rotate).
     ///
-    /// Any injected fault that fired during the superstep is drained from
-    /// the queue and surfaced as `Err` (the superstep's effects are a
-    /// partial, idempotent prefix — safe to retry from the unchanged input
-    /// frontier). Never `Err` when no fault plan is attached.
+    /// The superstep lands under the tuning's [`RecoveryPolicy`]: a fault
+    /// is retried, degraded around or resumed from a checkpoint (`land`)
+    /// until the superstep completes — its effects are a partial,
+    /// idempotent prefix, safe to re-run from the unchanged input frontier
+    /// — or surfaces as `Err` when the policy does not cover it. Under the
+    /// all-off default every fault does. A fired cancel token is `Err`
+    /// too. Never `Err` with no fault plan and no token attached.
     pub fn step(
         &mut self,
         advance_f: impl StepAdvance,
         compute_f: Option<&StepComputeDyn<'_>>,
     ) -> SimResult<bool> {
-        let live = self.superstep(advance_f, compute_f);
-        self.landed(live)
-    }
-
-    /// Attempts one superstep until it lands: a fault `attempt` surfaces
-    /// goes through [`recover`](SuperstepEngine::recover) — transient
-    /// retry with backoff, the OOM degradation ladder, `DeviceLost` resume
-    /// from the session's checkpoint — and the superstep is attempted
-    /// again, until it succeeds or the policy is exhausted. Cooperative
-    /// cancellation is checked before every attempt at a superstep that
-    /// is a multiple of `cancel_every`; `recover` never retries
-    /// `Cancelled`, so the abort is immediate and the run's buffers unwind
-    /// through the normal error path.
-    fn land(
-        &mut self,
-        session: &mut RecoverySession,
-        cancel_every: u32,
-        mut attempt: impl FnMut(&mut Self) -> SimResult<bool>,
-    ) -> SimResult<bool> {
-        loop {
-            if self.iter.is_multiple_of(cancel_every) {
-                self.q.check_cancelled()?;
-            }
-            match attempt(self) {
-                Ok(live) => {
-                    session.retries = 0;
-                    return Ok(live);
-                }
-                Err(e) => {
-                    self.recover(e, session)?;
-                }
-            }
-        }
-    }
-
-    /// [`step`](SuperstepEngine::step) under the engine's recovery
-    /// policy, for callers that drive the superstep loop themselves (the
-    /// multi-device engine): loops until the superstep lands or the policy
-    /// is exhausted, checking cancellation before every attempt. The
-    /// caller owns checkpoint cadence through
-    /// [`RecoverySession::checkpoint_here`]; a multi-device run must
-    /// checkpoint at *every* exchange boundary, because resuming to an
-    /// older superstep would replay local supersteps without the remote
-    /// activations they originally received.
-    pub fn step_resilient(
-        &mut self,
-        session: &mut RecoverySession,
-        advance_f: impl StepAdvance,
-        compute_f: Option<&StepComputeDyn<'_>>,
-    ) -> SimResult<bool> {
-        self.land(session, 1, |e| e.step(&advance_f, compute_f))
+        self.land(|e| e.superstep(&advance_f, compute_f))
     }
 
     /// One batched multi-source superstep: expands every live lane's
@@ -729,17 +671,29 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     /// Composes with everything [`step`](SuperstepEngine::step) does —
     /// bucketed balancing, representation policy (lane frontiers pin
     /// dense), push/pull direction selection (pull adopts per-lane via
-    /// the same mask arithmetic) — because the union frontier *is* a
-    /// two-layer bitmap underneath.
-    ///
-    /// Returns `Ok(false)` when the union frontier was empty (every lane
-    /// converged; nothing launched), and `Err` on an injected fault,
-    /// exactly as [`step`](SuperstepEngine::step) does.
+    /// the same mask arithmetic), and the same landing contract, with
+    /// lane-aware checkpoints that capture the per-vertex masks and the
+    /// live-lane set — because the union frontier *is* a two-layer bitmap
+    /// underneath. Functors must be lane-idempotent (the batched BFS
+    /// family is: depth stamps are guarded by the fresh mask).
     pub fn step_multi(
         &mut self,
         advance_f: impl LaneAdvance,
         compute_f: Option<&LaneComputeDyn<'_>>,
     ) -> SimResult<bool> {
+        self.land(|e| e.lane_superstep(&advance_f, compute_f))
+    }
+
+    /// The body of [`step_multi`](SuperstepEngine::step_multi): wraps the
+    /// lane functor into an ordinary one, runs [`superstep`] and retires
+    /// drained lanes. Re-built per attempt: a resume rewinds the live set.
+    ///
+    /// [`superstep`]: SuperstepEngine::superstep
+    fn lane_superstep(
+        &mut self,
+        advance_f: impl LaneAdvance,
+        compute_f: Option<&LaneComputeDyn<'_>>,
+    ) -> bool {
         let ms = self
             .multi
             .as_ref()
@@ -825,7 +779,52 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             };
             self.q.trace(Some(iter), census);
         }
-        self.landed(stepped)
+        stepped
+    }
+
+    /// The one superstep contract behind [`step`](SuperstepEngine::step)
+    /// and [`step_multi`](SuperstepEngine::step_multi), in order:
+    ///
+    /// 1. A fault latched *before* the superstep means kernels outside the
+    ///    retry domain (setup fills, frontier seeds) were silently skipped
+    ///    — state a re-run of the superstep cannot repair; absorbed, the
+    ///    run would "converge" on uninitialized buffers. It surfaces as
+    ///    is. Algorithms run their idempotent setup under [`retry`], so a
+    ///    clean entry is the norm even under fault injection.
+    /// 2. At the policy's `checkpoint_every` cadence, a checkpoint; and
+    ///    before every attempt at that cadence (every superstep when
+    ///    checkpointing is off), the cancellation check — `recover` never
+    ///    retries `Cancelled`, so a deadline or drain aborts at once.
+    /// 3. The attempt, then the post-step hook if it went live cleanly.
+    /// 4. A fault either latched is drained into `recover` — transient
+    ///    retry with backoff, the OOM degradation ladder, `DeviceLost`
+    ///    resume from the checkpoint — and the superstep is attempted
+    ///    again, until it lands or the policy gives up.
+    fn land(&mut self, mut attempt: impl FnMut(&mut Self) -> bool) -> SimResult<bool> {
+        if let Some(e) = self.q.take_fault() {
+            return Err(e);
+        }
+        let every = self.tuning.recovery.checkpoint_every;
+        if every > 0 && self.iter.is_multiple_of(every) {
+            self.session.checkpoint = Some(self.take_checkpoint());
+        }
+        loop {
+            if self.iter.is_multiple_of(every.max(1)) {
+                self.q.check_cancelled()?;
+            }
+            let live = attempt(self);
+            let mut fault = self.q.take_fault();
+            if let (true, None, Some(hook)) = (live, &fault, self.post) {
+                hook(self.q, self.iter, self.fout.as_ref());
+                fault = self.q.take_fault();
+            }
+            let Some(e) = fault else {
+                self.session.retries = 0;
+                return Ok(live);
+            };
+            self.distrust_metadata();
+            self.recover(e)?;
+        }
     }
 
     /// Turns the ring: the output becomes the input, the (empty) spare the
@@ -835,7 +834,16 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     /// metadata untrusted — is launched here, alone, before the turn. A
     /// layout without a spare swaps the pair and clears the new output
     /// (the old input) at once, lazily when its metadata is fresh.
-    pub fn rotate(&mut self) {
+    ///
+    /// A fault during the turn skipped the one clear it launches, and in
+    /// ring and pair alike that was the clear of what is now the output
+    /// frontier: it goes through the recovery policy, then that frontier
+    /// is cleared in full — it holds no legitimate inserts yet, so a full
+    /// clear is always safe. (A checkpoint resume resets both frontiers
+    /// itself.) `Err` when the policy gives up, or with the
+    /// [`max_iters`](SuperstepEngine::max_iters) message once the
+    /// iteration count passes it.
+    pub fn rotate(&mut self) -> SimResult<()> {
         if !self.spare_asked {
             self.spare_asked = true;
             self.spare = self.fin.empty_like(self.q);
@@ -852,6 +860,15 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         self.lazy_ok = false;
         self.listed = None;
         self.iter += 1;
+        while let Some(e) = self.q.take_fault() {
+            if !self.recover(e)? {
+                self.fout.clear(self.q);
+            }
+        }
+        if self.iter as usize > self.max_iters {
+            return Err(SimError::Algorithm(self.diverge_msg.clone()));
+        }
+        Ok(())
     }
 
     /// Launches the clear the retired frontier (the spare, or without one
@@ -869,27 +886,10 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         }
     }
 
-    /// [`rotate`](SuperstepEngine::rotate) under the recovery policy. A
-    /// fault during the rotate skipped the one clear it launches, and in
-    /// ring and pair alike that was the clear of what is now the output
-    /// frontier: recover, then clear it for real — it holds no legitimate
-    /// inserts yet, so a full clear is always safe. (A checkpoint resume
-    /// resets both frontiers itself.)
-    fn rotate_recovering(&mut self, session: &mut RecoverySession) -> SimResult<()> {
-        self.rotate();
-        while self.q.fault_pending() {
-            let e = self.q.take_fault().expect("fault_pending implies Some");
-            if !self.recover(e, session)? {
-                self.fout.clear(self.q);
-            }
-        }
-        Ok(())
-    }
-
     /// Like [`rotate`](SuperstepEngine::rotate), but *retains* the old
     /// input frontier (returning it) and installs `fresh` as the new
     /// output — Brandes-style algorithms keep each level's frontier for
-    /// the backward sweep.
+    /// the backward sweep. Launches nothing.
     pub fn rotate_retaining(&mut self, fresh: Box<dyn BitmapLike<W>>) -> Box<dyn BitmapLike<W>> {
         let retained = std::mem::replace(&mut self.fin, std::mem::replace(&mut self.fout, fresh));
         self.lazy_ok = false;
@@ -906,111 +906,43 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         (self.fin, self.fout)
     }
 
-    /// Drives `step` + `rotate` to convergence, returning the superstep
-    /// count. Errors with the configured divergence message if
-    /// [`max_iters`](SuperstepEngine::max_iters) is exceeded. `post`, when
-    /// given, runs host-side after each superstep's advance+compute and
-    /// before the rotate (it may insert vertices into the output
-    /// frontier).
-    ///
-    /// When the tuning's [`RecoveryPolicy`] enables it, faults injected by
-    /// the queue's fault plan are handled here instead of propagating:
-    /// transient failures retry the superstep (the input frontier is
-    /// immutable until `rotate`), OOM walks the degradation ladder, and a
-    /// sticky `DeviceLost` resumes from the latest checkpoint. Post-step
-    /// hooks must be idempotent: a fault during or after the hook re-runs
-    /// the whole superstep, hook included.
+    /// Drives [`step`](SuperstepEngine::step) +
+    /// [`rotate`](SuperstepEngine::rotate) to convergence, returning the
+    /// superstep count.
     pub fn run(
         &mut self,
         advance_f: impl StepAdvance,
         compute_f: Option<&StepComputeDyn<'_>>,
-        post: Option<PostStep<'_, W>>,
     ) -> SimResult<u32> {
-        self.drive(|e| {
-            let live = e.step(&advance_f, compute_f)?;
-            match post {
-                Some(hook) if live => {
-                    hook(e.q, e.iter, e.fout.as_ref());
-                    e.landed(true)
-                }
-                _ => Ok(live),
-            }
-        })
-    }
-
-    /// Drives [`step_multi`](SuperstepEngine::step_multi) + `rotate` to
-    /// convergence of *every* live lane, under the same recovery loop as
-    /// [`run`](SuperstepEngine::run) — lane-aware checkpoints capture the
-    /// per-vertex masks and the live-lane set, so a `DeviceLost` resume
-    /// restores mid-batch. Requires lane-idempotent functors (the batched
-    /// BFS family qualifies: depth stamps are guarded by the fresh mask).
-    pub fn run_multi(
-        &mut self,
-        advance_f: impl LaneAdvance,
-        compute_f: Option<&LaneComputeDyn<'_>>,
-    ) -> SimResult<u32> {
-        debug_assert!(self.multi.is_some(), "run_multi requires multi_source()");
-        self.drive(|e| e.step_multi(&advance_f, compute_f))
-    }
-
-    /// The checkpoint/land/rotate loop behind [`run`](SuperstepEngine::run)
-    /// and [`run_multi`](SuperstepEngine::run_multi): `attempt` runs one
-    /// superstep (`Ok(false)` = converged, `Err` = drained fault).
-    fn drive(&mut self, mut attempt: impl FnMut(&mut Self) -> SimResult<bool>) -> SimResult<u32> {
-        // A fault latched *before* the first superstep means setup
-        // kernels (distance fills, frontier seeds) were silently skipped
-        // — state the superstep retry contract cannot repair, because a
-        // retry only re-runs the superstep from its input frontier. Were
-        // it absorbed here, the run would "converge" instantly on
-        // uninitialized buffers; surface it as a typed failure instead.
-        // Algorithms that want init-time resilience re-run their
-        // (idempotent) setup under `guarded_init` before reaching this
-        // point, so a clean entry is the norm even under fault injection.
-        if let Some(e) = self.q.take_fault() {
-            return Err(e);
+        while self.step(&advance_f, compute_f)? {
+            self.rotate()?;
         }
-        let every = self.tuning.recovery.checkpoint_every;
-        let mut session = RecoverySession::default();
-        loop {
-            if every > 0 && self.iter.is_multiple_of(every) {
-                session.checkpoint_here(self);
-            }
-            // Cancellation rides the checkpoint cadence: a deadline or
-            // drain lands at the same superstep boundaries where the
-            // engine would checkpoint (every superstep when checkpointing
-            // is off).
-            if !self.land(&mut session, every.max(1), &mut attempt)? {
-                return Ok(self.iter);
-            }
-            self.rotate_recovering(&mut session)?;
-            if self.iter as usize > self.max_iters {
-                return Err(SimError::Algorithm(self.diverge_msg.clone()));
-            }
-        }
+        Ok(self.iter)
     }
 
     // ---- fault recovery ---------------------------------------------------
 
     /// Handles one drained fault per the tuning's [`RecoveryPolicy`],
-    /// against `session`'s counters and checkpoint. Returns `Ok(true)`
+    /// against the session's counters and checkpoint. Returns `Ok(true)`
     /// when recovery restored the checkpoint (the frontiers were reset),
     /// and `Ok(false)` when the caller should simply re-attempt.
     /// Propagates the fault when the policy is exhausted or does not
     /// cover it.
-    fn recover(&mut self, e: SimError, session: &mut RecoverySession) -> SimResult<bool> {
+    fn recover(&mut self, e: SimError) -> SimResult<bool> {
         /// Resume attempts per run: `DeviceLost` fires once per planned
         /// ordinal, so this only guards against a pathological plan.
         const MAX_RESUMES: u32 = 8;
         let policy = self.tuning.recovery;
         match e {
             SimError::Transient { .. } => {
-                if session.retries >= policy.max_retries {
+                if self.session.retries >= policy.max_retries {
                     return Err(e);
                 }
-                session.retries += 1;
-                self.q.advance_clock_ns(policy.backoff(session.retries));
+                self.session.retries += 1;
+                self.q
+                    .advance_clock_ns(policy.backoff(self.session.retries));
                 self.repair_frontiers();
-                self.trace_recovery("transient", "retry", session.retries);
+                self.trace_recovery("transient", "retry", self.session.retries);
                 Ok(false)
             }
             SimError::OutOfMemory { .. } => {
@@ -1032,7 +964,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
                     self.trace_recovery("oom", "force-push", 1);
                     return Ok(false);
                 }
-                let action = match session.oom_rung {
+                let action = match self.session.oom_rung {
                     0 => {
                         // Rung 1: give back the bucket pool's buffers and
                         // stop dispatching bucketed.
@@ -1055,21 +987,22 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
                     }
                     _ => return Err(e),
                 };
-                session.oom_rung += 1;
+                self.session.oom_rung += 1;
                 self.repair_frontiers();
-                self.trace_recovery("oom", action, session.oom_rung);
+                self.trace_recovery("oom", action, self.session.oom_rung);
                 Ok(false)
             }
             SimError::DeviceLost { .. } => {
-                let Some(ck) = &session.checkpoint else {
-                    return Err(e);
-                };
-                if session.resumes >= MAX_RESUMES {
+                if self.session.resumes >= MAX_RESUMES {
                     return Err(e);
                 }
-                session.resumes += 1;
-                self.restore_checkpoint(ck);
-                self.trace_recovery("device-lost", "resume", session.resumes);
+                let Some(ck) = self.session.checkpoint.take() else {
+                    return Err(e);
+                };
+                self.session.resumes += 1;
+                self.restore_checkpoint(&ck);
+                self.session.checkpoint = Some(ck);
+                self.trace_recovery("device-lost", "resume", self.session.resumes);
                 Ok(true)
             }
             other => Err(other),
@@ -1101,7 +1034,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     /// Captures a checkpoint of the engine at the current superstep
     /// boundary. Entirely host-side: no kernels run, nothing is committed
     /// to the simulated clock or the profiler.
-    pub fn take_checkpoint(&self) -> EngineCheckpoint {
+    fn take_checkpoint(&self) -> EngineCheckpoint {
         let frontier = self.fin.to_sorted_vec();
         // A multi-source engine also captures each member's lane mask and
         // the live-lane set — membership alone would resume every member
@@ -1129,7 +1062,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
     /// buffers are restored word-for-word, the frontier pair is reset and
     /// reseeded, and memory accounting is recomputed from the allocation
     /// ledger so it cannot drift across restores.
-    pub fn restore_checkpoint(&mut self, ck: &EngineCheckpoint) {
+    fn restore_checkpoint(&mut self, ck: &EngineCheckpoint) {
         self.q.revive();
         if let Some(bufs) = self.ckpt_state {
             for (buf, words) in bufs.iter().zip(&ck.state) {
@@ -1202,16 +1135,13 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
 /// `"{mark_prefix}{iter}"` and calls `body(q, iter)` until it returns
 /// `Ok(false)` or `max_iters` is reached. Returns the iteration count.
 ///
-/// Sweeps run under the engine's fault-recovery and cancellation
-/// contract. After each sweep any injected fault is drained: transient and
-/// synthetic-OOM faults re-run the *same* sweep (with the policy's
-/// backoff) up to `policy.max_retries`, everything else propagates. The
-/// body must therefore be restartable — reset its per-sweep accumulators
-/// at the top and commit its persistent state in a single launch at the
-/// end, so a skipped launch prefix leaves the persistent state untouched.
-/// An attached [`CancelToken`] is checked before every sweep, giving
-/// deadline aborts the same per-iteration granularity the engine's
-/// checkpoint cadence provides.
+/// Each sweep runs under [`retry`], the cancellation check and the mark
+/// inside every attempt: a transient or synthetic-OOM fault re-runs the
+/// *same* sweep, so the body must be restartable — reset its per-sweep
+/// accumulators at the top and commit its persistent state in a single
+/// launch at the end, so a skipped launch prefix leaves the persistent
+/// state untouched. An attached [`CancelToken`] aborts before the next
+/// sweep, the per-iteration granularity the engine's supersteps have.
 ///
 /// [`CancelToken`]: sygraph_sim::CancelToken
 pub fn fixed_point(
@@ -1222,21 +1152,12 @@ pub fn fixed_point(
     mut body: impl FnMut(&Queue, u32) -> SimResult<bool>,
 ) -> SimResult<u32> {
     let mut iter = 0u32;
-    let mut retries = 0u32;
     while iter < max_iters {
-        q.check_cancelled()?;
-        q.trace(Some(iter), TraceKind::Mark(format!("{mark_prefix}{iter}")));
-        let proceed = body(q, iter)?;
-        if let Some(e) = q.take_fault() {
-            let retryable = matches!(e, SimError::Transient { .. } | SimError::OutOfMemory { .. });
-            if !retryable || retries >= policy.max_retries {
-                return Err(e);
-            }
-            retries += 1;
-            q.advance_clock_ns(policy.backoff(retries));
-            continue;
-        }
-        retries = 0;
+        let proceed = retry(q, policy, || {
+            q.check_cancelled()?;
+            q.trace(Some(iter), TraceKind::Mark(format!("{mark_prefix}{iter}")));
+            body(q, iter)
+        })??;
         iter += 1;
         if !proceed {
             break;
@@ -1280,7 +1201,6 @@ mod tests {
             .run(
                 |l, _i, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
                 Some(&|l, i, v| l.store(&dist, v as usize, i + 1)),
-                None,
             )
             .unwrap();
         (dist.to_vec(), iters)
@@ -1382,7 +1302,6 @@ mod tests {
             .run(
                 |l, _i, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
                 Some(&|l, i, v| l.store(&dist, v as usize, i + 1)),
-                None,
             )
             .unwrap();
         assert_eq!(iters, 20);
@@ -1399,18 +1318,16 @@ mod tests {
         let fin = Box::new(TwoLayerFrontier::<u32>::new(&q, 4).unwrap());
         let fout = Box::new(TwoLayerFrontier::<u32>::new(&q, 4).unwrap());
         fin.insert_host(0);
-        let mut engine = SuperstepEngine::new(&q, &g, tuning, fin, fout).max_iters(64, "diverged");
+        let reseed = |_q: &Queue, iter: u32, out: &dyn BitmapLike<u32>| {
+            if iter < 3 {
+                out.insert_host(0);
+            }
+        };
+        let mut engine = SuperstepEngine::new(&q, &g, tuning, fin, fout)
+            .max_iters(64, "diverged")
+            .post_step(&reseed);
         let iters = engine
-            .run(
-                |_l, _i, _u, _v, _e, _w| false,
-                NO_COMPUTE,
-                Some(&|q: &Queue, iter: u32, out: &dyn BitmapLike<u32>| {
-                    if iter < 3 {
-                        let _ = q;
-                        out.insert_host(0);
-                    }
-                }),
-            )
+            .run(|_l, _i, _u, _v, _e, _w| false, NO_COMPUTE)
             .unwrap();
         // steps at iter 0,1,2 re-seed; step at iter 3 produces nothing;
         // step at iter 4 sees an empty frontier and converges.
@@ -1471,7 +1388,6 @@ mod tests {
                 .run(
                     |l, _i, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
                     Some(&|l, i, v| l.store(&dist, v as usize, i + 1)),
-                    None,
                 )
                 .unwrap();
             let allocs = allocs_now() - allocs_before;
@@ -1534,7 +1450,6 @@ mod tests {
             .run(
                 |l, _i, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
                 Some(&|l, i, v| l.store(&dist, v as usize, i + 1)),
-                None,
             )
             .unwrap();
         let events = q.profiler().rep_events();
@@ -1612,7 +1527,7 @@ mod tests {
         let mut engine =
             SuperstepEngine::new(&q, &g, tuning, fin, fout).max_iters(5, "went forever");
         let err = engine
-            .run(|_l, _i, _u, _v, _e, _w| true, NO_COMPUTE, None)
+            .run(|_l, _i, _u, _v, _e, _w| true, NO_COMPUTE)
             .unwrap_err();
         assert!(matches!(err, SimError::Algorithm(m) if m == "went forever"));
     }
@@ -1683,7 +1598,6 @@ mod tests {
             .run(
                 |l, _i, _u, v, _e, _w| l.load_atomic(&dist, v as usize) == INF_DIST,
                 Some(&|l, i, v| l.store_atomic(&dist, v as usize, i + 1)),
-                None,
             )
             .unwrap();
         (dist.to_vec(), iters)
@@ -1785,7 +1699,7 @@ mod tests {
                 (steps + 1..100).collect::<Vec<u32>>(),
                 "after step {steps}"
             );
-            engine.rotate();
+            engine.rotate().unwrap();
         }
     }
 
@@ -1810,7 +1724,6 @@ mod tests {
             .run(
                 |l, _i, _u, v, _e, _w| l.load_atomic(&dist, v as usize) == INF_DIST,
                 Some(&|l, i, v| l.store_atomic(&dist, v as usize, i + 1)),
-                None,
             )
             .unwrap();
         dist.to_vec()
@@ -1852,27 +1765,42 @@ mod tests {
             )
         }
 
-        fn run(&self, engine: &mut SuperstepEngine<'_, u32, DeviceCsr>) -> SimResult<u32> {
+        /// Accepts the lanes that have not visited `v`.
+        fn adv(&self) -> impl LaneAdvance + '_ {
             let width = self.width;
-            let vis_a = self.vis.alias();
-            let vis_c = self.vis.alias();
-            let depth_c = self.depth.alias();
-            engine.run_multi(
-                move |l, _i, _u, v, _e, _w, m| {
-                    let (vw, vs) = lane_locate(v, width);
-                    m & !((l.load_atomic::<u64>(&vis_a, vw) >> vs) & LaneView::mask_all(width))
-                },
-                Some(&move |l, i, v, fresh| {
-                    let (vw, vs) = lane_locate(v, width);
-                    l.fetch_or(&vis_c, vw, fresh << vs);
-                    let mut f = fresh;
-                    while f != 0 {
-                        let b = f.trailing_zeros();
-                        l.store_atomic(&depth_c, v as usize * width as usize + b as usize, i + 1);
-                        f &= f - 1;
-                    }
-                }),
-            )
+            move |l: &mut ItemCtx<'_>,
+                  _i: u32,
+                  _u: VertexId,
+                  v: VertexId,
+                  _e: EdgeId,
+                  _w: Weight,
+                  m: u64| {
+                let (vw, vs) = lane_locate(v, width);
+                m & !((l.load_atomic::<u64>(&self.vis, vw) >> vs) & LaneView::mask_all(width))
+            }
+        }
+
+        /// Marks the fresh lanes visited and stamps their depths.
+        fn cmp(&self) -> impl Fn(&mut ItemCtx<'_>, u32, VertexId, u64) + Sync + '_ {
+            let width = self.width as usize;
+            move |l: &mut ItemCtx<'_>, i: u32, v: VertexId, fresh: u64| {
+                let (vw, vs) = lane_locate(v, self.width);
+                l.fetch_or(&self.vis, vw, fresh << vs);
+                let mut f = fresh;
+                while f != 0 {
+                    let b = f.trailing_zeros() as usize;
+                    l.store_atomic(&self.depth, v as usize * width + b, i + 1);
+                    f &= f - 1;
+                }
+            }
+        }
+
+        fn run(&self, engine: &mut SuperstepEngine<'_, u32, DeviceCsr>) -> SimResult<u32> {
+            let (adv, cmp) = (self.adv(), self.cmp());
+            while engine.step_multi(&adv, Some(&cmp))? {
+                engine.rotate()?;
+            }
+            Ok(engine.iteration())
         }
 
         /// Lane `i`'s distance vector.
@@ -1968,33 +1896,10 @@ mod tests {
 
         // Run two supersteps by hand, checkpoint, finish, and keep the
         // converged depths as the baseline.
-        let width = mb.width;
-        let vis_a = mb.vis.alias();
-        let vis_c = mb.vis.alias();
-        let depth_c = mb.depth.alias();
-        let adv = move |l: &mut ItemCtx<'_>,
-                        _i: u32,
-                        _u: VertexId,
-                        v: VertexId,
-                        _e: EdgeId,
-                        _w: Weight,
-                        m: u64| {
-            let (vw, vs) = lane_locate(v, width);
-            m & !((l.load_atomic::<u64>(&vis_a, vw) >> vs) & LaneView::mask_all(width))
-        };
-        let cmp = move |l: &mut ItemCtx<'_>, i: u32, v: VertexId, fresh: u64| {
-            let (vw, vs) = lane_locate(v, width);
-            l.fetch_or(&vis_c, vw, fresh << vs);
-            let mut f = fresh;
-            while f != 0 {
-                let b = f.trailing_zeros();
-                l.store_atomic(&depth_c, v as usize * width as usize + b as usize, i + 1);
-                f &= f - 1;
-            }
-        };
+        let (adv, cmp) = (mb.adv(), mb.cmp());
         for _ in 0..2 {
             assert!(engine.step_multi(&adv, Some(&cmp)).unwrap());
-            engine.rotate();
+            engine.rotate().unwrap();
         }
         let ck = engine.take_checkpoint();
         assert_eq!(ck.iteration, 2);
@@ -2004,7 +1909,7 @@ mod tests {
         let frontier_at_ck = ck.frontier.clone();
         let live_at_ck = lanes.live;
         while engine.step_multi(&adv, Some(&cmp)).unwrap() {
-            engine.rotate();
+            engine.rotate().unwrap();
         }
         let baseline: Vec<u32> = mb.depth.to_vec();
 
@@ -2020,7 +1925,7 @@ mod tests {
             assert_eq!(view.host_mask(*v), *m, "vertex {v} mask");
         }
         while engine.step_multi(&adv, Some(&cmp)).unwrap() {
-            engine.rotate();
+            engine.rotate().unwrap();
         }
         assert_eq!(mb.depth.to_vec(), baseline);
         assert_eq!(engine.live_lanes(), 0);

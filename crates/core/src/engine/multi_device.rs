@@ -4,24 +4,25 @@
 //!
 //! The global cycle per superstep:
 //!
-//! 1. **Checkpoint** (when recovery is enabled) — every partition
-//!    checkpoints at the exchange boundary, so a `DeviceLost` on one
-//!    device resumes *that partition's current superstep* without
-//!    disturbing the others. (Resuming an older superstep would replay
-//!    local work without the remote activations it had received, so
-//!    boundary cadence is mandatory here, not a tuning choice.)
-//! 2. **Step** — each partition runs one local superstep over its shard.
-//!    Remote destinations are *halo rows*: the advance sets their bits and
-//!    stamps value replicas, all in device-local memory.
-//! 3. **Harvest** — the halo tail of each output frontier is word-diffed
+//! 1. **Step** — each partition runs one local superstep over its shard,
+//!    landing it under its engine's own recovery session. Remote
+//!    destinations are *halo rows*: the advance sets their bits and
+//!    stamps value replicas, all in device-local memory. When the policy
+//!    checkpoints at all, every engine checkpoints at *every* exchange
+//!    boundary (its local `checkpoint_every` is pinned to 1), so a
+//!    `DeviceLost` on one device resumes *that partition's current
+//!    superstep* without disturbing the others. Resuming an older
+//!    superstep would replay local work without the remote activations it
+//!    had received, so the cadence is mandatory here, not a tuning choice.
+//! 2. **Harvest** — the halo tail of each output frontier is word-diffed
 //!    ([`FrontierExchange::harvest`]): non-zero words only, decoded to
 //!    `(owner, owner_local, replica_value)` mail, then zeroed so halo
 //!    bits never re-enter the local frontier cycle.
-//! 4. **Barrier** — every queue's clock advances to the slowest
+//! 3. **Barrier** — every queue's clock advances to the slowest
 //!    partition's, plus the collective's modelled interconnect time; an
 //!    `Exchange` trace event per non-empty channel lands in the sender's
 //!    log.
-//! 5. **Rotate + merge** — all partitions rotate (keeping `iter` aligned
+//! 4. **Rotate + merge** — all partitions rotate (keeping `iter` aligned
 //!    across devices — distance stamps read it), then each drains its
 //!    mailbox and min-merges the values through the algorithm's
 //!    [`HaloLink`], activating improved vertices in its input frontier.
@@ -34,9 +35,7 @@
 
 use sygraph_sim::{Queue, SimError, SimResult, TraceKind};
 
-use crate::engine::{
-    CheckpointState, RecoverySession, StepAdvanceDyn, StepComputeDyn, SuperstepEngine,
-};
+use crate::engine::{CheckpointState, StepAdvanceDyn, StepComputeDyn, SuperstepEngine};
 use crate::frontier::exchange::{ExchangeConfig, ExchangeTally, FrontierExchange};
 use crate::frontier::word::Word;
 use crate::frontier::TwoLayerFrontier;
@@ -76,11 +75,9 @@ pub struct MultiDeviceEngine<'a, W: Word> {
     pg: &'a PartitionedGraph,
     queues: &'a [Queue],
     engines: Vec<SuperstepEngine<'a, W, DeviceCsr>>,
-    sessions: Vec<RecoverySession>,
     exchange: FrontierExchange,
     per_superstep: Vec<SuperstepExchange>,
     supersteps: u32,
-    checkpointing: bool,
 }
 
 impl<'a, W: Word> MultiDeviceEngine<'a, W> {
@@ -107,6 +104,8 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
         let mut local_tuning = tuning;
         local_tuning.direction = Direction::Push;
         local_tuning.representation = Representation::Dense;
+        // Checkpoint at every exchange boundary or not at all (module docs).
+        local_tuning.recovery.checkpoint_every = tuning.recovery.checkpoint_every.min(1);
 
         let mut engines = Vec::with_capacity(parts);
         for p in 0..parts {
@@ -123,16 +122,13 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
             }
             engines.push(e);
         }
-        let checkpointing = local_tuning.recovery.checkpoint_every > 0;
         Ok(MultiDeviceEngine {
             pg,
             queues,
             engines,
-            sessions: (0..parts).map(|_| RecoverySession::default()).collect(),
             exchange: FrontierExchange::new(parts, cfg),
             per_superstep: Vec::new(),
             supersteps: 0,
-            checkpointing,
         })
     }
 
@@ -173,7 +169,7 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
 
     /// Checkpoint resumes taken across all partitions.
     pub fn resumes(&self) -> u32 {
-        self.sessions.iter().map(|s| s.resumes()).sum()
+        self.engines.iter().map(|e| e.resumes()).sum()
     }
 
     /// Runs the partitioned BSP loop to global convergence, returning the
@@ -192,25 +188,13 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
         assert_eq!(advances.len(), parts);
         assert_eq!(computes.len(), parts);
         loop {
-            // 1. Boundary checkpoints (see module docs: cadence is fixed).
-            if self.checkpointing {
-                for p in 0..parts {
-                    self.sessions[p].checkpoint_here(&self.engines[p]);
-                }
-            }
-
-            // 2. Local supersteps, each under its own recovery session.
+            // 1. Local supersteps.
             let mut any_live = false;
             for p in 0..parts {
-                let live = self.engines[p].step_resilient(
-                    &mut self.sessions[p],
-                    advances[p],
-                    computes[p],
-                )?;
-                any_live |= live;
+                any_live |= self.engines[p].step(advances[p], computes[p])?;
             }
 
-            // 3. Word-diff halo harvest into the mailboxes.
+            // 2. Word-diff halo harvest into the mailboxes.
             let iter = self.supersteps;
             let mut tally = SuperstepExchange {
                 superstep: iter,
@@ -252,7 +236,7 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
                 return Ok(self.supersteps);
             }
 
-            // 4. BSP barrier: everyone waits for the slowest clock, then
+            // 3. BSP barrier: everyone waits for the slowest clock, then
             // pays the collective's transfer time.
             let t_max = self
                 .queues
@@ -264,11 +248,11 @@ impl<'a, W: Word> MultiDeviceEngine<'a, W> {
                 q.advance_clock_ns(t_max - q.now_ns() + xfer_ns);
             }
 
-            // 5. Rotate all partitions — including converged ones, so
+            // 4. Rotate all partitions — including converged ones, so
             // `iter` stays aligned across devices (distance stamps read
             // it) — then deliver the mail.
             for p in 0..parts {
-                self.engines[p].rotate_recovering(&mut self.sessions[p])?;
+                self.engines[p].rotate()?;
             }
             for p in 0..parts {
                 for m in self.exchange.drain(p) {

@@ -24,7 +24,7 @@
 //! [`SuperstepEngine`]: crate::engine::SuperstepEngine
 
 use serde::{Deserialize, Serialize};
-use sygraph_sim::{DeviceBuffer, DeviceScalar};
+use sygraph_sim::{DeviceBuffer, DeviceScalar, Queue, SimError, SimResult};
 
 use crate::types::VertexId;
 
@@ -66,6 +66,37 @@ impl RecoveryPolicy {
     /// Whether any recovery mechanism is enabled.
     pub fn enabled(&self) -> bool {
         self.max_retries > 0 || self.degrade_on_oom || self.checkpoint_every > 0
+    }
+}
+
+/// Runs `attempt` until it completes with no injected fault latched: a
+/// transient or synthetic-OOM fault re-runs it whole, after the policy's
+/// backoff, up to `policy.max_retries` times; any other fault, or an
+/// exhausted budget, propagates. The attempt must be restartable —
+/// idempotent setup (fills, stores, bitmap-OR inserts) or a sweep that
+/// resets its accumulators first and commits in its last launch. With no
+/// fault plan attached this is one call to `attempt`. Algorithm setup and
+/// [`fixed_point`]'s sweeps run under it; supersteps have the engine's
+/// fuller contract.
+///
+/// [`fixed_point`]: crate::engine::fixed_point
+pub fn retry<T>(
+    q: &Queue,
+    policy: &RecoveryPolicy,
+    mut attempt: impl FnMut() -> T,
+) -> SimResult<T> {
+    let mut retries = 0u32;
+    loop {
+        let out = attempt();
+        let Some(e) = q.take_fault() else {
+            return Ok(out);
+        };
+        let retryable = matches!(e, SimError::Transient { .. } | SimError::OutOfMemory { .. });
+        if !retryable || retries >= policy.max_retries {
+            return Err(e);
+        }
+        retries += 1;
+        q.advance_clock_ns(policy.backoff(retries));
     }
 }
 

@@ -57,11 +57,11 @@ pub enum Direction {
     /// the engine falls back to push when none is available.
     Pull,
     /// Beamer-style per-superstep selection with hysteresis (see
-    /// [`Tuning::plan`]): switch to pull when the frontier
-    /// grows past `n / alpha`, back to push when it shrinks below
-    /// `n / beta`. The decision is driven by the population estimate the
-    /// engine already tracks from counted compaction, so it costs no
-    /// extra host synchronization.
+    /// [`Tuning::plan`]): switch to pull when the frontier grows past
+    /// `n / DIRECTION_ALPHA`, back to push when it shrinks below
+    /// `n / DIRECTION_BETA`. The decision is driven by the population
+    /// estimate the engine already tracks from counted compaction, so it
+    /// costs no extra host synchronization.
     #[default]
     Auto,
 }
@@ -209,27 +209,12 @@ pub struct Tuning {
     /// chunked large bucket (one workgroup per neighbor chunk). The chunk
     /// size equals this threshold, so every chunk saturates a workgroup.
     pub large_min_degree: u32,
-    /// Frontier representation policy (see [`Representation`]).
+    /// Frontier representation policy (see [`Representation`]); `Auto`
+    /// switches at [`SPARSE_ENTER_DIV`] / [`SPARSE_EXIT_DIV`].
     pub representation: Representation,
-    /// Auto representation: adopt the sparse list when the estimated
-    /// active-vertex count drops below `capacity / sparse_enter_div`.
-    pub sparse_enter_div: u32,
-    /// Auto representation: fall back to the dense bitmap when the
-    /// estimated active-vertex count exceeds `capacity / sparse_exit_div`.
-    /// Kept at half of `sparse_enter_div` so the two thresholds form a 2×
-    /// hysteresis band — a frontier oscillating around one boundary does
-    /// not convert back and forth every superstep.
-    pub sparse_exit_div: u32,
-    /// Traversal direction policy (see [`Direction`]).
+    /// Traversal direction policy (see [`Direction`]); `Auto` switches at
+    /// [`DIRECTION_ALPHA`] / [`DIRECTION_BETA`].
     pub direction: Direction,
-    /// `Auto` direction: switch push → pull once the estimated frontier
-    /// population exceeds `n / alpha` (Beamer's α; smaller = pull sooner).
-    pub alpha: u32,
-    /// `Auto` direction: switch pull → push once the estimated frontier
-    /// population drops below `n / beta` (Beamer's β; larger = pull
-    /// longer). Between the two thresholds the current direction is kept —
-    /// that gap *is* the hysteresis band that prevents flapping.
-    pub beta: u32,
     /// Fault-recovery policy consulted by the superstep engine.
     pub recovery: RecoveryPolicy,
 }
@@ -309,18 +294,16 @@ impl Tuning {
     /// population against its `capacity`. `est` is an upper bound: exact
     /// when the frontier is listed, `nonzero_words × word_bits` when it
     /// ran dense. `sparse` feeds the hysteresis: a dense frontier goes
-    /// sparse only below `capacity / sparse_enter_div` (default n/64) and
-    /// a sparse one goes dense only above `capacity / sparse_exit_div`
-    /// (default n/32), so a wavefront sitting on one boundary never pays
-    /// conversion every superstep.
+    /// sparse only below `capacity / SPARSE_ENTER_DIV` (n/64) and a sparse
+    /// one goes dense only above `capacity / SPARSE_EXIT_DIV` (n/32), so a
+    /// wavefront sitting on one boundary never pays conversion every
+    /// superstep.
     fn lists(&self, est: usize, capacity: usize, sparse: bool) -> bool {
         match self.representation {
             Representation::Dense => false,
             Representation::Sparse => true,
-            Representation::Auto if sparse => {
-                est <= capacity / self.sparse_exit_div.max(1) as usize
-            }
-            Representation::Auto => est <= capacity / self.sparse_enter_div.max(1) as usize,
+            Representation::Auto if sparse => est <= capacity / SPARSE_EXIT_DIV as usize,
+            Representation::Auto => est <= capacity / SPARSE_ENTER_DIV as usize,
         }
     }
 
@@ -351,8 +334,8 @@ impl Tuning {
     /// not the forward estimate — its `max_degree` boost would pin a
     /// hub-carrying web graph in pull for the whole tail, and lagging one
     /// superstep is exactly classic Beamer timing. A pushing traversal
-    /// switches to pull only above `n / alpha` (default n/4), a pulling
-    /// one returns to push only below `n / beta` (default n/24); between
+    /// switches to pull only above `n / DIRECTION_ALPHA` (n/4), a pulling
+    /// one returns to push only below `n / DIRECTION_BETA` (n/24); between
     /// the two the current direction is kept, so a frontier hovering at
     /// one boundary never alternates kernels. `Auto` pulls only when the
     /// scan can exit early: an all-vertices pull never offers the functor
@@ -375,10 +358,8 @@ impl Tuning {
                 Direction::Push => false,
                 Direction::Pull => true,
                 Direction::Auto if !i.pull_exits_early => false,
-                Direction::Auto if i.prev_pull => {
-                    i.last_estimate >= i.n / self.beta.max(1) as usize
-                }
-                Direction::Auto => i.last_estimate > i.n / self.alpha.max(1) as usize,
+                Direction::Auto if i.prev_pull => i.last_estimate >= i.n / DIRECTION_BETA as usize,
+                Direction::Auto => i.last_estimate > i.n / DIRECTION_ALPHA as usize,
             };
         Plan {
             sparse_in,
@@ -396,27 +377,27 @@ impl Tuning {
 /// 16–43, the web stand-in ≈ 3.4 and road networks ≈ 1.2.
 pub const AUTO_MIN_WORD_SKEW: f64 = 8.0;
 
-/// Default `Auto` representation entry divisor: a dense frontier adopts
+/// `Auto` representation entry divisor: a dense frontier adopts
 /// the sparse list once its estimated population drops below n/64. The
 /// dense estimate is `nonzero_words × word_bits` — an upper bound that
 /// already over-counts scattered frontiers — so the divisor is kept
 /// conservative.
 pub const SPARSE_ENTER_DIV: u32 = 64;
 
-/// Default `Auto` representation exit divisor: a sparse frontier falls
+/// `Auto` representation exit divisor: a sparse frontier falls
 /// back to the dense bitmap once its (exact) population exceeds n/32.
 /// Half the entry divisor — a 2× hysteresis band.
 pub const SPARSE_EXIT_DIV: u32 = 32;
 
-/// Default Beamer α: `Auto` direction enters pull once the frontier
+/// Beamer's α: `Auto` direction enters pull once the frontier
 /// population estimate exceeds n/4. The dense estimate over-counts
 /// (`nonzero_words × word_bits`), which errs toward pulling early on
 /// scale-free graphs — exactly where pull pays.
 pub const DIRECTION_ALPHA: u32 = 4;
 
-/// Default Beamer β: `Auto` direction leaves pull once the population
-/// drops below n/24. The 6× gap between `n/alpha` and `n/beta` is the
-/// hysteresis band.
+/// Beamer's β: `Auto` direction leaves pull once the population
+/// drops below n/24. The 6× gap between the two thresholds is the
+/// hysteresis band that keeps a hovering frontier from flapping.
 pub const DIRECTION_BETA: u32 = 24;
 
 /// Vertex-ID window used for [`DegreeProfile::word_skew`]: one 32-bit
@@ -541,11 +522,7 @@ pub fn inspect(profile: &DeviceProfile, opts: &OptConfig, num_vertices: usize) -
         small_max_degree: (sg_size / 2).max(2),
         large_min_degree: wg_size * 4,
         representation: opts.representation,
-        sparse_enter_div: SPARSE_ENTER_DIV,
-        sparse_exit_div: SPARSE_EXIT_DIV,
         direction: opts.direction,
-        alpha: DIRECTION_ALPHA,
-        beta: DIRECTION_BETA,
         recovery: opts.recovery,
     }
 }
@@ -607,11 +584,7 @@ mod tests {
             small_max_degree: 16,
             large_min_degree: 512,
             representation: Representation::Dense,
-            sparse_enter_div: SPARSE_ENTER_DIV,
-            sparse_exit_div: SPARSE_EXIT_DIV,
             direction: Direction::Push,
-            alpha: DIRECTION_ALPHA,
-            beta: DIRECTION_BETA,
             recovery: RecoveryPolicy::default(),
         };
         assert_eq!(t.wg_size(), 128);

@@ -49,7 +49,6 @@ fn main() {
         .run(
             |l, _iter, _u, v, _e, _w| l.load(&dist, v as usize) == u32::MAX,
             Some(&|l, iter, v| l.store(&dist, v as usize, iter + 1)),
-            None,
         )
         .expect("bfs");
 

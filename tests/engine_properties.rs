@@ -49,7 +49,7 @@ fn run_fused<W: Word>(
         .unwrap()
     {
         snaps.push(engine.output().to_sorted_vec());
-        engine.rotate();
+        engine.rotate().unwrap();
     }
     (dist.to_vec(), snaps)
 }

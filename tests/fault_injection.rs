@@ -3,17 +3,21 @@
 //! faults injected mid-run. Every recovered run must be bit-identical to
 //! the fault-free run, with a bounded number of recovery events — and an
 //! idle fault plan must be byte-identical in the profiler's kernel stream
-//! to no plan at all (zero overhead when nothing fires).
+//! to no plan at all (zero overhead when nothing fires). BC, whose sigma
+//! cannot be retried, must fail typed instead; and every algorithm the
+//! service runs must stop on a fired cancel token.
 
-use sygraph_algos::{reference, Algo, Args, Values};
+use sygraph_algos::{bc, multi, reference, Algo, Args, Values};
 use sygraph_bench::sample_useful_sources;
-use sygraph_core::engine::{CheckpointState, RecoveryPolicy, RecoverySession, SuperstepEngine};
+use sygraph_core::engine::{CheckpointState, RecoveryPolicy, SuperstepEngine};
 use sygraph_core::frontier::{BitmapLike, HybridFrontier};
 use sygraph_core::graph::{CsrHost, DeviceCsr, Graph};
 use sygraph_core::inspector::{inspect, OptConfig, Representation};
 use sygraph_core::types::INF_DIST;
 use sygraph_gen::{datasets, Dataset, Scale};
-use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue, Retire, SimError, SimResult};
+use sygraph_sim::{
+    CancelToken, Device, DeviceProfile, FaultPlan, Queue, Retire, SimError, SimResult,
+};
 
 mod common;
 use common::{
@@ -226,8 +230,8 @@ fn a_transient_on_any_launch_of_a_ring_superstep_recovers() {
     }
 }
 
-/// Fused BFS on an item-list frontier pair, driven one resilient superstep
-/// at a time with a checkpoint before each. After every rotate the output
+/// Fused BFS on an item-list frontier pair, driven one superstep at a time
+/// (the policy checkpoints before each). After every rotate the output
 /// frontier — the ring's spare, about to be written — must be empty; once
 /// a recovery has happened (the one planned fault is spent, so launches no
 /// longer shift ordinals) that is checked with the device's own emptiness
@@ -246,12 +250,9 @@ fn drive_bfs_checking_outputs(q: &Queue, host: &CsrHost, src: u32, opts: &OptCon
     let mut engine = SuperstepEngine::new(q, &g, tuning, fin, fout)
         .fused(true)
         .checkpoint_state(&ckpt);
-    let mut session = RecoverySession::default();
     loop {
-        session.checkpoint_here(&engine);
         let live = engine
-            .step_resilient(
-                &mut session,
+            .step(
                 |l, _i, _u, v, _e, _w| l.load_atomic(&dist, v as usize) == INF_DIST,
                 Some(&|l, i, v| l.store_atomic(&dist, v as usize, i + 1)),
             )
@@ -259,7 +260,9 @@ fn drive_bfs_checking_outputs(q: &Queue, host: &CsrHost, src: u32, opts: &OptCon
         if !live {
             return dist.to_vec();
         }
-        engine.rotate();
+        engine
+            .rotate()
+            .expect("the policy covers the planned fault");
         let (out, at) = (engine.output(), engine.iteration());
         assert!(out.to_sorted_vec().is_empty(), "output of superstep {at}");
         assert_eq!(out.list_probe(), Some(Some(0)), "output list @{at}");
@@ -482,5 +485,80 @@ fn pagerank_sweep_restarts_from_any_launch_under_every_balancing() {
                 "{balancing:?} @{at}: the sweep re-runs whole, once"
             );
         }
+    }
+}
+
+/// A queue whose cancel token has already fired.
+fn cancelled_queue() -> Queue {
+    let q = Queue::new(Device::new(DeviceProfile::host_test()));
+    let token = CancelToken::new();
+    token.cancel();
+    q.set_cancel_token(Some(token));
+    q
+}
+
+#[test]
+fn every_service_algorithm_stops_on_a_fired_cancel_token() {
+    // Each entry point the service runs checks the token at its first
+    // superstep (or sweep) boundary, so a deadline or drain ends it typed.
+    let host = datasets::kron(Scale::Test).host.to_undirected().unwrap();
+    let src = sample_useful_sources(&host, 1, 42)[0];
+    let opts = OptConfig::all();
+    let mut outcomes: Vec<(&str, SimResult<()>)> = Vec::new();
+    for algo in sygraph_service::job::ADMITTED {
+        let q = cancelled_queue();
+        let g = Graph::new(&q, &host).unwrap();
+        let got = algo.run(&q, &g, Args::rooted(src), &opts).map(drop);
+        outcomes.push((algo.label(), got));
+    }
+    let q = cancelled_queue();
+    let g = Graph::new(&q, &host).unwrap();
+    let got = multi::bfs_multi(&q, &g.csr, &[src, 0], 8, &opts).map(drop);
+    outcomes.push(("bfs_multi", got));
+    let q = cancelled_queue();
+    let g = Graph::new(&q, &host).unwrap();
+    outcomes.push((
+        "bc_multi",
+        multi::bc_multi(&q, &g, &[src, 0], 8, &opts).map(drop),
+    ));
+    for (name, got) in outcomes {
+        assert!(
+            matches!(got, Err(SimError::Cancelled { .. })),
+            "{name}: {got:?}"
+        );
+    }
+}
+
+#[test]
+fn bc_fails_typed_on_a_forward_fault_under_a_resilient_policy() {
+    // Sigma is accumulated with `fetch_add`, so a retried forward superstep
+    // would count its shortest paths twice. Even where the caller's policy
+    // retries, a transient in a forward superstep must fail the run typed,
+    // with no retry taken.
+    let host = datasets::kron(Scale::Test).host;
+    let src = sample_useful_sources(&host, 1, 42)[0];
+    let mut opts = OptConfig::all();
+    opts.recovery = RecoveryPolicy::resilient(3, 1);
+    type Run = fn(&Queue, &Graph, u32, &OptConfig) -> SimResult<()>;
+    let runs: [(&str, Run); 2] = [
+        ("bc", |q, g, src, opts| {
+            bc::run(q, &g.csr, src, opts).map(drop)
+        }),
+        ("bc_multi", |q, g, src, opts| {
+            multi::bc_multi(q, g, &[src], 8, opts).map(drop)
+        }),
+    ];
+    for (name, run) in runs {
+        let clean = Queue::new(Device::new(DeviceProfile::host_test()));
+        run(&clean, &Graph::new(&clean, &host).unwrap(), src, &opts).unwrap();
+        let at = first_launch(&clean, 1);
+        let plan = FaultPlan::parse(&format!("transient@{at}")).unwrap();
+        let q = Queue::with_faults(Device::new(DeviceProfile::host_test()), plan);
+        let got = run(&q, &Graph::new(&q, &host).unwrap(), src, &opts);
+        assert!(
+            matches!(got, Err(SimError::Transient { launch, .. }) if launch == at),
+            "{name}: transient@{at} gave {got:?}"
+        );
+        assert!(recoveries(&q).is_empty(), "{name}: {:?}", recoveries(&q));
     }
 }

@@ -19,7 +19,10 @@ use sygraph_bench::sample_useful_sources;
 use sygraph_core::engine::SuperstepEngine;
 use sygraph_core::frontier::{BitmapLike, HybridFrontier};
 use sygraph_core::graph::{CsrHost, DeviceCsr, DeviceGraphView, Graph};
-use sygraph_core::inspector::{inspect, Direction, OptConfig, Representation, Tuning};
+use sygraph_core::inspector::{
+    inspect, Direction, OptConfig, Representation, Tuning, DIRECTION_ALPHA, DIRECTION_BETA,
+    SPARSE_ENTER_DIV, SPARSE_EXIT_DIV,
+};
 use sygraph_core::types::INF_DIST;
 use sygraph_gen::{datasets, Scale};
 use sygraph_sim::{Device, DeviceProfile, Plan, PlanInputs, Queue, TraceKind};
@@ -53,10 +56,7 @@ fn v100(opts: &OptConfig) -> Tuning {
 fn representation_hysteresis_table() {
     let auto = v100(&OptConfig::all());
     let n = 6400;
-    let (enter, exit) = (
-        n / auto.sparse_enter_div as usize,
-        n / auto.sparse_exit_div as usize,
-    );
+    let (enter, exit) = (n / SPARSE_ENTER_DIV as usize, n / SPARSE_EXIT_DIV as usize);
     assert_eq!((enter, exit), (100, 200), "a 2x band");
     let dense = v100(&OptConfig::with_representation(Representation::Dense));
     let sparse = v100(&OptConfig::with_representation(Representation::Sparse));
@@ -140,7 +140,7 @@ fn output_side_follows_the_exact_population_and_the_hub_guard() {
 fn direction_hysteresis_table() {
     let auto = v100(&OptConfig::all());
     let n = 2400;
-    let (enter, exit) = (n / auto.alpha as usize, n / auto.beta as usize);
+    let (enter, exit) = (n / DIRECTION_ALPHA as usize, n / DIRECTION_BETA as usize);
     assert_eq!((enter, exit), (600, 100), "a 6x band");
     let push = v100(&OptConfig::with_direction(Direction::Push));
     let pull = v100(&OptConfig::with_direction(Direction::Pull));
@@ -273,7 +273,6 @@ fn auto_representation_switches_at_the_hysteresis_exit() {
         .run(
             |l, _i, _u, v, _e, _w| l.load(&dist, v as usize) == INF_DIST,
             Some(&|l, i, v| l.store(&dist, v as usize, i + 1)),
-            None,
         )
         .unwrap();
     assert_eq!(iters, 5);
