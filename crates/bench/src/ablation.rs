@@ -73,6 +73,8 @@ struct Outcome {
     cycles: f64,
     /// The first variant's cycles on the same dataset.
     base_cycles: f64,
+    /// Modelled time of the whole run, every kernel included.
+    sim_ms: f64,
 }
 
 impl Outcome {
@@ -145,11 +147,19 @@ const DIRECTION_OPT: Spec = Spec {
         let beats = auto(true).all(|c| c.cycles < c.base_cycles);
         let close = auto(false).all(|c| c.cycles <= c.base_cycles * 1.03);
         let (wins, guard) = (worst_speedup(auto(true)), worst_speedup(auto(false)));
+        // Regret: auto's modelled time over the better fixed direction's,
+        // per dataset (the cells run push, pull, auto in order).
+        let regret = cells
+            .chunks(3)
+            .map(|d| d[2].sim_ms / d[0].sim_ms.min(d[1].sim_ms).max(1e-12))
+            .fold(0.0, f64::max);
         let name = "auto beats push on every scale-free dataset";
         let guard_name = "auto never loses > 3% to push on road/web";
+        let regret_name = "auto within 1.10x of the better fixed direction on every dataset";
         vec![
             Verdict::new(name, Modelled, wins, 1.0, beats),
             Verdict::new(guard_name, Modelled, guard, 1.0 / 1.03, close),
+            Verdict::new(regret_name, Modelled, regret, 1.10, regret <= 1.10),
         ]
     },
 };
@@ -276,6 +286,7 @@ fn run(ctx: &Context, spec: &Spec) -> Result<Report, String> {
                 variant: vi,
                 cycles,
                 base_cycles: *base_cycles,
+                sim_ms,
             };
             let prof = q.profiler();
             let dirs = prof.direction_events();

@@ -823,12 +823,12 @@ fn print_profile(q: &Queue) {
         let switches_to = |rep: &str| reps.iter().filter(|e| e.switched && e.rep == rep).count();
         println!("  sparse->dense switches: {}", switches_to("dense"));
         println!("  dense->sparse switches: {}", switches_to("sparse"));
+        // Folded from +0.0: an empty `f64` sum is -0.0, printed "-0.000".
         let cost_of = |payer: &str| -> f64 {
             prof.kernels()
                 .iter()
                 .filter(|k| maintenance_payer(&k.name) == Some(payer))
-                .map(|k| k.stats.total_ns() / 1e6)
-                .sum()
+                .fold(0.0, |ms, k| ms + k.stats.total_ns() / 1e6)
         };
         println!(
             "  frontier maintenance: dense compaction {:.3} ms, sparse upkeep {:.3} ms",

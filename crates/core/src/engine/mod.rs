@@ -47,7 +47,7 @@ use crate::frontier::word::Word;
 use crate::frontier::{swap, BitmapLike, Frontier, RepKind, TwoLayerFrontier};
 use crate::graph::traits::DeviceGraphView;
 use crate::inspector::{Balancing, Direction, Representation, Tuning};
-use crate::operators::advance::{Advance, PullScope};
+use crate::operators::advance::{Advance, Measured, PullScope};
 use crate::operators::compute;
 use crate::types::{EdgeId, VertexId, Weight};
 
@@ -462,24 +462,6 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         }
     }
 
-    /// Makes the graph's pull view resident (and checks the unvisited set
-    /// when the scope needs one). Any failure permanently pins this
-    /// engine to push — direction optimization degrades, it never errors.
-    fn ensure_pull_ready(&mut self) -> bool {
-        if self.pull_disabled {
-            return false;
-        }
-        if !matches!(self.graph.ensure_pull(self.q), Ok(true)) {
-            self.pull_disabled = true;
-            return false;
-        }
-        if self.pull_scope == PullCandidates::Unvisited && self.unvisited.is_none() {
-            self.pull_disabled = true;
-            return false;
-        }
-        true
-    }
-
     /// The body of one superstep: advance (with compute fused in or
     /// following as an [`compute::over_compacted`] pass) and the single
     /// convergence check. Returns `false` if the input frontier was empty.
@@ -494,21 +476,22 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
         self.q.trace(Some(iter), TraceKind::Mark(mark));
         self.ensure_bucket_pool();
         self.seed_unvisited();
-        // Plan the superstep from what the engine already holds host-side
-        // — last superstep's counted compaction, the input's list length
-        // where that is a free read, the graph's load-time profile — then
-        // carry the plan out: the first superstep that pulls makes the
-        // graph's CSC view resident (any failure pins the engine to push
-        // for the rest of the run), and both frontiers adopt their
-        // representation *before* the advance is built, because dispatch
-        // keys off the adopted layout.
+        // Plan the representation from what the engine already holds
+        // host-side — last superstep's counted compaction, the input's
+        // list length where that is a free read, the graph's load-time
+        // profile — and have both frontiers adopt it *before* anything is
+        // measured, because the measure and the dispatch key off the
+        // adopted layout. Then measure the input once (the superstep's one
+        // host read-back) and plan the direction from that: the count of
+        // the frontier about to be expanded, not of the one before it.
         debug_assert_eq!(self.fin.capacity(), self.fout.capacity());
         let probe = self.fin.list_probe();
         self.listed = probe.and_then(|len| len.or(self.listed));
         let profile = self.graph.degree_profile();
         let scoped = self.pull_scope == PullCandidates::Unvisited;
-        let inputs = PlanInputs {
+        let mut inputs = PlanInputs {
             last_estimate: self.last_estimate,
+            measured: None,
             predicted: self.predicted,
             capacity: self.fin.capacity(),
             n: self.graph.vertex_count(),
@@ -523,11 +506,22 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             max_degree: profile.map_or(0, |p| p.max_degree),
             word_skew: profile.map_or(0.0, |p| p.word_skew),
         };
-        let plan = self.tuning.plan(&inputs);
-        let pull = plan.pull && self.ensure_pull_ready();
+        let mut plan = self.tuning.represent(&inputs);
         let adopted = self.fin.adopt_rep(self.q, RepKind::of(plan.sparse_in));
         self.fout.adopt_rep(self.q, RepKind::of(plan.sparse_out));
         self.predicted = plan.predicted;
+        let work = Measured::of(self.q, self.fin.as_ref());
+        inputs.measured = work.population();
+        plan.pull = self.tuning.pulls(&inputs);
+        // The first superstep that pulls makes the graph's CSC view
+        // resident; a failure pins the engine to push for the rest of the
+        // run (a planned pull already implies the rest of
+        // `pull_available`).
+        let pull = plan.pull && {
+            let ready = matches!(self.graph.ensure_pull(self.q), Ok(true));
+            self.pull_disabled |= !ready;
+            ready
+        };
         // Keep the unvisited set exact at O(accepted edges), not O(n):
         // on push supersteps every accepted destination is removed
         // in-functor (idempotent atomic AND-NOT, so duplicate accepts are
@@ -555,7 +549,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             _ => None,
         };
         let fused_wrap;
-        let mut builder = Advance::new(self.q, self.graph, self.fin.as_ref())
+        let mut builder = Advance::measured(self.q, self.graph, work)
             .output(self.fout.as_ref())
             .tuning(&self.tuning)
             .pool(self.bucket_pool.as_ref());
@@ -571,7 +565,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             fused_wrap = move |l: &mut ItemCtx<'_>, v: VertexId| cf(l, iter, v);
             builder = builder.fuse(&fused_wrap);
         }
-        let (ev, words, carried) = builder.run_carrying(tail.as_ref(), adv);
+        let (ev, _, carried) = builder.run_carrying(tail.as_ref(), adv);
         ev.wait();
         let offered = tail.is_some();
         drop(tail);
@@ -595,25 +589,16 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> SuperstepEngine<'a, W, G> {
             (None, _) if self.spare_asked => Retire::Standalone("declined"),
             _ => Retire::None,
         };
-        // Feed the next rep decision from the count the advance already
-        // read back: exact entries under sparse, `nz_words × word_bits`
-        // (an upper bound) under dense. Single-layer bitmaps report no
-        // count — pin the estimate at capacity so Auto never goes sparse.
-        // `W::BITS`, not `tuning.word_bits`: the latter is the logical
-        // MSI sub-word width (8 on a subgroup-8 device) while the dense
-        // compaction counts whole storage words, so multiplying by the
-        // narrower width under-counts the upper bound by up to 8x —
-        // enough to pin the Beamer policy to push on small devices.
-        self.last_estimate = match words {
-            Some(c) if adopted == RepKind::Sparse => c,
-            Some(c) => c.saturating_mul(W::BITS as usize),
-            None => self.fin.capacity(),
-        };
-        // The one host-visible check of the superstep: the compaction
-        // count (already read back to size the launch) doubles as the
+        // The measure feeds the next representation decision. Single-layer
+        // bitmaps have none — pin the estimate at capacity so Auto never
+        // goes sparse.
+        let measured = inputs.measured;
+        self.last_estimate = measured.unwrap_or(self.fin.capacity());
+        // The one host-visible check of the superstep: the measure
+        // (already read back to size the launch) doubles as the
         // convergence test. Single-layer bitmaps have no compaction and
         // fall back to an emptiness kernel.
-        if words == Some(0) || (words.is_none() && self.fin.is_empty(self.q)) {
+        if measured == Some(0) || (measured.is_none() && self.fin.is_empty(self.q)) {
             return false;
         }
         self.rep = adopted;

@@ -57,11 +57,13 @@ pub enum Direction {
     /// the engine falls back to push when none is available.
     Pull,
     /// Beamer-style per-superstep selection with hysteresis (see
-    /// [`Tuning::plan`]): switch to pull when the frontier grows past
-    /// `n / DIRECTION_ALPHA`, back to push when it shrinks below
-    /// `n / DIRECTION_BETA`. The decision is driven by the population
-    /// estimate the engine already tracks from counted compaction, so it
-    /// costs no extra host synchronization.
+    /// [`Tuning::plan`]): pull when the frontier about to be expanded is
+    /// larger than `n / DIRECTION_ALPHA`, back to push once it is smaller
+    /// than `n / DIRECTION_BETA`. The population is the input's own
+    /// measure — its list length or counted compaction, the one host
+    /// read-back the superstep makes anyway — so the switch lands on the
+    /// superstep whose frontier crossed the threshold, at no extra
+    /// synchronization.
     #[default]
     Auto,
 }
@@ -307,16 +309,28 @@ impl Tuning {
         }
     }
 
-    /// Decides how one superstep runs — the engine's single policy call,
-    /// a pure function of `i`: every number in it is one the engine
-    /// already holds host-side (the counted compaction it reads back for
-    /// convergence, a list length, the graph's load-time degree profile),
-    /// so the decision costs no extra host round-trip and a recorded one
-    /// replays from the trace log alone.
+    /// Decides how one superstep runs — a pure function of `i`: every
+    /// number in it is one the engine already holds host-side (the counted
+    /// compaction it reads back for convergence, a list length, the
+    /// graph's load-time degree profile), so the decision costs no extra
+    /// host round-trip and a recorded one replays from the trace log
+    /// alone. It is `represent` with the direction from `pulls`; the
+    /// engine calls the two halves on either side of measuring the input.
+    pub fn plan(&self, i: &PlanInputs) -> Plan {
+        Plan {
+            pull: self.pulls(i),
+            ..self.represent(i)
+        }
+    }
+
+    /// The plan's representation half, decided before the superstep
+    /// launches anything — the measure it would want is taken over the
+    /// layout it picks — so it never reads `measured` (its `pull` is
+    /// `false`).
     ///
     /// *Representation, input side*: the rule above on the larger of the
-    /// measured estimate and the forward one — the measured count lags a
-    /// superstep, so without the forward term a wavefront that just
+    /// previous superstep's count and the forward estimate — that count
+    /// lags a superstep, so without the forward term a wavefront that just
     /// exploded would be asked to go sparse and pay a doomed list rebuild.
     /// A frontier that cannot list stays dense.
     ///
@@ -329,19 +343,7 @@ impl Tuning {
     /// `max_degree` is added there. An output adopted dense stops
     /// maintaining its item list, so the widest superstep pays no
     /// per-insert list tax.
-    ///
-    /// *Direction* (Beamer, §3.4): driven by the *measured* population,
-    /// not the forward estimate — its `max_degree` boost would pin a
-    /// hub-carrying web graph in pull for the whole tail, and lagging one
-    /// superstep is exactly classic Beamer timing. A pushing traversal
-    /// switches to pull only above `n / DIRECTION_ALPHA` (n/4), a pulling
-    /// one returns to push only below `n / DIRECTION_BETA` (n/24); between
-    /// the two the current direction is kept, so a frontier hovering at
-    /// one boundary never alternates kernels. `Auto` pulls only when the
-    /// scan can exit early: an all-vertices pull never offers the functor
-    /// fewer edges than the push it replaces, so only a forced
-    /// [`Direction::Pull`] takes it.
-    pub fn plan(&self, i: &PlanInputs) -> Plan {
+    pub(crate) fn represent(&self, i: &PlanInputs) -> Plan {
         let est = i.last_estimate.max(i.predicted);
         let sparse_in = i.listable && self.lists(est, i.capacity, i.prev_sparse);
         let in_pop = if sparse_in {
@@ -353,21 +355,38 @@ impl Tuning {
         if in_pop <= self.word_bits as usize {
             predicted = predicted.saturating_add(i.max_degree as usize);
         }
-        let pull = i.pull_available
+        Plan {
+            sparse_in,
+            sparse_out: self.lists(predicted, i.capacity, sparse_in),
+            pull: false,
+            bucketed: self.bins(i.max_degree, i.word_skew),
+            predicted,
+        }
+    }
+
+    /// The plan's direction half (Beamer, §3.4), decided on the measured
+    /// population of the frontier this superstep expands, as GraphBLAST
+    /// switches on the nnz of the vector it is about to multiply — not on
+    /// the forward estimate, whose `max_degree` boost would pin a
+    /// hub-carrying web graph in pull for the whole tail. Single-layer
+    /// bitmaps have no measure and fall back to the previous superstep's
+    /// count. A pushing traversal switches to pull only above
+    /// `n / DIRECTION_ALPHA` (n/4), a pulling one returns to push only
+    /// below `n / DIRECTION_BETA` (n/24); between the two the current
+    /// direction is kept, so a frontier hovering at one boundary never
+    /// alternates kernels. `Auto` pulls only when the scan can exit early:
+    /// an all-vertices pull never offers the functor fewer edges than the
+    /// push it replaces, so only a forced [`Direction::Pull`] takes it.
+    pub(crate) fn pulls(&self, i: &PlanInputs) -> bool {
+        let pop = i.measured.unwrap_or(i.last_estimate);
+        i.pull_available
             && match self.direction {
                 Direction::Push => false,
                 Direction::Pull => true,
                 Direction::Auto if !i.pull_exits_early => false,
-                Direction::Auto if i.prev_pull => i.last_estimate >= i.n / DIRECTION_BETA as usize,
-                Direction::Auto => i.last_estimate > i.n / DIRECTION_ALPHA as usize,
-            };
-        Plan {
-            sparse_in,
-            sparse_out: self.lists(predicted, i.capacity, sparse_in),
-            pull,
-            bucketed: self.bins(i.max_degree, i.word_skew),
-            predicted,
-        }
+                Direction::Auto if i.prev_pull => pop >= i.n / DIRECTION_BETA as usize,
+                Direction::Auto => pop > i.n / DIRECTION_ALPHA as usize,
+            }
     }
 }
 
@@ -389,8 +408,8 @@ pub const SPARSE_ENTER_DIV: u32 = 64;
 /// Half the entry divisor — a 2× hysteresis band.
 pub const SPARSE_EXIT_DIV: u32 = 32;
 
-/// Beamer's α: `Auto` direction enters pull once the frontier
-/// population estimate exceeds n/4. The dense estimate over-counts
+/// Beamer's α: `Auto` direction pulls a superstep whose input frontier
+/// measures more than n/4. The dense measure over-counts
 /// (`nonzero_words × word_bits`), which errs toward pulling early on
 /// scale-free graphs — exactly where pull pays.
 pub const DIRECTION_ALPHA: u32 = 4;

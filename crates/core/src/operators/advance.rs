@@ -109,6 +109,9 @@ pub struct Advance<'a, W: Word, G: DeviceGraphView + ?Sized> {
     graph: &'a G,
     /// `None` means "treat every vertex as active".
     input: Option<&'a dyn BitmapLike<W>>,
+    /// The input's work list when the caller measured it already
+    /// ([`Advance::measured`]); otherwise `run` measures it.
+    items: Option<Items<'a, W>>,
     output: Option<&'a dyn BitmapLike<W>>,
     tuning: Option<&'a Tuning>,
     fused: Option<FusedCompute<'a>>,
@@ -125,6 +128,16 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
         }
     }
 
+    /// An advance expanding an input already [`Measured`]: it walks the
+    /// measured work list, so the input is not compacted a second time.
+    pub(crate) fn measured(q: &'a Queue, graph: &'a G, input: Measured<'a, W>) -> Self {
+        Advance {
+            input: Some(input.frontier),
+            items: Some(input.items),
+            ..Self::all_vertices(q, graph)
+        }
+    }
+
     /// An advance treating *every* vertex as active (e.g. PageRank's
     /// scatter sweep, or Betweenness Centrality initialization).
     pub fn all_vertices(q: &'a Queue, graph: &'a G) -> Self {
@@ -132,6 +145,7 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
             q,
             graph,
             input: None,
+            items: None,
             output: None,
             tuning: None,
             fused: None,
@@ -230,12 +244,14 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
             fused: self.fused,
             functor: &functor,
         };
+        let q = self.q;
+        let measure = |input| self.items.unwrap_or_else(|| Items::of(q, input));
         let (ev, counted) = match (self.pull, self.input) {
             (Some(scope), input) => {
                 let input = input.expect("a pull advance needs an input frontier to probe");
-                cx.pull(input, scope, self.pool)
+                cx.pull(input, measure(input).counted(), scope, self.pool)
             }
-            (None, Some(input)) => cx.frontier(input, self.pool),
+            (None, Some(input)) => cx.frontier(measure(input), self.pool),
             (None, None) => {
                 let items = Items::all_vertices(self.graph);
                 let ev = cx.bucketed(&Push, &items, self.pool);
@@ -249,6 +265,37 @@ impl<'a, W: Word, G: DeviceGraphView + ?Sized> Advance<'a, W, G> {
 // ---------------------------------------------------------------------------
 // Work lists
 // ---------------------------------------------------------------------------
+
+/// A frontier measured ahead of its advance, for a caller that must know
+/// the population before it builds the advance (the superstep engine
+/// picks the direction from it): the work list an advance would take —
+/// the item list when the frontier presents one, its compacted words
+/// otherwise — ready to hand over with [`Advance::measured`].
+pub(crate) struct Measured<'a, W: Word> {
+    frontier: &'a dyn BitmapLike<W>,
+    items: Items<'a, W>,
+}
+
+impl<'a, W: Word> Measured<'a, W> {
+    /// Measures `frontier`: the one host read-back of its advance (a
+    /// compaction kernel when it runs as a bitmap, a host read of the
+    /// list length when it is listed).
+    pub(crate) fn of(q: &Queue, frontier: &'a dyn BitmapLike<W>) -> Self {
+        let items = Items::of(q, frontier);
+        Measured { frontier, items }
+    }
+
+    /// A bound on the population: exact when listed, `nonzero_words ×
+    /// W::BITS` when compacted — `W::BITS`, the storage word the
+    /// compaction counts, never the narrower logical MSI width. `None`
+    /// for single-layer bitmaps, which have no counted compaction.
+    pub(crate) fn population(&self) -> Option<usize> {
+        match self.items {
+            Items::Compacted { nz, .. } => Some(nz.saturating_mul(W::BITS as usize)),
+            ref items => items.counted(),
+        }
+    }
+}
 
 /// What a schedule shell runs over. The binning kernel reads every form
 /// but the single-layer `Flat` (which has no counted compaction to
@@ -278,32 +325,40 @@ enum Items<'a, W: Word> {
 }
 
 impl<'a, W: Word> Items<'a, W> {
-    /// `f`'s bitmap words plus its counted compaction (`None` on
-    /// single-layer bitmaps, which have none).
-    fn words_of(q: &Queue, f: &'a dyn BitmapLike<W>) -> (Self, Option<usize>) {
+    /// `f`'s bitmap words, compacted when it has a second layer.
+    fn words_of(q: &Queue, f: &'a dyn BitmapLike<W>) -> Self {
         match f.compact(q) {
             Some((nz, offsets)) => {
                 let words = f.words();
-                (Items::Compacted { words, offsets, nz }, Some(nz))
+                Items::Compacted { words, offsets, nz }
             }
             None => {
                 let (words, n_words) = (f.words(), f.num_words());
-                (Items::Flat { words, n_words }, None)
+                Items::Flat { words, n_words }
             }
         }
     }
 
-    /// `f` as a work list plus its population measure: when `f` presents
-    /// a valid item list the bitmap scan is skipped entirely and the list
-    /// length *is* the population, read back with no kernel at all;
-    /// otherwise its words and their counted compaction.
-    fn of(q: &Queue, f: &'a dyn BitmapLike<W>) -> (Self, Option<usize>) {
+    /// `f` as a work list: when `f` presents a valid item list the bitmap
+    /// scan is skipped entirely and the list length *is* the population,
+    /// read back with no kernel at all; otherwise its words, compacted.
+    fn of(q: &Queue, f: &'a dyn BitmapLike<W>) -> Self {
         match f.sparse_view(q) {
-            Some(view) => {
-                let (items, len) = (view.items, view.len);
-                (Items::List { items, len }, Some(len))
-            }
+            Some(view) => Items::List {
+                items: view.items,
+                len: view.len,
+            },
             None => Self::words_of(q, f),
+        }
+    }
+
+    /// The counted result of an advance over this list: list entries,
+    /// non-zero words, or `None` for the uncounted forms.
+    fn counted(&self) -> Option<usize> {
+        match *self {
+            Items::List { len, .. } => Some(len),
+            Items::Compacted { nz, .. } => Some(nz),
+            Items::Flat { .. } | Items::All { .. } => None,
         }
     }
 
@@ -1013,16 +1068,12 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
         Some(last)
     }
 
-    /// Push dispatch: measure the input (the one host readback of the
-    /// superstep), then pick the shell. The counted result reports list
-    /// entries when sparse, non-zero words when dense; `Some(0)` means
-    /// "converged" to superstep loops either way and launches nothing.
-    fn frontier(
-        &self,
-        input: &dyn BitmapLike<W>,
-        pool: Option<&BucketPool>,
-    ) -> (Event, Option<usize>) {
-        let (items, counted) = Items::of(self.shell.q, input);
+    /// Push dispatch over the measured input: pick the shell. The counted
+    /// result reports list entries when sparse, non-zero words when
+    /// dense; `Some(0)` means "converged" to superstep loops either way
+    /// and launches nothing.
+    fn frontier(&self, items: Items<'_, W>, pool: Option<&BucketPool>) -> (Event, Option<usize>) {
+        let counted = items.counted();
         if counted == Some(0) {
             return (no_launch(self.shell.q), counted);
         }
@@ -1036,24 +1087,24 @@ impl<W: Word, G: DeviceGraphView + ?Sized, F: AdvanceFunctor> Launch<'_, W, G, F
         (ev, counted)
     }
 
-    /// Pull dispatch: count the input frontier (the same single host
-    /// readback the push path does — this also refreshes the metadata its
-    /// lazy clear will use, and keeps the push path's counted contract),
-    /// enumerate candidates, and pick the shell over them.
+    /// Pull dispatch: given the input's count (from the same single host
+    /// readback the push path makes — its compaction also refreshes the
+    /// metadata the input's lazy clear will use), enumerate candidates
+    /// and pick the shell over them.
     fn pull(
         &self,
         input: &dyn BitmapLike<W>,
+        counted: Option<usize>,
         scope: PullScope<'_, W>,
         pool: Option<&BucketPool>,
     ) -> (Event, Option<usize>) {
-        let (_, counted) = Items::of(self.shell.q, input);
         if counted == Some(0) {
             return (no_launch(self.shell.q), counted);
         }
         let (items, unvisited) = match scope {
             PullScope::Unvisited(cand) => {
-                let (items, n_cand) = Items::words_of(self.shell.q, cand);
-                if n_cand == Some(0) {
+                let items = Items::words_of(self.shell.q, cand);
+                if items.counted() == Some(0) {
                     // No candidate can adopt: the pull kernel is free.
                     return (no_launch(self.shell.q), counted);
                 }
@@ -1094,7 +1145,8 @@ pub fn edges<W: Word, G: DeviceGraphView + ?Sized>(
     functor: impl AdvanceFunctor,
 ) -> (Event, Option<usize>) {
     let m = graph.edge_count() as u32;
-    let (items, counted) = Items::words_of(q, input);
+    let items = Items::words_of(q, input);
+    let counted = items.counted();
     if counted == Some(0) {
         return (no_launch(q), counted);
     }
@@ -1888,8 +1940,8 @@ mod tests {
     }
 
     /// A pull-capable graph (CSR + CSC) over the given edges, with the
-    /// CSC view already resident (the engine does this lazily via
-    /// `ensure_pull_ready`; a bare operator test does it up front).
+    /// CSC view already resident (the engine does this lazily, at
+    /// the first planned pull; a bare operator test does it up front).
     fn pull_graph(q: &Queue, n: usize, edges: &[(u32, u32)]) -> crate::graph::Graph {
         let g = crate::graph::Graph::with_pull(q, &CsrHost::from_edges(n, edges)).unwrap();
         assert!(matches!(g.ensure_pull(q), Ok(true)));

@@ -43,14 +43,21 @@ pub struct KernelRecord {
 }
 
 /// Everything a superstep's [`Plan`] is a function of, gathered by the
-/// engine from host-side state before it launches anything: no field
-/// needs the queue, the frontier or the graph to be read again, so a
-/// recorded decision can be replayed from the log alone.
+/// engine from host-side state: no field needs the queue, the frontier or
+/// the graph to be read again, so a recorded decision can be replayed
+/// from the log alone. All but `measured` are known before the superstep
+/// launches anything and decide the representation; `measured` is read
+/// once the input has adopted it, and decides the direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanInputs {
     /// Measured bound on the previous input frontier's population (the
     /// count its advance read back for convergence).
     pub last_estimate: usize,
+    /// Measured bound on *this* superstep's input population, read after
+    /// the input adopted its representation: the list length when it is
+    /// listed, `nonzero_words × word_bits` from its counted compaction
+    /// otherwise. `None` for single-layer bitmaps, which have no measure.
+    pub measured: Option<usize>,
     /// Forward estimate the previous plan made for this superstep's input.
     pub predicted: usize,
     /// Vertices a frontier of this run can hold.
@@ -87,7 +94,8 @@ pub struct Plan {
     pub sparse_in: bool,
     /// The output frontier keeps its item list while it is written.
     pub sparse_out: bool,
-    /// The advance pulls (else pushes).
+    /// The advance pulls (else pushes). The only field that reads
+    /// [`PlanInputs::measured`].
     pub pull: bool,
     /// The balancing policy, resolved for this graph, bins by degree.
     pub bucketed: bool,

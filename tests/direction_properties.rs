@@ -2,17 +2,18 @@
 //! every direction policy × every frontier representation × the 4-dataset
 //! suite must be bit-identical (Beamer's hybrid changes which edges get
 //! *scanned*, never which vertices get visited or what value they get);
-//! Auto must not flap between directions; and the recovery machinery must
+//! Auto must not flap between directions, and must switch to pull on the
+//! superstep whose own frontier crosses n/4; and the recovery machinery must
 //! compose with pull — a checkpoint resume mid-pull and the OOM
 //! force-push rung both land on the fault-free answer.
 
 use sygraph_algos::{bfs, cc, reference};
 use sygraph_bench::sample_useful_sources;
 use sygraph_core::engine::RecoveryPolicy;
-use sygraph_core::graph::Graph;
-use sygraph_core::inspector::{Direction, OptConfig, Representation};
+use sygraph_core::graph::{CsrHost, Graph};
+use sygraph_core::inspector::{Direction, OptConfig, Representation, DIRECTION_ALPHA};
 use sygraph_gen::{datasets, Dataset, Scale};
-use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue};
+use sygraph_sim::{Device, DeviceProfile, FaultPlan, Queue, TraceKind};
 
 mod common;
 use common::{first_launch, recoveries};
@@ -211,17 +212,25 @@ fn pull_supersteps(q: &Queue) -> usize {
     dirs.iter().filter(|e| e.direction == "pull").count()
 }
 
+/// A chain into a fan: 0 → 1 → 200 leaves, each leaf → one more vertex,
+/// over 640 vertices. From vertex 0 the frontier runs 1, 1, 200, 200: it
+/// jumps from one vertex past n/4 (160) in a single superstep.
+fn fan() -> CsrHost {
+    let mut edges = vec![(0u32, 1u32)];
+    edges.extend((2..202).map(|v| (1, v)));
+    edges.extend((2..202).map(|v| (v, v + 200)));
+    CsrHost::from_edges(640, &edges)
+}
+
 #[test]
 fn auto_pulls_only_where_the_scan_can_exit_early() {
     // CC hands pull supersteps every vertex and every in-edge: under
     // `Auto` that is never fewer edges than push, so it never pulls, and
-    // a forced pull still does. BFS pulls over the adopt-once unvisited
-    // set exactly as often as it did when CC still pulled (3 and 2
-    // supersteps, measured at the commit before the rule).
+    // a forced pull still does.
     let all = OptConfig::all();
-    for (ds, bfs_pulls) in [
-        (datasets::kron(Scale::Test), 3),
-        (datasets::hollywood(Scale::Test), 2),
+    for ds in [
+        datasets::kron(Scale::Test),
+        datasets::hollywood(Scale::Test),
     ] {
         let und = ds.undirected();
         let q = queue();
@@ -234,11 +243,37 @@ fn auto_pulls_only_where_the_scan_can_exit_early() {
         let forced = cc::run(&q, &g, &OptConfig::with_direction(Direction::Pull)).unwrap();
         assert_eq!(pull_supersteps(&q), forced.iterations as usize);
         assert_eq!(auto.values, forced.values);
+    }
+}
 
-        let q = queue();
-        let g = Graph::with_pull(&q, &ds.host).unwrap();
+#[test]
+fn auto_bfs_pulls_from_the_superstep_whose_own_frontier_crosses_alpha() {
+    // BFS over the adopt-once unvisited set switches to pull on the first
+    // superstep whose *own* measured input exceeds n/4 — not on the one
+    // after it, which a plan from the previous superstep's count picks.
+    let sampled = |ds: Dataset| {
         let src = sample_useful_sources(&ds.host, 1, 42)[0];
-        bfs::run_fused(&q, &g, src, &all).unwrap();
-        assert_eq!(pull_supersteps(&q), bfs_pulls, "{}: fused BFS", ds.key);
+        (ds.key, ds.host, src)
+    };
+    for (key, host, src) in [
+        sampled(datasets::kron(Scale::Test)),
+        sampled(datasets::hollywood(Scale::Test)),
+        ("fan", fan(), 0),
+    ] {
+        let q = queue();
+        let g = Graph::with_pull(&q, &host).unwrap();
+        let got = bfs::run_fused(&q, &g, src, &OptConfig::all()).unwrap();
+        assert_eq!(got.values, reference::bfs(&host, src), "{key}");
+        let steps = q.profiler().select(|e| match e.kind {
+            TraceKind::Plan { inputs, pull, .. } => {
+                let measured = inputs.measured.expect("two-layer inputs are measured");
+                Some((measured > inputs.n / DIRECTION_ALPHA as usize, pull))
+            }
+            _ => None,
+        });
+        let first_pull = steps.iter().position(|s| s.1);
+        let first_wide = steps.iter().position(|s| s.0);
+        assert!(first_pull.is_some(), "{key}: BFS never pulled");
+        assert_eq!(first_pull, first_wide, "{key}: {steps:?}");
     }
 }

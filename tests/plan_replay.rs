@@ -6,7 +6,8 @@
 //!   rows of plain data: no queue, no graph.
 //! * *Replay* — for BFS, SSSP and CC on the four test-scale datasets under
 //!   every representation × direction policy, every `Plan` event the
-//!   engine recorded satisfies `tuning.plan(&inputs) == plan`.
+//!   engine recorded satisfies `tuning.plan(&inputs) == plan`, its
+//!   direction taken from the input's own recorded measure.
 //!   What the plan says became of the retired frontier agrees with the
 //!   launches around it.
 //! * *Views* — `rep_events()` / `direction_events()` have one entry per
@@ -34,6 +35,7 @@ mod common;
 fn fresh(capacity: usize) -> PlanInputs {
     PlanInputs {
         last_estimate: 0,
+        measured: None,
         predicted: 0,
         capacity,
         n: capacity,
@@ -69,7 +71,7 @@ fn representation_hysteresis_table() {
         // (2x higher) exit bar.
         (&auto, exit, 0, true, true, true),
         (&auto, exit + 1, 0, true, true, false),
-        // The larger of the measured and the forward estimate decides: a
+        // The larger of the previous count and the forward estimate decides: a
         // wavefront predicted to explode is not asked to go sparse.
         (&auto, 0, enter + 1, false, true, false),
         (&auto, 0, enter, false, true, true),
@@ -144,7 +146,7 @@ fn direction_hysteresis_table() {
     assert_eq!((enter, exit), (600, 100), "a 6x band");
     let push = v100(&OptConfig::with_direction(Direction::Push));
     let pull = v100(&OptConfig::with_direction(Direction::Pull));
-    // (tuning, last_estimate, prev_pull, available, exits_early) -> pull
+    // (tuning, measured, prev_pull, available, exits_early) -> pull
     let mut rows = vec![
         // Pushing: stays push at the boundary, pulls just above it.
         (&auto, enter, false, true, true, false),
@@ -171,10 +173,12 @@ fn direction_hysteresis_table() {
         rows.push((&push, pop, true, true, true, false));
         rows.push((&pull, pop, false, true, true, true));
     }
-    for (t, last_estimate, prev_pull, pull_available, pull_exits_early, want) in rows {
+    for (t, measured, prev_pull, pull_available, pull_exits_early, want) in rows {
         let i = PlanInputs {
-            last_estimate,
-            // The forward estimate must not reach the direction rule.
+            measured: Some(measured),
+            // Neither the previous superstep's count nor the forward
+            // estimate may reach the direction rule.
+            last_estimate: n - measured,
             predicted: n,
             prev_pull,
             pull_available,
@@ -183,6 +187,34 @@ fn direction_hysteresis_table() {
         };
         assert_eq!(t.plan(&i).pull, want, "{i:?}");
     }
+    // A single-layer bitmap has no measure: the previous count decides.
+    for (last_estimate, want) in [(enter, false), (enter + 1, true)] {
+        let i = PlanInputs {
+            last_estimate,
+            ..fresh(n)
+        };
+        assert_eq!(auto.plan(&i).pull, want, "{i:?}");
+    }
+    // Two rows that differ only in the measure, on either side of the
+    // entry bar: the direction flips, the representation half does not
+    // move — it is decided before the input is measured.
+    let below = PlanInputs {
+        measured: Some(enter),
+        last_estimate: enter,
+        predicted: enter,
+        listed: Some(enter),
+        ..fresh(n)
+    };
+    let above = PlanInputs {
+        measured: Some(enter + 1),
+        ..below
+    };
+    let (b, a) = (auto.plan(&below), auto.plan(&above));
+    assert_eq!((b.pull, a.pull), (false, true));
+    assert_eq!(
+        (b.sparse_in, b.sparse_out, b.predicted),
+        (a.sparse_in, a.sparse_out, a.predicted)
+    );
 }
 
 #[test]
@@ -225,7 +257,9 @@ fn auto_representation_switches_at_the_hysteresis_exit() {
     // the 40-wide step still *enters* on the lagged estimate, and up to a
     // word's width the hub guard adds the max degree of 10); its exact
     // count of 40 > 640/32 turns the output dense, and superstep 4 runs
-    // dense on a list that was never written.
+    // dense on a list that was never written. Each superstep measures its
+    // own input: the list length, and at superstep 4 the compaction's two
+    // non-zero 32-bit words (vertices 110..150), 64.
     let n = 640;
     let q = Queue::new(Device::new(DeviceProfile::host_test()));
     let g = DeviceCsr::upload(&q, &CsrHost::from_edges(n, &fan_edges())).unwrap();
@@ -233,8 +267,9 @@ fn auto_representation_switches_at_the_hysteresis_exit() {
     assert_eq!(t.word_bits, 8);
     let profile = g.degree_profile().unwrap();
     assert_eq!(profile.max_degree, 10);
-    let row = |last_estimate, predicted, prev_sparse, listed| PlanInputs {
+    let row = |last_estimate, predicted, prev_sparse, listed, measured| PlanInputs {
         last_estimate,
+        measured: Some(measured),
         predicted,
         prev_sparse,
         listed,
@@ -252,11 +287,11 @@ fn auto_representation_switches_at_the_hysteresis_exit() {
         predicted,
     };
     let table = [
-        (row(0, 0, false, Some(1)), plan(true, true, 11)),
-        (row(1, 11, true, Some(1)), plan(true, true, 11)),
-        (row(1, 11, true, Some(4)), plan(true, true, 14)),
-        (row(4, 14, true, Some(40)), plan(true, false, 40)),
-        (row(40, 40, true, None), plan(false, false, 40)),
+        (row(0, 0, false, Some(1), 1), plan(true, true, 11)),
+        (row(1, 11, true, Some(1), 1), plan(true, true, 11)),
+        (row(1, 11, true, Some(4), 4), plan(true, true, 14)),
+        (row(4, 14, true, Some(40), 40), plan(true, false, 40)),
+        (row(40, 40, true, None, 64), plan(false, false, 40)),
     ];
     for (inputs, want) in &table {
         assert_eq!(t.plan(inputs), *want, "{inputs:?}");
@@ -346,6 +381,7 @@ fn recorded_plans_replay_and_the_views_agree_with_the_log() {
                 "{ctx}: one plan per landed superstep"
             );
             for (superstep, inputs, plan, sparse, pull) in &log {
+                assert!(inputs.measured.is_some(), "{ctx} @{superstep}: unmeasured");
                 assert_eq!(tuning.plan(inputs), *plan, "{ctx} @{superstep}: {inputs:?}");
                 assert_eq!(
                     (*sparse, *pull),
